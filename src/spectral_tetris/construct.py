@@ -130,6 +130,18 @@ def column_maps(matrix: SynthesisMatrix) -> List[Dict[int, MatrixEntry]]:
     return columns
 
 
+def sparse_inner(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> RadicalScalar:
+    """Exact inner product of two sparse real vectors; only meaningful when no entry is complex."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = ZERO
+    for index, value in a.items():
+        other = b.get(index)
+        if other is not None:
+            total = total + value * other
+    return total
+
+
 def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: int) -> None:
     for i, block_row in enumerate(block.rows):
         for j, value in enumerate(block_row):

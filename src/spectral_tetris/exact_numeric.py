@@ -6,6 +6,16 @@ squarefree positive integers d_i.  That class is closed under addition
 and multiplication, and (less obviously) under division, so Gram
 products and matrix ranks can be checked with zero tolerance.
 
+Canonical-term invariant: a RadicalScalar's terms are sorted by radicand,
+every radicand is a squarefree positive integer appearing once, and no
+coefficient is zero. The public constructor establishes it by splitting
+every radicand, because its input is untrusted. The arithmetic keeps it
+without re-splitting: negation, sums and the conjugation steps of inverse
+only regroup radicands that are already squarefree, and for squarefree r1,
+r2 with g = gcd(r1, r2) the product radicand (r1/g)*(r2/g) is squarefree
+again. Those results are built by _collect, which merges equal radicands
+and drops zero coefficients but never factors.
+
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
 arithmetic is attempted beyond phase canonicalization.
@@ -72,8 +82,16 @@ class RadicalScalar:
         self._terms = tuple(sorted(combined.items()))
 
     @classmethod
+    def _canonical(cls, terms: Tuple[Tuple[int, Fraction], ...]) -> "RadicalScalar":
+        """Wrap terms that already satisfy the canonical-term invariant, unchecked."""
+        value = object.__new__(cls)
+        value._terms = terms
+        return value
+
+    @classmethod
     def from_rational(cls, value: RationalLike) -> "RadicalScalar":
-        return cls([(1, Fraction(value))])
+        value = Fraction(value)
+        return cls._canonical(((1, value),) if value else ())
 
     @classmethod
     def sqrt(cls, value: RationalLike) -> "RadicalScalar":
@@ -115,7 +133,7 @@ class RadicalScalar:
         return hash(self._terms)
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar((r, -c) for r, c in self._terms)
+        return RadicalScalar._canonical(tuple((r, -c) for r, c in self._terms))
 
     def _coerce(self, other) -> "RadicalScalar":
         if isinstance(other, RadicalScalar):
@@ -126,12 +144,17 @@ class RadicalScalar:
 
     def __add__(self, other) -> "RadicalScalar":
         other = self._coerce(other)
-        return RadicalScalar(self._terms + other._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return _collect(self._terms + other._terms)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RadicalScalar":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return _collect(self._terms + tuple((r, -c) for r, c in other._terms))
 
     def __rsub__(self, other) -> "RadicalScalar":
         return self._coerce(other) + (-self)
@@ -144,7 +167,7 @@ class RadicalScalar:
                 g = math.gcd(r1, r2)
                 # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)), the product squarefree
                 out.append(((r1 // g) * (r2 // g), c1 * c2 * g))
-        return RadicalScalar(out)
+        return _collect(out)
 
     __rmul__ = __mul__
 
@@ -173,13 +196,15 @@ class RadicalScalar:
                     d += 1
                 else:
                     p = r if p is None else min(p, r)
-        plain = RadicalScalar(
-            (r, c) for r, c in self._terms if r % p != 0
+        # dividing the radicands that p divides by p keeps them squarefree,
+        # distinct and in order, so both halves are canonical as they stand
+        plain = RadicalScalar._canonical(
+            tuple((r, c) for r, c in self._terms if r % p != 0)
         )
-        attached = RadicalScalar(
-            (r // p, c) for r, c in self._terms if r % p == 0
+        attached = RadicalScalar._canonical(
+            tuple((r // p, c) for r, c in self._terms if r % p == 0)
         )
-        conjugate = plain - RadicalScalar([(p, 1)]) * attached
+        conjugate = plain - RadicalScalar._canonical(((p, Fraction(1)),)) * attached
         denom = plain * plain - attached * attached * p
         return conjugate * denom.inverse()
 
@@ -199,6 +224,21 @@ class RadicalScalar:
         for r, c in self._terms:
             parts.append(str(c) if r == 1 else f"{c}*sqrt({r})")
         return f"RadicalScalar({' + '.join(parts)})"
+
+
+def _collect(terms: Iterable[Tuple[int, Fraction]]) -> RadicalScalar:
+    """Canonical sum of terms whose radicands are already squarefree.
+
+    Equal radicands are merged and zero coefficients dropped; nothing is
+    factored, so a radicand that is not squarefree would break the invariant.
+    """
+    combined: dict[int, Fraction] = {}
+    for radicand, coeff in terms:
+        if radicand in combined:
+            combined[radicand] += coeff
+        else:
+            combined[radicand] = coeff
+    return RadicalScalar._canonical(tuple(sorted(item for item in combined.items() if item[1])))
 
 
 ZERO = RadicalScalar()

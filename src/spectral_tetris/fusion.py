@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .blocks import block_a_hat
-from .construct import SynthesisMatrix, column_maps, naimark_complement, pnstc, sfr
+from .construct import SynthesisMatrix, column_maps, naimark_complement, pnstc, sfr, sparse_inner
 from .errors import (
     Infeasible,
     NoExtension,
@@ -25,13 +25,9 @@ from .errors import (
     NotApplicable,
     NotSTReady,
     OutOfRange,
+    SearchBudgetExceeded,
 )
-from .exact_numeric import (
-    MatrixEntry,
-    RadicalScalar,
-    ZERO,
-    entry_abs_squared,
-)
+from .exact_numeric import MatrixEntry, RadicalScalar
 from .sequences import as_spectrum, majorizes, search_budget
 
 ColumnMap = Dict[int, MatrixEntry]
@@ -83,30 +79,17 @@ class ChainPartition:
     chains: Tuple[Tuple[int, ...], ...]
 
 
-def _inner_product(a: ColumnMap, b: ColumnMap) -> RadicalScalar:
-    total = ZERO
-    for row, value in a.items():
-        other = b.get(row)
-        if other is not None:
-            total = total + value * other
-    return total
-
-
 def _group_is_orthonormal_scaled(
     columns: List[ColumnMap], group: Sequence[int], weight_squared: Fraction
 ) -> bool:
     """Exact check: the group's columns are pairwise orthogonal with squared
     norm weight_squared (so they form a tight frame for their span with
     bound weight_squared)."""
-    target = RadicalScalar.from_rational(weight_squared)
     for idx, col in enumerate(group):
-        norm = ZERO
-        for value in columns[col].values():
-            norm = norm + entry_abs_squared(value)
-        if norm != target:
+        if sparse_inner(columns[col], columns[col]) != weight_squared:
             return False
         for other in group[idx + 1 :]:
-            if _inner_product(columns[col], columns[other]):
+            if sparse_inner(columns[col], columns[other]):
                 return False
     return True
 
@@ -418,7 +401,7 @@ class _TaggedSearch:
 
     def _fits(self, tag: int, column: ColumnMap) -> bool:
         for existing in self.placed[tag]:
-            if _inner_product(existing, column):
+            if sparse_inner(existing, column):
                 return False
         return True
 
@@ -446,7 +429,7 @@ class _TaggedSearch:
     def _fill(self, row: int, weight: Fraction) -> bool:
         self.states += 1
         if self.states > self.budget:
-            raise Infeasible(
+            raise SearchBudgetExceeded(
                 f"no qualifying weight ordering found within the search budget "
                 f"({self.budget} states)"
             )
@@ -523,8 +506,8 @@ def weighted_fusion(
     construction and groups the resulting columns by origin. The round-robin
     order (w_1..w_D, w_1..w_D, ...) is tried first; if it fails either the
     construction or a group's exact orthogonality check, a bounded search
-    over tagged orders runs. Raises Infeasible when no qualifying ordering
-    is found within the budget.
+    over tagged orders runs. Raises Infeasible when no ordering qualifies,
+    SearchBudgetExceeded when the search hits its budget before settling it.
     """
     eigs = as_spectrum(spectrum)
     dims_t = tuple(int(d) for d in dims)

@@ -5,6 +5,10 @@ As soon as complex entries are involved the checks drop to floating point
 (tolerance 1e-12 for frames, 1e-10 for fusion operators) and the report is
 flagged exact=False. verify_frame and verify_fusion never raise on
 mathematical failures; every discrepancy becomes a field of the report.
+
+The exact checks only multiply entries that share a column or a row, so
+their cost follows the column supports (sum of |supp|^2) rather than the
+M^2 row pairs and N^2/2 column pairs of the dense definitions.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .construct import SynthesisMatrix, column_maps
+from .construct import SynthesisMatrix, column_maps, sparse_inner
 from .errors import SpectrumMismatch
 from .exact_numeric import (
     MatrixEntry,
@@ -36,25 +40,6 @@ SquareSum = Union[Fraction, float]
 SparseVector = Dict[int, MatrixEntry]
 
 
-def _row_maps(matrix: SynthesisMatrix) -> List[SparseVector]:
-    rows: List[SparseVector] = [dict() for _ in range(matrix.row_count)]
-    for (i, j), value in matrix.entries.items():
-        rows[i][j] = value
-    return rows
-
-
-def _sparse_inner(a: SparseVector, b: SparseVector) -> RadicalScalar:
-    """Exact real inner product; only meaningful when no entry is complex."""
-    if len(b) < len(a):
-        a, b = b, a
-    total = ZERO
-    for index, value in a.items():
-        other = b.get(index)
-        if other is not None:
-            total = total + value * other
-    return total
-
-
 def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[RadicalScalar], List[RadicalScalar]]:
     """Exact row and column square sums in one sweep (exact on both paths)."""
     rows = [ZERO] * matrix.row_count
@@ -72,38 +57,54 @@ def _report_values(values: Sequence[RadicalScalar]) -> Tuple[SquareSum, ...]:
     return tuple(float(v) for v in values)
 
 
-def _rows_exactly_orthogonal(matrix: SynthesisMatrix) -> bool:
-    rows = _row_maps(matrix)
-    for p in range(len(rows)):
-        for q in range(p + 1, len(rows)):
-            if _sparse_inner(rows[p], rows[q]):
-                return False
-    return True
+def _row_gram(
+    columns: Sequence[SparseVector], diagonal: bool
+) -> Dict[Tuple[int, int], RadicalScalar]:
+    """Upper triangle of the exact row Gram AA^T, keyed (p, q) with p < q
+    (p <= q with the diagonal).
+
+    Rows p and q only meet in the columns whose support holds both, so the
+    entry is summed from the products within each column's support:
+    sum |supp|^2 products instead of M^2 row inner products. Row pairs that
+    share no column are absent, i.e. zero.
+    """
+    gram: Dict[Tuple[int, int], RadicalScalar] = {}
+    for column in columns:
+        items = sorted(column.items())
+        for a, (p, x) in enumerate(items):
+            for q, y in items[a if diagonal else a + 1 :]:
+                gram[(p, q)] = gram.get((p, q), ZERO) + x * y
+    return gram
 
 
-def _exact_rank(rows: List[SparseVector], col_count: int) -> int:
-    """Row rank by Gaussian elimination over the radical field."""
-    work = [dict(row) for row in rows if row]
+def _rows_exactly_orthogonal(columns: Sequence[SparseVector]) -> bool:
+    return not any(_row_gram(columns, diagonal=False).values())
+
+
+def _exact_rank(vectors: Sequence[SparseVector], length: int) -> int:
+    """Rank of sparse vectors with indices below length, by Gaussian
+    elimination over the radical field."""
+    work = [dict(vector) for vector in vectors if vector]
     rank = 0
-    for col in range(col_count):
-        pivot_index = next((k for k, row in enumerate(work) if col in row), None)
+    for index in range(length):
+        pivot_index = next((k for k, vector in enumerate(work) if index in vector), None)
         if pivot_index is None:
             continue
         pivot = work.pop(pivot_index)
         rank += 1
-        inverse = pivot[col].inverse()
-        for row in work:
-            factor = row.get(col)
+        inverse = pivot[index].inverse()
+        for vector in work:
+            factor = vector.get(index)
             if factor is None:
                 continue
             scale = factor * inverse
             for j, value in pivot.items():
-                updated = row.get(j, ZERO) - scale * value
+                updated = vector.get(j, ZERO) - scale * value
                 if updated:
-                    row[j] = updated
+                    vector[j] = updated
                 else:
-                    row.pop(j, None)
-        work = [row for row in work if row]
+                    vector.pop(j, None)
+        work = [vector for vector in work if vector]
         if not work:
             break
     return rank
@@ -144,9 +145,9 @@ def frame_operator(matrix: SynthesisMatrix) -> FrameOperator:
         dense = matrix.to_dense()
         gram = dense @ dense.conj().T
         return FrameOperator(tuple(tuple(row) for row in gram.tolist()), exact=False)
-    rows = _row_maps(matrix)
+    gram = _row_gram(column_maps(matrix), diagonal=True)
     entries = tuple(
-        tuple(_sparse_inner(rows[p], rows[q]) for q in range(matrix.row_count))
+        tuple(gram.get((min(p, q), max(p, q)), ZERO) for q in range(matrix.row_count))
         for p in range(matrix.row_count)
     )
     return FrameOperator(entries, exact=True)
@@ -157,25 +158,45 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
 
     A nonzero column fails against itself at distance 0, so any nonzero
     matrix has d >= 1; the zero (or empty) matrix has d = 0.
+
+    On the real path only columns that share a row can fail to be
+    orthogonal, and two columns sharing exactly one row never are: their
+    inner product is the product of two nonzero reals. So each row's
+    columns are scanned from both ends for the widest pair that does not
+    cancel, and an exact inner product is formed only for candidate pairs
+    sharing two or more rows.
     """
-    count = matrix.col_count
     if matrix.is_complex:
         dense = matrix.to_dense()
         gram = np.abs(dense.conj().T @ dense)
-        distance = 0
-        for j in range(count):
-            for k in range(j, count):
-                if gram[j, k] > COMPLEX_TOLERANCE:
-                    distance = max(distance, k - j + 1)
-        return distance
+        first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
+        return int(np.max(last - first)) + 1 if first.size else 0
     columns = column_maps(matrix)
+    row_columns: Dict[int, List[int]] = {}
+    for col, column in enumerate(columns):
+        for row in column:
+            row_columns.setdefault(row, []).append(col)
+    cancels: Dict[Tuple[int, int], bool] = {}
+
+    def orthogonal(j: int, k: int) -> bool:
+        if j == k or len(columns[j].keys() & columns[k].keys()) == 1:
+            return False
+        if (j, k) not in cancels:
+            cancels[(j, k)] = not sparse_inner(columns[j], columns[k])
+        return cancels[(j, k)]
+
     distance = 0
-    for j in range(count):
-        for k in range(j, count):
-            if k - j + 1 <= distance:
-                continue
-            if _sparse_inner(columns[j], columns[k]):
-                distance = k - j + 1
+    for cols in row_columns.values():
+        for a, j in enumerate(cols):
+            if cols[-1] - j + 1 <= distance:
+                break
+            for b in range(len(cols) - 1, a - 1, -1):
+                k = cols[b]
+                if k - j + 1 <= distance:
+                    break
+                if not orthogonal(j, k):
+                    distance = k - j + 1
+                    break
     return distance
 
 
@@ -227,8 +248,9 @@ def verify_frame(
     exact = not matrix.is_complex
     row_sums, col_norms = _square_sums(matrix)
 
+    columns = column_maps(matrix)
     if exact:
-        rows_orthogonal = _rows_exactly_orthogonal(matrix)
+        rows_orthogonal = _rows_exactly_orthogonal(columns)
     elif m == 0:
         rows_orthogonal = True
     else:
@@ -248,7 +270,7 @@ def verify_frame(
     elif rows_orthogonal:
         is_frame = all(bool(value) for value in row_sums)
     elif exact:
-        is_frame = _exact_rank(_row_maps(matrix), n) == m
+        is_frame = _exact_rank(columns, m) == m
     else:
         is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
 
@@ -354,18 +376,15 @@ def verify_fusion(
     rows_orthogonal = groups_orthogonal = weights_consistent = False
     if real:
         columns = column_maps(generator)
-        rows_orthogonal = _rows_exactly_orthogonal(generator)
+        rows_orthogonal = _rows_exactly_orthogonal(columns)
         groups_orthogonal = True
         weights_consistent = True
         for group, weight_squared in zip(reference.partition, reference.weights_squared):
             for a in range(len(group)):
-                norm = ZERO
-                for row, value in columns[group[a]].items():
-                    norm = norm + entry_abs_squared(value)
-                if norm != weight_squared:
+                if sparse_inner(columns[group[a]], columns[group[a]]) != weight_squared:
                     weights_consistent = False
                 for b in range(a + 1, len(group)):
-                    if _sparse_inner(columns[group[a]], columns[group[b]]):
+                    if sparse_inner(columns[group[a]], columns[group[b]]):
                         groups_orthogonal = False
 
     row_sums, _ = _square_sums(generator)

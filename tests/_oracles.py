@@ -2,12 +2,20 @@
 
 These are deliberately written from the definitions alone, with no shared
 code or shortcuts from the package: readiness enumerates every ordering and
-every partition, the block number enumerates every permutation. Slow on
-purpose; tests keep the sizes small.
+every partition, the block number enumerates every permutation, and the
+verification oracles form every row and column inner product of the dense
+matrix (they use the package's exact arithmetic, nothing of its verifier).
+Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
+
+from spectral_tetris import RadicalScalar
+
+COMPLEX_TOLERANCE = 1e-12
 
 
 def st_ready_oracle(norms_squared, spectrum) -> bool:
@@ -69,3 +77,95 @@ def mu_oracle(spectrum) -> int:
         if count > best:
             best = count
     return best
+
+
+# -- verification: all row pairs and all column pairs of the dense matrix --------
+
+
+def _dot(u, v):
+    total = RadicalScalar()
+    for x, y in zip(u, v):
+        total = total + x * y
+    return total
+
+
+def _dense_rows(matrix):
+    return [
+        [matrix.entry(i, j) for j in range(matrix.col_count)] for i in range(matrix.row_count)
+    ]
+
+
+def _dense_columns(matrix):
+    return [
+        [matrix.entry(i, j) for i in range(matrix.row_count)] for j in range(matrix.col_count)
+    ]
+
+
+def row_gram_oracle(matrix):
+    """Exact AA^T of a real matrix, every entry a full row inner product."""
+    rows = _dense_rows(matrix)
+    return tuple(tuple(_dot(p, q) for q in rows) for p in rows)
+
+
+def rows_orthogonal_oracle(matrix) -> bool:
+    gram = row_gram_oracle(matrix)
+    return all(
+        not gram[p][q] for p in range(len(gram)) for q in range(len(gram)) if p != q
+    )
+
+
+def orthogonality_distance_oracle(matrix) -> int:
+    """Largest k - j + 1 over column pairs j <= k with a nonzero exact inner product."""
+    columns = _dense_columns(matrix)
+    distance = 0
+    for j in range(len(columns)):
+        for k in range(j, len(columns)):
+            if _dot(columns[j], columns[k]):
+                distance = max(distance, k - j + 1)
+    return distance
+
+
+def complex_orthogonality_distance_oracle(matrix) -> int:
+    """The same over the float Gram |A*A| with the strict 1e-12 threshold."""
+    dense = matrix.to_dense()
+    gram = np.abs(dense.conj().T @ dense)
+    distance = 0
+    for j in range(matrix.col_count):
+        for k in range(j, matrix.col_count):
+            if gram[j, k] > COMPLEX_TOLERANCE:
+                distance = max(distance, k - j + 1)
+    return distance
+
+
+def exact_rank_oracle(matrix) -> int:
+    """Row rank by dense Gaussian elimination over the radical field."""
+    rows = [row for row in _dense_rows(matrix) if any(row)]
+    rank = 0
+    for col in range(matrix.col_count):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        inverse = pivot[col].inverse()
+        for index, row in enumerate(rows):
+            scale = row[col] * inverse
+            rows[index] = [value - scale * p for value, p in zip(row, pivot)]
+        rows = [row for row in rows if any(row)]
+    return rank
+
+
+def fusion_group_flags_oracle(frame):
+    """(groups_orthogonal, weights_consistent) of a real fusion frame."""
+    columns = _dense_columns(frame.generator)
+    orthogonal = all(
+        not _dot(columns[a], columns[b])
+        for group in frame.partition
+        for a, b in itertools.combinations(group, 2)
+    )
+    consistent = all(
+        _dot(columns[col], columns[col]) == weight
+        for group, weight in zip(frame.partition, frame.weights_squared)
+        for col in group
+    )
+    return orthogonal, consistent

@@ -371,3 +371,16 @@ def test_search_budget_env_is_honored(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SPECTRAL_TETRIS_SEARCH_BUDGET")
     assert run(argv) == 0
     capsys.readouterr()
+
+
+def test_weighted_fusion_budget_cut_exits_2(tmp_path, capsys):
+    argv = [
+        "weighted-fusion",
+        "--weights-squared", *["1"] * 6,
+        "--dims", "3", "3", "2", "1", "1", "1",
+        "--spectrum", *["11/4"] * 4,
+        "--budget", "1",
+        "--output", str(tmp_path / "fusion.json"),
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("SearchBudgetExceeded:")

@@ -200,3 +200,21 @@ def test_radical_combine_dispatch():
     assert radical_combine(a, b, "multiply") == RadicalScalar.from_rational(4)
     with pytest.raises(ValueError):
         radical_combine(a, b, "divide")
+
+
+def assert_canonical(value):
+    radicands = [r for r, _ in value.terms]
+    assert radicands == sorted(set(radicands))
+    assert all(r >= 1 and all(r % (d * d) for d in range(2, math.isqrt(r) + 1)) for r in radicands)
+    assert all(isinstance(c, Fraction) and c != 0 for _, c in value.terms)
+    assert value == RadicalScalar(value.terms)
+
+
+@given(radical_scalars, radical_scalars, small_fractions)
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_results_keep_the_canonical_form(a, b, q):
+    results = [a + b, a - b, a * b, -a, a + q, q - a, a * q, RadicalScalar.from_rational(q)]
+    if a:
+        results.append(a.inverse())
+    for value in results:
+        assert_canonical(value)

@@ -12,6 +12,7 @@ from spectral_tetris import (
     NotSTReady,
     OutOfRange,
     RadicalScalar,
+    SearchBudgetExceeded,
     SynthesisMatrix,
     construct_untf,
     entry_abs_squared,
@@ -386,3 +387,9 @@ def test_naimark_complement_fusion_requires_parseval():
     )
     with pytest.raises(NotApplicable, match="Parseval"):
         naimark_complement_fusion(shrunk)
+
+
+def test_weighted_fusion_budget_cut_is_not_infeasible():
+    # round-robin fails here, so the tagged search runs and is cut at once
+    with pytest.raises(SearchBudgetExceeded, match="search budget"):
+        weighted_fusion((1,) * 6, goldens.UFF_DIMS, (Fraction(11, 4),) * 4, budget=1)
