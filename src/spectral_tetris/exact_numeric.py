@@ -14,7 +14,8 @@ without re-splitting: negation, sums and the conjugation steps of inverse
 only regroup radicands that are already squarefree, and for squarefree r1,
 r2 with g = gcd(r1, r2) the product radicand (r1/g)*(r2/g) is squarefree
 again. Those results are built by _collect, which merges equal radicands
-and drops zero coefficients but never factors.
+and drops zero coefficients but never factors. sqrt splits p*q once and
+wraps the single squarefree term directly.
 
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
@@ -103,7 +104,7 @@ class RadicalScalar:
             return cls()
         # sqrt(p/q) = sqrt(p*q)/q
         s, r = _squarefree_split(value.numerator * value.denominator)
-        return cls([(r, Fraction(s, value.denominator))])
+        return cls._canonical(((r, Fraction(s, value.denominator)),))
 
     @property
     def terms(self) -> Tuple[Tuple[int, Fraction], ...]:

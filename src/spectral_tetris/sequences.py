@@ -135,13 +135,45 @@ def st_ready_check(
 
 
 def _distinct_value_orders(values: Spectrum):
-    """Index permutations yielding distinct value sequences, identity first."""
-    seen = set()
-    for perm in itertools.permutations(range(len(values))):
-        key = tuple(values[i] for i in perm)
-        if key not in seen:
-            seen.add(key)
-            yield perm, key
+    """Every distinct value order once, with its smallest index permutation.
+
+    Yields (index permutation, permuted values) in lexicographic order of the
+    permutations, identity first; each permutation takes equal values in
+    index order, so it is the lexicographically smallest one giving its value
+    order. That is the sequence a walk over all M! index permutations that
+    skips repeated value orders would give, without walking them: a
+    depth-first walk with an explicit stack offers, at each position, only
+    the lowest unused index of each value, so no two branches give the same
+    value order and the walk from one yield to the next costs O(M^2) steps.
+    """
+    m_count = len(values)
+    ids: Dict[Fraction, int] = {}
+    value_ids = [ids.setdefault(v, len(ids)) for v in values]
+    # pools[k]: the indices holding value k, ascending, then the sentinel M
+    pools: List[List[int]] = [[] for _ in ids]
+    for index, k in enumerate(value_ids):
+        pools[k].append(index)
+    for pool in pools:
+        pool.append(m_count)
+    taken = [0] * len(pools)
+    perm: List[int] = []
+    index = 0
+    while True:
+        # the lowest index >= index that is the lowest unused one of its value
+        while index < m_count and pools[value_ids[index]][taken[value_ids[index]]] != index:
+            index += 1
+        if index < m_count:
+            perm.append(index)
+            taken[value_ids[index]] += 1
+            if len(perm) < m_count:
+                index = 0
+                continue
+            yield tuple(perm), tuple(values[i] for i in perm)
+        if not perm:
+            return
+        last = perm.pop()
+        taken[value_ids[last]] -= 1
+        index = last + 1
 
 
 class _FeedSearch:
@@ -152,6 +184,10 @@ class _FeedSearch:
     norm <= the remaining weight; a two-column block consumes a norm above
     the remaining weight together with a partner at least the remaining
     weight, spilling the excess into the next row. Failed states are memoized.
+    Each visit of a state is a generator that yields the child states it
+    tries and receives their outcomes; run() drives them from an explicit
+    stack, so the depth (one level per fed norm) never reaches Python's
+    recursion limit.
     """
 
     def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
@@ -167,9 +203,20 @@ class _FeedSearch:
         return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
 
     def run(self) -> bool:
-        return self._fill(0, self.eigs[0])
+        stack = [self._fill(0, self.eigs[0])]
+        outcome = None
+        while stack:
+            try:
+                child = stack[-1].send(outcome)
+            except StopIteration as finished:
+                stack.pop()
+                outcome = finished.value
+                continue
+            stack.append(self._fill(*child))
+            outcome = None
+        return outcome
 
-    def _fill(self, row: int, weight: Fraction) -> bool:
+    def _fill(self, row: int, weight: Fraction):
         self.states += 1
         if self.states > self.budget:
             raise SearchBudgetExceeded(
@@ -179,7 +226,7 @@ class _FeedSearch:
             self.partition.append(len(self.feed))
             if row + 1 == len(self.eigs):
                 return not any(self.counts.values())
-            if self._fill(row + 1, self.eigs[row + 1]):
+            if (yield row + 1, self.eigs[row + 1]):
                 return True
             self.partition.pop()
             return False
@@ -193,7 +240,7 @@ class _FeedSearch:
             if a <= weight:
                 self.counts[a] -= 1
                 self.feed.append(a)
-                if self._fill(row, weight - a):
+                if (yield row, weight - a):
                     return True
                 self.feed.pop()
                 self.counts[a] += 1
@@ -216,7 +263,7 @@ class _FeedSearch:
                     self.counts[b] -= 1
                     self.feed.extend((a, b))
                     self.partition.append(before)
-                    if self._fill(row + 1, self.eigs[row + 1] - spill):
+                    if (yield row + 1, self.eigs[row + 1] - spill):
                         return True
                     self.partition.pop()
                     del self.feed[-2:]
@@ -274,7 +321,14 @@ class BlockCount(NamedTuple):
     heuristic: bool
 
 
-_EXHAUSTIVE_MU_CAP = 8
+# Cap on the work of the exact maximal block number: DP states times the
+# part candidates tried at each, plus the nodes and subset sums of the part
+# enumeration. Past it the bounded greedy answers, flagged heuristic.
+_MU_WORK_CAP = 1_000_000
+# The greedy fallback tries parts of at most this many eigenvalues and at
+# most _MU_GREEDY_COMBINATIONS candidate parts in all.
+_MU_GREEDY_PART_SIZE = 8
+_MU_GREEDY_COMBINATIONS = 50_000
 
 
 def maximal_block_number(spectrum: Sequence) -> BlockCount:
@@ -282,61 +336,185 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
 
     Equivalently the largest number of disjoint sub-multisets with integer
     sums; the returned permutation lists those parts consecutively (any
-    non-integer remainder last). Exact by subset dynamic programming for
-    M <= 8; above that, greedy minimum-cardinality extraction (part sizes
-    capped at 8) is used and the result is flagged heuristic. Greedy is not
-    exact in general: it can merge elements of two genuine parts with a
-    stray element and destroy both.
+    non-integer remainder last). Only the fractional parts matter, so the
+    count is exact for any M by dynamic programming over how many
+    eigenvalues of each fractional part remain (see _mu_residue). Only a
+    spectrum whose DP would exceed a fixed work cap, which takes many
+    distinct fractional parts, falls back to a greedy extraction of
+    smallest integer-sum parts, bounded in the combinations it tries; that
+    result is flagged heuristic. Greedy is not exact in general: it can
+    merge elements of two genuine parts with a stray element and destroy
+    both.
     """
     eigs = as_spectrum(spectrum)
-    m_count = len(eigs)
-    if m_count <= _EXHAUSTIVE_MU_CAP:
-        mu, order = _mu_exact(eigs)
-        return BlockCount(mu=mu, permutation=order, heuristic=False)
+    exact = _mu_residue(eigs)
+    if exact is not None:
+        return BlockCount(mu=exact[0], permutation=exact[1], heuristic=False)
     mu, order = _mu_greedy(eigs)
     return BlockCount(mu=mu, permutation=order, heuristic=True)
 
 
-def _mu_exact(eigs: Spectrum) -> Tuple[int, Tuple[int, ...]]:
-    m_count = len(eigs)
-    full = (1 << m_count) - 1
-    integer_masks = [
-        mask
-        for mask in range(1, full + 1)
-        if sum(eigs[i] for i in range(m_count) if mask >> i & 1).denominator == 1
-    ]
-    best = [0] * (full + 1)
-    pick = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        for part in integer_masks:
-            if part & ~mask:
+class _MuWorkExceeded(Exception):
+    """Internal: the exact block count ran past _MU_WORK_CAP."""
+
+
+# How many members of each residue class (a multiset of fractional parts).
+_Counts = Tuple[int, ...]
+
+
+def _mu_residue(eigs: Spectrum) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Exact (mu, permutation) by DP over residue-class counts; None past the cap.
+
+    Each integer eigenvalue is a part of its own. The others are grouped by
+    fractional part into classes, and a state is the vector of how many
+    members of each class remain. A state with one nonempty class p/q (in
+    lowest terms) holds floor(count/q) parts. Otherwise take the lowest
+    nonempty class: in an optimal choice one of its members is either left
+    over, or lies in a part that can be taken minimal (a part with a proper
+    integer-sum subpart splits into two). So the state's value is the best
+    of leaving one member and closing one minimal zero-sum part through it.
+    The DP runs on an explicit stack, children before parents.
+    """
+    integers: List[int] = []
+    classes: Dict[Fraction, List[int]] = {}
+    for index, value in enumerate(eigs):
+        if value.denominator == 1:
+            integers.append(index)
+        else:
+            classes.setdefault(value - math.floor(value), []).append(index)
+    residues = sorted(classes)
+    members = [classes[r] for r in residues]
+    counts = tuple(len(group) for group in members)
+    try:
+        best = _residue_dp(residues, counts)
+    except _MuWorkExceeded:
+        return None
+    order = list(integers)
+    taken = [0] * len(counts)
+    state: Optional[_Counts] = counts
+    while state is not None:
+        _, part, state = best[state]
+        for k, size in enumerate(part or ()):
+            order.extend(members[k][taken[k]:taken[k] + size])
+            taken[k] += size
+    placed = set(order)
+    order.extend(i for i in range(len(eigs)) if i not in placed)
+    return len(integers) + best[counts][0], tuple(order)
+
+
+def _residue_dp(
+    residues: List[Fraction], counts: _Counts
+) -> Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]]:
+    """best[state] = (parts, part closed here or None, next state) per reached state.
+
+    A part of None with a next state leaves one member of the lowest class
+    over. A state with a single nonempty class p/q closes all its
+    floor(count/q) parts at once, as one run of q*floor(count/q) members,
+    and has no next state. Raises _MuWorkExceeded past _MU_WORK_CAP.
+    """
+    modulus = math.lcm(*(r.denominator for r in residues))
+    ints = [r.numerator * (modulus // r.denominator) for r in residues]
+    work = [0]
+
+    def spend(units: int) -> None:
+        work[0] += units
+        if work[0] > _MU_WORK_CAP:
+            raise _MuWorkExceeded
+
+    parts_through: Dict[int, List[_Counts]] = {}
+    best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
+    moves_of: Dict[_Counts, List[Tuple[Optional[_Counts], _Counts]]] = {}
+    stack = [counts]
+    while stack:
+        state = stack[-1]
+        if state in best:
+            stack.pop()
+            continue
+        nonempty = [k for k, c in enumerate(state) if c]
+        if len(nonempty) <= 1:
+            parts = state[nonempty[0]] // residues[nonempty[0]].denominator if nonempty else 0
+            run = tuple(parts * residues[k].denominator if c else 0 for k, c in enumerate(state))
+            best[state] = (parts, run, None)
+            stack.pop()
+            continue
+        moves = moves_of.get(state)
+        if moves is None:
+            low = nonempty[0]
+            if low not in parts_through:
+                parts_through[low] = _minimal_zero_sum_parts(low, ints, counts, modulus, spend)
+            candidates = parts_through[low]
+            spend(1 + len(candidates))
+            moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1:])]
+            moves += [
+                (part, tuple(c - p for c, p in zip(state, part)))
+                for part in candidates
+                if all(p <= c for p, c in zip(part, state))
+            ]
+            moves_of[state] = moves
+        missing = [child for _, child in moves if child not in best]
+        if missing:
+            stack.extend(missing)
+            continue
+        del moves_of[state]
+        best[state] = max(
+            ((best[child][0] + (part is not None), part, child) for part, child in moves),
+            key=lambda option: option[0],
+        )
+        stack.pop()
+    return best
+
+
+def _minimal_zero_sum_parts(
+    low: int, ints: List[int], counts: _Counts, modulus: int, spend
+) -> List[_Counts]:
+    """Count vectors of the minimal zero-sum multisets whose lowest class is low.
+
+    Classes are residues ints[k]/modulus with at most counts[k] members. A
+    multiset is minimal zero-sum exactly when dropping one member of its
+    highest class leaves a zero-sum-free multiset T (no nonempty
+    sub-multiset sums to 0 mod modulus) and that member is -sum(T). So walk
+    the zero-sum-free T, classes non-decreasing from low, keeping the set
+    of their nonempty subset sums, and close each T once.
+    """
+    size = len(ints)
+    class_of = {a: k for k, a in enumerate(ints)}
+    found: List[_Counts] = []
+    start = tuple(int(k == low) for k in range(size))
+    stack = [(start, low, ints[low], frozenset((ints[low],)))]
+    while stack:
+        used, last, total, sums = stack.pop()
+        spend(1 + len(sums))
+        closing = class_of.get(-total % modulus)
+        if closing is not None and closing >= last and used[closing] < counts[closing]:
+            found.append(used[:closing] + (used[closing] + 1,) + used[closing + 1:])
+        for k in range(last, size):
+            a = ints[k]
+            if used[k] == counts[k] or -a % modulus in sums:
                 continue
-            candidate = 1 + best[mask ^ part]
-            if candidate > best[mask]:
-                best[mask] = candidate
-                pick[mask] = part
-    order: List[int] = []
-    mask = full
-    while best[mask]:
-        part = pick[mask]
-        order.extend(i for i in range(m_count) if part >> i & 1)
-        mask ^= part
-    order.extend(i for i in range(m_count) if mask >> i & 1)
-    return best[full], tuple(order)
+            grown = used[:k] + (used[k] + 1,) + used[k + 1:]
+            stack.append((grown, k, (total + a) % modulus, sums | {a} | {(s + a) % modulus for s in sums}))
+    return found
 
 
 def _mu_greedy(eigs: Spectrum) -> Tuple[int, Tuple[int, ...]]:
+    """Repeatedly extract a smallest integer-sum part; heuristic and bounded.
+
+    Parts have at most _MU_GREEDY_PART_SIZE members, and once
+    _MU_GREEDY_COMBINATIONS candidate parts have been tried the rest is
+    left over.
+    """
     remaining = list(range(len(eigs)))
     order: List[int] = []
     mu = 0
+    tries = 0
     while remaining:
         part = None
-        for size in range(1, min(len(remaining), _EXHAUSTIVE_MU_CAP) + 1):
-            for combo in itertools.combinations(remaining, size):
-                if sum(eigs[i] for i in combo).denominator == 1:
-                    part = combo
-                    break
-            if part:
+        sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
+        combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
+        for combo in itertools.islice(combos, _MU_GREEDY_COMBINATIONS - tries):
+            tries += 1
+            if sum(eigs[i] for i in combo).denominator == 1:
+                part = combo
                 break
         if part is None:
             break
@@ -402,27 +580,32 @@ def sfr_feasible(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
     if total != count:
         raise SumMismatch(f"eigenvalues sum to {total}, need {count}")
     for perm, permuted in _distinct_value_orders(eigs):
-        partition = [math.floor(sum(permuted[: k + 1])) for k in range(len(permuted) - 1)]
-        partition.append(count)
-        if _sfr_partition_ok(permuted, partition, count):
-            return SfrCertificate(partition=tuple(partition), eigenvalue_order=perm)
+        partition = _floor_partition(permuted, count)
+        if partition is not None:
+            return SfrCertificate(partition=partition, eigenvalue_order=perm)
     return None
 
 
-def _sfr_partition_ok(eigs: Sequence[Fraction], partition: Sequence[int], count: int) -> bool:
-    if partition[0] < 0 or partition[-1] != count:
-        return False
-    if any(partition[k] >= partition[k + 1] for k in range(len(partition) - 1)):
-        return False
+def _floor_partition(eigs: Spectrum, count: int) -> Optional[Tuple[int, ...]]:
+    """The floors of the prefix sums, ending at count, if they form a partition.
+
+    One running prefix: each cut must exceed the previous one, by at least
+    2 when the previous prefix sum was fractional; otherwise None.
+    """
+    partition: List[int] = []
     prefix = Fraction(0)
-    for k in range(len(eigs) - 1):
-        prefix += eigs[k]
-        n_k = partition[k]
-        if not (n_k <= prefix < n_k + 1):
-            return False
-        if n_k < prefix and partition[k + 1] - n_k < 2:
-            return False
-    return True
+    gap = 1
+    for value in eigs[:-1]:
+        prefix += value
+        cut = prefix.numerator // prefix.denominator
+        if partition and cut - partition[-1] < gap:
+            return None
+        partition.append(cut)
+        gap = 1 if cut == prefix else 2
+    if partition and count - partition[-1] < gap:
+        return None
+    partition.append(count)
+    return tuple(partition)
 
 
 def pnstc_sufficient(norms_squared: Sequence, spectrum: Sequence) -> bool:

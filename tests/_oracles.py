@@ -2,9 +2,11 @@
 
 These are deliberately written from the definitions alone, with no shared
 code or shortcuts from the package: readiness enumerates every ordering and
-every partition, the block number enumerates every permutation, and the
-verification oracles form every row and column inner product of the dense
-matrix (they use the package's exact arithmetic, nothing of its verifier).
+every partition, the block number enumerates every permutation (or, for
+somewhat larger M, every sub-multiset), the distinct eigenvalue orders come
+from walking every index permutation, and the verification oracles form
+every row and column inner product of the dense matrix (they use the
+package's exact arithmetic, nothing of its verifier).
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -77,6 +79,54 @@ def mu_oracle(spectrum) -> int:
         if count > best:
             best = count
     return best
+
+
+def mu_subset_dp_oracle(spectrum):
+    """(mu, permutation) by dynamic programming over all 2^M sub-multisets.
+
+    best[mask] is the most disjoint integer-sum parts inside the index set
+    mask, trying every integer-sum sub-mask as one of them; the permutation
+    lists the chosen parts consecutively and the remainder last.
+    """
+    eigs = tuple(Fraction(v) for v in spectrum)
+    m_count = len(eigs)
+    full = (1 << m_count) - 1
+    integer_masks = [
+        mask
+        for mask in range(1, full + 1)
+        if sum(eigs[i] for i in range(m_count) if mask >> i & 1).denominator == 1
+    ]
+    best = [0] * (full + 1)
+    pick = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        for part in integer_masks:
+            if part & ~mask:
+                continue
+            candidate = 1 + best[mask ^ part]
+            if candidate > best[mask]:
+                best[mask] = candidate
+                pick[mask] = part
+    order = []
+    mask = full
+    while best[mask]:
+        part = pick[mask]
+        order.extend(i for i in range(m_count) if part >> i & 1)
+        mask ^= part
+    order.extend(i for i in range(m_count) if mask >> i & 1)
+    return best[full], tuple(order)
+
+
+def distinct_value_orders_oracle(values):
+    """(index permutation, value order) for each new value order met while
+    walking all index permutations in lexicographic order."""
+    seen = set()
+    out = []
+    for perm in itertools.permutations(range(len(values))):
+        key = tuple(values[i] for i in perm)
+        if key not in seen:
+            seen.add(key)
+            out.append((perm, key))
+    return out
 
 
 # -- verification: all row pairs and all column pairs of the dense matrix --------

@@ -216,6 +216,14 @@ def test_equal_norm_budget_cutoff():
         equal_norm_frame((3, 1), 2, budget=0)
 
 
+def test_equal_norm_search_depth_is_not_bounded_by_the_call_stack():
+    # the readiness search goes one level deeper per fed norm; 1200 norms
+    # used to overflow the interpreter's recursion limit
+    matrix = equal_norm_frame((3,) * 400, 1200)
+    assert matrix.col_count == 1200
+    assert sorted(exact_row_sums(matrix)) == [3] * 400
+
+
 # -- DFT route -------------------------------------------------------------------
 
 

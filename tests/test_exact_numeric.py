@@ -214,6 +214,7 @@ def assert_canonical(value):
 @settings(max_examples=80, deadline=None)
 def test_arithmetic_results_keep_the_canonical_form(a, b, q):
     results = [a + b, a - b, a * b, -a, a + q, q - a, a * q, RadicalScalar.from_rational(q)]
+    results += [RadicalScalar.sqrt(abs(q)), RadicalScalar.sqrt(abs(q) * 72)]
     if a:
         results.append(a.inverse())
     for value in results:

@@ -1,6 +1,8 @@
 """Feasibility layer: majorization, readiness, block counts, floor conditions."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,15 +26,27 @@ from spectral_tetris import (
     untf_feasible,
     untf_floor_condition,
 )
+from spectral_tetris import sequences
 from spectral_tetris.sequences import (
     DEFAULT_SEARCH_BUDGET,
     SEARCH_BUDGET_ENV,
+    _distinct_value_orders,
+    _minimal_zero_sum_parts,
     _mu_greedy,
     as_norms_squared,
     as_spectrum,
 )
 
-from _oracles import mu_oracle, st_ready_oracle
+from _oracles import (
+    distinct_value_orders_oracle,
+    mu_oracle,
+    mu_subset_dp_oracle,
+    st_ready_oracle,
+)
+
+# Wall-clock bound for the tests that pin down work which used to be
+# factorial or unbounded; the regressions ran for seconds to minutes.
+WALL_BOUND_S = 5.0
 
 small_values = st.sampled_from(
     [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(3)]
@@ -185,6 +199,32 @@ def test_search_budget_resolution(monkeypatch):
     assert search_budget(7) == 7
 
 
+def test_distinct_orders_match_the_permutation_walk():
+    # every multiset of at most 7 values drawn from 4, sorted and shuffled
+    rng = random.Random(7)
+    for size in range(1, 8):
+        for multiset in itertools.combinations_with_replacement(range(1, 5), size):
+            shuffled = list(multiset)
+            rng.shuffle(shuffled)
+            for values in (multiset, tuple(shuffled)):
+                assert list(_distinct_value_orders(values)) == distinct_value_orders_oracle(values)
+
+
+def test_flat_search_spends_one_order_not_m_factorial(monkeypatch):
+    # a flat spectrum has one value order; walking all 10! index orders to
+    # find it took 55 s at budget 1000
+    yielded = []
+
+    def counting(values):
+        for item in _distinct_value_orders(values):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(sequences, "_distinct_value_orders", counting)
+    assert st_ready_search([1] * 13, [Fraction(13, 10)] * 10, budget=1000) is None
+    assert len(yielded) == 1
+
+
 @given(
     st.lists(small_values, min_size=1, max_size=5),
     st.lists(small_values, min_size=1, max_size=2),
@@ -236,8 +276,109 @@ def test_block_number_permutation_achieves_the_count():
 
 def test_block_number_goes_heuristic_past_the_dp_cap():
     result = maximal_block_number((1,) * 9)
+    assert not result.heuristic
+    assert result.mu == 9
+    # forty distinct residues k/101: too many minimal zero-sum parts
+    spectrum = [2 + Fraction(k, 101) for k in range(1, 41)]
+    result = maximal_block_number(spectrum)
     assert result.heuristic
-    assert result.mu == 9  # all-integer spectra are easy even for the greedy
+    assert sorted(result.permutation) == list(range(40))
+    assert _integer_prefixes(spectrum, result.permutation) == result.mu
+
+
+def _integer_prefixes(spectrum, permutation):
+    running = Fraction(0)
+    count = 0
+    for index in permutation:
+        running += Fraction(spectrum[index])
+        if running.denominator == 1:
+            count += 1
+    return count
+
+
+def _assert_exact_block_number(spectrum):
+    result = maximal_block_number(spectrum)
+    assert not result.heuristic
+    assert result.mu == mu_subset_dp_oracle(spectrum)[0]
+    assert sorted(result.permutation) == list(range(len(spectrum)))
+    assert _integer_prefixes(spectrum, result.permutation) == result.mu
+
+
+RESIDUES = [Fraction(k, d) for k, d in ((0, 1), (1, 6), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (5, 6))]
+
+
+def test_block_number_residue_dp_matches_subset_dp_exhaustively():
+    for size in range(1, 7):
+        for parts in itertools.combinations_with_replacement(RESIDUES, size):
+            _assert_exact_block_number([1 + r for r in parts])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from(RESIDUES + [Fraction(2, 5), Fraction(3, 7)])),
+        min_size=7,
+        max_size=10,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_block_number_residue_dp_matches_subset_dp_for_larger_m(terms):
+    _assert_exact_block_number([whole + r for whole, r in terms])
+
+
+def test_minimal_zero_sum_parts_are_exactly_the_minimal_ones():
+    # residues in twelfths: every sub-multiset within the counts whose
+    # lowest class is low, sums to an integer and has no proper nonempty
+    # integer-sum sub-multiset, each listed once
+    ints = [2, 3, 4, 6, 8, 9]
+    counts = (3, 2, 2, 2, 1, 2)
+    for low in range(len(ints)):
+        expected = []
+        for vector in itertools.product(*(range(c + 1) for c in counts)):
+            if any(vector[:low]) or not vector[low] or sum(v * a for v, a in zip(vector, ints)) % 12:
+                continue
+            subs = itertools.product(*(range(v + 1) for v in vector))
+            if all(
+                not any(sub) or sub == vector or sum(u * a for u, a in zip(sub, ints)) % 12
+                for sub in subs
+            ):
+                expected.append(vector)
+        found = _minimal_zero_sum_parts(low, ints, counts, 12, lambda units: None)
+        assert sorted(found) == sorted(expected)
+        assert len(found) == len(set(found))
+
+
+def test_block_number_flat_spectrum_collapses_to_floor():
+    start = time.perf_counter()
+    result = maximal_block_number([Fraction(5, 3)] * 1500)
+    assert time.perf_counter() - start < WALL_BOUND_S
+    assert result.mu == 500
+    assert not result.heuristic
+
+
+def test_block_number_hostile_residues_end_flagged_and_bounded():
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    for spectrum in (
+        [2 + Fraction(1, p) for p in primes],
+        [2 + Fraction(k, 97) for k in range(1, 49)],
+    ):
+        start = time.perf_counter()
+        result = maximal_block_number(spectrum)
+        assert time.perf_counter() - start < WALL_BOUND_S
+        assert result.heuristic
+        assert _integer_prefixes(spectrum, result.permutation) == result.mu
+
+
+def test_block_number_coprime_shapes_hold_one_part():
+    # every fractional part c/M with gcd(c, M) = 1: only all M together
+    # sum to an integer
+    for m in (11, 12, 13, 14):
+        for c in range(1, m):
+            if Fraction(c, m).denominator != m:
+                continue
+            spectrum = [2 + i % 3 + Fraction(c, m) for i in range(m)]
+            result = maximal_block_number(spectrum)
+            assert result.mu == 1
+            assert not result.heuristic
 
 
 @given(st.lists(st.fractions(min_value="1/3", max_value=3, max_denominator=3), min_size=1, max_size=5))
@@ -301,6 +442,22 @@ def test_sfr_feasible_sum_mismatch():
 
 def test_sfr_feasible_none_when_every_order_jams():
     assert sfr_feasible((Fraction(1, 2), Fraction(1, 2), 1), 2) is None
+
+
+def test_sfr_feasible_checks_the_jump_to_the_last_cut():
+    # the given order's only cut sits at floor(3/2) = 1 after a fractional
+    # prefix, one short of the jump to N = 2; the reverse order works
+    cert = sfr_feasible((Fraction(3, 2), Fraction(1, 2)), 2)
+    assert cert.eigenvalue_order == (1, 0)
+    assert cert.partition == (0, 2)
+
+
+def test_sfr_feasible_long_identity_order():
+    start = time.perf_counter()
+    cert = sfr_feasible([2] * 1500, 3000)
+    assert time.perf_counter() - start < WALL_BOUND_S
+    assert cert.eigenvalue_order == tuple(range(1500))
+    assert cert.partition == tuple(range(2, 3001, 2))
 
 
 # -- sufficient conditions ----------------------------------------------------
