@@ -61,10 +61,10 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
 
     Exists exactly when a1^2 + a2^2 >= x > 0 and the two squared norms lie on
     the same side of x (both >= or both <=); otherwise NoSuchBlock is raised.
-    The upper row receives weight x and the lower row a1^2 + a2^2 - x. When
-    the two row weights coincide the general formula degenerates (its
-    denominator x - y vanishes) and the existence conditions force
-    a1^2 = a2^2 = x, handled by the symmetric block sqrt(x/2)*(e1 +- e2).
+    The upper row receives weight x and the lower row y = a1^2 + a2^2 - x.
+    When a1^2 = a2^2 the formula reduces exactly to the symmetric block
+    [[sqrt(x/2), sqrt(x/2)], [sqrt(y/2), -sqrt(y/2)]] at two square roots, not
+    four. y = x, where its denominator x - y vanishes, forces a1^2 = a2^2 = x.
     """
     x = Fraction(x)
     a1 = Fraction(a1_squared)
@@ -78,11 +78,10 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
             f"squared norms {a1}, {a2} straddle the row weight {x}"
         )
     y = a1 + a2 - x
-    if y == x:
-        # both squared norms equal x here, so the symmetric block has the
-        # right column norms
-        half = RadicalScalar.sqrt(x / 2)
-        return Block(rows=((half, half), (half, -half)))
+    if a1 == a2:
+        top = RadicalScalar.sqrt(x / 2)
+        bottom = RadicalScalar.sqrt(y / 2)
+        return Block(rows=((top, top), (bottom, -bottom)))
     denom = x - y
     return Block(
         rows=(

@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from .construct import (
     SynthesisMatrix,
@@ -91,18 +89,6 @@ def _printable(value):
     return value
 
 
-def _atomic_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, staging = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            stream.write(text)
-        os.replace(staging, path)
-    except BaseException:
-        os.unlink(staging)
-        raise
-
-
 def _matrix_csv(matrix: SynthesisMatrix) -> str:
     dense = matrix.to_dense()
     lines: List[str] = []
@@ -129,31 +115,33 @@ def _emit(document: Dict[str, object]) -> int:
     return 0
 
 
+def _write_output(job: JobSpec, result: Union[SynthesisMatrix, FusionFrame]) -> str:
+    """Write the result file atomically: lossless JSON, or CSV of the synthesis matrix."""
+    fusion = isinstance(result, FusionFrame)
+    path = _output_path(job)
+    if job.format == "csv":
+        write_document(path, _matrix_csv(result.generator if fusion else result))
+    else:
+        write_document(path, fusion_to_json(result) if fusion else matrix_to_json(result))
+    return path
+
+
 def _deliver_matrix(
     job: JobSpec,
     matrix: SynthesisMatrix,
     expected_spectrum: Optional[Sequence] = None,
     expected_norms: Optional[Sequence] = None,
+    **fields: object,
 ) -> int:
     report = verify_frame(matrix, expected_spectrum, expected_norms)
-    path = _output_path(job)
-    if job.format == "csv":
-        _atomic_text(path, _matrix_csv(matrix))
-    else:
-        write_document(path, matrix_to_json(matrix))
-    return _emit({"output": path, "report": _printable(report)})
+    return _emit({"output": _write_output(job, matrix), **fields, "report": _printable(report)})
 
 
 def _deliver_fusion(
     job: JobSpec, frame: FusionFrame, expected_spectrum: Optional[Sequence] = None
 ) -> int:
     report = verify_fusion(frame, expected_spectrum)
-    path = _output_path(job)
-    if job.format == "csv":
-        _atomic_text(path, _matrix_csv(frame.generator))
-    else:
-        write_document(path, fusion_to_json(frame))
-    return _emit({"output": path, "report": _printable(report)})
+    return _emit({"output": _write_output(job, frame), "report": _printable(report)})
 
 
 def _cmd_untf(job: JobSpec) -> int:
@@ -204,19 +192,7 @@ def _cmd_pnstc_str(job: JobSpec) -> int:
     norms = job.parameters["norms_squared"]
     spectrum = job.parameters["spectrum"]
     matrix, swaps = pnstc_str(norms, spectrum)
-    report = verify_frame(matrix, spectrum, None)
-    path = _output_path(job)
-    if job.format == "csv":
-        _atomic_text(path, _matrix_csv(matrix))
-    else:
-        write_document(path, matrix_to_json(matrix))
-    return _emit(
-        {
-            "output": path,
-            "swaps": [list(swap) for swap in swaps],
-            "report": _printable(report),
-        }
-    )
+    return _deliver_matrix(job, matrix, spectrum, swaps=[list(swap) for swap in swaps])
 
 
 def _cmd_equal_norm(job: JobSpec) -> int:
@@ -270,12 +246,7 @@ def _cmd_extend_tight(job: JobSpec) -> int:
         "extended_count": total,
     }
     if complement is not None:
-        path = _output_path(job)
-        if job.format == "csv":
-            _atomic_text(path, _matrix_csv(complement.generator))
-        else:
-            write_document(path, fusion_to_json(complement))
-        document["output"] = path
+        document["output"] = _write_output(job, complement)
         document["report"] = _printable(verify_fusion(complement))
     return _emit(document)
 
@@ -302,7 +273,7 @@ def _cmd_feasibility_grid(job: JobSpec) -> int:
             lines.append(f"{m},{n},{'true' if untf_feasible(m, n) else 'false'}")
             cells += 1
     path = _output_path(job, "csv")
-    _atomic_text(path, "\n".join(lines) + "\n")
+    write_document(path, "\n".join(lines) + "\n")
     return _emit({"output": path, "cells": cells})
 
 

@@ -5,6 +5,11 @@ frame vectors written against the eigenbasis of the intended frame operator,
 so row m must square-sum to the m-th eigenvalue and distinct rows must be
 orthogonal. The real constructions carry exact radical entries; the DFT
 route mixes in complex roots of unity.
+
+pnstc, pnstc_str and construct_untf are thin wrappers over one Spectral
+Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
+constructions reach it through pnstc. construct_untf_dft keeps its own
+J x J fill.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import Block, block_a, block_a_hat, dft_block
+from .blocks import Block, block_a_hat, dft_block
 from .errors import (
     DftPathStuck,
     Infeasible,
-    NoSuchBlock,
     NotParseval,
     NotSTReady,
     ReorderFailed,
@@ -149,6 +153,87 @@ def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: i
                 entries[(row + i, col + j)] = value
 
 
+_FILL_WORDING = {
+    "partner": "norm {norm} exceeds remaining weight {weight} of row {row} "
+    "and has no partner for a block",
+    "straddle": "no 2x2 block for row weight {weight} with squared norms {norm}, {partner}: "
+    "squared norms {norm}, {partner} straddle the row weight {weight}",
+    "overshoot": "block spill {spill} overshoots row {next_row}, "
+    "which can absorb only {room}",
+}
+
+_REORDER_WORDING = {
+    "partner": "last norm {norm} exceeds remaining weight {weight} of row {row}",
+    "overshoot": "block spill {spill} overshoots row {next_row}; "
+    "swapping adjacent norms cannot reduce it",
+}
+
+
+class _Stuck(Exception):
+    """No move of _greedy_fill applies. args are (kind, step, facts): kind is
+    "partner", "straddle" or "overshoot", step counts the placements made and
+    facts hold the numbers the wrappers quote in their messages."""
+
+
+def _greedy_fill(
+    norms: Sequence[Fraction], eigs: Sequence[Fraction], swap_on_straddle: bool
+) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
+    """The Spectral Tetris fill behind pnstc, pnstc_str and construct_untf.
+
+    Places singletons sqrt(a) and 2x2 blocks block_a_hat(w, a, b) as pnstc
+    describes; a pair straddling the row weight (b < w < a) is swapped as
+    pnstc_str describes when swap_on_straddle is set, else the fill stops.
+    Returns the entries, the number of placements and the swaps.
+
+    Callers check sum(norms) == sum(eigs) first. Then before every step
+    sum(remaining[row:]) == sum(norms[col:]) and no remaining weight is
+    negative: a singleton takes a from both sides, a block takes a + b from
+    both (w from its row, the spill a + b - w from the next), and the
+    overshoot check keeps the next row nonnegative. So while a row has
+    weight a norm is left; a block never spills past the last row, whose
+    weight covers every norm left; and no norm is left over once the last
+    row is empty. No bounds check is needed: the fill can only stop for
+    want of a partner, on a straddle or on an overshoot.
+    """
+    norms = list(norms)
+    entries: Dict[Key, MatrixEntry] = {}
+    swaps: List[Tuple[int, int]] = []
+    remaining = list(eigs)
+    last = root = None
+    col = step = 0
+    for row in range(len(remaining)):
+        while remaining[row] > 0:
+            weight = remaining[row]
+            a = norms[col]
+            if weight >= a:
+                if a != last:
+                    last, root = a, RadicalScalar.sqrt(a)
+                entries[(row, col)] = root
+                remaining[row] = weight - a
+                col += 1
+                step += 1
+                continue
+            if col + 1 == len(norms):
+                raise _Stuck("partner", step, dict(norm=a, weight=weight, row=row))
+            b = norms[col + 1]
+            if weight > b:
+                if not swap_on_straddle:
+                    raise _Stuck("straddle", step, dict(norm=a, partner=b, weight=weight))
+                norms[col], norms[col + 1] = b, a
+                swaps.append((col, col + 1))
+                continue
+            spill = a + b - weight
+            if spill > remaining[row + 1]:
+                facts = dict(spill=spill, next_row=row + 1, room=remaining[row + 1])
+                raise _Stuck("overshoot", step, facts)
+            _place_block(entries, block_a_hat(weight, a, b), row, col)
+            remaining[row + 1] -= spill
+            remaining[row] = 0
+            col += 2
+            step += 1
+    return entries, step, tuple(swaps)
+
+
 def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
     """Prescribed-norms greedy construction over a fixed feeding order.
 
@@ -166,60 +251,13 @@ def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
         raise NotSTReady(
             f"total squared norm {sum(norms)} differs from spectrum total {sum(eigs)}"
         )
-    entries: Dict[Key, MatrixEntry] = {}
-    remaining: List[Fraction] = list(eigs)
-    col = 0
-    step = 0
-    for row in range(len(eigs)):
-        while remaining[row] > 0:
-            if col >= len(norms):
-                raise NotSTReady(
-                    f"row {row} still needs weight {remaining[row]} with no norms left",
-                    step=step,
-                )
-            a = norms[col]
-            if remaining[row] >= a:
-                entries[(row, col)] = RadicalScalar.sqrt(a)
-                remaining[row] -= a
-                col += 1
-            else:
-                if col + 1 >= len(norms):
-                    raise NotSTReady(
-                        f"norm {a} exceeds remaining weight {remaining[row]} of row {row} "
-                        "and has no partner for a block",
-                        step=step,
-                    )
-                b = norms[col + 1]
-                try:
-                    block = block_a_hat(remaining[row], a, b)
-                except NoSuchBlock as exc:
-                    raise NotSTReady(
-                        f"no 2x2 block for row weight {remaining[row]} with squared norms "
-                        f"{a}, {b}: {exc}",
-                        step=step,
-                    ) from exc
-                spill = a + b - remaining[row]
-                if row + 1 >= len(eigs):
-                    raise NotSTReady(
-                        f"block would spill weight {spill} past the last row", step=step
-                    )
-                if spill > remaining[row + 1]:
-                    raise NotSTReady(
-                        f"block spill {spill} overshoots row {row + 1}, "
-                        f"which can absorb only {remaining[row + 1]}",
-                        step=step,
-                    )
-                _place_block(entries, block, row, col)
-                remaining[row + 1] -= spill
-                remaining[row] = 0
-                col += 2
-            step += 1
-    if col < len(norms):
-        raise NotSTReady(
-            f"{len(norms) - col} norms left over after the last row was filled", step=step
-        )
+    try:
+        entries, steps, _ = _greedy_fill(norms, eigs, swap_on_straddle=False)
+    except _Stuck as stuck:
+        kind, step, facts = stuck.args
+        raise NotSTReady(_FILL_WORDING[kind].format(**facts), step=step) from None
     return SynthesisMatrix(
-        len(eigs), len(norms), entries, meta={"algorithm": "pnstc", "steps": step}
+        len(eigs), len(norms), entries, meta={"algorithm": "pnstc", "steps": steps}
     )
 
 
@@ -236,61 +274,19 @@ def pnstc_str(
     ordering on which plain pnstc reproduces the matrix. Raises
     ReorderFailed when swapping cannot unblock the construction.
     """
-    norms = list(as_norms_squared(norms_squared))
+    norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
     if sum(norms) != sum(eigs):
         raise ReorderFailed(
             f"re-ordering preserves the total squared norm, but {sum(norms)} != {sum(eigs)}"
         )
-    entries: Dict[Key, MatrixEntry] = {}
-    swaps: List[Tuple[int, int]] = []
-    remaining: List[Fraction] = list(eigs)
-    col = 0
-    for row in range(len(eigs)):
-        while remaining[row] > 0:
-            if col >= len(norms):
-                raise ReorderFailed(
-                    f"row {row} still needs weight {remaining[row]} with no norms left"
-                )
-            a = norms[col]
-            if remaining[row] >= a:
-                entries[(row, col)] = RadicalScalar.sqrt(a)
-                remaining[row] -= a
-                col += 1
-                continue
-            if col + 1 >= len(norms):
-                raise ReorderFailed(
-                    f"last norm {a} exceeds remaining weight {remaining[row]} of row {row}"
-                )
-            b = norms[col + 1]
-            if remaining[row] > b:
-                # the block cannot exist; after the swap the smaller norm
-                # fits as a singleton, so the loop always advances
-                norms[col], norms[col + 1] = b, a
-                swaps.append((col, col + 1))
-                continue
-            block = block_a_hat(remaining[row], a, b)
-            spill = a + b - remaining[row]
-            if row + 1 >= len(eigs):
-                raise ReorderFailed(f"block would spill weight {spill} past the last row")
-            if spill > remaining[row + 1]:
-                raise ReorderFailed(
-                    f"block spill {spill} overshoots row {row + 1}; "
-                    "swapping adjacent norms cannot reduce it"
-                )
-            _place_block(entries, block, row, col)
-            remaining[row + 1] -= spill
-            remaining[row] = 0
-            col += 2
-    if col < len(norms):
-        raise ReorderFailed(f"{len(norms) - col} norms left over after the last row")
-    matrix = SynthesisMatrix(
-        len(eigs),
-        len(norms),
-        entries,
-        meta={"algorithm": "pnstc_str", "swaps": tuple(swaps)},
-    )
-    return matrix, tuple(swaps)
+    try:
+        entries, _, swaps = _greedy_fill(norms, eigs, swap_on_straddle=True)
+    except _Stuck as stuck:
+        kind, _, facts = stuck.args
+        raise ReorderFailed(_REORDER_WORDING[kind].format(**facts)) from None
+    meta = {"algorithm": "pnstc_str", "swaps": swaps}
+    return SynthesisMatrix(len(eigs), len(norms), entries, meta=meta), swaps
 
 
 def sfr(spectrum: Sequence, count: int) -> SynthesisMatrix:
@@ -336,43 +332,21 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
         )
     eigenvalue = Fraction(count, dimension)
 
-    def infeasible(detail: str) -> Infeasible:
+    # unit norms always have a partner and never straddle, so the only way
+    # the fill can stop is a spill overshooting the next row
+    try:
+        entries, _, _ = _greedy_fill(
+            (Fraction(1),) * count, (eigenvalue,) * dimension, swap_on_straddle=False
+        )
+    except _Stuck as stuck:
+        kind, _, facts = stuck.args
         reduced = f"{eigenvalue.numerator}/{eigenvalue.denominator}"
         label = reduced if reduced == f"{count}/{dimension}" else f"{count}/{dimension} = {reduced}"
-        return Infeasible(
+        raise Infeasible(
             f"no sparse unit-norm tight frame of {count} vectors in dimension "
             f"{dimension}: eigenvalue {label} is neither an integer "
-            f">= 2 nor of the form (2L-1)/L ({detail})"
-        )
-
-    entries: Dict[Key, MatrixEntry] = {}
-    remaining: List[Fraction] = [eigenvalue] * dimension
-    col = 0
-    for row in range(dimension):
-        while remaining[row] > 0:
-            if col >= count:
-                raise infeasible(f"row {row} ran out of columns")
-            if remaining[row] >= 1:
-                entries[(row, col)] = ONE
-                remaining[row] -= 1
-                col += 1
-                continue
-            if row + 1 >= dimension:
-                raise infeasible(
-                    f"fractional weight {remaining[row]} left in the last row"
-                )
-            spill = 2 - remaining[row]
-            if spill > remaining[row + 1]:
-                raise infeasible(
-                    f"block spill {spill} overshoots row {row + 1}, "
-                    f"which can absorb only {remaining[row + 1]}"
-                )
-            _place_block(entries, block_a(remaining[row]), row, col)
-            remaining[row + 1] -= spill
-            remaining[row] = 0
-            col += 2
-    if col < count:
-        raise infeasible(f"{count - col} columns left over")
+            f">= 2 nor of the form (2L-1)/L ({_FILL_WORDING[kind].format(**facts)})"
+        ) from None
     return SynthesisMatrix(
         dimension, count, entries, meta={"algorithm": "untf", "eigenvalue": eigenvalue}
     )

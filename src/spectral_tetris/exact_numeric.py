@@ -310,26 +310,6 @@ class ComplexRadicalEntry:
 MatrixEntry = Union[RadicalScalar, ComplexRadicalEntry]
 
 
-def radical_normalize(coefficient: RationalLike, radicand: RationalLike) -> RadicalScalar:
-    """Exact value coefficient*sqrt(radicand) with the radicand squarefree-reduced.
-
-    The radicand must be a nonnegative rational; a negative one raises DomainError.
-    """
-    radicand = Fraction(radicand)
-    if radicand < 0:
-        raise DomainError(f"negative radicand {radicand}")
-    return RadicalScalar.sqrt(radicand) * Fraction(coefficient)
-
-
-def radical_combine(a: RadicalScalar, b: RadicalScalar, kind: str) -> RadicalScalar:
-    """Combine two exact radicals; kind is 'add' or 'multiply'."""
-    if kind == "add":
-        return a + b
-    if kind == "multiply":
-        return a * b
-    raise ValueError(f"unknown combination kind {kind!r}")
-
-
 def to_float(a: MatrixEntry) -> float:
     """Nearest float64 to an exact real entry (complex entries refuse)."""
     if isinstance(a, ComplexRadicalEntry):

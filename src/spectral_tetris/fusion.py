@@ -21,7 +21,6 @@ from .construct import SynthesisMatrix, column_maps, naimark_complement, pnstc, 
 from .errors import (
     Infeasible,
     NoExtension,
-    NoSuchBlock,
     NotApplicable,
     NotSTReady,
     OutOfRange,
@@ -467,10 +466,7 @@ class _TaggedSearch:
                     spill = a + b - weight
                     if spill > self.spectrum[row + 1]:
                         continue
-                    try:
-                        block = block_a_hat(weight, a, b)
-                    except NoSuchBlock:
-                        continue
+                    block = block_a_hat(weight, a, b)
                     first = {
                         row + i: block.rows[i][0] for i in range(2) if block.rows[i][0]
                     }

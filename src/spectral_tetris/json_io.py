@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
@@ -175,14 +175,18 @@ def is_fusion_document(document) -> bool:
     return isinstance(document, dict) and "partition" in document
 
 
-def write_document(path: str, document: Dict[str, object]) -> None:
-    """Serialize atomically: the file appears complete or not at all."""
+def write_document(path: str, document: Union[str, Dict[str, object]]) -> None:
+    """Write atomically: the file appears complete or not at all.
+
+    A str is written as it stands, a dict as indented JSON, serialized before
+    any file is opened.
+    """
+    text = document if isinstance(document, str) else json.dumps(document, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     handle, staging = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(handle, "w") as stream:
-            json.dump(document, stream, indent=2)
-            stream.write("\n")
+            stream.write(text)
         os.replace(staging, path)
     except BaseException:
         os.unlink(staging)

@@ -6,16 +6,30 @@ every partition, the block number enumerates every permutation (or, for
 somewhat larger M, every sub-multiset), the distinct eigenvalue orders come
 from walking every index permutation, and the verification oracles form
 every row and column inner product of the dense matrix (they use the
-package's exact arithmetic, nothing of its verifier).
+package's exact arithmetic, nothing of its verifier). The exception is the
+Spectral Tetris fill: its oracles are the package's former code, kept as it
+was.
 Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from spectral_tetris import RadicalScalar
+from spectral_tetris import (
+    Block,
+    NoSuchBlock,
+    NotSTReady,
+    RadicalScalar,
+    ReorderFailed,
+    SynthesisMatrix,
+)
+from spectral_tetris.exact_numeric import MatrixEntry, RationalLike
+from spectral_tetris.sequences import as_norms_squared, as_spectrum
+
+Key = Tuple[int, int]
 
 COMPLEX_TOLERANCE = 1e-12
 
@@ -219,3 +233,175 @@ def fusion_group_flags_oracle(frame):
         for col in group
     )
     return orthogonal, consistent
+
+
+# -- the three copies of the Spectral Tetris fill the package had ---------------
+# pnstc, pnstc_str and block_a_hat below are the package's former code, kept
+# verbatim bar their names and docstrings; construct_untf was the same loop
+# on unit norms, so its reference is pnstc_oracle((1,) * n, (n/m,) * m). They
+# are the reference for the one fill that replaced the three loops: same
+# entries, meta, swaps, error class, message and step.
+
+
+def block_a_hat_oracle(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalLike) -> Block:
+    x = Fraction(x)
+    a1 = Fraction(a1_squared)
+    a2 = Fraction(a2_squared)
+    if x <= 0:
+        raise NoSuchBlock(f"row weight {x} must be positive")
+    if a1 + a2 < x:
+        raise NoSuchBlock(f"squared norms {a1}, {a2} sum below row weight {x}")
+    if not ((a1 >= x and a2 >= x) or (a1 <= x and a2 <= x)):
+        raise NoSuchBlock(
+            f"squared norms {a1}, {a2} straddle the row weight {x}"
+        )
+    y = a1 + a2 - x
+    if y == x:
+        # both squared norms equal x here, so the symmetric block has the
+        # right column norms
+        half = RadicalScalar.sqrt(x / 2)
+        return Block(rows=((half, half), (half, -half)))
+    denom = x - y
+    return Block(
+        rows=(
+            (
+                RadicalScalar.sqrt(x * (a1 - y) / denom),
+                RadicalScalar.sqrt(x * (x - a1) / denom),
+            ),
+            (
+                RadicalScalar.sqrt(y * (x - a1) / denom),
+                -RadicalScalar.sqrt(y * (a1 - y) / denom),
+            ),
+        )
+    )
+
+
+def _place_block(entries, block, row, col):
+    for i, block_row in enumerate(block.rows):
+        for j, value in enumerate(block_row):
+            if value:
+                entries[(row + i, col + j)] = value
+
+
+def pnstc_oracle(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
+    norms = as_norms_squared(norms_squared)
+    eigs = as_spectrum(spectrum)
+    if sum(norms) != sum(eigs):
+        raise NotSTReady(
+            f"total squared norm {sum(norms)} differs from spectrum total {sum(eigs)}"
+        )
+    entries: Dict[Key, MatrixEntry] = {}
+    remaining: List[Fraction] = list(eigs)
+    col = 0
+    step = 0
+    for row in range(len(eigs)):
+        while remaining[row] > 0:
+            if col >= len(norms):
+                raise NotSTReady(
+                    f"row {row} still needs weight {remaining[row]} with no norms left",
+                    step=step,
+                )
+            a = norms[col]
+            if remaining[row] >= a:
+                entries[(row, col)] = RadicalScalar.sqrt(a)
+                remaining[row] -= a
+                col += 1
+            else:
+                if col + 1 >= len(norms):
+                    raise NotSTReady(
+                        f"norm {a} exceeds remaining weight {remaining[row]} of row {row} "
+                        "and has no partner for a block",
+                        step=step,
+                    )
+                b = norms[col + 1]
+                try:
+                    block = block_a_hat_oracle(remaining[row], a, b)
+                except NoSuchBlock as exc:
+                    raise NotSTReady(
+                        f"no 2x2 block for row weight {remaining[row]} with squared norms "
+                        f"{a}, {b}: {exc}",
+                        step=step,
+                    ) from exc
+                spill = a + b - remaining[row]
+                if row + 1 >= len(eigs):
+                    raise NotSTReady(
+                        f"block would spill weight {spill} past the last row", step=step
+                    )
+                if spill > remaining[row + 1]:
+                    raise NotSTReady(
+                        f"block spill {spill} overshoots row {row + 1}, "
+                        f"which can absorb only {remaining[row + 1]}",
+                        step=step,
+                    )
+                _place_block(entries, block, row, col)
+                remaining[row + 1] -= spill
+                remaining[row] = 0
+                col += 2
+            step += 1
+    if col < len(norms):
+        raise NotSTReady(
+            f"{len(norms) - col} norms left over after the last row was filled", step=step
+        )
+    return SynthesisMatrix(
+        len(eigs), len(norms), entries, meta={"algorithm": "pnstc", "steps": step}
+    )
+
+
+def pnstc_str_oracle(
+    norms_squared: Sequence, spectrum: Sequence
+) -> Tuple[SynthesisMatrix, Tuple[Tuple[int, int], ...]]:
+    norms = list(as_norms_squared(norms_squared))
+    eigs = as_spectrum(spectrum)
+    if sum(norms) != sum(eigs):
+        raise ReorderFailed(
+            f"re-ordering preserves the total squared norm, but {sum(norms)} != {sum(eigs)}"
+        )
+    entries: Dict[Key, MatrixEntry] = {}
+    swaps: List[Tuple[int, int]] = []
+    remaining: List[Fraction] = list(eigs)
+    col = 0
+    for row in range(len(eigs)):
+        while remaining[row] > 0:
+            if col >= len(norms):
+                raise ReorderFailed(
+                    f"row {row} still needs weight {remaining[row]} with no norms left"
+                )
+            a = norms[col]
+            if remaining[row] >= a:
+                entries[(row, col)] = RadicalScalar.sqrt(a)
+                remaining[row] -= a
+                col += 1
+                continue
+            if col + 1 >= len(norms):
+                raise ReorderFailed(
+                    f"last norm {a} exceeds remaining weight {remaining[row]} of row {row}"
+                )
+            b = norms[col + 1]
+            if remaining[row] > b:
+                # the block cannot exist; after the swap the smaller norm
+                # fits as a singleton, so the loop always advances
+                norms[col], norms[col + 1] = b, a
+                swaps.append((col, col + 1))
+                continue
+            block = block_a_hat_oracle(remaining[row], a, b)
+            spill = a + b - remaining[row]
+            if row + 1 >= len(eigs):
+                raise ReorderFailed(f"block would spill weight {spill} past the last row")
+            if spill > remaining[row + 1]:
+                raise ReorderFailed(
+                    f"block spill {spill} overshoots row {row + 1}; "
+                    "swapping adjacent norms cannot reduce it"
+                )
+            _place_block(entries, block, row, col)
+            remaining[row + 1] -= spill
+            remaining[row] = 0
+            col += 2
+    if col < len(norms):
+        raise ReorderFailed(f"{len(norms) - col} norms left over after the last row")
+    matrix = SynthesisMatrix(
+        len(eigs),
+        len(norms),
+        entries,
+        meta={"algorithm": "pnstc_str", "swaps": tuple(swaps)},
+    )
+    return matrix, tuple(swaps)

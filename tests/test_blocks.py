@@ -18,6 +18,8 @@ from spectral_tetris import (
     entry_to_complex,
 )
 
+from _oracles import block_a_hat_oracle
+
 NUMERIC_TOLERANCE = 1e-12
 
 unit_interval_fractions = st.fractions(min_value=0, max_value=2, max_denominator=12)
@@ -115,6 +117,31 @@ def test_block_a_hat_exact_identities(x, a1, a2):
     assert exact_row_square_sum(block, 1) == a1 + a2 - x
     inner = block.entry(0, 0) * block.entry(1, 0) + block.entry(0, 1) * block.entry(1, 1)
     assert inner == ZERO
+
+
+def test_block_a_hat_on_unit_norms_is_block_a():
+    grid = {Fraction(k, d) for d in range(1, 13) for k in range(1, 2 * d + 1)}
+    for x in sorted(grid):
+        assert block_a_hat(x, 1, 1).rows == block_a(x).rows
+
+
+@given(
+    st.fractions(min_value="1/8", max_value=4, max_denominator=12),
+    st.fractions(min_value="1/2", max_value=2, max_denominator=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_a_hat_with_equal_norms(x, ratio):
+    # a = x * ratio lies below x for ratio < 1 and above it for ratio > 1;
+    # a >= x/2 is the existence condition 2a >= x
+    a = x * ratio
+    block = block_a_hat(x, a, a)
+    assert exact_column_square_sum(block, 0) == a
+    assert exact_column_square_sum(block, 1) == a
+    assert exact_row_square_sum(block, 0) == x
+    assert exact_row_square_sum(block, 1) == 2 * a - x
+    inner = block.entry(0, 0) * block.entry(1, 0) + block.entry(0, 1) * block.entry(1, 1)
+    assert inner == ZERO
+    assert block.rows == block_a_hat_oracle(x, a, a).rows
 
 
 def test_dft_block_size_two_is_the_real_block():

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, reports, output files, formats."""
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,25 @@ def test_pnstc_str_reports_its_swaps(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["swaps"] == [[2, 3]]
     assert payload["report"]["spectrum_matches"] is True
+
+
+def test_pnstc_str_stdout_keeps_its_keys_in_both_formats(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        target = tmp_path / f"frame.{fmt}"
+        code, captured = run_json(
+            capsys,
+            [
+                "pnstc-str",
+                "--norms-squared", "3", "4", "3", "1", "4", "2",
+                "--spectrum", "9", "8",
+                "--output", str(target),
+                "--format", fmt,
+            ],
+        )
+        assert code == 0
+        assert list(json.loads(captured.out)) == ["output", "swaps", "report"]
+        assert target.exists()
+    assert len(target.read_text().splitlines()) == 2
 
 
 def test_sfr_report_follows_the_realized_row_order(tmp_path, capsys):
@@ -317,6 +337,23 @@ def test_infeasible_instance_exits_2_and_leaves_no_file(tmp_path, capsys):
     assert captured.err.startswith("Infeasible:")
     assert captured.out == ""
     assert not target.exists()
+
+
+def test_output_into_a_missing_directory_exits_1_and_leaves_no_file(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out")
+    for argv in (
+        ["untf", "--dim", "2", "--count", "5", "--output", target],
+        ["untf", "--dim", "2", "--count", "5", "--output", target, "--format", "csv"],
+        ["sffr", "--spectrum", "2", "2", "--subspaces", "2", "--subspace-dim", "2",
+         "--output", target],
+        ["feasibility-grid", "--max-dim", "2", "--max-count", "3", "--output", target],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_naimark_rejects_a_non_parseval_input(tmp_path, capsys):

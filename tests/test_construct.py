@@ -1,5 +1,7 @@
 """Construction routes: greedy fills, re-ordering, DFT blocks, Naimark."""
 
+import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from spectral_tetris import (
     RadicalScalar,
     ReorderFailed,
     SearchBudgetExceeded,
+    SpectralTetrisError,
     SynthesisMatrix,
     Underdetermined,
     construct_untf,
@@ -29,6 +32,7 @@ from spectral_tetris import (
 
 import goldens
 from goldens import assert_matches
+from _oracles import pnstc_oracle, pnstc_str_oracle
 
 NAIMARK_TOLERANCE = 1e-10
 DFT_TOLERANCE = 1e-12
@@ -149,6 +153,89 @@ def test_pnstc_str_failures():
         pnstc_str((5, 1), (4, 2))
     with pytest.raises(ReorderFailed, match="overshoot"):
         pnstc_str((2, 6, 6, 1, 1), (3, 4, 9))
+
+
+# -- one fill behind pnstc, pnstc_str and construct_untf ------------------------
+
+FILL_PALETTE = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+
+
+def outcome(build, *args):
+    """Everything a construction returns, or the class, message and step of
+    the SpectralTetrisError it raises; any other exception escapes the test."""
+    try:
+        result = build(*args)
+    except SpectralTetrisError as failure:
+        return type(failure), str(failure), getattr(failure, "step", None)
+    matrix, swaps = result if isinstance(result, tuple) else (result, None)
+    return matrix.row_count, matrix.col_count, matrix.entries, matrix.meta, swaps
+
+
+def assert_fill_matches_the_oracles(norms, spectrum):
+    assert outcome(pnstc, norms, spectrum) == outcome(pnstc_oracle, norms, spectrum)
+    assert outcome(pnstc_str, norms, spectrum) == outcome(pnstc_str_oracle, norms, spectrum)
+
+
+def test_fill_matches_the_oracles_on_every_small_equal_total_input():
+    spectra = defaultdict(list)
+    for rows in range(1, 4):
+        for spectrum in itertools.product(FILL_PALETTE, repeat=rows):
+            spectra[sum(spectrum)].append(spectrum)
+    checked = 0
+    for count in range(1, 6):
+        for norms in itertools.product(FILL_PALETTE, repeat=count):
+            for spectrum in spectra[sum(norms)]:
+                assert_fill_matches_the_oracles(norms, spectrum)
+                checked += 1
+    assert checked == 22591
+
+
+@st.composite
+def equal_total_inputs(draw):
+    """Norms and a spectrum with the same total, cut partly at norm boundaries."""
+    norms = draw(
+        st.lists(
+            st.fractions(min_value="1/6", max_value=4, max_denominator=6),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    total = sum(norms)
+    boundaries = list(itertools.accumulate(norms))[:-1]
+    anywhere = st.fractions(min_value=0, max_value=1, max_denominator=12).map(
+        lambda share: share * total
+    )
+    cut = st.one_of(st.sampled_from(boundaries), anywhere) if boundaries else anywhere
+    points = sorted({c for c in draw(st.lists(cut, max_size=7)) if 0 < c < total})
+    edges = [Fraction(0), *points, total]
+    return norms, [high - low for low, high in zip(edges, edges[1:])]
+
+
+@given(equal_total_inputs())
+@settings(max_examples=200, deadline=None)
+def test_fill_matches_the_oracles_on_larger_inputs(case):
+    assert_fill_matches_the_oracles(*case)
+
+
+def test_untf_matches_the_oracle_on_unit_norms():
+    for m in range(1, 16):
+        for n in range(m, 4 * m + 1):
+            expected = outcome(pnstc_oracle, (1,) * n, (Fraction(n, m),) * m)
+            got = outcome(construct_untf, m, n)
+            if expected[0] is NotSTReady:
+                ratio = Fraction(n, m)
+                reduced = f"{ratio.numerator}/{ratio.denominator}"
+                label = reduced if reduced == f"{n}/{m}" else f"{n}/{m} = {reduced}"
+                message = (
+                    f"no sparse unit-norm tight frame of {n} vectors in dimension {m}: "
+                    f"eigenvalue {label} is neither an integer >= 2 nor of the form "
+                    f"(2L-1)/L ({expected[1]})"
+                )
+                assert got == (Infeasible, message, None)
+                assert not untf_feasible(m, n)
+            else:
+                meta = {"algorithm": "untf", "eigenvalue": Fraction(n, m)}
+                assert got == (*expected[:3], meta, None)
 
 
 # -- 2-sparse frames for a prescribed spectrum ---------------------------------

@@ -17,7 +17,6 @@ from spectral_tetris import (
     entry_to_complex,
     to_float,
 )
-from spectral_tetris.exact_numeric import radical_combine, radical_normalize
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -186,20 +185,6 @@ def test_to_float_refuses_complex_entries():
         to_float(entry)
     assert to_float(RadicalScalar.sqrt(2)) == pytest.approx(math.sqrt(2))
     assert entry_to_complex(RadicalScalar.sqrt(2)) == complex(math.sqrt(2), 0.0)
-
-
-def test_radical_normalize_reduces():
-    assert radical_normalize(3, Fraction(8, 9)) == RadicalScalar([(2, 2)])
-    with pytest.raises(DomainError):
-        radical_normalize(1, -2)
-
-
-def test_radical_combine_dispatch():
-    a, b = RadicalScalar.sqrt(2), RadicalScalar.sqrt(8)
-    assert radical_combine(a, b, "add") == RadicalScalar([(2, 3)])
-    assert radical_combine(a, b, "multiply") == RadicalScalar.from_rational(4)
-    with pytest.raises(ValueError):
-        radical_combine(a, b, "divide")
 
 
 def assert_canonical(value):

@@ -125,6 +125,23 @@ def test_write_and_read_documents_through_a_file(tmp_path):
     assert target.read_text().endswith("\n")
 
 
+def test_write_document_writes_text_as_it_stands(tmp_path):
+    target = tmp_path / "grid.csv"
+    write_document(str(target), "m,n,feasible\n1,1,true\n")
+    assert target.read_text() == "m,n,feasible\n1,1,true\n"
+    assert sorted(os.listdir(tmp_path)) == ["grid.csv"]
+
+
+def test_failed_writes_leave_neither_target_nor_staging_file(tmp_path):
+    target = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        write_document(str(target), {"m": object()})
+    # a lone surrogate has no encoding, so the text fails inside the write
+    with pytest.raises(UnicodeEncodeError):
+        write_document(str(target), "ok\ud800")
+    assert os.listdir(tmp_path) == []
+
+
 def test_read_document_rejects_malformed_json(tmp_path):
     target = tmp_path / "broken.json"
     target.write_text("{\"m\": 4,")
