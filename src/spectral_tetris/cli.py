@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .construct import (
     SynthesisMatrix,
@@ -144,18 +145,10 @@ def _deliver_fusion(
     return _emit({"output": _write_output(job, frame), "report": _printable(report)})
 
 
-def _cmd_untf(job: JobSpec) -> int:
+def _cmd_untf(job: JobSpec, build: Callable[[int, int], SynthesisMatrix]) -> int:
     dim = job.parameters["dim"]
     count = job.parameters["count"]
-    matrix = construct_untf(dim, count)
-    flat = [Fraction(count, dim)] * dim
-    return _deliver_matrix(job, matrix, flat, [Fraction(1)] * count)
-
-
-def _cmd_untf_dft(job: JobSpec) -> int:
-    dim = job.parameters["dim"]
-    count = job.parameters["count"]
-    matrix = construct_untf_dft(dim, count)
+    matrix = build(dim, count)
     flat = [Fraction(count, dim)] * dim
     return _deliver_matrix(job, matrix, flat, [Fraction(1)] * count)
 
@@ -278,8 +271,8 @@ def _cmd_feasibility_grid(job: JobSpec) -> int:
 
 
 _HANDLERS = {
-    "untf": _cmd_untf,
-    "untf-dft": _cmd_untf_dft,
+    "untf": functools.partial(_cmd_untf, build=construct_untf),
+    "untf-dft": functools.partial(_cmd_untf, build=construct_untf_dft),
     "sfr": _cmd_sfr,
     "pnstc": _cmd_pnstc,
     "pnstc-str": _cmd_pnstc_str,
@@ -312,17 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    untf = commands.add_parser("untf", help="sparse unit-norm tight frame")
-    untf.add_argument("--dim", type=int, required=True)
-    untf.add_argument("--count", type=int, required=True)
-    _add_output_options(untf)
-
-    untf_dft = commands.add_parser(
-        "untf-dft", help="unit-norm tight frame via DFT blocks (reaches low redundancies)"
-    )
-    untf_dft.add_argument("--dim", type=int, required=True)
-    untf_dft.add_argument("--count", type=int, required=True)
-    _add_output_options(untf_dft)
+    for name, text in (
+        ("untf", "sparse unit-norm tight frame"),
+        ("untf-dft", "unit-norm tight frame via DFT blocks (reaches low redundancies)"),
+    ):
+        sub = commands.add_parser(name, help=text)
+        sub.add_argument("--dim", type=int, required=True)
+        sub.add_argument("--count", type=int, required=True)
+        _add_output_options(sub)
 
     sfr_cmd = commands.add_parser("sfr", help="sparse unit-norm frame for a spectrum")
     sfr_cmd.add_argument("--spectrum", type=rational, nargs="+", required=True)

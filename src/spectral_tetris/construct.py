@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .exact_numeric import (
     to_float,
 )
 from .sequences import (
+    SfrCertificate,
+    STReadyCertificate,
     as_norms_squared,
     as_spectrum,
     sfr_feasible,
@@ -289,6 +291,23 @@ def pnstc_str(
     return SynthesisMatrix(len(eigs), len(norms), entries, meta=meta), swaps
 
 
+def _certified_pnstc(
+    norms: Sequence[Fraction],
+    eigs: Sequence[Fraction],
+    certificate: Union[STReadyCertificate, SfrCertificate],
+    algorithm: str,
+) -> SynthesisMatrix:
+    """pnstc on the eigenvalues in the certificate's order, with the order
+    and the partition recorded in meta under the given algorithm name."""
+    matrix = pnstc(norms, tuple(eigs[i] for i in certificate.eigenvalue_order))
+    matrix.meta.update(
+        algorithm=algorithm,
+        eigenvalue_order=certificate.eigenvalue_order,
+        partition=certificate.partition,
+    )
+    return matrix
+
+
 def sfr(spectrum: Sequence, count: int) -> SynthesisMatrix:
     """2-sparse unit-norm frame with the given spectrum, if any ordering works.
 
@@ -306,14 +325,7 @@ def sfr(spectrum: Sequence, count: int) -> SynthesisMatrix:
             f"no ordering of eigenvalues {tuple(eigs)} admits a 2-sparse unit-norm "
             f"frame of {count} vectors: every floor partition violates the spacing rules"
         )
-    ordered = tuple(eigs[i] for i in certificate.eigenvalue_order)
-    matrix = pnstc((Fraction(1),) * count, ordered)
-    matrix.meta.update(
-        algorithm="sfr",
-        eigenvalue_order=certificate.eigenvalue_order,
-        partition=certificate.partition,
-    )
-    return matrix
+    return _certified_pnstc((Fraction(1),) * count, eigs, certificate, "sfr")
 
 
 def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
@@ -442,14 +454,7 @@ def equal_norm_frame(
             f"{count} vectors of squared norm {norm_squared} admit no Spectral-Tetris-ready "
             f"ordering for spectrum {tuple(eigs)}; a different count may work"
         )
-    ordered = tuple(eigs[i] for i in certificate.eigenvalue_order)
-    matrix = pnstc(norms, ordered)
-    matrix.meta.update(
-        algorithm="equal_norm",
-        eigenvalue_order=certificate.eigenvalue_order,
-        partition=certificate.partition,
-    )
-    return matrix
+    return _certified_pnstc(norms, eigs, certificate, "equal_norm")
 
 
 def naimark_complement(parseval: SynthesisMatrix) -> SynthesisMatrix:

@@ -9,10 +9,11 @@ the verification engine's job, with advisory findings recorded in meta.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .errors import (
     NotSTReady,
     OutOfRange,
     SearchBudgetExceeded,
+    SpectralTetrisError,
 )
 from .exact_numeric import MatrixEntry, RadicalScalar
-from .sequences import as_spectrum, majorizes, search_budget
+from .sequences import as_spectrum, drive, majorizes, search_budget
 
 ColumnMap = Dict[int, MatrixEntry]
 
@@ -78,19 +80,17 @@ class ChainPartition:
     chains: Tuple[Tuple[int, ...], ...]
 
 
-def _group_is_orthonormal_scaled(
-    columns: List[ColumnMap], group: Sequence[int], weight_squared: Fraction
-) -> bool:
-    """Exact check: the group's columns are pairwise orthogonal with squared
-    norm weight_squared (so they form a tight frame for their span with
-    bound weight_squared)."""
-    for idx, col in enumerate(group):
-        if sparse_inner(columns[col], columns[col]) != weight_squared:
-            return False
-        for other in group[idx + 1 :]:
-            if sparse_inner(columns[col], columns[other]):
-                return False
-    return True
+def group_flags(
+    columns: Sequence[ColumnMap], group: Sequence[int], weight_squared: Fraction
+) -> Tuple[bool, bool]:
+    """(orthogonal, consistent), exactly: the group's columns are pairwise
+    orthogonal, and each has squared norm weight_squared. Both together make
+    the group a tight frame for its span with bound weight_squared."""
+    orthogonal = not any(
+        sparse_inner(columns[a], columns[b]) for a, b in itertools.combinations(group, 2)
+    )
+    consistent = all(sparse_inner(columns[c], columns[c]) == weight_squared for c in group)
+    return orthogonal, consistent
 
 
 def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPartition:
@@ -166,9 +166,7 @@ def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFr
             floor_ok = math.floor(value) <= subspace_count - 3
             break
     columns = column_maps(generator)
-    groups_orthogonal = all(
-        _group_is_orthonormal_scaled(columns, group, Fraction(1)) for group in partition
-    )
+    groups_orthogonal = all(all(group_flags(columns, group, Fraction(1))) for group in partition)
     return FusionFrame(
         m=len(eigs),
         weights_squared=(Fraction(1),) * subspace_count,
@@ -242,9 +240,10 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
     Starts from the reference fusion frame and repeatedly moves one column
     (or exchanges a maximal chain with a one-element imbalance) from a bucket
     above its target dimension into the highest-index deficient bucket. The
-    total deficit drops by exactly 2 each round, which is asserted, and the
-    history lands in meta. Raises Infeasible when the reference dimensions do
-    not majorize the requested ones.
+    total deficit drops by exactly 2 each round, and the history lands in
+    meta. Raises Infeasible when the reference dimensions do not majorize the
+    requested ones, and SpectralTetrisError naming the invariant should a
+    round break one.
     """
     eigs = as_spectrum(spectrum)
     target = _validate_dims(dims)
@@ -281,13 +280,13 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
     while deficit:
         over_or_under = [j for j in range(len(target)) if len(groups[j]) != target[j]]
         receiver = max(over_or_under)
-        assert len(groups[receiver]) < target[receiver], (
-            "highest unbalanced bucket should be deficient"
-        )
+        if len(groups[receiver]) >= target[receiver]:
+            raise SpectralTetrisError("uff: the highest unbalanced bucket is not deficient")
         donors = [
             j for j in range(receiver) if len(groups[j]) > target[j]
         ]
-        assert donors, "no donor bucket despite a positive deficit"
+        if not donors:
+            raise SpectralTetrisError("uff: no donor bucket despite a positive deficit")
         donor = max(donors)
         receiver_rows = support_of(groups[receiver])
         detachable = [
@@ -309,14 +308,16 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
                 if len(set(chain) & groups[donor])
                 == len(set(chain) & groups[receiver]) + 1
             ]
-            assert candidates, "no chain with a one-element imbalance"
+            if not candidates:
+                raise SpectralTetrisError("uff: no chain with a one-element imbalance")
             chain = min(candidates, key=lambda c: c[0])
             donor_part = set(chain) & groups[donor]
             receiver_part = set(chain) & groups[receiver]
             groups[donor] = (groups[donor] - donor_part) | receiver_part
             groups[receiver] = (groups[receiver] - receiver_part) | donor_part
         new_deficit = sum(abs(len(g) - d) for g, d in zip(groups, target))
-        assert new_deficit == deficit - 2, "deficit must drop by exactly 2"
+        if new_deficit != deficit - 2:
+            raise SpectralTetrisError("uff: the deficit did not drop by exactly 2")
         deficit = new_deficit
         history.append(deficit)
     return FusionFrame(
@@ -367,10 +368,9 @@ def _tagged_pnstc(
     for col, (_w, tag) in enumerate(order):
         grouped[tag].append(col)
     columns = column_maps(matrix)
-    for tag in tags:
-        weight = next(w for w, t in order if t == tag)
-        if not _group_is_orthonormal_scaled(columns, grouped[tag], weight):
-            return None
+    weights = {tag: w for w, tag in order}
+    if not all(all(group_flags(columns, grouped[tag], weights[tag])) for tag in tags):
+        return None
     return matrix, tuple(tuple(grouped[tag]) for tag in tags)
 
 
@@ -380,6 +380,7 @@ class _TaggedSearch:
     Mirrors the greedy construction: each step either feeds one tagged norm
     as a singleton or two as a block, maintaining per-tag support maps so the
     within-group orthogonality constraint is enforced as columns appear.
+    Visits are generators run by sequences.drive, one stack entry per column.
     """
 
     def __init__(
@@ -421,11 +422,11 @@ class _TaggedSearch:
         return picked
 
     def run(self) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
-        if self._fill(0, self.spectrum[0]):
+        if drive(self._fill(0, self.spectrum[0])):
             return _tagged_pnstc(tuple(self.order), self.spectrum)
         return None
 
-    def _fill(self, row: int, weight: Fraction) -> bool:
+    def _fill(self, row: int, weight: Fraction) -> Generator:
         self.states += 1
         if self.states > self.budget:
             raise SearchBudgetExceeded(
@@ -435,7 +436,7 @@ class _TaggedSearch:
         if weight == 0:
             if row + 1 == len(self.spectrum):
                 return not any(self.remaining)
-            return self._fill(row + 1, self.spectrum[row + 1])
+            return (yield self._fill(row + 1, self.spectrum[row + 1]))
         if weight < 0:
             return False
         for tag in self._candidate_tags():
@@ -448,7 +449,7 @@ class _TaggedSearch:
             self.remaining[tag] -= 1
             self.placed[tag].append(column)
             self.order.append((a, tag))
-            if self._fill(row, weight - a):
+            if (yield self._fill(row, weight - a)):
                 return True
             self.order.pop()
             self.placed[tag].pop()
@@ -480,7 +481,7 @@ class _TaggedSearch:
                     if self._fits(partner, second):
                         self.placed[partner].append(second)
                         self.order.extend(((a, tag), (b, partner)))
-                        if self._fill(row + 1, self.spectrum[row + 1] - spill):
+                        if (yield self._fill(row + 1, self.spectrum[row + 1] - spill)):
                             return True
                         del self.order[-2:]
                         self.placed[partner].pop()

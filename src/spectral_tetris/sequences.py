@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidPartition,
@@ -176,6 +176,26 @@ def _distinct_value_orders(values: Spectrum):
         index = last + 1
 
 
+def drive(root: Generator) -> object:
+    """Run a depth-first search whose visits are generators, on an explicit stack.
+
+    A visit yields the generator of each child it tries, is sent that
+    child's return value, and returns its own; drive returns the root's.
+    """
+    stack = [root]
+    outcome = None
+    while stack:
+        try:
+            child = stack[-1].send(outcome)
+        except StopIteration as finished:
+            stack.pop()
+            outcome = finished.value
+            continue
+        stack.append(child)
+        outcome = None
+    return outcome
+
+
 class _FeedSearch:
     """Depth-first search over the order in which norms are fed to the greedy.
 
@@ -184,10 +204,8 @@ class _FeedSearch:
     norm <= the remaining weight; a two-column block consumes a norm above
     the remaining weight together with a partner at least the remaining
     weight, spilling the excess into the next row. Failed states are memoized.
-    Each visit of a state is a generator that yields the child states it
-    tries and receives their outcomes; run() drives them from an explicit
-    stack, so the depth (one level per fed norm) never reaches Python's
-    recursion limit.
+    Each visit of a state is a generator run by drive(), so the depth (one
+    level per fed norm) never reaches Python's recursion limit.
     """
 
     def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
@@ -203,18 +221,7 @@ class _FeedSearch:
         return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
 
     def run(self) -> bool:
-        stack = [self._fill(0, self.eigs[0])]
-        outcome = None
-        while stack:
-            try:
-                child = stack[-1].send(outcome)
-            except StopIteration as finished:
-                stack.pop()
-                outcome = finished.value
-                continue
-            stack.append(self._fill(*child))
-            outcome = None
-        return outcome
+        return drive(self._fill(0, self.eigs[0]))
 
     def _fill(self, row: int, weight: Fraction):
         self.states += 1
@@ -226,7 +233,7 @@ class _FeedSearch:
             self.partition.append(len(self.feed))
             if row + 1 == len(self.eigs):
                 return not any(self.counts.values())
-            if (yield row + 1, self.eigs[row + 1]):
+            if (yield self._fill(row + 1, self.eigs[row + 1])):
                 return True
             self.partition.pop()
             return False
@@ -240,7 +247,7 @@ class _FeedSearch:
             if a <= weight:
                 self.counts[a] -= 1
                 self.feed.append(a)
-                if (yield row, weight - a):
+                if (yield self._fill(row, weight - a)):
                     return True
                 self.feed.pop()
                 self.counts[a] += 1
@@ -263,7 +270,7 @@ class _FeedSearch:
                     self.counts[b] -= 1
                     self.feed.extend((a, b))
                     self.partition.append(before)
-                    if (yield row + 1, self.eigs[row + 1] - spill):
+                    if (yield self._fill(row + 1, self.eigs[row + 1] - spill)):
                         return True
                     self.partition.pop()
                     del self.feed[-2:]

@@ -1,14 +1,16 @@
 """Independent verification of synthesis matrices and fusion frames.
 
-Real matrices are judged in exact radical arithmetic with zero tolerance.
-As soon as complex entries are involved the checks drop to floating point
-(tolerance 1e-12 for frames, 1e-10 for fusion operators) and the report is
-flagged exact=False. verify_frame and verify_fusion never raise on
-mathematical failures; every discrepancy becomes a field of the report.
+Real matrices are judged in exact radical arithmetic with zero tolerance;
+complex entries drop the checks to floating point (1e-12 for frames, 1e-10
+for fusion operators) and flag the report exact=False. Neither report
+raises on a mathematical failure: every discrepancy is a field.
 
-The exact checks only multiply entries that share a column or a row, so
-their cost follows the column supports (sum of |supp|^2) rather than the
-M^2 row pairs and N^2/2 column pairs of the dense definitions.
+Each property has one check: _rows_orthogonal, _matches (exact, in order),
+fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
+The exact ones multiply only entries that share a column or a row, so they
+cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. Off the
+exact route each fusion group takes one SVD, for its dimension and its
+projection.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .exact_numeric import (
     ZERO,
     entry_abs_squared,
 )
-from .fusion import FusionFrame
+from .fusion import FusionFrame, group_flags
 from .sequences import as_spectrum, maximal_block_number
 
 COMPLEX_TOLERANCE = 1e-12
@@ -77,8 +79,27 @@ def _row_gram(
     return gram
 
 
-def _rows_exactly_orthogonal(columns: Sequence[SparseVector]) -> bool:
-    return not any(_row_gram(columns, diagonal=False).values())
+def _rows_orthogonal(
+    matrix: SynthesisMatrix, columns: Sequence[SparseVector], tolerance: float
+) -> bool:
+    """Whether every pair of distinct rows is orthogonal: exactly (from the
+    column supports) on the real path, within tolerance with complex entries."""
+    if not matrix.is_complex:
+        return not any(_row_gram(columns, diagonal=False).values())
+    dense = matrix.to_dense()
+    gram = dense @ dense.conj().T
+    return bool(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0) <= tolerance)
+
+
+def _matches(actual: Sequence, expected: Optional[Sequence]) -> Optional[bool]:
+    """None without an expectation, else whether actual equals it exactly,
+    entry by entry in order and with the same length."""
+    if expected is None:
+        return None
+    expected = list(expected)
+    return len(expected) == len(actual) and all(
+        value == Fraction(want) for value, want in zip(actual, expected)
+    )
 
 
 def _exact_rank(vectors: Sequence[SparseVector], length: int) -> int:
@@ -205,8 +226,7 @@ def _sparsity_bound(row_sums: Sequence[RadicalScalar], col_count: int) -> Option
         return 0
     if any(not value.is_rational() or value.rational_part() <= 0 for value in row_sums):
         return None
-    spectrum = [value.rational_part() for value in row_sums]
-    mu = maximal_block_number(spectrum).mu
+    mu = maximal_block_number([value.rational_part() for value in row_sums]).mu
     return col_count + 2 * (len(row_sums) - mu)
 
 
@@ -249,43 +269,19 @@ def verify_frame(
     row_sums, col_norms = _square_sums(matrix)
 
     columns = column_maps(matrix)
-    if exact:
-        rows_orthogonal = _rows_exactly_orthogonal(columns)
-    elif m == 0:
-        rows_orthogonal = True
-    else:
-        dense = matrix.to_dense()
-        gram = dense @ dense.conj().T
-        off = gram - np.diag(np.diag(gram))
-        rows_orthogonal = bool(np.max(np.abs(off)) <= COMPLEX_TOLERANCE)
+    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
 
-    all_sums_equal = all(value == row_sums[0] for value in row_sums[1:]) if row_sums else True
-    is_tight = rows_orthogonal and all_sums_equal
+    is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
     tight_bound: Optional[SquareSum] = None
     if is_tight and m > 0:
         tight_bound = _report_values(row_sums[:1])[0]
 
-    if m == 0:
-        is_frame = True
-    elif rows_orthogonal:
+    if rows_orthogonal:
         is_frame = all(bool(value) for value in row_sums)
     elif exact:
         is_frame = _exact_rank(columns, m) == m
     else:
         is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
-
-    spectrum_matches: Optional[bool] = None
-    if expected_spectrum is not None:
-        expected = list(expected_spectrum)
-        spectrum_matches = len(expected) == m and all(
-            row_sums[i] == Fraction(expected[i]) for i in range(m)
-        )
-    norms_match: Optional[bool] = None
-    if expected_norms is not None:
-        expected = list(expected_norms)
-        norms_match = len(expected) == n and all(
-            col_norms[j] == Fraction(expected[j]) for j in range(n)
-        )
 
     return VerificationReport(
         is_frame=is_frame,
@@ -298,8 +294,8 @@ def verify_frame(
         optimal_sparsity_bound=_sparsity_bound(row_sums, n),
         orthogonality_distance=orthogonality_distance(matrix),
         exact=exact,
-        spectrum_matches=spectrum_matches,
-        norms_match=norms_match,
+        spectrum_matches=_matches(row_sums, expected_spectrum),
+        norms_match=_matches(col_norms, expected_norms),
     )
 
 
@@ -312,12 +308,10 @@ def sparsity_report(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple[int, i
     """
     eigs = as_spectrum(spectrum)
     row_sums, _ = _square_sums(matrix)
-    if len(eigs) != len(row_sums) or not all(v.is_rational() for v in row_sums):
+    sums = [v.rational_part() for v in row_sums if v.is_rational()]
+    if len(sums) != len(row_sums) or sorted(sums) != sorted(eigs):
         raise SpectrumMismatch("row square sums do not match the stated spectrum")
-    if sorted(v.rational_part() for v in row_sums) != sorted(eigs):
-        raise SpectrumMismatch("row square sums do not match the stated spectrum")
-    mu = maximal_block_number(eigs).mu
-    bound = matrix.col_count + 2 * (matrix.row_count - mu)
+    bound = _sparsity_bound(row_sums, matrix.col_count)
     count = matrix.nonzero_count
     return count, bound, count == bound
 
@@ -345,113 +339,76 @@ class FusionReport:
     spectrum_matches: Optional[bool] = None
 
 
-def _numeric_group_checks(
-    dense: np.ndarray, reference: FusionFrame
-) -> Tuple[bool, bool, List[int]]:
-    orthogonal = True
-    consistent = True
-    dims: List[int] = []
-    for group, weight_squared in zip(reference.partition, reference.weights_squared):
-        block = dense[:, list(group)]
-        gram = block.conj().T @ block
-        off = gram - np.diag(np.diag(gram))
-        if off.size and np.max(np.abs(off)) > FUSION_TOLERANCE:
-            orthogonal = False
-        if np.max(np.abs(np.diag(gram) - float(weight_squared))) > FUSION_TOLERANCE:
-            consistent = False
-        singular = np.linalg.svd(block, compute_uv=False)
-        cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
-        dims.append(int(np.sum(singular > cutoff)))
-    return orthogonal, consistent, dims
-
-
 def verify_fusion(
     reference: FusionFrame, expected_spectrum: Optional[Sequence] = None
 ) -> FusionReport:
-    """Full report on a fusion frame. Never raises; see the report fields."""
+    """Full report on a fusion frame. Never raises; see the report fields.
+
+    The group flags are exact for a real generator. Off the exact route each
+    group's reduced SVD gives both its dimension and its projection; with a
+    complex generator the flags come from each group's Gram matrix at 1e-10.
+    """
     generator = reference.generator
     m = generator.row_count
     real = not generator.is_complex
-
-    rows_orthogonal = groups_orthogonal = weights_consistent = False
+    columns = column_maps(generator)
+    rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)
+    groups_orthogonal = weights_consistent = True
     if real:
-        columns = column_maps(generator)
-        rows_orthogonal = _rows_exactly_orthogonal(columns)
-        groups_orthogonal = True
-        weights_consistent = True
         for group, weight_squared in zip(reference.partition, reference.weights_squared):
-            for a in range(len(group)):
-                if sparse_inner(columns[group[a]], columns[group[a]]) != weight_squared:
-                    weights_consistent = False
-                for b in range(a + 1, len(group)):
-                    if sparse_inner(columns[group[a]], columns[group[b]]):
-                        groups_orthogonal = False
+            orthogonal, consistent = group_flags(columns, group, weight_squared)
+            groups_orthogonal &= orthogonal
+            weights_consistent &= consistent
 
     row_sums, _ = _square_sums(generator)
-    exact_route = (
-        real
-        and rows_orthogonal
-        and groups_orthogonal
-        and weights_consistent
-        and all(v.is_rational() for v in row_sums)
+    exact = real and rows_orthogonal and groups_orthogonal and weights_consistent and all(
+        v.is_rational() for v in row_sums
     )
-
-    if exact_route:
+    if exact:
         spectrum = tuple(v.rational_part() for v in row_sums)
-        spectrum_matches: Optional[bool] = None
+        is_frame = all(value > 0 for value in spectrum)
+        lower, upper = (min(spectrum), max(spectrum)) if spectrum else (None, None)
+        dims = reference.dims
+        spectrum_matches = _matches(spectrum, expected_spectrum)
+    else:
+        dense = generator.to_dense()
+        operator = np.zeros((m, m), dtype=dense.dtype)
+        numeric_dims: List[int] = []
+        for group, weight_squared in zip(reference.partition, reference.weights_squared):
+            block = dense[:, list(group)]
+            weight = float(weight_squared)
+            if not real:
+                gram = block.conj().T @ block
+                norms = np.diag(gram)
+                off = np.max(np.abs(gram - np.diag(norms)))
+                groups_orthogonal &= bool(off <= FUSION_TOLERANCE)
+                weights_consistent &= bool(np.max(np.abs(norms - weight)) <= FUSION_TOLERANCE)
+            u, singular, _ = np.linalg.svd(block, full_matrices=False)
+            cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
+            basis = u[:, singular > cutoff]
+            numeric_dims.append(basis.shape[1])
+            operator = operator + weight * (basis @ basis.conj().T)
+        eigenvalues = np.linalg.eigvalsh(operator)[::-1] if m else np.zeros(0)
+        spectrum = tuple(float(value) for value in eigenvalues)
+        lower, upper = (spectrum[-1], spectrum[0]) if m else (None, None)
+        is_frame = bool(m and lower > FUSION_TOLERANCE)
+        dims = tuple(numeric_dims)
+        spectrum_matches = None
         if expected_spectrum is not None:
-            expected = list(expected_spectrum)
-            spectrum_matches = len(expected) == m and all(
-                spectrum[i] == Fraction(expected[i]) for i in range(m)
+            expected = sorted((float(Fraction(v)) for v in expected_spectrum), reverse=True)
+            spectrum_matches = len(expected) == len(spectrum) and all(
+                abs(want - value) <= FUSION_TOLERANCE for want, value in zip(expected, spectrum)
             )
-        return FusionReport(
-            is_frame=all(value > 0 for value in spectrum),
-            rows_orthogonal=True,
-            groups_orthogonal=True,
-            weights_consistent=True,
-            subspace_dims=reference.dims,
-            spectrum=spectrum,
-            lower_bound=min(spectrum) if spectrum else None,
-            upper_bound=max(spectrum) if spectrum else None,
-            exact=True,
-            spectrum_matches=spectrum_matches,
-        )
-
-    dense = generator.to_dense()
-    numeric_orthogonal, numeric_consistent, dims = _numeric_group_checks(dense, reference)
-    if not real:
-        gram = dense @ dense.conj().T
-        off = gram - np.diag(np.diag(gram))
-        rows_orthogonal = bool(off.size == 0 or np.max(np.abs(off)) <= FUSION_TOLERANCE)
-        groups_orthogonal = numeric_orthogonal
-        weights_consistent = numeric_consistent
-
-    operator = np.zeros((m, m), dtype=dense.dtype)
-    for group, weight_squared in zip(reference.partition, reference.weights_squared):
-        block = dense[:, list(group)]
-        u, singular, _ = np.linalg.svd(block, full_matrices=False)
-        cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
-        basis = u[:, singular > cutoff]
-        operator = operator + float(weight_squared) * (basis @ basis.conj().T)
-    eigenvalues = np.linalg.eigvalsh(operator)[::-1] if m else np.zeros(0)
-    spectrum = tuple(float(value) for value in eigenvalues)
-
-    spectrum_matches = None
-    if expected_spectrum is not None:
-        expected = sorted((float(Fraction(v)) for v in expected_spectrum), reverse=True)
-        spectrum_matches = len(expected) == len(spectrum) and all(
-            abs(expected[i] - spectrum[i]) <= FUSION_TOLERANCE for i in range(len(expected))
-        )
 
     return FusionReport(
-        is_frame=bool(m and spectrum[-1] > FUSION_TOLERANCE),
+        is_frame=is_frame,
         rows_orthogonal=rows_orthogonal,
         groups_orthogonal=groups_orthogonal,
         weights_consistent=weights_consistent,
-        subspace_dims=tuple(dims),
+        subspace_dims=dims,
         spectrum=spectrum,
-        lower_bound=spectrum[-1] if spectrum else None,
-        upper_bound=spectrum[0] if spectrum else None,
-        exact=False,
+        lower_bound=lower,
+        upper_bound=upper,
+        exact=exact,
         spectrum_matches=spectrum_matches,
     )

@@ -6,28 +6,31 @@ every partition, the block number enumerates every permutation (or, for
 somewhat larger M, every sub-multiset), the distinct eigenvalue orders come
 from walking every index permutation, and the verification oracles form
 every row and column inner product of the dense matrix (they use the
-package's exact arithmetic, nothing of its verifier). The exception is the
-Spectral Tetris fill: its oracles are the package's former code, kept as it
-was.
+package's exact arithmetic, nothing of its verifier). The exceptions are the
+Spectral Tetris fill and the fusion verifier: their oracles are the
+package's former code, kept as it was.
 Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from spectral_tetris import (
     Block,
+    FusionFrame,
     NoSuchBlock,
     NotSTReady,
     RadicalScalar,
     ReorderFailed,
     SynthesisMatrix,
 )
+from spectral_tetris.construct import column_maps, sparse_inner
 from spectral_tetris.exact_numeric import MatrixEntry, RationalLike
 from spectral_tetris.sequences import as_norms_squared, as_spectrum
+from spectral_tetris.verify import FUSION_TOLERANCE, FusionReport, _row_gram, _square_sums
 
 Key = Tuple[int, int]
 
@@ -405,3 +408,126 @@ def pnstc_str_oracle(
         meta={"algorithm": "pnstc_str", "swaps": tuple(swaps)},
     )
     return matrix, tuple(swaps)
+
+
+# -- the fusion verifier the package had -----------------------------------------
+# verify_fusion and its two helpers below are the package's former code, kept
+# verbatim bar their names and docstrings; the report type, the square sums,
+# the row Gram and the sparse inner product are the package's. They are the
+# reference for the verifier whose row, group and match checks are shared
+# with the fusion constructions, and whose numeric route takes one SVD per group.
+
+
+def _rows_exactly_orthogonal_oracle(columns) -> bool:
+    return not any(_row_gram(columns, diagonal=False).values())
+
+
+def numeric_group_checks_oracle(
+    dense: np.ndarray, reference: FusionFrame
+) -> Tuple[bool, bool, List[int]]:
+    orthogonal = True
+    consistent = True
+    dims: List[int] = []
+    for group, weight_squared in zip(reference.partition, reference.weights_squared):
+        block = dense[:, list(group)]
+        gram = block.conj().T @ block
+        off = gram - np.diag(np.diag(gram))
+        if off.size and np.max(np.abs(off)) > FUSION_TOLERANCE:
+            orthogonal = False
+        if np.max(np.abs(np.diag(gram) - float(weight_squared))) > FUSION_TOLERANCE:
+            consistent = False
+        singular = np.linalg.svd(block, compute_uv=False)
+        cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
+        dims.append(int(np.sum(singular > cutoff)))
+    return orthogonal, consistent, dims
+
+
+def verify_fusion_oracle(
+    reference: FusionFrame, expected_spectrum: Optional[Sequence] = None
+) -> FusionReport:
+    generator = reference.generator
+    m = generator.row_count
+    real = not generator.is_complex
+
+    rows_orthogonal = groups_orthogonal = weights_consistent = False
+    if real:
+        columns = column_maps(generator)
+        rows_orthogonal = _rows_exactly_orthogonal_oracle(columns)
+        groups_orthogonal = True
+        weights_consistent = True
+        for group, weight_squared in zip(reference.partition, reference.weights_squared):
+            for a in range(len(group)):
+                if sparse_inner(columns[group[a]], columns[group[a]]) != weight_squared:
+                    weights_consistent = False
+                for b in range(a + 1, len(group)):
+                    if sparse_inner(columns[group[a]], columns[group[b]]):
+                        groups_orthogonal = False
+
+    row_sums, _ = _square_sums(generator)
+    exact_route = (
+        real
+        and rows_orthogonal
+        and groups_orthogonal
+        and weights_consistent
+        and all(v.is_rational() for v in row_sums)
+    )
+
+    if exact_route:
+        spectrum = tuple(v.rational_part() for v in row_sums)
+        spectrum_matches: Optional[bool] = None
+        if expected_spectrum is not None:
+            expected = list(expected_spectrum)
+            spectrum_matches = len(expected) == m and all(
+                spectrum[i] == Fraction(expected[i]) for i in range(m)
+            )
+        return FusionReport(
+            is_frame=all(value > 0 for value in spectrum),
+            rows_orthogonal=True,
+            groups_orthogonal=True,
+            weights_consistent=True,
+            subspace_dims=reference.dims,
+            spectrum=spectrum,
+            lower_bound=min(spectrum) if spectrum else None,
+            upper_bound=max(spectrum) if spectrum else None,
+            exact=True,
+            spectrum_matches=spectrum_matches,
+        )
+
+    dense = generator.to_dense()
+    numeric_orthogonal, numeric_consistent, dims = numeric_group_checks_oracle(dense, reference)
+    if not real:
+        gram = dense @ dense.conj().T
+        off = gram - np.diag(np.diag(gram))
+        rows_orthogonal = bool(off.size == 0 or np.max(np.abs(off)) <= FUSION_TOLERANCE)
+        groups_orthogonal = numeric_orthogonal
+        weights_consistent = numeric_consistent
+
+    operator = np.zeros((m, m), dtype=dense.dtype)
+    for group, weight_squared in zip(reference.partition, reference.weights_squared):
+        block = dense[:, list(group)]
+        u, singular, _ = np.linalg.svd(block, full_matrices=False)
+        cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
+        basis = u[:, singular > cutoff]
+        operator = operator + float(weight_squared) * (basis @ basis.conj().T)
+    eigenvalues = np.linalg.eigvalsh(operator)[::-1] if m else np.zeros(0)
+    spectrum = tuple(float(value) for value in eigenvalues)
+
+    spectrum_matches = None
+    if expected_spectrum is not None:
+        expected = sorted((float(Fraction(v)) for v in expected_spectrum), reverse=True)
+        spectrum_matches = len(expected) == len(spectrum) and all(
+            abs(expected[i] - spectrum[i]) <= FUSION_TOLERANCE for i in range(len(expected))
+        )
+
+    return FusionReport(
+        is_frame=bool(m and spectrum[-1] > FUSION_TOLERANCE),
+        rows_orthogonal=rows_orthogonal,
+        groups_orthogonal=groups_orthogonal,
+        weights_consistent=weights_consistent,
+        subspace_dims=tuple(dims),
+        spectrum=spectrum,
+        lower_bound=spectrum[-1] if spectrum else None,
+        upper_bound=spectrum[0] if spectrum else None,
+        exact=False,
+        spectrum_matches=spectrum_matches,
+    )

@@ -248,6 +248,21 @@ def test_sfr_golden_3x10():
     assert matrix.meta["eigenvalue_order"] == (0, 1, 2)
 
 
+def test_certified_builds_record_the_same_meta_in_the_same_order():
+    assert list(sfr((Fraction(5, 2), 1, Fraction(3, 2)), 5).meta.items()) == [
+        ("algorithm", "sfr"),
+        ("steps", 4),
+        ("eigenvalue_order", (0, 2, 1)),
+        ("partition", (2, 4, 5)),
+    ]
+    assert list(equal_norm_frame((3,) * 4, 6).meta.items()) == [
+        ("algorithm", "equal_norm"),
+        ("steps", 4),
+        ("eigenvalue_order", (0, 1, 2, 3)),
+        ("partition", (1, 3, 4, 6)),
+    ]
+
+
 def test_sfr_permutes_when_the_given_order_jams():
     spectrum = (Fraction(5, 2), 1, Fraction(3, 2))
     matrix = sfr(spectrum, 5)

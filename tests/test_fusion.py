@@ -1,11 +1,18 @@
 """Fusion-frame constructions: bucketing, swap balancing, weights, complements."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_tetris
+import spectral_tetris.fusion as fusion_module
 from spectral_tetris import (
+    ChainPartition,
     FusionFrame,
     Infeasible,
     NotApplicable,
@@ -13,6 +20,7 @@ from spectral_tetris import (
     OutOfRange,
     RadicalScalar,
     SearchBudgetExceeded,
+    SpectralTetrisError,
     SynthesisMatrix,
     construct_untf,
     entry_abs_squared,
@@ -393,3 +401,47 @@ def test_weighted_fusion_budget_cut_is_not_infeasible():
     # round-robin fails here, so the tagged search runs and is cut at once
     with pytest.raises(SearchBudgetExceeded, match="search budget"):
         weighted_fusion((1,) * 6, goldens.UFF_DIMS, (Fraction(11, 4),) * 4, budget=1)
+
+
+def test_weighted_fusion_search_runs_past_the_recursion_limit():
+    # the round-robin order fails, and the tagged search feeds 1125 columns
+    # one stack level each: deeper than Python's default recursion limit
+    spectrum = (Fraction(5, 2),) * 450
+    frame = weighted_fusion((1,) * 4, (450, 225, 225, 225), spectrum, 10**5)
+    assert frame.meta["ordering"] == "search"
+    report = verify_fusion(frame, spectrum)
+    assert report.exact and report.spectrum_matches
+    assert report.groups_orthogonal and report.weights_consistent
+
+
+# uff((7/2,) * 4, (3, 3, 3, 3, 2)) moves a maximal chain in one of its rounds
+UFF_CHAIN_CASE = ((Fraction(7, 2),) * 4, (3, 3, 3, 3, 2))
+
+
+def test_uff_broken_invariant_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(fusion_module, "maximal_chains", lambda *_: ChainPartition(()))
+    with pytest.raises(SpectralTetrisError, match="no chain with a one-element imbalance"):
+        uff(*UFF_CHAIN_CASE)
+
+
+def test_uff_invariant_survives_python_optimize():
+    # -O strips assert statements; the invariant must still raise
+    code = (
+        "from fractions import Fraction\n"
+        "import spectral_tetris.fusion as fusion\n"
+        "from spectral_tetris import ChainPartition, SpectralTetrisError\n"
+        "fusion.maximal_chains = lambda *_: ChainPartition(())\n"
+        "try:\n"
+        "    fusion.uff((Fraction(7, 2),) * 4, (3, 3, 3, 3, 2))\n"
+        "except SpectralTetrisError as failure:\n"
+        "    print(type(failure).__name__, failure)\n"
+    )
+    source = str(Path(spectral_tetris.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == (
+        "SpectralTetrisError uff: no chain with a one-element imbalance"
+    )
