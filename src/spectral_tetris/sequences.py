@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvalidPartition,
@@ -134,7 +134,9 @@ def st_ready_check(
     return True
 
 
-def _distinct_value_orders(values: Spectrum):
+def _distinct_value_orders(
+    values: Spectrum, dead: Optional[set] = None, budget: Optional[int] = None
+):
     """Every distinct value order once, with its smallest index permutation.
 
     Yields (index permutation, permuted values) in lexicographic order of the
@@ -145,6 +147,16 @@ def _distinct_value_orders(values: Spectrum):
     depth-first walk with an explicit stack offers, at each position, only
     the lowest unused index of each value, so no two branches give the same
     value order and the walk from one yield to the next costs O(M^2) steps.
+
+    A depth d sent in after an order skips every remaining order that
+    shares its first d values; the orders not skipped come in the same
+    order. With a set `dead`, the walk records the used-value counts of
+    each inner node whose children all ran out without a skip at that node,
+    and skips every node whose counts are recorded. That is sound only for
+    a caller whose skips reject the node at the sent depth by a rule that,
+    given a passing shorter prefix, depends on the values used alone (as
+    sfr_feasible's floor cuts do). Entering more than `budget` nodes raises
+    SearchBudgetExceeded.
     """
     m_count = len(values)
     ids: Dict[Fraction, int] = {}
@@ -158,17 +170,30 @@ def _distinct_value_orders(values: Spectrum):
     taken = [0] * len(pools)
     perm: List[int] = []
     index = 0
+    nodes = 0
     while True:
         # the lowest index >= index that is the lowest unused one of its value
         while index < m_count and pools[value_ids[index]][taken[value_ids[index]]] != index:
             index += 1
-        if index < m_count:
+        if index == m_count:
+            # every child of the node at the end of perm is done
+            if dead is not None and perm:
+                dead.add(tuple(taken))
+        else:
             perm.append(index)
             taken[value_ids[index]] += 1
-            if len(perm) < m_count:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(f"eigenvalue order walk exceeded {budget} states")
+            if len(perm) == m_count:
+                depth = yield tuple(perm), tuple(values[i] for i in perm)
+                if depth is not None:
+                    for i in perm[depth:]:
+                        taken[value_ids[i]] -= 1
+                    del perm[depth:]
+            elif dead is None or tuple(taken) not in dead:
                 index = 0
                 continue
-            yield tuple(perm), tuple(values[i] for i in perm)
         if not perm:
             return
         last = perm.pop()
@@ -205,7 +230,9 @@ class _FeedSearch:
     the remaining weight together with a partner at least the remaining
     weight, spilling the excess into the next row. Failed states are memoized.
     Each visit of a state is a generator run by drive(), so the depth (one
-    level per fed norm) never reaches Python's recursion limit.
+    level per fed norm) never reaches Python's recursion limit. reach is the
+    largest eigenvalue index read: a failed search fails the same way on any
+    order that shares eigs[:reach + 1].
     """
 
     def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
@@ -213,6 +240,7 @@ class _FeedSearch:
         self.counts = counts
         self.budget = budget
         self.states = 0
+        self.reach = 0
         self.failed: set = set()
         self.feed: List[Fraction] = []
         self.partition: List[int] = []
@@ -222,6 +250,10 @@ class _FeedSearch:
 
     def run(self) -> bool:
         return drive(self._fill(0, self.eigs[0]))
+
+    def _next_eig(self, row: int) -> Fraction:
+        self.reach = max(self.reach, row + 1)
+        return self.eigs[row + 1]
 
     def _fill(self, row: int, weight: Fraction):
         self.states += 1
@@ -233,7 +265,7 @@ class _FeedSearch:
             self.partition.append(len(self.feed))
             if row + 1 == len(self.eigs):
                 return not any(self.counts.values())
-            if (yield self._fill(row + 1, self.eigs[row + 1])):
+            if (yield self._fill(row + 1, self._next_eig(row))):
                 return True
             self.partition.pop()
             return False
@@ -265,12 +297,12 @@ class _FeedSearch:
                 partners = [b for b, c in self.counts.items() if c and b >= weight]
                 for b in partners:
                     spill = a + b - weight
-                    if spill > self.eigs[row + 1]:
+                    if spill > self._next_eig(row):
                         continue
                     self.counts[b] -= 1
                     self.feed.extend((a, b))
                     self.partition.append(before)
-                    if (yield self._fill(row + 1, self.eigs[row + 1] - spill)):
+                    if (yield self._fill(row + 1, self._next_eig(row) - spill)):
                         return True
                     self.partition.pop()
                     del self.feed[-2:]
@@ -288,7 +320,10 @@ def st_ready_search(
     Returns a certificate (index permutations plus partition), or None when
     no ordering works, including when the totals differ. Raises
     SearchBudgetExceeded when the state cap is hit before the question is
-    settled, which is deliberately distinct from None.
+    settled, which is deliberately distinct from None. Each distinct
+    eigenvalue order gets one feed search; when one fails, the walk skips
+    every order sharing the eigenvalue prefix that search read, so those
+    orders spend no states and the first certificate found is unchanged.
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
@@ -296,7 +331,13 @@ def st_ready_search(
         return None
     cap = search_budget(budget)
     states_used = 0
-    for perm, permuted in _distinct_value_orders(eigs):
+    walk = _distinct_value_orders(eigs)
+    skip = None
+    while True:
+        try:
+            perm, permuted = walk.send(skip)
+        except StopIteration:
+            return None
         counts: Dict[Fraction, int] = {}
         for v in norms:
             counts[v] = counts.get(v, 0) + 1
@@ -311,7 +352,7 @@ def st_ready_search(
         states_used += search.states
         if states_used >= cap:
             raise SearchBudgetExceeded(f"readiness search exceeded {cap} states")
-    return None
+        skip = search.reach + 1
 
 
 def _assign_indices(original: NormSequence, feed: List[Fraction]) -> Tuple[int, ...]:
@@ -581,23 +622,37 @@ def sfr_feasible(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
     prefix sums must be strictly increasing, with a jump of at least 2
     whenever the prefix sum is fractional. Eigenvalues not summing to the
     vector count raises SumMismatch; no qualifying permutation returns None.
+
+    The distinct orders are walked in st_ready_search's sequence and the
+    first qualifying one is returned. A failed order skips every order
+    sharing the prefix that broke the rule, and used values that admit no
+    completion are remembered and skipped: past a passing prefix the rule
+    depends only on the prefix sum and the values left. Walking more than
+    search_budget() states raises SearchBudgetExceeded, never None.
     """
     eigs = as_spectrum(spectrum)
     total = sum(eigs)
     if total != count:
         raise SumMismatch(f"eigenvalues sum to {total}, need {count}")
-    for perm, permuted in _distinct_value_orders(eigs):
-        partition = _floor_partition(permuted, count)
-        if partition is not None:
-            return SfrCertificate(partition=partition, eigenvalue_order=perm)
-    return None
+    walk = _distinct_value_orders(eigs, set(), search_budget())
+    skip = None
+    while True:
+        try:
+            perm, permuted = walk.send(skip)
+        except StopIteration:
+            return None
+        skip = _floor_partition(permuted, count)
+        if not isinstance(skip, int):
+            return SfrCertificate(partition=skip, eigenvalue_order=perm)
 
 
-def _floor_partition(eigs: Spectrum, count: int) -> Optional[Tuple[int, ...]]:
+def _floor_partition(eigs: Spectrum, count: int) -> Union[Tuple[int, ...], int]:
     """The floors of the prefix sums, ending at count, if they form a partition.
 
     One running prefix: each cut must exceed the previous one, by at least
-    2 when the previous prefix sum was fractional; otherwise None.
+    2 when the previous prefix sum was fractional. Otherwise returns the
+    length of the shortest prefix whose cut breaks that (M for the last
+    cut, count).
     """
     partition: List[int] = []
     prefix = Fraction(0)
@@ -606,11 +661,11 @@ def _floor_partition(eigs: Spectrum, count: int) -> Optional[Tuple[int, ...]]:
         prefix += value
         cut = prefix.numerator // prefix.denominator
         if partition and cut - partition[-1] < gap:
-            return None
+            return len(partition) + 1
         partition.append(cut)
         gap = 1 if cut == prefix else 2
     if partition and count - partition[-1] < gap:
-        return None
+        return len(eigs)
     partition.append(count)
     return tuple(partition)
 

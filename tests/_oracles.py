@@ -8,7 +8,8 @@ from walking every index permutation, and the verification oracles form
 every row and column inner product of the dense matrix (they use the
 package's exact arithmetic, nothing of its verifier). The exceptions are the
 Spectral Tetris fill and the fusion verifier: their oracles are the
-package's former code, kept as it was.
+package's former code, kept as it was, and so are the readiness searches
+that tried every distinct eigenvalue order in full.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -25,11 +26,23 @@ from spectral_tetris import (
     NotSTReady,
     RadicalScalar,
     ReorderFailed,
+    SearchBudgetExceeded,
+    SumMismatch,
     SynthesisMatrix,
 )
 from spectral_tetris.construct import column_maps, sparse_inner
 from spectral_tetris.exact_numeric import MatrixEntry, RationalLike
-from spectral_tetris.sequences import as_norms_squared, as_spectrum
+from spectral_tetris.sequences import (
+    SfrCertificate,
+    Spectrum,
+    STReadyCertificate,
+    _assign_indices,
+    _distinct_value_orders,
+    as_norms_squared,
+    as_spectrum,
+    drive,
+    search_budget,
+)
 from spectral_tetris.verify import FUSION_TOLERANCE, FusionReport, _row_gram, _square_sums
 
 Key = Tuple[int, int]
@@ -531,3 +544,140 @@ def verify_fusion_oracle(
         exact=False,
         spectrum_matches=spectrum_matches,
     )
+
+
+# -- the readiness searches before the order walk was pruned ------------------------
+# st_ready_search (with its feed search), sfr_feasible and its floor check as
+# they were when every distinct eigenvalue order was tried in full, verbatim
+# bar their names and docstrings; the order walk, drive(), the budget, the
+# certificate types and the index assignment are the package's (the walk,
+# sent nothing, is pinned to distinct_value_orders_oracle).
+
+
+class FeedSearchOracle:
+    def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
+        self.eigs = eigs
+        self.counts = counts
+        self.budget = budget
+        self.states = 0
+        self.failed: set = set()
+        self.feed: List[Fraction] = []
+        self.partition: List[int] = []
+
+    def _key(self, row: int, weight: Fraction):
+        return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
+
+    def run(self) -> bool:
+        return drive(self._fill(0, self.eigs[0]))
+
+    def _fill(self, row: int, weight: Fraction):
+        self.states += 1
+        if self.states > self.budget:
+            raise SearchBudgetExceeded(
+                f"readiness search exceeded {self.budget} states"
+            )
+        if weight == 0:
+            self.partition.append(len(self.feed))
+            if row + 1 == len(self.eigs):
+                return not any(self.counts.values())
+            if (yield self._fill(row + 1, self.eigs[row + 1])):
+                return True
+            self.partition.pop()
+            return False
+        if weight < 0:
+            return False
+        key = self._key(row, weight)
+        if key in self.failed:
+            return False
+        values = [v for v, c in self.counts.items() if c]
+        for a in values:
+            if a <= weight:
+                self.counts[a] -= 1
+                self.feed.append(a)
+                if (yield self._fill(row, weight - a)):
+                    return True
+                self.feed.pop()
+                self.counts[a] += 1
+        if row + 1 < len(self.eigs) and not (
+            # Bridging out of a row that owns no column of its own would
+            # repeat the previous cut; partitions must strictly increase.
+            self.partition
+            and self.partition[-1] == len(self.feed)
+        ):
+            before = len(self.feed)
+            for a in values:
+                if a <= weight:
+                    continue
+                self.counts[a] -= 1
+                partners = [b for b, c in self.counts.items() if c and b >= weight]
+                for b in partners:
+                    spill = a + b - weight
+                    if spill > self.eigs[row + 1]:
+                        continue
+                    self.counts[b] -= 1
+                    self.feed.extend((a, b))
+                    self.partition.append(before)
+                    if (yield self._fill(row + 1, self.eigs[row + 1] - spill)):
+                        return True
+                    self.partition.pop()
+                    del self.feed[-2:]
+                    self.counts[b] += 1
+                self.counts[a] += 1
+        self.failed.add(key)
+        return False
+
+
+def st_ready_search_oracle(
+    norms_squared: Sequence, spectrum: Sequence, budget: Optional[int] = None
+) -> Optional[STReadyCertificate]:
+    norms = as_norms_squared(norms_squared)
+    eigs = as_spectrum(spectrum)
+    if sum(norms) != sum(eigs):
+        return None
+    cap = search_budget(budget)
+    states_used = 0
+    for perm, permuted in _distinct_value_orders(eigs):
+        counts: Dict[Fraction, int] = {}
+        for v in norms:
+            counts[v] = counts.get(v, 0) + 1
+        search = FeedSearchOracle(permuted, counts, cap - states_used)
+        if search.run():
+            norm_order = _assign_indices(norms, search.feed)
+            return STReadyCertificate(
+                norm_order=norm_order,
+                eigenvalue_order=perm,
+                partition=tuple(search.partition),
+            )
+        states_used += search.states
+        if states_used >= cap:
+            raise SearchBudgetExceeded(f"readiness search exceeded {cap} states")
+    return None
+
+
+def sfr_feasible_oracle(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
+    eigs = as_spectrum(spectrum)
+    total = sum(eigs)
+    if total != count:
+        raise SumMismatch(f"eigenvalues sum to {total}, need {count}")
+    for perm, permuted in _distinct_value_orders(eigs):
+        partition = floor_partition_oracle(permuted, count)
+        if partition is not None:
+            return SfrCertificate(partition=partition, eigenvalue_order=perm)
+    return None
+
+
+def floor_partition_oracle(eigs: Spectrum, count: int) -> Optional[Tuple[int, ...]]:
+    partition: List[int] = []
+    prefix = Fraction(0)
+    gap = 1
+    for value in eigs[:-1]:
+        prefix += value
+        cut = prefix.numerator // prefix.denominator
+        if partition and cut - partition[-1] < gap:
+            return None
+        partition.append(cut)
+        gap = 1 if cut == prefix else 2
+    if partition and count - partition[-1] < gap:
+        return None
+    partition.append(count)
+    return tuple(partition)

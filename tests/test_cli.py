@@ -135,6 +135,18 @@ def test_sfr_report_follows_the_realized_row_order(tmp_path, capsys):
     assert report["row_square_sums"] == ["5/2", "5/2", "1"]
 
 
+def test_sfr_command_reports_a_blown_search_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_TETRIS_SEARCH_BUDGET", "1")
+    target = tmp_path / "frame.json"
+    code, captured = run_json(
+        capsys,
+        ["sfr", "--spectrum", "1/2", "1/2", "1", "--count", "2", "--output", str(target)],
+    )
+    assert code == 2
+    assert captured.err.startswith("SearchBudgetExceeded:")
+    assert not target.exists()
+
+
 def test_equal_norm_command_verifies_shared_norms(tmp_path, capsys):
     code, captured = run_json(
         capsys,

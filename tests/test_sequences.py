@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_tetris import (
+    Infeasible,
     InvalidPartition,
     OutOfRange,
     SearchBudgetExceeded,
@@ -18,6 +19,7 @@ from spectral_tetris import (
     majorizes,
     maximal_block_number,
     search_budget,
+    sfr,
     sfr_feasible,
     st_ready_check,
     st_ready_search,
@@ -42,6 +44,7 @@ from _oracles import (
     mu_oracle,
     mu_subset_dp_oracle,
     st_ready_oracle,
+    st_ready_search_oracle,
 )
 
 # Wall-clock bound for the tests that pin down work which used to be
@@ -223,6 +226,57 @@ def test_flat_search_spends_one_order_not_m_factorial(monkeypatch):
     monkeypatch.setattr(sequences, "_distinct_value_orders", counting)
     assert st_ready_search([1] * 13, [Fraction(13, 10)] * 10, budget=1000) is None
     assert len(yielded) == 1
+
+
+def _walk_sending(values, depth):
+    """The orders the walk yields when depth is sent in after each one."""
+    walk = _distinct_value_orders(values)
+    out = []
+    try:
+        item = next(walk)
+        while True:
+            out.append(item)
+            item = walk.send(depth)
+    except StopIteration:
+        return out
+
+
+def test_walk_skips_exactly_the_orders_sharing_the_sent_prefix():
+    # same multisets as the permutation-walk test, every depth from 0 to M
+    rng = random.Random(7)
+    for size in range(1, 8):
+        for multiset in itertools.combinations_with_replacement(range(1, 5), size):
+            shuffled = list(multiset)
+            rng.shuffle(shuffled)
+            for values in (multiset, tuple(shuffled)):
+                every = distinct_value_orders_oracle(values)
+                for depth in range(size + 1):
+                    seen = set()
+                    kept = []
+                    for perm, order in every:
+                        if order[:depth] not in seen:
+                            seen.add(order[:depth])
+                            kept.append((perm, order))
+                    assert _walk_sending(values, depth) == kept
+
+
+def test_narrow_search_spends_one_order_per_failing_prefix(monkeypatch):
+    # M = 8 with 6 distinct values inside (1, 3/2): 6,720 distinct orders,
+    # each failing after reading two eigenvalues; the full walk ran out of
+    # its 1,000 states before settling
+    spectrum = [Fraction(v) for v in ("21/20", "11/10", "23/20", "6/5", "13/10", "7/5", "7/5", "7/5")]
+    with pytest.raises(SearchBudgetExceeded):
+        st_ready_search_oracle([1] * 10, spectrum, budget=1000)
+    searches = []
+    run = sequences._FeedSearch.run
+
+    def counted(search):
+        searches.append(search)
+        return run(search)
+
+    monkeypatch.setattr(sequences._FeedSearch, "run", counted)
+    assert st_ready_search([1] * 10, spectrum, budget=1000) is None
+    assert len(searches) <= 8 * 7
 
 
 @given(
@@ -450,6 +504,43 @@ def test_sfr_feasible_checks_the_jump_to_the_last_cut():
     cert = sfr_feasible((Fraction(3, 2), Fraction(1, 2)), 2)
     assert cert.eigenvalue_order == (1, 0)
     assert cert.partition == (0, 2)
+
+
+# 20 distinct eigenvalues inside (1, 3/2), and 11 distinct values over 22
+# vectors: no order is ready, and walking every distinct order (the former
+# search) did not end within 20 s on the latter
+HOSTILE_SPECTRA = (
+    ([1 + Fraction(k, 50) for k in range(3, 23)], 25),
+    ([Fraction(v) for v in "1271/970 7/3 1087/970 489/194 197/97 294/97 592/485 3 196/97 195/97 "
+      "4079/2910".split()], 22),
+)
+
+
+@pytest.mark.parametrize("spectrum, count", HOSTILE_SPECTRA)
+def test_sfr_feasible_settles_hostile_spectra_in_bounded_time(spectrum, count):
+    start = time.perf_counter()
+    assert sfr_feasible(spectrum, count) is None
+    with pytest.raises(Infeasible):
+        sfr(spectrum, count)
+    assert time.perf_counter() - start < WALL_BOUND_S
+
+
+def test_st_ready_search_settles_twenty_distinct_narrow_eigenvalues():
+    spectrum, count = HOSTILE_SPECTRA[0]
+    start = time.perf_counter()
+    assert st_ready_search([1] * count, spectrum, budget=1000) is None
+    assert time.perf_counter() - start < WALL_BOUND_S
+
+
+def test_sfr_feasible_raises_past_the_search_budget(monkeypatch):
+    monkeypatch.setenv(SEARCH_BUDGET_ENV, "1")
+    with pytest.raises(SearchBudgetExceeded):
+        sfr_feasible((Fraction(1, 2), Fraction(1, 2), 1), 2)
+    with pytest.raises(SearchBudgetExceeded):
+        sfr(*HOSTILE_SPECTRA[1])
+    # the identity order of two eigenvalues needs two states
+    monkeypatch.setenv(SEARCH_BUDGET_ENV, "2")
+    assert sfr_feasible((2, 2), 4).eigenvalue_order == (0, 1)
 
 
 def test_sfr_feasible_long_identity_order():
