@@ -92,12 +92,13 @@ def _printable(value):
 
 def _matrix_csv(matrix: SynthesisMatrix) -> str:
     dense = matrix.to_dense()
+    complex_entries = matrix.is_complex  # a scan of every nonzero: read it once
     lines: List[str] = []
     for i in range(matrix.row_count):
         cells = []
         for j in range(matrix.col_count):
             value = dense[i, j]
-            if matrix.is_complex:
+            if complex_entries:
                 cells.append("%.17g%+.17gj" % (value.real, value.imag))
             else:
                 cells.append("%.17g" % value)
@@ -298,7 +299,9 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectral-tetris",
         description="Spectral Tetris constructions for frames and fusion frames.",

@@ -15,7 +15,10 @@ only regroup radicands that are already squarefree, and for squarefree r1,
 r2 with g = gcd(r1, r2) the product radicand (r1/g)*(r2/g) is squarefree
 again. Those results are built by _collect, which merges equal radicands
 and drops zero coefficients but never factors. sqrt splits p*q once and
-wraps the single squarefree term directly.
+wraps the single squarefree term directly. The split is memoized in a
+bounded cache, and the JSON decoder wraps terms that are already canonical
+(radicands increasing, each squarefree by the cached split, coefficients
+nonzero) directly instead of passing them through the constructor.
 
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
@@ -24,6 +27,7 @@ arithmetic is attempted beyond phase canonicalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
@@ -35,8 +39,13 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
+@functools.lru_cache(maxsize=4096)
 def _squarefree_split(n: int) -> Tuple[int, int]:
-    """Return (s, r) with n = s*s*r and r squarefree, by trial division."""
+    """Return (s, r) with n = s*s*r and r squarefree, by trial division.
+
+    Memoized with a fixed size: the same few radicands recur in every
+    matrix and every decoded document.
+    """
     if n < 0:
         raise DomainError(f"cannot split negative integer {n}")
     if n == 0:

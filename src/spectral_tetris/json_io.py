@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
-from .exact_numeric import ComplexRadicalEntry, MatrixEntry, RadicalScalar
+from .exact_numeric import ComplexRadicalEntry, MatrixEntry, RadicalScalar, _squarefree_split
 from .fusion import FusionFrame
 
 
@@ -64,6 +64,18 @@ def _entry_to_json(row: int, col: int, value: MatrixEntry) -> Dict[str, object]:
     return document
 
 
+def _is_canonical(pairs: List[Tuple[int, Fraction]]) -> bool:
+    """Whether (radicand, coefficient) pairs already satisfy RadicalScalar's
+    canonical-term invariant: radicands positive, strictly increasing and
+    squarefree, coefficients nonzero. The encoder writes only such terms."""
+    previous = 0
+    for radicand, coefficient in pairs:
+        if radicand <= previous or not coefficient or _squarefree_split(radicand)[0] != 1:
+            return False
+        previous = radicand
+    return True
+
+
 def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
     if not isinstance(document, dict):
         raise ValueError(f"entry must be an object, got {document!r}")
@@ -80,7 +92,10 @@ def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
         radicand = _int_field(term.get("rad"), f"entry ({row}, {col}) term.rad")
         pairs.append((radicand, coefficient))
     try:
-        modulus = RadicalScalar(pairs)
+        if _is_canonical(pairs):
+            modulus = RadicalScalar._canonical(tuple(pairs))
+        else:
+            modulus = RadicalScalar(pairs)
         if "omega_num" in document or "omega_den" in document:
             exponent = _int_field(document.get("omega_num"), "entry.omega_num")
             order = _int_field(document.get("omega_den"), "entry.omega_den")

@@ -8,9 +8,12 @@ raises on a mathematical failure: every discrepancy is a field.
 Each property has one check: _rows_orthogonal, _matches (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
 The exact ones multiply only entries that share a column or a row, so they
-cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. Off the
-exact route each fusion group takes one SVD, for its dimension and its
-projection.
+cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. The row
+and column square sums cost integer work per nonzero: a one-term entry
+c*sqrt(r) squares to the rational c^2*r, whose integer numerator is added
+under its (radicand, denominator) key, and each sum becomes one Fraction at
+the end (a RadicalScalar only when irrational). Off the exact route each
+fusion group takes one SVD, for its dimension and its projection.
 """
 
 from __future__ import annotations
@@ -39,23 +42,69 @@ FUSION_TOLERANCE = 1e-10
 #: case for construction outputs) and floats only for adversarial input.
 SquareSum = Union[Fraction, float]
 
+#: An exact square sum: a Fraction when rational, else the canonical
+#: RadicalScalar of its irrational value.
+ExactSum = Union[Fraction, RadicalScalar]
+
 SparseVector = Dict[int, MatrixEntry]
 
+# (radicand, denominator) -> integer numerator: the sum of numerator/denominator
+# * sqrt(radicand) over the keys
+_Accumulator = Dict[Tuple[int, int], int]
 
-def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[RadicalScalar], List[RadicalScalar]]:
-    """Exact row and column square sums in one sweep (exact on both paths)."""
-    rows = [ZERO] * matrix.row_count
-    cols = [ZERO] * matrix.col_count
+
+def _squared_terms(value: MatrixEntry) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+    """|value|^2 as accumulator terms. A single term c*sqrt(r) with c = p/q
+    squares to the rational p*p*r/(q*q) without any exact product."""
+    terms = value.terms if isinstance(value, RadicalScalar) else ()
+    if len(terms) == 1:
+        ((radicand, coefficient),) = terms
+        denominator = coefficient.denominator
+        return (((1, denominator * denominator), coefficient.numerator ** 2 * radicand),)
+    return tuple(
+        ((radicand, coefficient.denominator), coefficient.numerator)
+        for radicand, coefficient in entry_abs_squared(value).terms
+    )
+
+
+def _settle(sums: _Accumulator) -> ExactSum:
+    """The exact value of an accumulator: one Fraction per radicand."""
+    if len(sums) == 1:
+        (((radicand, denominator), numerator),) = sums.items()
+        if radicand == 1:
+            return Fraction(numerator, denominator)
+    combined: Dict[int, Fraction] = {}
+    for (radicand, denominator), numerator in sums.items():
+        combined[radicand] = combined.get(radicand, 0) + Fraction(numerator, denominator)
+    terms = tuple(sorted(item for item in combined.items() if item[1]))
+    if not terms:
+        return Fraction(0)
+    if terms[-1][0] == 1:
+        return terms[0][1]
+    # the radicands come from canonical values, so they are squarefree already
+    return RadicalScalar._canonical(terms)
+
+
+def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum]]:
+    """Exact row and column square sums in one sweep (exact on both paths).
+
+    Each nonzero adds integer numerators to its row's and its column's
+    accumulator; the sums are settled into Fractions (or RadicalScalars when
+    irrational) once at the end.
+    """
+    rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
+    cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
     for (i, j), value in matrix.entries.items():
-        squared = entry_abs_squared(value)
-        rows[i] = rows[i] + squared
-        cols[j] = cols[j] + squared
-    return rows, cols
+        row, col = rows[i], cols[j]
+        for key, numerator in _squared_terms(value):
+            row[key] = row.get(key, 0) + numerator
+            col[key] = col.get(key, 0) + numerator
+    return [_settle(sums) for sums in rows], [_settle(sums) for sums in cols]
 
 
-def _report_values(values: Sequence[RadicalScalar]) -> Tuple[SquareSum, ...]:
-    if all(v.is_rational() for v in values):
-        return tuple(v.rational_part() for v in values)
+def _report_values(values: Sequence[ExactSum]) -> Tuple[SquareSum, ...]:
+    if all(isinstance(v, Fraction) for v in values):
+        return tuple(values)
     return tuple(float(v) for v in values)
 
 
@@ -97,8 +146,10 @@ def _matches(actual: Sequence, expected: Optional[Sequence]) -> Optional[bool]:
     if expected is None:
         return None
     expected = list(expected)
+    # an expected Fraction is compared as it stands, anything else converted
     return len(expected) == len(actual) and all(
-        value == Fraction(want) for value, want in zip(actual, expected)
+        value == (want if type(want) is Fraction else Fraction(want))
+        for value, want in zip(actual, expected)
     )
 
 
@@ -156,7 +207,9 @@ class FrameOperator:
             return None
         values = tuple(row[p] for p, row in enumerate(self.entries))
         if self.exact:
-            return _report_values(values)
+            return _report_values(
+                [value.rational_part() if value.is_rational() else value for value in values]
+            )
         return tuple(value.real for value in values)
 
 
@@ -221,12 +274,12 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     return distance
 
 
-def _sparsity_bound(row_sums: Sequence[RadicalScalar], col_count: int) -> Optional[int]:
+def _sparsity_bound(row_sums: Sequence[ExactSum], col_count: int) -> Optional[int]:
     if not row_sums:
         return 0
-    if any(not value.is_rational() or value.rational_part() <= 0 for value in row_sums):
+    if any(not isinstance(value, Fraction) or value <= 0 for value in row_sums):
         return None
-    mu = maximal_block_number([value.rational_part() for value in row_sums]).mu
+    mu = maximal_block_number(row_sums).mu
     return col_count + 2 * (len(row_sums) - mu)
 
 
@@ -308,7 +361,7 @@ def sparsity_report(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple[int, i
     """
     eigs = as_spectrum(spectrum)
     row_sums, _ = _square_sums(matrix)
-    sums = [v.rational_part() for v in row_sums if v.is_rational()]
+    sums = [v for v in row_sums if isinstance(v, Fraction)]
     if len(sums) != len(row_sums) or sorted(sums) != sorted(eigs):
         raise SpectrumMismatch("row square sums do not match the stated spectrum")
     bound = _sparsity_bound(row_sums, matrix.col_count)
@@ -362,10 +415,10 @@ def verify_fusion(
 
     row_sums, _ = _square_sums(generator)
     exact = real and rows_orthogonal and groups_orthogonal and weights_consistent and all(
-        v.is_rational() for v in row_sums
+        isinstance(v, Fraction) for v in row_sums
     )
     if exact:
-        spectrum = tuple(v.rational_part() for v in row_sums)
+        spectrum = tuple(row_sums)
         is_frame = all(value > 0 for value in spectrum)
         lower, upper = (min(spectrum), max(spectrum)) if spectrum else (None, None)
         dims = reference.dims

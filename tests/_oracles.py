@@ -9,7 +9,9 @@ every row and column inner product of the dense matrix (they use the
 package's exact arithmetic, nothing of its verifier). The exceptions are the
 Spectral Tetris fill and the fusion verifier: their oracles are the
 package's former code, kept as it was, and so are the readiness searches
-that tried every distinct eigenvalue order in full.
+that tried every distinct eigenvalue order in full, the frame verifier and
+sparsity report that summed squares in RadicalScalar arithmetic, and the
+JSON entry decoder that re-split every radicand.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -31,7 +33,15 @@ from spectral_tetris import (
     SynthesisMatrix,
 )
 from spectral_tetris.construct import column_maps, sparse_inner
-from spectral_tetris.exact_numeric import MatrixEntry, RationalLike
+from spectral_tetris.errors import SpectralTetrisError, SpectrumMismatch
+from spectral_tetris.exact_numeric import (
+    ZERO,
+    ComplexRadicalEntry,
+    MatrixEntry,
+    RationalLike,
+    entry_abs_squared,
+)
+from spectral_tetris.json_io import _fraction_field, _int_field
 from spectral_tetris.sequences import (
     SfrCertificate,
     Spectrum,
@@ -41,9 +51,19 @@ from spectral_tetris.sequences import (
     as_norms_squared,
     as_spectrum,
     drive,
+    maximal_block_number,
     search_budget,
 )
-from spectral_tetris.verify import FUSION_TOLERANCE, FusionReport, _row_gram, _square_sums
+from spectral_tetris.verify import (
+    FUSION_TOLERANCE,
+    FusionReport,
+    SquareSum,
+    VerificationReport,
+    _exact_rank,
+    _row_gram,
+    _rows_orthogonal,
+    orthogonality_distance,
+)
 
 Key = Tuple[int, int]
 
@@ -681,3 +701,146 @@ def floor_partition_oracle(eigs: Spectrum, count: int) -> Optional[Tuple[int, ..
         return None
     partition.append(count)
     return tuple(partition)
+
+
+# -- square sums in RadicalScalar arithmetic ----------------------------------------
+# _square_sums, _report_values, _matches, _sparsity_bound, verify_frame and
+# sparsity_report as they were when every nonzero's square was an exact
+# product added into RadicalScalar sums, verbatim bar names; the row,
+# rank and distance checks are the package's. verify_fusion_oracle above reads
+# _square_sums from here.
+
+
+def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[RadicalScalar], List[RadicalScalar]]:
+    """Exact row and column square sums in one sweep (exact on both paths)."""
+    rows = [ZERO] * matrix.row_count
+    cols = [ZERO] * matrix.col_count
+    for (i, j), value in matrix.entries.items():
+        squared = entry_abs_squared(value)
+        rows[i] = rows[i] + squared
+        cols[j] = cols[j] + squared
+    return rows, cols
+
+
+def report_values_oracle(values: Sequence[RadicalScalar]) -> Tuple[SquareSum, ...]:
+    if all(v.is_rational() for v in values):
+        return tuple(v.rational_part() for v in values)
+    return tuple(float(v) for v in values)
+
+
+def matches_oracle(actual: Sequence, expected: Optional[Sequence]) -> Optional[bool]:
+    """None without an expectation, else whether actual equals it exactly,
+    entry by entry in order and with the same length."""
+    if expected is None:
+        return None
+    expected = list(expected)
+    return len(expected) == len(actual) and all(
+        value == Fraction(want) for value, want in zip(actual, expected)
+    )
+
+
+def sparsity_bound_oracle(row_sums: Sequence[RadicalScalar], col_count: int) -> Optional[int]:
+    if not row_sums:
+        return 0
+    if any(not value.is_rational() or value.rational_part() <= 0 for value in row_sums):
+        return None
+    mu = maximal_block_number([value.rational_part() for value in row_sums]).mu
+    return col_count + 2 * (len(row_sums) - mu)
+
+
+def verify_frame_oracle(
+    matrix: SynthesisMatrix,
+    expected_spectrum: Optional[Sequence] = None,
+    expected_norms: Optional[Sequence] = None,
+) -> VerificationReport:
+    """Full report on a synthesis matrix. Never raises; see the report fields.
+
+    Expected values, when given, are compared exactly (square sums are exact
+    rationals even on the complex path) and in order: row m against
+    expected_spectrum[m], column n against expected_norms[n].
+    """
+    m, n = matrix.row_count, matrix.col_count
+    exact = not matrix.is_complex
+    row_sums, col_norms = _square_sums(matrix)
+
+    columns = column_maps(matrix)
+    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
+
+    is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
+    tight_bound: Optional[SquareSum] = None
+    if is_tight and m > 0:
+        tight_bound = report_values_oracle(row_sums[:1])[0]
+
+    if rows_orthogonal:
+        is_frame = all(bool(value) for value in row_sums)
+    elif exact:
+        is_frame = _exact_rank(columns, m) == m
+    else:
+        is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
+
+    return VerificationReport(
+        is_frame=is_frame,
+        rows_orthogonal=rows_orthogonal,
+        row_square_sums=report_values_oracle(row_sums),
+        column_square_norms=report_values_oracle(col_norms),
+        is_tight=is_tight,
+        tight_bound=tight_bound,
+        nonzero_count=matrix.nonzero_count,
+        optimal_sparsity_bound=sparsity_bound_oracle(row_sums, n),
+        orthogonality_distance=orthogonality_distance(matrix),
+        exact=exact,
+        spectrum_matches=matches_oracle(row_sums, expected_spectrum),
+        norms_match=matches_oracle(col_norms, expected_norms),
+    )
+
+
+def sparsity_report_oracle(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple[int, int, bool]:
+    """(nonzero count, optimal bound N + 2(M - mu), whether they coincide).
+
+    The spectrum must equal the multiset of exact row square sums, else
+    SpectrumMismatch: the sparsity bound is only meaningful for a matrix
+    that actually carries that spectrum on its rows.
+    """
+    eigs = as_spectrum(spectrum)
+    row_sums, _ = _square_sums(matrix)
+    sums = [v.rational_part() for v in row_sums if v.is_rational()]
+    if len(sums) != len(row_sums) or sorted(sums) != sorted(eigs):
+        raise SpectrumMismatch("row square sums do not match the stated spectrum")
+    bound = sparsity_bound_oracle(row_sums, matrix.col_count)
+    count = matrix.nonzero_count
+    return count, bound, count == bound
+
+
+# -- the JSON entry decoder that split every radicand -------------------------------
+# json_io._entry_from_json verbatim bar its name; the field readers are the
+# package's.
+
+
+def entry_from_json_oracle(document) -> Tuple[int, int, MatrixEntry]:
+    if not isinstance(document, dict):
+        raise ValueError(f"entry must be an object, got {document!r}")
+    row = _int_field(document.get("row"), "entry.row")
+    col = _int_field(document.get("col"), "entry.col")
+    terms = document.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError(f"entry ({row}, {col}) needs a list of terms")
+    pairs = []
+    for term in terms:
+        if not isinstance(term, dict):
+            raise ValueError(f"entry ({row}, {col}) has a malformed term {term!r}")
+        coefficient = _fraction_field(term, f"entry ({row}, {col}) term")
+        radicand = _int_field(term.get("rad"), f"entry ({row}, {col}) term.rad")
+        pairs.append((radicand, coefficient))
+    try:
+        modulus = RadicalScalar(pairs)
+        if "omega_num" in document or "omega_den" in document:
+            exponent = _int_field(document.get("omega_num"), "entry.omega_num")
+            order = _int_field(document.get("omega_den"), "entry.omega_den")
+            value: MatrixEntry = ComplexRadicalEntry.make(modulus, exponent, order)
+        else:
+            value = modulus
+    except (SpectralTetrisError, ValueError, TypeError) as failure:
+        raise ValueError(f"entry ({row}, {col}) is invalid: {failure}") from failure
+    if not value:
+        raise ValueError(f"entry ({row}, {col}) encodes an explicit zero")
+    return row, col, value

@@ -8,6 +8,7 @@ import numpy as np
 
 from spectral_tetris import (
     RadicalScalar,
+    SynthesisMatrix,
     construct_untf,
     fusion_to_json,
     matrix_from_json,
@@ -16,6 +17,7 @@ from spectral_tetris import (
     sffr,
     write_document,
 )
+import spectral_tetris.cli as cli
 from spectral_tetris.cli import run
 from spectral_tetris.sequences import untf_feasible
 
@@ -433,3 +435,57 @@ def test_weighted_fusion_budget_cut_exits_2(tmp_path, capsys):
     ]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("SearchBudgetExceeded:")
+
+
+# -- work per call -------------------------------------------------------------------
+
+
+def test_csv_export_reads_the_complex_flag_a_bounded_number_of_times(tmp_path, monkeypatch):
+    """The flag scans every nonzero, so reading it per cell made a CSV write
+    cost M*N*nnz."""
+    matrix = construct_untf(20, 55)
+    reads = 0
+    flag = SynthesisMatrix.is_complex
+
+    def counting_flag(self):
+        nonlocal reads
+        reads += 1
+        return flag.fget(self)
+
+    monkeypatch.setattr(SynthesisMatrix, "is_complex", property(counting_flag))
+    text = cli._matrix_csv(matrix)
+    monkeypatch.undo()
+    assert reads <= 2
+    assert len(text.strip().split("\n")) == 20
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """Help, parse errors and successful runs, interleaved, print and exit
+    exactly as with a parser built for each call."""
+    output = str(tmp_path / "u.json")
+    argvs = [
+        ["--help"],
+        ["untf", "--dim", "4", "--count", "11", "--output", output],
+        ["no-such-command"],
+        ["untf", "--help"],
+        ["sfr", "--spectrum", "2.5", "1.5", "--count", "4"],
+        ["untf", "--dim", "4", "--count", "11", "--output", output],
+        ["verify", "--input", output, "--spectrum", "11/4", "11/4", "11/4", "11/4"],
+        ["untf", "--dim", "four", "--count", "11"],
+        ["verify", "--input", output],
+        [],
+        ["--help"],
+    ]
+
+    def answers():
+        seen = []
+        for argv in argvs + argvs[::-1]:
+            code = run(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    reused = answers()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert answers() == reused
+    assert [code for code, _, _ in reused[: len(argvs)]] == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]

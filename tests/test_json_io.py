@@ -24,9 +24,12 @@ from spectral_tetris import (
     weighted_fusion,
     write_document,
 )
+import spectral_tetris.exact_numeric as exact_numeric
+import spectral_tetris.json_io as json_io
 from spectral_tetris.json_io import is_fusion_document
 
 import goldens
+from _oracles import entry_from_json_oracle
 from goldens import ONE, rat
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -270,3 +273,85 @@ def test_fusion_loader_rejects_bad_partitions():
 def test_single_entry_matrix_survives_the_round_trip():
     matrix = SynthesisMatrix(1, 1, {(0, 0): ONE})
     assert_same_matrix(matrix, matrix_from_json(matrix_to_json(matrix)))
+
+
+# -- the canonical-form decoder against the parent's -------------------------------
+
+
+def _term(num, den, rad):
+    return {"num": num, "den": den, "rad": rad}
+
+
+HAND_MADE_TERMS = {
+    "canonical": [_term(1, 2, 1), _term(-3, 4, 2), _term(5, 1, 30)],
+    "rad-8": [_term(1, 1, 8)],
+    "rad-12": [_term(3, 2, 12)],
+    "rad-18": [_term(1, 3, 18), _term(1, 1, 2)],
+    "unsorted": [_term(1, 1, 3), _term(1, 1, 2)],
+    "duplicate": [_term(1, 1, 2), _term(1, 1, 2)],
+    "duplicate-cancelling": [_term(1, 1, 2), _term(-1, 1, 2), _term(1, 1, 3)],
+    "split-duplicate": [_term(1, 1, 2), _term(-1, 2, 8)],
+    "zero-coefficient": [_term(0, 1, 2), _term(1, 1, 3)],
+    "zero-coefficient-rad-0": [_term(0, 5, 0), _term(1, 1, 3)],
+    "rad-0": [_term(1, 1, 0)],
+    "rad-minus-3": [_term(1, 1, -3)],
+    "all-zero": [_term(0, 1, 1), _term(0, 7, 5)],
+    "no-terms": [],
+    "negative-denominator": [_term(1, -2, 5)],
+    "unreduced": [_term(2, 4, 7)],
+    "bool-num": [_term(True, 1, 2)],
+    "bool-rad": [_term(1, 1, True)],
+    "float-den": [_term(1, 2.0, 2)],
+    "float-rad": [_term(1, 1, 2.0)],
+    "missing-rad": [{"num": 1, "den": 1}],
+    "zero-denominator": [_term(1, 0, 2)],
+    "term-not-object": [[1, 1, 2]],
+}
+
+PHASES = {
+    "real": {},
+    "order-3": {"omega_num": 1, "omega_den": 3},
+    "order-2": {"omega_num": 1, "omega_den": 2},
+    "order-0": {"omega_num": 1, "omega_den": 0},
+    "float-omega": {"omega_num": 1.0, "omega_den": 4},
+}
+
+
+def _decoded(decode, document):
+    """The decoded value with its type, or the ValueError message."""
+    try:
+        row, col, value = decode(document)
+    except ValueError as failure:
+        return "error", str(failure)
+    return row, col, value, type(value)
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+@pytest.mark.parametrize("name", sorted(HAND_MADE_TERMS))
+def test_entry_decoder_equals_the_parent(name, phase):
+    document = {"row": 1, "col": 2, "terms": HAND_MADE_TERMS[name], **PHASES[phase]}
+    assert _decoded(json_io._entry_from_json, document) == _decoded(
+        entry_from_json_oracle, document
+    )
+
+
+def test_entry_decoder_equals_the_parent_on_every_golden():
+    for matrix in list(golden_matrices().values()) + [construct_untf_dft(4, 5)]:
+        for raw in matrix_to_json(matrix)["entries"]:
+            assert _decoded(json_io._entry_from_json, raw) == _decoded(entry_from_json_oracle, raw)
+
+
+def test_decoding_splits_each_distinct_radicand_once():
+    """A 1,000-entry document of 2x2-block style entries: the squarefree
+    split runs at most once per distinct radicand, however often it recurs."""
+    radicands = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14]
+    entries = [
+        {"row": k % 40, "col": k, "terms": [_term(1 + k % 7, 3 + k % 5, radicands[k % 10])]}
+        for k in range(1000)
+    ]
+    document = {"m": 40, "n": 1000, "complex": False, "entries": entries}
+    split = exact_numeric._squarefree_split
+    split.cache_clear()
+    matrix = matrix_from_json(document)
+    assert matrix.nonzero_count == 1000
+    assert split.cache_info().misses <= len(radicands)

@@ -6,6 +6,7 @@ that carry planted cancelling 2x2 pairs, three-row column supports, empty
 columns and empty rows, and count how many exact products it forms.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ import spectral_tetris.verify as verify_module
 from spectral_tetris import (
     DftPathStuck,
     FusionFrame,
+    ComplexRadicalEntry,
     RadicalScalar,
+    SpectralTetrisError,
     SynthesisMatrix,
     construct_untf,
     construct_untf_dft,
@@ -43,6 +46,8 @@ from _oracles import (
     orthogonality_distance_oracle,
     row_gram_oracle,
     rows_orthogonal_oracle,
+    sparsity_report_oracle,
+    verify_frame_oracle,
     verify_fusion_oracle,
 )
 
@@ -336,3 +341,175 @@ def test_sparsity_report_bound_equals_the_frame_report_bound():
         count, bound, optimal = sparsity_report(matrix, spectrum)
         assert (count, bound) == (report.nonzero_count, report.optimal_sparsity_bound)
         assert optimal == (count == bound)
+
+
+# -- square sums against the parent's RadicalScalar sums -----------------------------
+
+
+def assert_same_report(report, oracle):
+    """Equal field by field, and every value of the same type: a Fraction
+    stays a Fraction and a float a float."""
+    assert type(report) is type(oracle)
+    for field in dataclasses.fields(report):
+        value, want = getattr(report, field.name), getattr(oracle, field.name)
+        assert value == want, field.name
+        assert type(value) is type(want), field.name
+        if isinstance(want, tuple):
+            assert [type(v) for v in value] == [type(v) for v in want], field.name
+
+
+def _expectations(sums):
+    """None, the sums themselves, a shortened, a lengthened and a bumped copy."""
+    if any(isinstance(value, float) for value in sums):
+        sums = tuple(Fraction(value) for value in sums)  # equal to no irrational sum
+    bumped = (sums[0] + 1,) + sums[1:] if sums else (1,)
+    return [None, sums, sums[:-1], sums + (1,), bumped]
+
+
+def _check_against_the_parent(matrix):
+    plain = verify_frame_oracle(matrix)
+    for spectrum in _expectations(plain.row_square_sums):
+        for norms in _expectations(plain.column_square_norms)[:3]:
+            assert_same_report(
+                verify_frame(matrix, spectrum, norms), verify_frame_oracle(matrix, spectrum, norms)
+            )
+    for spectrum in _expectations(plain.row_square_sums)[1:]:
+        assert _outcome(sparsity_report, matrix, spectrum) == _outcome(
+            sparsity_report_oracle, matrix, spectrum
+        )
+
+
+def _outcome(function, *args):
+    """The result, or the class and message of the error raised."""
+    try:
+        return function(*args)
+    except (SpectralTetrisError, ValueError) as failure:
+        return type(failure), str(failure)
+
+
+@given(sparse_exact_matrices())
+@settings(max_examples=300, deadline=None)
+def test_frame_report_and_sparsity_equal_the_parent(matrix):
+    _check_against_the_parent(matrix)
+
+
+POSITIVE = [value for value in VALUES if float(value) > 0]
+
+
+@st.composite
+def matrices_with_complex_columns(draw):
+    """A sparse exact matrix with some columns replaced by DFT-style complex
+    columns: moduli from the exact values, phases of order 3 to 8."""
+    matrix = draw(sparse_exact_matrices(min_cols=1))
+    entries = dict(matrix.entries)
+    if matrix.row_count:
+        for j in draw(st.sets(st.integers(0, matrix.col_count - 1), min_size=1)):
+            entries = {key: value for key, value in entries.items() if key[1] != j}
+            order = draw(st.integers(3, 8))
+            for i in draw(st.sets(st.integers(0, matrix.row_count - 1), min_size=1)):
+                exponent = draw(st.integers(0, order - 1))
+                entries[(i, j)] = ComplexRadicalEntry.make(
+                    draw(st.sampled_from(POSITIVE)), exponent, order
+                )
+    return SynthesisMatrix(matrix.row_count, matrix.col_count, entries)
+
+
+@given(matrices_with_complex_columns())
+@settings(max_examples=150, deadline=None)
+def test_frame_report_with_complex_columns_equals_the_parent(matrix):
+    _check_against_the_parent(matrix)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_untf_dft(4, 5),
+        lambda: construct_untf_dft(5, 7),
+        lambda: construct_untf(4, 11),
+        lambda: pnstc((F(1, 2),) * 4 + (1,) * 6, (3, F(5, 2), F(5, 2))),
+        lambda: pnstc((F(2, 3),) * 9, (2, 2, 2)),
+        lambda: pnstc((F(5, 6),) * 6 + (F(5, 3),) * 3, (F(10, 3), F(10, 3), F(10, 3))),
+    ],
+)
+def test_constructed_frame_reports_equal_the_parent(build):
+    _check_against_the_parent(build())
+
+
+@given(sparse_exact_matrices(min_cols=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_fusion_reports_equal_the_parent(matrix, data):
+    """Groups of columns with rational norms, the first column's norm as the
+    squared weight; wherever the parent verifier takes the exact route the
+    report is the same, and the route is the same everywhere."""
+    count = matrix.col_count
+    cuts = data.draw(st.sets(st.integers(1, count - 1)) if count > 1 else st.just(set()))
+    bounds = [0] + sorted(cuts) + [count]
+    partition = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    weights = []
+    for group in partition:
+        norm = sum((value * value for value in matrix.column(group[0])), RadicalScalar())
+        weights.append(norm.rational_part() if norm and norm.is_rational() else Fraction(1))
+    frame = FusionFrame(
+        m=matrix.row_count,
+        weights_squared=tuple(weights),
+        dims=tuple(len(group) for group in partition),
+        generator=matrix,
+        partition=partition,
+    )
+    oracle = verify_fusion_oracle(frame)
+    report = verify_fusion(frame)
+    assert report.exact == oracle.exact
+    if oracle.exact:
+        for expected in [None, oracle.spectrum, tuple(reversed(oracle.spectrum))]:
+            assert_same_report(verify_fusion(frame, expected), verify_fusion_oracle(frame, expected))
+
+
+def _count_square_work(monkeypatch, matrix):
+    """Calls of entry_abs_squared and RadicalScalar.__mul__ made by the square sums."""
+    calls = {"abs_squared": 0, "mul": 0}
+    abs_squared = verify_module.entry_abs_squared
+    multiply = RadicalScalar.__mul__
+
+    def counting_abs_squared(value):
+        calls["abs_squared"] += 1
+        return abs_squared(value)
+
+    def counting_multiply(self, other):
+        calls["mul"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(verify_module, "entry_abs_squared", counting_abs_squared)
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
+    rows, cols = verify_module._square_sums(matrix)
+    monkeypatch.undo()
+    return calls, rows, cols
+
+
+@pytest.mark.parametrize("count", [800, 803])
+def test_square_sums_form_no_exact_products_on_untf(monkeypatch, count):
+    calls, rows, cols = _count_square_work(monkeypatch, construct_untf(8, count))
+    assert calls == {"abs_squared": 0, "mul": 0}
+    assert rows == [Fraction(count, 8)] * 8 and cols == [Fraction(1)] * count
+
+
+def test_square_sums_form_no_exact_products_on_non_square_norms(monkeypatch):
+    norms = (F(2, 3),) * 6 + (F(5, 6),) * 12 + (F(5, 3),) * 6
+    spectrum = (F(6),) * 4
+    matrix = pnstc(norms, spectrum)
+    assert any(radicand > 1 for value in matrix.entries.values() for radicand, _ in value.terms)
+    calls, rows, cols = _count_square_work(monkeypatch, matrix)
+    assert calls == {"abs_squared": 0, "mul": 0}
+    assert rows == list(spectrum) and cols == list(norms)
+
+
+def test_irrational_square_sums_stay_exact():
+    """(sqrt(6) - 1)^2 = 7 - 2 sqrt(6) sums exactly, cancels against
+    (sqrt(6) + 1)^2 in a row, and reports as a float only where irrational."""
+    root6 = RadicalScalar.sqrt(6)
+    matrix = SynthesisMatrix(2, 2, {(0, 0): root6 - 1, (0, 1): root6 + 1, (1, 1): root6 - 1})
+    rows, cols = verify_module._square_sums(matrix)
+    assert rows == [Fraction(14), RadicalScalar([(1, 7), (6, -2)])]
+    assert type(rows[0]) is Fraction
+    assert cols == [RadicalScalar([(1, 7), (6, -2)]), RadicalScalar([(1, 14)])]
+    assert type(cols[1]) is Fraction
+    assert_same_report(verify_frame(matrix, (14, 1)), verify_frame_oracle(matrix, (14, 1)))
