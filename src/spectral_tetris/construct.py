@@ -9,14 +9,15 @@ route mixes in complex roots of unity.
 pnstc, pnstc_str and construct_untf are thin wrappers over one Spectral
 Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
 constructions reach it through pnstc. construct_untf_dft keeps its own
-J x J fill.
+J x J fill. The verifier and the fusion layer share three sparse views:
+column_maps, row_columns (the row incidence) and sparse_inner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,6 +135,17 @@ def column_maps(matrix: SynthesisMatrix) -> List[Dict[int, MatrixEntry]]:
     for (row, col), value in matrix.entries.items():
         columns[col][row] = value
     return columns
+
+
+def row_columns(
+    columns: Sequence[Dict[int, MatrixEntry]], cols: Iterable[int]
+) -> Dict[int, List[int]]:
+    """{row: the given columns with a nonzero in that row, in the given order}."""
+    rows: Dict[int, List[int]] = {}
+    for col in cols:
+        for row in columns[col]:
+            rows.setdefault(row, []).append(col)
+    return rows
 
 
 def sparse_inner(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> RadicalScalar:

@@ -5,6 +5,9 @@ the span of a group of generator columns. Construction-side we only validate
 structure (disjoint groups covering all columns, sizes matching the declared
 dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
+Columns that share no row are orthogonal, so group_flags multiplies only the
+pairs construct.row_columns puts in one row, and the tagged search keeps one
+row set per subspace (see _TaggedSearch for why that is exact).
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tu
 import numpy as np
 
 from .blocks import block_a_hat
-from .construct import SynthesisMatrix, column_maps, naimark_complement, pnstc, sfr, sparse_inner
+from .construct import (
+    SynthesisMatrix,
+    column_maps,
+    naimark_complement,
+    pnstc,
+    row_columns,
+    sfr,
+    sparse_inner,
+)
 from .errors import (
     Infeasible,
     NoExtension,
@@ -28,7 +39,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpectralTetrisError,
 )
-from .exact_numeric import MatrixEntry, RadicalScalar
+from .exact_numeric import MatrixEntry
 from .sequences import as_spectrum, drive, majorizes, search_budget
 
 ColumnMap = Dict[int, MatrixEntry]
@@ -86,9 +97,9 @@ def group_flags(
     """(orthogonal, consistent), exactly: the group's columns are pairwise
     orthogonal, and each has squared norm weight_squared. Both together make
     the group a tight frame for its span with bound weight_squared."""
-    orthogonal = not any(
-        sparse_inner(columns[a], columns[b]) for a, b in itertools.combinations(group, 2)
-    )
+    shared = row_columns(columns, group).values()
+    pairs = {pair for cols in shared for pair in itertools.combinations(cols, 2)}
+    orthogonal = not any(sparse_inner(columns[a], columns[b]) for a, b in pairs)
     consistent = all(sparse_inner(columns[c], columns[c]) == weight_squared for c in group)
     return orthogonal, consistent
 
@@ -102,10 +113,7 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
     """
     maps = column_maps(matrix)
     pool = sorted(set(columns))
-    row_users: Dict[int, List[int]] = {}
-    for col in pool:
-        for row in maps[col]:
-            row_users.setdefault(row, []).append(col)
+    incidence = row_columns(maps, pool)
     unvisited = set(pool)
     chains: List[Tuple[int, ...]] = []
     for start in pool:
@@ -118,7 +126,7 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
             col = stack.pop()
             component.append(col)
             for row in maps[col]:
-                for neighbour in row_users[row]:
+                for neighbour in incidence[row]:
                     if neighbour in unvisited:
                         unvisited.discard(neighbour)
                         stack.append(neighbour)
@@ -194,18 +202,14 @@ def rff(spectrum: Sequence, count: int) -> FusionFrame:
         raise ValueError(f"frame size {count} must be positive")
     generator = pnstc((Fraction(1),) * count, eigs)
     columns = column_maps(generator)
-    row_sizes: Dict[int, int] = {}
-    for (row, _col) in generator.entries:
-        row_sizes[row] = row_sizes.get(row, 0) + 1
-    bucket_count = max(row_sizes.values())
+    bucket_count = max(len(cols) for cols in row_columns(columns, range(count)).values())
     buckets: List[List[int]] = [[] for _ in range(bucket_count)]
     supports: List[Set[int]] = [set() for _ in range(bucket_count)]
     for col in range(count):
-        col_support = set(columns[col])
         for bucket, support in zip(buckets, supports):
-            if not (support & col_support):
+            if support.isdisjoint(columns[col]):
                 bucket.append(col)
-                support |= col_support
+                support.update(columns[col])
                 break
         else:
             raise Infeasible(
@@ -268,13 +272,6 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
             f"the requested {target}"
         )
     columns = column_maps(reference.generator)
-
-    def support_of(group: Set[int]) -> Set[int]:
-        rows: Set[int] = set()
-        for col in group:
-            rows |= set(columns[col])
-        return rows
-
     deficit = sum(abs(len(g) - d) for g, d in zip(groups, target))
     history = [deficit]
     while deficit:
@@ -288,12 +285,8 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
         if not donors:
             raise SpectralTetrisError("uff: no donor bucket despite a positive deficit")
         donor = max(donors)
-        receiver_rows = support_of(groups[receiver])
-        detachable = [
-            col
-            for col in groups[donor]
-            if not (set(columns[col]) & receiver_rows)
-        ]
+        receiver_rows = row_columns(columns, groups[receiver]).keys()
+        detachable = [col for col in groups[donor] if receiver_rows.isdisjoint(columns[col])]
         if detachable:
             moved = max(detachable)
             groups[donor].discard(moved)
@@ -378,9 +371,18 @@ class _TaggedSearch:
     """Bounded depth-first search over tagged feeding orders.
 
     Mirrors the greedy construction: each step either feeds one tagged norm
-    as a singleton or two as a block, maintaining per-tag support maps so the
-    within-group orthogonality constraint is enforced as columns appear.
-    Visits are generators run by sequences.drive, one stack entry per column.
+    as a singleton or two as a block, and a column joins its tag only when
+    its rows avoid the tag's row set. Visits are generators run by
+    sequences.drive, one stack entry per column.
+
+    The row sets decide orthogonality exactly. Each column is a singleton or
+    one column of a 2x2 block on consecutive rows, nonzero and real on its
+    support, so two columns sharing one row are not orthogonal. Only a
+    block's own two columns can share two rows (the search leaves a block's
+    upper row for good), and a block with orthogonal rows and four nonzero
+    entries has orthogonal columns only when both squared norms equal both
+    row weights, which a > w rules out. A tag's columns are thus pairwise
+    support-disjoint, so undoing a move just removes its rows.
     """
 
     def __init__(
@@ -396,30 +398,17 @@ class _TaggedSearch:
         self.budget = budget
         self.states = 0
         self.remaining = list(dims)
-        self.placed: Dict[int, List[ColumnMap]] = {i: [] for i in range(len(dims))}
+        self.rows: List[Set[int]] = [set() for _ in dims]
         self.order: List[Tuple[Fraction, int]] = []
 
-    def _fits(self, tag: int, column: ColumnMap) -> bool:
-        for existing in self.placed[tag]:
-            if sparse_inner(existing, column):
-                return False
-        return True
-
     def _candidate_tags(self) -> List[int]:
-        picked: List[int] = []
-        seen: Set[Tuple[Fraction, int, FrozenSet[int]]] = set()
+        # the first tag of each (weight, remaining, rows): later ones repeat it
+        picked: Dict[Tuple[Fraction, int, FrozenSet[int]], int] = {}
         for tag in range(len(self.dims)):
-            if not self.remaining[tag]:
-                continue
-            rows: Set[int] = set()
-            for column in self.placed[tag]:
-                rows |= set(column)
-            key = (self.weights[tag], self.remaining[tag], frozenset(rows))
-            if key in seen:
-                continue
-            seen.add(key)
-            picked.append(tag)
-        return picked
+            if self.remaining[tag]:
+                key = (self.weights[tag], self.remaining[tag], frozenset(self.rows[tag]))
+                picked.setdefault(key, tag)
+        return list(picked.values())
 
     def run(self) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
         if drive(self._fill(0, self.spectrum[0])):
@@ -441,18 +430,15 @@ class _TaggedSearch:
             return False
         for tag in self._candidate_tags():
             a = self.weights[tag]
-            if a > weight:
-                continue
-            column = {row: RadicalScalar.sqrt(a)}
-            if not self._fits(tag, column):
+            if a > weight or row in self.rows[tag]:
                 continue
             self.remaining[tag] -= 1
-            self.placed[tag].append(column)
+            self.rows[tag].add(row)
             self.order.append((a, tag))
             if (yield self._fill(row, weight - a)):
                 return True
             self.order.pop()
-            self.placed[tag].pop()
+            self.rows[tag].discard(row)
             self.remaining[tag] += 1
         if row + 1 < len(self.spectrum):
             for tag in self._candidate_tags():
@@ -468,25 +454,21 @@ class _TaggedSearch:
                     if spill > self.spectrum[row + 1]:
                         continue
                     block = block_a_hat(weight, a, b)
-                    first = {
-                        row + i: block.rows[i][0] for i in range(2) if block.rows[i][0]
-                    }
-                    second = {
-                        row + i: block.rows[i][1] for i in range(2) if block.rows[i][1]
-                    }
-                    if not self._fits(tag, first):
+                    first = {row + i for i in range(2) if block.rows[i][0]}
+                    second = {row + i for i in range(2) if block.rows[i][1]}
+                    if not self.rows[tag].isdisjoint(first):
                         continue
-                    self.placed[tag].append(first)
+                    self.rows[tag] |= first
                     self.remaining[partner] -= 1
-                    if self._fits(partner, second):
-                        self.placed[partner].append(second)
+                    if self.rows[partner].isdisjoint(second):
+                        self.rows[partner] |= second
                         self.order.extend(((a, tag), (b, partner)))
                         if (yield self._fill(row + 1, self.spectrum[row + 1] - spill)):
                             return True
                         del self.order[-2:]
-                        self.placed[partner].pop()
+                        self.rows[partner] -= second
                     self.remaining[partner] += 1
-                    self.placed[tag].pop()
+                    self.rows[tag] -= first
                 self.remaining[tag] += 1
         return False
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
@@ -194,11 +193,13 @@ def write_document(path: str, document: Union[str, Dict[str, object]]) -> None:
     """Write atomically: the file appears complete or not at all.
 
     A str is written as it stands, a dict as indented JSON, serialized before
-    any file is opened.
+    any file is opened. The file gets the mode open(path, "w") gives a new
+    file: 0o666 less the umask.
     """
     text = document if isinstance(document, str) else json.dumps(document, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    handle, staging = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    staging = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    handle = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(handle, "w") as stream:
             stream.write(text)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .construct import SynthesisMatrix, column_maps, sparse_inner
+from .construct import SynthesisMatrix, column_maps, row_columns, sparse_inner
 from .errors import SpectrumMismatch
 from .exact_numeric import (
     MatrixEntry,
@@ -129,11 +129,17 @@ def _row_gram(
 
 
 def _rows_orthogonal(
-    matrix: SynthesisMatrix, columns: Sequence[SparseVector], tolerance: float
+    matrix: SynthesisMatrix,
+    columns: Sequence[SparseVector],
+    tolerance: float,
+    real: Optional[bool] = None,
 ) -> bool:
     """Whether every pair of distinct rows is orthogonal: exactly (from the
-    column supports) on the real path, within tolerance with complex entries."""
-    if not matrix.is_complex:
+    column supports) on the real path, within tolerance with complex entries.
+    Callers pass real when they have read is_complex, an O(nnz) scan."""
+    if real is None:
+        real = not matrix.is_complex
+    if real:
         return not any(_row_gram(columns, diagonal=False).values())
     dense = matrix.to_dense()
     gram = dense @ dense.conj().T
@@ -246,10 +252,6 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
         first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
         return int(np.max(last - first)) + 1 if first.size else 0
     columns = column_maps(matrix)
-    row_columns: Dict[int, List[int]] = {}
-    for col, column in enumerate(columns):
-        for row in column:
-            row_columns.setdefault(row, []).append(col)
     cancels: Dict[Tuple[int, int], bool] = {}
 
     def orthogonal(j: int, k: int) -> bool:
@@ -260,7 +262,7 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
         return cancels[(j, k)]
 
     distance = 0
-    for cols in row_columns.values():
+    for cols in row_columns(columns, range(len(columns))).values():
         for a, j in enumerate(cols):
             if cols[-1] - j + 1 <= distance:
                 break
@@ -322,7 +324,7 @@ def verify_frame(
     row_sums, col_norms = _square_sums(matrix)
 
     columns = column_maps(matrix)
-    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
+    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE, exact)
 
     is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
     tight_bound: Optional[SquareSum] = None
@@ -405,7 +407,7 @@ def verify_fusion(
     m = generator.row_count
     real = not generator.is_complex
     columns = column_maps(generator)
-    rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)
+    rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE, real)
     groups_orthogonal = weights_consistent = True
     if real:
         for group, weight_squared in zip(reference.partition, reference.weights_squared):

@@ -10,14 +10,15 @@ package's exact arithmetic, nothing of its verifier). The exceptions are the
 Spectral Tetris fill and the fusion verifier: their oracles are the
 package's former code, kept as it was, and so are the readiness searches
 that tried every distinct eigenvalue order in full, the frame verifier and
-sparsity report that summed squares in RadicalScalar arithmetic, and the
-JSON entry decoder that re-split every radicand.
+sparsity report that summed squares in RadicalScalar arithmetic, the
+JSON entry decoder that re-split every radicand, and the tagged fusion search
+that compared columns by exact inner products.
 Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from spectral_tetris import (
     SearchBudgetExceeded,
     SumMismatch,
     SynthesisMatrix,
+    block_a_hat,
+    pnstc,
 )
 from spectral_tetris.construct import column_maps, sparse_inner
 from spectral_tetris.errors import SpectralTetrisError, SpectrumMismatch
@@ -844,3 +847,153 @@ def entry_from_json_oracle(document) -> Tuple[int, int, MatrixEntry]:
     if not value:
         raise ValueError(f"entry ({row}, {col}) encodes an explicit zero")
     return row, col, value
+
+
+# -- the tagged fusion search before it kept one row set per tag -----------------
+# _TaggedSearch (comparing each new column with its tag's placed columns by
+# exact inner products), the _tagged_pnstc it finishes with and the all-pairs
+# group_flags, verbatim bar their names and docstrings; pnstc, block_a_hat,
+# drive and sparse_inner are the package's.
+
+ColumnMap = Dict[int, MatrixEntry]
+
+
+def group_flags_oracle(
+    columns: Sequence[ColumnMap], group: Sequence[int], weight_squared: Fraction
+) -> Tuple[bool, bool]:
+    orthogonal = not any(
+        sparse_inner(columns[a], columns[b]) for a, b in itertools.combinations(group, 2)
+    )
+    consistent = all(sparse_inner(columns[c], columns[c]) == weight_squared for c in group)
+    return orthogonal, consistent
+
+
+
+def tagged_pnstc_oracle(
+    order: Sequence[Tuple[Fraction, int]], spectrum: Tuple[Fraction, ...]
+) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
+    norms = tuple(w for w, _tag in order)
+    try:
+        matrix = pnstc(norms, spectrum)
+    except NotSTReady:
+        return None
+    tags = sorted({tag for _w, tag in order})
+    grouped: Dict[int, List[int]] = {tag: [] for tag in tags}
+    for col, (_w, tag) in enumerate(order):
+        grouped[tag].append(col)
+    columns = column_maps(matrix)
+    weights = {tag: w for w, tag in order}
+    if not all(all(group_flags_oracle(columns, grouped[tag], weights[tag])) for tag in tags):
+        return None
+    return matrix, tuple(tuple(grouped[tag]) for tag in tags)
+
+
+
+class TaggedSearchOracle:
+    def __init__(
+        self,
+        weights: Tuple[Fraction, ...],
+        dims: Tuple[int, ...],
+        spectrum: Tuple[Fraction, ...],
+        budget: int,
+    ):
+        self.weights = weights
+        self.dims = dims
+        self.spectrum = spectrum
+        self.budget = budget
+        self.states = 0
+        self.remaining = list(dims)
+        self.placed: Dict[int, List[ColumnMap]] = {i: [] for i in range(len(dims))}
+        self.order: List[Tuple[Fraction, int]] = []
+
+    def _fits(self, tag: int, column: ColumnMap) -> bool:
+        for existing in self.placed[tag]:
+            if sparse_inner(existing, column):
+                return False
+        return True
+
+    def _candidate_tags(self) -> List[int]:
+        picked: List[int] = []
+        seen: Set[Tuple[Fraction, int, FrozenSet[int]]] = set()
+        for tag in range(len(self.dims)):
+            if not self.remaining[tag]:
+                continue
+            rows: Set[int] = set()
+            for column in self.placed[tag]:
+                rows |= set(column)
+            key = (self.weights[tag], self.remaining[tag], frozenset(rows))
+            if key in seen:
+                continue
+            seen.add(key)
+            picked.append(tag)
+        return picked
+
+    def run(self) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
+        if drive(self._fill(0, self.spectrum[0])):
+            return tagged_pnstc_oracle(tuple(self.order), self.spectrum)
+        return None
+
+    def _fill(self, row: int, weight: Fraction) -> Generator:
+        self.states += 1
+        if self.states > self.budget:
+            raise SearchBudgetExceeded(
+                f"no qualifying weight ordering found within the search budget "
+                f"({self.budget} states)"
+            )
+        if weight == 0:
+            if row + 1 == len(self.spectrum):
+                return not any(self.remaining)
+            return (yield self._fill(row + 1, self.spectrum[row + 1]))
+        if weight < 0:
+            return False
+        for tag in self._candidate_tags():
+            a = self.weights[tag]
+            if a > weight:
+                continue
+            column = {row: RadicalScalar.sqrt(a)}
+            if not self._fits(tag, column):
+                continue
+            self.remaining[tag] -= 1
+            self.placed[tag].append(column)
+            self.order.append((a, tag))
+            if (yield self._fill(row, weight - a)):
+                return True
+            self.order.pop()
+            self.placed[tag].pop()
+            self.remaining[tag] += 1
+        if row + 1 < len(self.spectrum):
+            for tag in self._candidate_tags():
+                a = self.weights[tag]
+                if a <= weight:
+                    continue
+                self.remaining[tag] -= 1
+                for partner in self._candidate_tags():
+                    b = self.weights[partner]
+                    if b < weight or (partner == tag and self.remaining[tag] < 1):
+                        continue
+                    spill = a + b - weight
+                    if spill > self.spectrum[row + 1]:
+                        continue
+                    block = block_a_hat(weight, a, b)
+                    first = {
+                        row + i: block.rows[i][0] for i in range(2) if block.rows[i][0]
+                    }
+                    second = {
+                        row + i: block.rows[i][1] for i in range(2) if block.rows[i][1]
+                    }
+                    if not self._fits(tag, first):
+                        continue
+                    self.placed[tag].append(first)
+                    self.remaining[partner] -= 1
+                    if self._fits(partner, second):
+                        self.placed[partner].append(second)
+                        self.order.extend(((a, tag), (b, partner)))
+                        if (yield self._fill(row + 1, self.spectrum[row + 1] - spill)):
+                            return True
+                        del self.order[-2:]
+                        self.placed[partner].pop()
+                    self.remaining[partner] += 1
+                    self.placed[tag].pop()
+                self.remaining[tag] += 1
+        return False
+

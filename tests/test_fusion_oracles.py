@@ -1,0 +1,169 @@
+"""The tagged fusion search and the fusion layer's work on support incidence.
+
+_TaggedSearch decides whether a column fits its subspace from row sets
+alone. That may not change a search: on every small input, in a random
+sweep and on the weighted_fusion goldens its result, state count, move
+order and budget cut must equal those of the search that compared columns
+by exact inner products (kept verbatim in _oracles). The rest bounds the
+exact inner products the fusion layer forms, by counting calls.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spectral_tetris.fusion as fusion_module
+from spectral_tetris import verify_fusion, weighted_fusion
+from spectral_tetris.errors import SearchBudgetExceeded
+from spectral_tetris.fusion import _TaggedSearch
+
+import goldens
+from _oracles import TaggedSearchOracle
+
+WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(5, 2))
+SMALL_BUDGET = 100
+LARGE_BUDGET = 2_000
+
+
+def _outcome(cls, weights, dims, spectrum, budget):
+    """Everything a search run shows: result, cut message, states, order."""
+    search = cls(tuple(weights), tuple(dims), tuple(spectrum), budget)
+    try:
+        result = search.run()
+    except SearchBudgetExceeded as cut:
+        shown = ("cut", str(cut))
+    else:
+        if result is None:
+            shown = ("none",)
+        else:
+            matrix, partition = result
+            shown = ("frame", matrix.row_count, matrix.col_count, matrix.entries, partition)
+    return shown, search.states, list(search.order)
+
+
+def _assert_same_search(weights, dims, spectrum, budget):
+    """The search's outcome, which equals the oracle's."""
+    outcome = _outcome(_TaggedSearch, weights, dims, spectrum, budget)
+    assert outcome == _outcome(TaggedSearchOracle, weights, dims, spectrum, budget)
+    return outcome
+
+
+def _round_robin(weights, dims):
+    return [w for layer in range(max(dims)) for w, d in zip(weights, dims) if layer < d]
+
+
+def _spectra(weights, dims):
+    """Flat spectra over 1 to 4 rows, and the round-robin norms summed in
+    consecutive chunks of 2 and of 3."""
+    total = sum(w * d for w, d in zip(weights, dims))
+    spectra = {(total / rows,) * rows for rows in range(1, 5)}
+    norms = _round_robin(weights, dims)
+    for size in (2, 3):
+        spectra.add(tuple(sum(norms[i : i + size]) for i in range(0, len(norms), size)))
+    return sorted(spectra)
+
+
+def _small_inputs():
+    """Every multiset of 1 to 3 (weight, dim) tags, dims up to 3, with each
+    of its spectra. Tag order only fixes the order ties are tried in; the
+    random sweep below draws tags in any order."""
+    tags = list(itertools.product(WEIGHTS, range(1, 4)))
+    for count in range(1, 4):
+        for chosen in itertools.combinations_with_replacement(tags, count):
+            weights = tuple(w for w, _d in chosen)
+            dims = tuple(d for _w, d in chosen)
+            for spectrum in _spectra(weights, dims):
+                yield weights, dims, spectrum
+
+
+def test_tagged_search_equals_the_inner_product_search_exhaustively():
+    cuts = 0
+    for weights, dims, spectrum in _small_inputs():
+        _shown, states, _order = _assert_same_search(weights, dims, spectrum, LARGE_BUDGET)
+        # the budget is read only once the states pass it, so a run that
+        # stays within SMALL_BUDGET states is the same run at that budget
+        if states > SMALL_BUDGET:
+            shown, _states, _order = _assert_same_search(weights, dims, spectrum, SMALL_BUDGET)
+            cuts += shown[0] == "cut"
+    assert cuts  # the small budget cuts some searches, so cuts are compared too
+
+
+@st.composite
+def tagged_inputs(draw):
+    count = draw(st.integers(1, 4))
+    palette = WEIGHTS + (F(1, 3), F(4, 3), F(3))
+    weights = draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
+    dims = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    norms = draw(st.permutations(_round_robin(weights, dims)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, len(norms)))
+        spectrum = (sum(norms) / rows,) * rows
+    else:
+        cuts = draw(st.sets(st.integers(1, len(norms) - 1))) if len(norms) > 1 else set()
+        bounds = [0] + sorted(cuts) + [len(norms)]
+        spectrum = tuple(sum(norms[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return weights, dims, spectrum, draw(st.integers(1, 3_000))
+
+
+@given(tagged_inputs())
+@settings(max_examples=300, deadline=None)
+def test_tagged_search_equals_the_inner_product_search_at_random(case):
+    _assert_same_search(*case)
+
+
+GOLDEN_SEARCHES = [
+    # round-robin succeeds on the 5 x 18 golden; the search must agree on it
+    (
+        goldens.WEIGHTED_WEIGHTS_SQ,
+        goldens.WEIGHTED_DIMS,
+        goldens.WEIGHTED_SPECTRUM,
+        LARGE_BUDGET,
+    ),
+    # the fallback golden, and the same input cut at once
+    ((1,) * 6, goldens.UFF_DIMS, (F(11, 4),) * 4, LARGE_BUDGET),
+    ((1,) * 6, goldens.UFF_DIMS, (F(11, 4),) * 4, 1),
+    # no ordering works
+    ((4, 9), (1, 1), (6, 7), LARGE_BUDGET),
+    # 1125 columns, deeper than the recursion limit
+    ((1,) * 4, (450, 225, 225, 225), (F(5, 2),) * 450, 10**5),
+]
+
+
+def test_tagged_search_equals_the_inner_product_search_on_the_goldens():
+    for weights, dims, spectrum, budget in GOLDEN_SEARCHES:
+        _assert_same_search(
+            tuple(F(w) for w in weights), dims, tuple(F(v) for v in spectrum), budget
+        )
+
+
+class _InnerProducts:
+    """Calls through fusion.sparse_inner, the fusion layer's exact products."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = fusion_module.sparse_inner
+
+        def counting(a, b):
+            self.calls += 1
+            return inner(a, b)
+
+        monkeypatch.setattr(fusion_module, "sparse_inner", counting)
+
+
+def test_fusion_work_grows_with_the_columns(monkeypatch):
+    """All-pairs checks formed 883,806 inner products building this frame;
+    pairs that share a row number O(N)."""
+    dims = (450, 225, 225, 225)
+    spectrum = (F(5, 2),) * 450
+    count = sum(dims)
+    inner = _InnerProducts(monkeypatch)
+    frame = weighted_fusion((1,) * 4, dims, spectrum, 10**5)
+    built, inner.calls = inner.calls, 0
+    report = verify_fusion(frame, spectrum)
+    monkeypatch.undo()
+    assert frame.meta["ordering"] == "search"
+    assert report.exact and report.groups_orthogonal and report.weights_consistent
+    assert built <= 2 * count
+    assert inner.calls <= 2 * count

@@ -355,3 +355,16 @@ def test_decoding_splits_each_distinct_radicand_once():
     matrix = matrix_from_json(document)
     assert matrix.nonzero_count == 1000
     assert split.cache_info().misses <= len(radicands)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    """Staging through a private 0600 file left every output 0600."""
+    target = tmp_path / "frame.json"
+    previous = os.umask(umask)
+    try:
+        write_document(str(target), matrix_to_json(construct_untf(4, 6)))
+    finally:
+        os.umask(previous)
+    assert target.stat().st_mode & 0o777 == mode
+    assert os.listdir(tmp_path) == ["frame.json"]

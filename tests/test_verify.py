@@ -275,3 +275,32 @@ def test_verify_fusion_exact_spectrum_check_is_in_row_order():
     assert verify_fusion(frame, goldens.WEIGHTED_SPECTRUM).spectrum_matches
     backwards = tuple(reversed(goldens.WEIGHTED_SPECTRUM))
     assert verify_fusion(frame, backwards).spectrum_matches is False
+
+
+class _ComplexFlagReads:
+    """Reads of SynthesisMatrix.is_complex, a scan over every nonzero."""
+
+    def __init__(self, monkeypatch):
+        self.reads = 0
+        flag = SynthesisMatrix.is_complex
+
+        def counting(matrix):
+            self.reads += 1
+            return flag.fget(matrix)
+
+        monkeypatch.setattr(SynthesisMatrix, "is_complex", property(counting))
+
+
+def test_verify_reads_the_complex_flag_once_per_check(monkeypatch):
+    """verify_frame read the flag three times and verify_fusion twice."""
+    matrix = construct_untf(20, 55)
+    frame = uff((Fraction(11, 4),) * 4, goldens.UFF_DIMS)
+    flag = _ComplexFlagReads(monkeypatch)
+    report = verify_frame(matrix)
+    frame_reads, flag.reads = flag.reads, 0
+    fusion_report = verify_fusion(frame)
+    monkeypatch.undo()
+    assert report.exact and report.is_tight
+    assert fusion_report.exact
+    assert frame_reads <= 2
+    assert flag.reads == 1
