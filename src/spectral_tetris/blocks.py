@@ -3,7 +3,9 @@
 A block is a tiny dense matrix whose columns later become consecutive frame
 vectors and whose rows overlap two (or J) consecutive rows of the synthesis
 matrix. Each constructor enforces the exact existence conditions and returns
-entries in exact arithmetic.
+entries in exact arithmetic; block_a_hat_support reads which entries of a
+2x2 block are nonzero from comparisons alone, for searches that need only a
+block's shape.
 """
 
 from __future__ import annotations
@@ -56,6 +58,20 @@ def block_a(x: RationalLike) -> Block:
     return Block(rows=((top, top), (bottom, -bottom)))
 
 
+def _require_block(x, a1_squared, a2_squared) -> None:
+    """Raise NoSuchBlock unless a block with row weight x and these squared norms exists."""
+    if x <= 0:
+        raise NoSuchBlock(f"row weight {x} must be positive")
+    if a1_squared + a2_squared < x:
+        raise NoSuchBlock(f"squared norms {a1_squared}, {a2_squared} sum below row weight {x}")
+    if not (
+        (a1_squared >= x and a2_squared >= x) or (a1_squared <= x and a2_squared <= x)
+    ):
+        raise NoSuchBlock(
+            f"squared norms {a1_squared}, {a2_squared} straddle the row weight {x}"
+        )
+
+
 def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalLike) -> Block:
     """Two-column block with prescribed squared column norms a1^2, a2^2.
 
@@ -69,14 +85,7 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
     x = Fraction(x)
     a1 = Fraction(a1_squared)
     a2 = Fraction(a2_squared)
-    if x <= 0:
-        raise NoSuchBlock(f"row weight {x} must be positive")
-    if a1 + a2 < x:
-        raise NoSuchBlock(f"squared norms {a1}, {a2} sum below row weight {x}")
-    if not ((a1 >= x and a2 >= x) or (a1 <= x and a2 <= x)):
-        raise NoSuchBlock(
-            f"squared norms {a1}, {a2} straddle the row weight {x}"
-        )
+    _require_block(x, a1, a2)
     y = a1 + a2 - x
     if a1 == a2:
         top = RadicalScalar.sqrt(x / 2)
@@ -94,6 +103,33 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
                 -RadicalScalar.sqrt(y * (a1 - y) / denom),
             ),
         )
+    )
+
+
+def block_a_hat_support(
+    x: RationalLike, a1_squared: RationalLike, a2_squared: RationalLike
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Row offsets (0 upper, 1 lower) of each column's nonzero entries in block_a_hat.
+
+    Decided by comparisons alone, with no square root: with y = a1^2 + a2^2 - x,
+    equal norms give both columns {0}, or {0, 1} when y != 0; otherwise
+    column 0 covers row 0 iff a2^2 != x and row 1 iff y != 0 and a1^2 != x,
+    and column 1 covers row 0 iff a1^2 != x and row 1 iff y != 0 and
+    a2^2 != x. Raises NoSuchBlock exactly when block_a_hat does. Scaling x,
+    a1^2 and a2^2 by one positive factor scales y alike and keeps every
+    comparison, so the answer is the same in any common unit: callers may
+    pass the three values as integers over a shared denominator.
+    """
+    _require_block(x, a1_squared, a2_squared)
+    y = a1_squared + a2_squared - x
+    if a1_squared == a2_squared:
+        rows = (0,) if y == 0 else (0, 1)
+        return rows, rows
+    first = (a2_squared != x, y != 0 and a1_squared != x)
+    second = (a1_squared != x, y != 0 and a2_squared != x)
+    return (
+        tuple(i for i, nonzero in enumerate(first) if nonzero),
+        tuple(i for i, nonzero in enumerate(second) if nonzero),
     )
 
 

@@ -7,7 +7,11 @@ dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
 Columns that share no row are orthogonal, so group_flags multiplies only the
 pairs construct.row_columns puts in one row, and the tagged search keeps one
-row set per subspace (see _TaggedSearch for why that is exact).
+row set per subspace (see _TaggedSearch for why that is exact). The tagged
+search runs on weights and eigenvalues scaled to integers in one common unit
+(sequences.integer_units) and reads each block's rows from
+blocks.block_a_hat_support, so it takes no square root; only the matrix it
+settles on is built, and checked, exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tu
 
 import numpy as np
 
-from .blocks import block_a_hat
+from .blocks import block_a_hat_support
 from .construct import (
     SynthesisMatrix,
     column_maps,
@@ -40,7 +44,7 @@ from .errors import (
     SpectralTetrisError,
 )
 from .exact_numeric import MatrixEntry
-from .sequences import as_spectrum, drive, majorizes, search_budget
+from .sequences import as_spectrum, drive, integer_units, majorizes, search_budget
 
 ColumnMap = Dict[int, MatrixEntry]
 
@@ -373,7 +377,9 @@ class _TaggedSearch:
     Mirrors the greedy construction: each step either feeds one tagged norm
     as a singleton or two as a block, and a column joins its tag only when
     its rows avoid the tag's row set. Visits are generators run by
-    sequences.drive, one stack entry per column.
+    sequences.drive, one stack entry per column. States run on units and
+    eigs, the weights and spectrum as integers in one common unit; order
+    keeps the caller's weights, so run() builds the final matrix from them.
 
     The row sets decide orthogonality exactly. Each column is a singleton or
     one column of a 2x2 block on consecutive rows, nonzero and real on its
@@ -396,6 +402,7 @@ class _TaggedSearch:
         self.dims = dims
         self.spectrum = spectrum
         self.budget = budget
+        self.units, self.eigs = integer_units(weights, spectrum)
         self.states = 0
         self.remaining = list(dims)
         self.rows: List[Set[int]] = [set() for _ in dims]
@@ -403,19 +410,19 @@ class _TaggedSearch:
 
     def _candidate_tags(self) -> List[int]:
         # the first tag of each (weight, remaining, rows): later ones repeat it
-        picked: Dict[Tuple[Fraction, int, FrozenSet[int]], int] = {}
+        picked: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
         for tag in range(len(self.dims)):
             if self.remaining[tag]:
-                key = (self.weights[tag], self.remaining[tag], frozenset(self.rows[tag]))
+                key = (self.units[tag], self.remaining[tag], frozenset(self.rows[tag]))
                 picked.setdefault(key, tag)
         return list(picked.values())
 
     def run(self) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
-        if drive(self._fill(0, self.spectrum[0])):
+        if drive(self._fill(0, self.eigs[0])):
             return _tagged_pnstc(tuple(self.order), self.spectrum)
         return None
 
-    def _fill(self, row: int, weight: Fraction) -> Generator:
+    def _fill(self, row: int, weight: int) -> Generator:
         self.states += 1
         if self.states > self.budget:
             raise SearchBudgetExceeded(
@@ -423,47 +430,49 @@ class _TaggedSearch:
                 f"({self.budget} states)"
             )
         if weight == 0:
-            if row + 1 == len(self.spectrum):
+            if row + 1 == len(self.eigs):
                 return not any(self.remaining)
-            return (yield self._fill(row + 1, self.spectrum[row + 1]))
+            return (yield self._fill(row + 1, self.eigs[row + 1]))
         if weight < 0:
             return False
         for tag in self._candidate_tags():
-            a = self.weights[tag]
+            a = self.units[tag]
             if a > weight or row in self.rows[tag]:
                 continue
             self.remaining[tag] -= 1
             self.rows[tag].add(row)
-            self.order.append((a, tag))
+            self.order.append((self.weights[tag], tag))
             if (yield self._fill(row, weight - a)):
                 return True
             self.order.pop()
             self.rows[tag].discard(row)
             self.remaining[tag] += 1
-        if row + 1 < len(self.spectrum):
+        if row + 1 < len(self.eigs):
             for tag in self._candidate_tags():
-                a = self.weights[tag]
+                a = self.units[tag]
                 if a <= weight:
                     continue
                 self.remaining[tag] -= 1
                 for partner in self._candidate_tags():
-                    b = self.weights[partner]
+                    b = self.units[partner]
                     if b < weight or (partner == tag and self.remaining[tag] < 1):
                         continue
                     spill = a + b - weight
-                    if spill > self.spectrum[row + 1]:
+                    if spill > self.eigs[row + 1]:
                         continue
-                    block = block_a_hat(weight, a, b)
-                    first = {row + i for i in range(2) if block.rows[i][0]}
-                    second = {row + i for i in range(2) if block.rows[i][1]}
+                    first_rows, second_rows = block_a_hat_support(weight, a, b)
+                    first = {row + i for i in first_rows}
+                    second = {row + i for i in second_rows}
                     if not self.rows[tag].isdisjoint(first):
                         continue
                     self.rows[tag] |= first
                     self.remaining[partner] -= 1
                     if self.rows[partner].isdisjoint(second):
                         self.rows[partner] |= second
-                        self.order.extend(((a, tag), (b, partner)))
-                        if (yield self._fill(row + 1, self.spectrum[row + 1] - spill)):
+                        self.order.extend(
+                            ((self.weights[tag], tag), (self.weights[partner], partner))
+                        )
+                        if (yield self._fill(row + 1, self.eigs[row + 1] - spill)):
                             return True
                         del self.order[-2:]
                         self.rows[partner] -= second

@@ -3,7 +3,10 @@
 Everything here works on exact rationals (eigenvalues, squared norms), so
 every predicate is decided exactly. Construction itself lives elsewhere;
 this module answers "can the greedy construction possibly work, and in
-which order" before any matrix entry is computed.
+which order" before any matrix entry is computed. Readiness needs only
+sums and comparisons, never a square root, so the searches (the feed search
+here and the tagged fusion search) first scale their values to integers in
+one common unit (integer_units) and run every state on Python ints.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ class STReadyCertificate:
     partition: Tuple[int, ...]
 
 
+def integer_units(*groups: Sequence[Fraction]) -> Tuple[Tuple[int, ...], ...]:
+    """Each group as integers in one common unit: every value times the lcm of
+    all their denominators.
+
+    Scaling by a positive integer keeps every <, <= and == between sums of
+    the values, so a search decided by such comparisons visits the same
+    states in the same order on the integers, at int speed.
+    """
+    unit = math.lcm(*(v.denominator for group in groups for v in group))
+    return tuple(tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
+
+
 def majorizes(dominant: Sequence, dominated: Sequence) -> bool:
     """True when `dominant` majorizes `dominated` (sorted prefix sums dominate, totals equal).
 
@@ -135,7 +150,7 @@ def st_ready_check(
 
 
 def _distinct_value_orders(
-    values: Spectrum, dead: Optional[set] = None, budget: Optional[int] = None
+    values: Sequence, dead: Optional[set] = None, budget: Optional[int] = None
 ):
     """Every distinct value order once, with its smallest index permutation.
 
@@ -159,7 +174,7 @@ def _distinct_value_orders(
     SearchBudgetExceeded.
     """
     m_count = len(values)
-    ids: Dict[Fraction, int] = {}
+    ids: Dict[object, int] = {}
     value_ids = [ids.setdefault(v, len(ids)) for v in values]
     # pools[k]: the indices holding value k, ascending, then the sentinel M
     pools: List[List[int]] = [[] for _ in ids]
@@ -224,40 +239,44 @@ def drive(root: Generator) -> object:
 class _FeedSearch:
     """Depth-first search over the order in which norms are fed to the greedy.
 
-    A state is (row index, remaining weight in the row, multiset of unused
-    squared norms). Moves mirror the construction: a singleton consumes one
-    norm <= the remaining weight; a two-column block consumes a norm above
-    the remaining weight together with a partner at least the remaining
-    weight, spilling the excess into the next row. Failed states are memoized.
+    Eigenvalues and squared norms come as ints in one common unit (see
+    integer_units), so states compare, add and hash ints. A state is (row
+    index, remaining weight in the row, multiset of unused squared norms).
+    Moves mirror the construction: a singleton consumes one norm <= the
+    remaining weight; a two-column block consumes a norm above the remaining
+    weight together with a partner at least the remaining weight, spilling
+    the excess into the next row. Failed states are memoized.
     Each visit of a state is a generator run by drive(), so the depth (one
     level per fed norm) never reaches Python's recursion limit. reach is the
     largest eigenvalue index read: a failed search fails the same way on any
-    order that shares eigs[:reach + 1].
+    order that shares eigs[:reach + 1]. The search may enter budget - spent
+    states (spent by earlier searches of the same walk); a cut quotes budget.
     """
 
-    def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
+    def __init__(self, eigs: Tuple[int, ...], counts: Dict[int, int], budget: int, spent: int):
         self.eigs = eigs
         self.counts = counts
         self.budget = budget
+        self.limit = budget - spent
         self.states = 0
         self.reach = 0
         self.failed: set = set()
-        self.feed: List[Fraction] = []
+        self.feed: List[int] = []
         self.partition: List[int] = []
 
-    def _key(self, row: int, weight: Fraction):
+    def _key(self, row: int, weight: int):
         return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
 
     def run(self) -> bool:
         return drive(self._fill(0, self.eigs[0]))
 
-    def _next_eig(self, row: int) -> Fraction:
+    def _next_eig(self, row: int) -> int:
         self.reach = max(self.reach, row + 1)
         return self.eigs[row + 1]
 
-    def _fill(self, row: int, weight: Fraction):
+    def _fill(self, row: int, weight: int):
         self.states += 1
-        if self.states > self.budget:
+        if self.states > self.limit:
             raise SearchBudgetExceeded(
                 f"readiness search exceeded {self.budget} states"
             )
@@ -324,40 +343,42 @@ def st_ready_search(
     eigenvalue order gets one feed search; when one fails, the walk skips
     every order sharing the eigenvalue prefix that search read, so those
     orders spend no states and the first certificate found is unchanged.
+    The walk and the feed searches run on integer_units of the inputs. The
+    feed searches share the budget: one that finds none left cuts on its
+    first state, so a walk that ends with the budget spent answers None.
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
     if sum(norms) != sum(eigs):
         return None
     cap = search_budget(budget)
+    units, eig_units = integer_units(norms, eigs)
     states_used = 0
-    walk = _distinct_value_orders(eigs)
+    walk = _distinct_value_orders(eig_units)
     skip = None
     while True:
         try:
             perm, permuted = walk.send(skip)
         except StopIteration:
             return None
-        counts: Dict[Fraction, int] = {}
-        for v in norms:
+        counts: Dict[int, int] = {}
+        for v in units:
             counts[v] = counts.get(v, 0) + 1
-        search = _FeedSearch(permuted, counts, cap - states_used)
+        search = _FeedSearch(permuted, counts, cap, states_used)
         if search.run():
-            norm_order = _assign_indices(norms, search.feed)
+            norm_order = _assign_indices(units, search.feed)
             return STReadyCertificate(
                 norm_order=norm_order,
                 eigenvalue_order=perm,
                 partition=tuple(search.partition),
             )
         states_used += search.states
-        if states_used >= cap:
-            raise SearchBudgetExceeded(f"readiness search exceeded {cap} states")
         skip = search.reach + 1
 
 
-def _assign_indices(original: NormSequence, feed: List[Fraction]) -> Tuple[int, ...]:
+def _assign_indices(original: Sequence, feed: Sequence) -> Tuple[int, ...]:
     """Map a value feed back to original indices, taking equal values in index order."""
-    pools: Dict[Fraction, List[int]] = {}
+    pools: Dict[object, List[int]] = {}
     for idx in range(len(original) - 1, -1, -1):
         pools.setdefault(original[idx], []).append(idx)
     return tuple(pools[v].pop() for v in feed)

@@ -11,8 +11,9 @@ Spectral Tetris fill and the fusion verifier: their oracles are the
 package's former code, kept as it was, and so are the readiness searches
 that tried every distinct eigenvalue order in full, the frame verifier and
 sparsity report that summed squares in RadicalScalar arithmetic, the
-JSON entry decoder that re-split every radicand, and the tagged fusion search
-that compared columns by exact inner products.
+JSON entry decoder that re-split every radicand, the tagged fusion search
+that compared columns by exact inner products, and the pruned readiness search
+whose states held Fractions.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -997,3 +998,120 @@ class TaggedSearchOracle:
                 self.remaining[tag] += 1
         return False
 
+
+# -- the readiness search before it ran in integer units ---------------------------
+# st_ready_search and its feed search as they were when every state held
+# Fractions, verbatim bar their names and docstrings; the pruned order walk,
+# drive(), the budget, the certificate type and the index assignment are the
+# package's.
+
+
+class FractionFeedSearchOracle:
+    def __init__(self, eigs: Tuple[Fraction, ...], counts: Dict[Fraction, int], budget: int):
+        self.eigs = eigs
+        self.counts = counts
+        self.budget = budget
+        self.states = 0
+        self.reach = 0
+        self.failed: set = set()
+        self.feed: List[Fraction] = []
+        self.partition: List[int] = []
+
+    def _key(self, row: int, weight: Fraction):
+        return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
+
+    def run(self) -> bool:
+        return drive(self._fill(0, self.eigs[0]))
+
+    def _next_eig(self, row: int) -> Fraction:
+        self.reach = max(self.reach, row + 1)
+        return self.eigs[row + 1]
+
+    def _fill(self, row: int, weight: Fraction):
+        self.states += 1
+        if self.states > self.budget:
+            raise SearchBudgetExceeded(
+                f"readiness search exceeded {self.budget} states"
+            )
+        if weight == 0:
+            self.partition.append(len(self.feed))
+            if row + 1 == len(self.eigs):
+                return not any(self.counts.values())
+            if (yield self._fill(row + 1, self._next_eig(row))):
+                return True
+            self.partition.pop()
+            return False
+        if weight < 0:
+            return False
+        key = self._key(row, weight)
+        if key in self.failed:
+            return False
+        values = [v for v, c in self.counts.items() if c]
+        for a in values:
+            if a <= weight:
+                self.counts[a] -= 1
+                self.feed.append(a)
+                if (yield self._fill(row, weight - a)):
+                    return True
+                self.feed.pop()
+                self.counts[a] += 1
+        if row + 1 < len(self.eigs) and not (
+            # Bridging out of a row that owns no column of its own would
+            # repeat the previous cut; partitions must strictly increase.
+            self.partition
+            and self.partition[-1] == len(self.feed)
+        ):
+            before = len(self.feed)
+            for a in values:
+                if a <= weight:
+                    continue
+                self.counts[a] -= 1
+                partners = [b for b, c in self.counts.items() if c and b >= weight]
+                for b in partners:
+                    spill = a + b - weight
+                    if spill > self._next_eig(row):
+                        continue
+                    self.counts[b] -= 1
+                    self.feed.extend((a, b))
+                    self.partition.append(before)
+                    if (yield self._fill(row + 1, self._next_eig(row) - spill)):
+                        return True
+                    self.partition.pop()
+                    del self.feed[-2:]
+                    self.counts[b] += 1
+                self.counts[a] += 1
+        self.failed.add(key)
+        return False
+
+
+def fraction_st_ready_search_oracle(
+    norms_squared: Sequence, spectrum: Sequence, budget: Optional[int] = None
+) -> Optional[STReadyCertificate]:
+    norms = as_norms_squared(norms_squared)
+    eigs = as_spectrum(spectrum)
+    if sum(norms) != sum(eigs):
+        return None
+    cap = search_budget(budget)
+    states_used = 0
+    walk = _distinct_value_orders(eigs)
+    skip = None
+    while True:
+        try:
+            perm, permuted = walk.send(skip)
+        except StopIteration:
+            return None
+        counts: Dict[Fraction, int] = {}
+        for v in norms:
+            counts[v] = counts.get(v, 0) + 1
+        search = FractionFeedSearchOracle(permuted, counts, cap - states_used)
+        if search.run():
+            norm_order = _assign_indices(norms, search.feed)
+            return STReadyCertificate(
+                norm_order=norm_order,
+                eigenvalue_order=perm,
+                partition=tuple(search.partition),
+            )
+        states_used += search.states
+        if states_used >= cap:
+            raise SearchBudgetExceeded(f"readiness search exceeded {cap} states")
+        skip = search.reach + 1

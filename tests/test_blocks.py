@@ -1,5 +1,7 @@
 """The 2x2 and J x J building blocks: existence conditions and exact identities."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,8 @@ from spectral_tetris import (
     entry_abs_squared,
     entry_to_complex,
 )
+
+from spectral_tetris.blocks import block_a_hat_support
 
 from _oracles import block_a_hat_oracle
 
@@ -68,6 +72,34 @@ def test_block_a_exact_identities(x):
     assert exact_row_square_sum(block, 1) == 2 - x
     inner = block.entry(0, 0) * block.entry(1, 0) + block.entry(0, 1) * block.entry(1, 1)
     assert inner == ZERO
+
+
+def _support_or_none(x, a1_squared, a2_squared):
+    try:
+        return block_a_hat_support(x, a1_squared, a2_squared)
+    except NoSuchBlock:
+        return None
+
+
+def test_block_a_hat_support_is_the_nonzero_pattern_in_any_unit():
+    sixths = [Fraction(k, 6) for k in range(25)]
+    built = 0
+    for x, a1, a2 in itertools.product(sixths, repeat=3):
+        try:
+            block = block_a_hat(x, a1, a2)
+        except NoSuchBlock:
+            expected = None
+        else:
+            built += 1
+            expected = tuple(
+                tuple(i for i in range(2) if block.rows[i][j]) for j in range(2)
+            )
+        assert _support_or_none(x, a1, a2) == expected, (x, a1, a2)
+        assert _support_or_none(7 * x, 7 * a1, 7 * a2) == expected, (x, a1, a2)
+        unit = math.lcm(x.denominator, a1.denominator, a2.denominator)
+        scaled = [v.numerator * (unit // v.denominator) for v in (x, a1, a2)]
+        assert _support_or_none(*scaled) == expected, (x, a1, a2)
+    assert built == 7800
 
 
 def test_block_a_hat_reproduces_a_worked_step():

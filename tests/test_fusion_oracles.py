@@ -4,8 +4,10 @@ _TaggedSearch decides whether a column fits its subspace from row sets
 alone. That may not change a search: on every small input, in a random
 sweep and on the weighted_fusion goldens its result, state count, move
 order and budget cut must equal those of the search that compared columns
-by exact inner products (kept verbatim in _oracles). The rest bounds the
-exact inner products the fusion layer forms, by counting calls.
+by exact inner products (kept verbatim in _oracles). It runs on weights
+and eigenvalues scaled to integers in one common unit, so the comparison is
+repeated over mixed denominators. The rest bounds the exact work the fusion
+layer does, by counting calls: inner products, and blocks built.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectral_tetris.construct as construct_module
 import spectral_tetris.fusion as fusion_module
 from spectral_tetris import verify_fusion, weighted_fusion
 from spectral_tetris.errors import SearchBudgetExceeded
@@ -113,6 +116,33 @@ def test_tagged_search_equals_the_inner_product_search_at_random(case):
     _assert_same_search(*case)
 
 
+@st.composite
+def mixed_denominator_tagged_inputs(draw):
+    """Like tagged_inputs, with weights over denominators 2..30 (coprime ones
+    included) and sometimes a rational of another denominator moved between
+    two eigenvalues."""
+    count = draw(st.integers(1, 4))
+    denominators = draw(st.lists(st.integers(2, 30), min_size=count, max_size=count))
+    weights = [F(draw(st.integers(1, 3 * d)), d) for d in denominators]
+    dims = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    norms = draw(st.permutations(_round_robin(weights, dims)))
+    bounds = [0] + [i for i in range(1, len(norms)) if draw(st.booleans())] + [len(norms)]
+    spectrum = [sum(norms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if len(spectrum) > 1 and draw(st.booleans()):
+        giver, taker = draw(st.permutations(range(len(spectrum))))[:2]
+        shift = F(draw(st.integers(1, 30)), draw(st.integers(2, 30)))
+        if shift < spectrum[giver]:
+            spectrum[giver] -= shift
+            spectrum[taker] += shift
+    return weights, dims, spectrum, draw(st.one_of(st.integers(1, 60), st.just(3_000)))
+
+
+@given(mixed_denominator_tagged_inputs())
+@settings(max_examples=300, deadline=None)
+def test_tagged_search_equals_the_inner_product_search_over_mixed_denominators(case):
+    _assert_same_search(*case)
+
+
 GOLDEN_SEARCHES = [
     # round-robin succeeds on the 5 x 18 golden; the search must agree on it
     (
@@ -167,3 +197,32 @@ def test_fusion_work_grows_with_the_columns(monkeypatch):
     assert report.exact and report.groups_orthogonal and report.weights_consistent
     assert built <= 2 * count
     assert inner.calls <= 2 * count
+
+
+def test_tagged_search_builds_no_block(monkeypatch):
+    """The search reads each candidate block's rows from block_a_hat_support;
+    building the block instead took 2,242 block_a_hat calls here. Only the
+    final matrix is built."""
+    built = []
+    # the modules that look block_a_hat up by name
+    for module in (construct_module, fusion_module):
+        if hasattr(module, "block_a_hat"):
+            original = module.block_a_hat
+
+            def counting(*args, _original=original):
+                built.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "block_a_hat", counting)
+    before_build = []
+    tagged_pnstc = fusion_module._tagged_pnstc
+
+    def building(order, spectrum):
+        before_build.append(len(built))
+        return tagged_pnstc(order, spectrum)
+
+    monkeypatch.setattr(fusion_module, "_tagged_pnstc", building)
+    search = _TaggedSearch((F(1),) * 4, (450, 225, 225, 225), (F(5, 2),) * 450, 10**5)
+    assert search.run() is not None
+    assert before_build == [0]
+    assert built  # the final matrix's blocks went through the counter

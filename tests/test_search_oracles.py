@@ -6,6 +6,9 @@ completion. None of that may change an answer: on every multiset of up to
 seven eigenvalues over small palettes, each certificate must equal the one
 the former searches (kept verbatim in _oracles) give, field by field, and
 st_ready_search must never spend more feed-search states than they did.
+Nor may running the feed search on integers in one common unit: on random
+norms and spectra over mixed denominators, st_ready_search must give the
+certificate, states and cut of the search whose states held Fractions.
 """
 
 import itertools
@@ -14,12 +17,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_tetris import SearchBudgetExceeded, SumMismatch, sfr_feasible, st_ready_search
+from spectral_tetris import (
+    Infeasible,
+    SearchBudgetExceeded,
+    SumMismatch,
+    equal_norm_frame,
+    sfr_feasible,
+    st_ready_search,
+)
 from spectral_tetris import sequences
 
 import _oracles
-from _oracles import sfr_feasible_oracle, st_ready_search_oracle
+from _oracles import fraction_st_ready_search_oracle, sfr_feasible_oracle, st_ready_search_oracle
 
 PALETTES = (
     (F(1, 2), F(5, 4), F(3, 2), F(2)),
@@ -136,3 +148,70 @@ def test_sfr_feasible_remembers_no_prefix_its_own_order_broke():
     cert = sfr_feasible((F(3, 2), F(1, 2), F(2)), 4)
     assert cert.eigenvalue_order == (1, 0, 2)
     assert cert == sfr_feasible_oracle((F(3, 2), F(1, 2), F(2)), 4)
+
+
+@st.composite
+def mixed_denominator_inputs(draw):
+    """Norms over 1 to 3 denominators in 2..30 (coprime ones included) and a
+    spectrum of the same total: sums of consecutive norms in a random order,
+    then sometimes a rational of another denominator moved between two
+    eigenvalues; or equal norms of any count on such a spectrum."""
+    denominators = draw(st.lists(st.integers(2, 30), min_size=1, max_size=3))
+    size = draw(st.integers(2, 9))
+    norms = [
+        F(draw(st.integers(1, 3 * d)), d)
+        for d in draw(st.lists(st.sampled_from(denominators), min_size=size, max_size=size))
+    ]
+    fed = draw(st.permutations(norms))
+    bounds = [0] + [i for i in range(1, size) if draw(st.booleans())] + [size]
+    spectrum = [sum(fed[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if len(spectrum) > 1 and draw(st.booleans()):
+        giver, taker = draw(st.permutations(range(len(spectrum))))[:2]
+        shift = F(draw(st.integers(1, 30)), draw(st.integers(2, 30)))
+        if shift < spectrum[giver]:
+            spectrum[giver] -= shift
+            spectrum[taker] += shift
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 10))
+        norms = [sum(spectrum) / count] * count
+    budget = draw(st.one_of(st.integers(1, 60), st.just(2_000)))
+    return norms, draw(st.permutations(spectrum)), budget
+
+
+def _answer(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded as cut:
+        return str(cut)
+
+
+@given(mixed_denominator_inputs())
+@settings(max_examples=500, deadline=None)
+def test_st_ready_search_equals_the_fraction_search_at_random(case):
+    norms, spectrum, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        ints = _StateCount(patch, sequences._FeedSearch)
+        fractions = _StateCount(patch, _oracles.FractionFeedSearchOracle)
+        found = _answer(st_ready_search, norms, spectrum, budget)
+        expected = _answer(fraction_st_ready_search_oracle, norms, spectrum, budget)
+    if isinstance(expected, str) and found is None:
+        # the one change: a walk that ended on the budget's last state was
+        # reported as a cut
+        assert fractions.states == ints.states == budget
+    elif isinstance(expected, str):
+        # the cut now quotes the caller's budget, not what an order had left
+        assert found == f"readiness search exceeded {budget} states"
+        assert ints.states == budget + 1
+    else:
+        assert found == expected
+        assert ints.states == fractions.states
+
+
+def test_the_mixed_denominator_equal_norm_case_spends_its_states(monkeypatch):
+    """The equal-norm case CI runs: 25,072 feed-search states in Fractions
+    and in integer units alike, ending Infeasible."""
+    ints = _StateCount(monkeypatch, sequences._FeedSearch)
+    spectrum = [F(v) for v in "13/7 1824/1001 23/13 19/11 12/7 11/7 17/11 20/13 16/11".split()]
+    with pytest.raises(Infeasible):
+        equal_norm_frame(spectrum, 15)
+    assert ints.states == 25_072

@@ -194,6 +194,51 @@ def test_st_ready_search_budget_cutoff(monkeypatch):
     assert st_ready_search((1, 1, 1, 1), (2, 2), budget=10_000) is not None
 
 
+def _feed_search_states(monkeypatch):
+    """The states of each feed search run, in run order."""
+    states = []
+    run = sequences._FeedSearch.run
+
+    def counted(search):
+        try:
+            return run(search)
+        finally:
+            states.append(search.states)
+
+    monkeypatch.setattr(sequences._FeedSearch, "run", counted)
+    return states
+
+
+def test_a_cut_on_a_later_order_quotes_the_callers_budget(monkeypatch):
+    # two orders fail at 2 states each, so the third runs on the 1 state
+    # left; the cut used to quote that remainder ("exceeded 1 states")
+    states = _feed_search_states(monkeypatch)
+    spectrum = [Fraction(v) for v in ("7/5", "6/5", "13/10", "11/10", "5/4", "3/4")]
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 5 states$"):
+        st_ready_search([1] * 7, spectrum, budget=5)
+    assert states == [2, 2, 2]
+
+
+def test_a_walk_that_ends_on_its_budget_answers(monkeypatch):
+    states = _feed_search_states(monkeypatch)
+    # a flat spectrum has one order, and its feed search fails on its
+    # second state: the walk is over, so spending the whole budget is no cut
+    assert st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=2) is None
+    assert states == [2]
+    with pytest.raises(SearchBudgetExceeded, match=r"exceeded 1 states$"):
+        st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=1)
+    # the first of two orders spends the whole budget: the second is still
+    # to try, so its feed search cuts on its first state
+    states.clear()
+    spectrum = (Fraction(1, 2), 2, Fraction(1, 2))
+    with pytest.raises(SearchBudgetExceeded, match=r"exceeded 2 states$"):
+        st_ready_search([1] * 3, spectrum, budget=2)
+    assert states == [2, 1]
+    states.clear()
+    assert st_ready_search([1] * 3, spectrum, budget=7) is None
+    assert states == [2, 1, 4]
+
+
 def test_search_budget_resolution(monkeypatch):
     monkeypatch.delenv(SEARCH_BUDGET_ENV, raising=False)
     assert search_budget() == DEFAULT_SEARCH_BUDGET
