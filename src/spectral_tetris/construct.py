@@ -8,9 +8,13 @@ route mixes in complex roots of unity.
 
 pnstc, pnstc_str and construct_untf are thin wrappers over one Spectral
 Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
-constructions reach it through pnstc. construct_untf_dft keeps its own
-J x J fill. The verifier and the fusion layer share three sparse views:
-column_maps, row_columns (the row incidence) and sparse_inner.
+constructions reach it through pnstc. The fill decides its moves by sums
+and comparisons alone, so each wrapper scales the norms and eigenvalues
+once to integers in a common unit (sequences.integer_units) and the fill
+runs on ints; square roots are taken only for the entries it places.
+construct_untf_dft keeps its own J x J fill. The verifier and the fusion
+layer share three sparse views: column_maps, row_columns (the row
+incidence) and sparse_inner.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .sequences import (
     STReadyCertificate,
     as_norms_squared,
     as_spectrum,
+    integer_units,
     sfr_feasible,
     st_ready_search,
 )
@@ -68,6 +73,8 @@ class SynthesisMatrix:
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.row_count < 0 or self.col_count < 0:
+            raise ValueError(f"negative dimension in shape {self.row_count}x{self.col_count}")
         for (i, j), value in self.entries.items():
             if not (0 <= i < self.row_count and 0 <= j < self.col_count):
                 raise ValueError(f"entry index ({i}, {j}) outside {self.row_count}x{self.col_count}")
@@ -190,7 +197,11 @@ class _Stuck(Exception):
 
 
 def _greedy_fill(
-    norms: Sequence[Fraction], eigs: Sequence[Fraction], swap_on_straddle: bool
+    norms: Sequence[Fraction],
+    units: Sequence[int],
+    eig_units: Sequence[int],
+    unit: int,
+    swap_on_straddle: bool,
 ) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
     """The Spectral Tetris fill behind pnstc, pnstc_str and construct_untf.
 
@@ -198,6 +209,11 @@ def _greedy_fill(
     describes; a pair straddling the row weight (b < w < a) is swapped as
     pnstc_str describes when swap_on_straddle is set, else the fill stops.
     Returns the entries, the number of placements and the swaps.
+
+    units and eig_units are the norms and eigenvalues times unit
+    (sequences.integer_units), so every move is decided on ints and is the
+    move a Fraction fill would make. Singletons take sqrt of the caller's
+    norms, blocks and the facts of a _Stuck get Fraction(k, unit) back.
 
     Callers check sum(norms) == sum(eigs) first. Then before every step
     sum(remaining[row:]) == sum(norms[col:]) and no remaining weight is
@@ -210,39 +226,50 @@ def _greedy_fill(
     want of a partner, on a straddle or on an overshoot.
     """
     norms = list(norms)
+    units = list(units)
+    remaining = list(eig_units)
     entries: Dict[Key, MatrixEntry] = {}
     swaps: List[Tuple[int, int]] = []
-    remaining = list(eigs)
     last = root = None
     col = step = 0
     for row in range(len(remaining)):
-        while remaining[row] > 0:
-            weight = remaining[row]
-            a = norms[col]
+        weight = remaining[row]
+        while weight > 0:
+            a = units[col]
             if weight >= a:
                 if a != last:
-                    last, root = a, RadicalScalar.sqrt(a)
+                    last, root = a, RadicalScalar.sqrt(norms[col])
                 entries[(row, col)] = root
-                remaining[row] = weight - a
+                weight -= a
                 col += 1
                 step += 1
                 continue
-            if col + 1 == len(norms):
-                raise _Stuck("partner", step, dict(norm=a, weight=weight, row=row))
-            b = norms[col + 1]
+            if col + 1 == len(units):
+                facts = dict(norm=norms[col], weight=Fraction(weight, unit), row=row)
+                raise _Stuck("partner", step, facts)
+            b = units[col + 1]
             if weight > b:
                 if not swap_on_straddle:
-                    raise _Stuck("straddle", step, dict(norm=a, partner=b, weight=weight))
-                norms[col], norms[col + 1] = b, a
+                    facts = dict(
+                        norm=norms[col], partner=norms[col + 1], weight=Fraction(weight, unit)
+                    )
+                    raise _Stuck("straddle", step, facts)
+                units[col], units[col + 1] = b, a
+                norms[col], norms[col + 1] = norms[col + 1], norms[col]
                 swaps.append((col, col + 1))
                 continue
             spill = a + b - weight
             if spill > remaining[row + 1]:
-                facts = dict(spill=spill, next_row=row + 1, room=remaining[row + 1])
+                facts = dict(
+                    spill=Fraction(spill, unit),
+                    next_row=row + 1,
+                    room=Fraction(remaining[row + 1], unit),
+                )
                 raise _Stuck("overshoot", step, facts)
-            _place_block(entries, block_a_hat(weight, a, b), row, col)
+            block = block_a_hat(Fraction(weight, unit), norms[col], norms[col + 1])
+            _place_block(entries, block, row, col)
             remaining[row + 1] -= spill
-            remaining[row] = 0
+            weight = 0
             col += 2
             step += 1
     return entries, step, tuple(swaps)
@@ -261,12 +288,13 @@ def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
-    if sum(norms) != sum(eigs):
+    unit, units, eig_units = integer_units(norms, eigs)
+    if sum(units) != sum(eig_units):
         raise NotSTReady(
             f"total squared norm {sum(norms)} differs from spectrum total {sum(eigs)}"
         )
     try:
-        entries, steps, _ = _greedy_fill(norms, eigs, swap_on_straddle=False)
+        entries, steps, _ = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=False)
     except _Stuck as stuck:
         kind, step, facts = stuck.args
         raise NotSTReady(_FILL_WORDING[kind].format(**facts), step=step) from None
@@ -290,12 +318,13 @@ def pnstc_str(
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
-    if sum(norms) != sum(eigs):
+    unit, units, eig_units = integer_units(norms, eigs)
+    if sum(units) != sum(eig_units):
         raise ReorderFailed(
             f"re-ordering preserves the total squared norm, but {sum(norms)} != {sum(eigs)}"
         )
     try:
-        entries, _, swaps = _greedy_fill(norms, eigs, swap_on_straddle=True)
+        entries, _, swaps = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=True)
     except _Stuck as stuck:
         kind, _, facts = stuck.args
         raise ReorderFailed(_REORDER_WORDING[kind].format(**facts)) from None
@@ -355,13 +384,13 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
             f"{count} vectors cannot span a space of dimension {dimension}"
         )
     eigenvalue = Fraction(count, dimension)
+    norms = (Fraction(1),) * count
+    unit, units, eig_units = integer_units(norms, (eigenvalue,) * dimension)
 
     # unit norms always have a partner and never straddle, so the only way
     # the fill can stop is a spill overshooting the next row
     try:
-        entries, _, _ = _greedy_fill(
-            (Fraction(1),) * count, (eigenvalue,) * dimension, swap_on_straddle=False
-        )
+        entries, _, _ = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=False)
     except _Stuck as stuck:
         kind, _, facts = stuck.args
         reduced = f"{eigenvalue.numerator}/{eigenvalue.denominator}"

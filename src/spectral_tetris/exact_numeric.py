@@ -16,9 +16,11 @@ r2 with g = gcd(r1, r2) the product radicand (r1/g)*(r2/g) is squarefree
 again. Those results are built by _collect, which merges equal radicands
 and drops zero coefficients but never factors. sqrt splits p*q once and
 wraps the single squarefree term directly. The split is memoized in a
-bounded cache, and the JSON decoder wraps terms that are already canonical
-(radicands increasing, each squarefree by the cached split, coefficients
-nonzero) directly instead of passing them through the constructor.
+bounded cache. The JSON decoder memoizes whole entries in a bounded cache
+keyed on their integer terms, so a document builds each distinct entry
+once; terms that are already canonical (radicands increasing, each
+squarefree by the cached split, coefficients nonzero) are wrapped directly
+instead of passing through the constructor.
 
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic

@@ -402,7 +402,7 @@ class _TaggedSearch:
         self.dims = dims
         self.spectrum = spectrum
         self.budget = budget
-        self.units, self.eigs = integer_units(weights, spectrum)
+        _, self.units, self.eigs = integer_units(weights, spectrum)
         self.states = 0
         self.remaining = list(dims)
         self.rows: List[Set[int]] = [set() for _ in dims]

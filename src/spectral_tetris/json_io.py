@@ -14,14 +14,20 @@ omega_den) and appears only for genuinely complex phases. Fusion frames add
 "partition" (lists of 0-based column indices) and "weights_sq" (squared
 weights as {"num", "den"} objects). Rationals are never written as floats,
 and the loader rejects floats outright, so a round trip is exact.
+
+A document repeats few values, since every column is a singleton or half
+of a 2x2 block. Once each field is checked to be an int, the decoder looks
+the entry up in a bounded memo keyed on its (num, den, rad) triples and
+omega pair, so it builds each distinct entry once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
@@ -63,7 +69,7 @@ def _entry_to_json(row: int, col: int, value: MatrixEntry) -> Dict[str, object]:
     return document
 
 
-def _is_canonical(pairs: List[Tuple[int, Fraction]]) -> bool:
+def _is_canonical(pairs: Tuple[Tuple[int, Fraction], ...]) -> bool:
     """Whether (radicand, coefficient) pairs already satisfy RadicalScalar's
     canonical-term invariant: radicands positive, strictly increasing and
     squarefree, coefficients nonzero. The encoder writes only such terms."""
@@ -75,6 +81,37 @@ def _is_canonical(pairs: List[Tuple[int, Fraction]]) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=4096)
+def _entry_value(
+    terms: Tuple[Tuple[int, int, int], ...], omega: Optional[Tuple[int, int]]
+) -> MatrixEntry:
+    """The entry that (num, den, rad) int triples and an optional int omega
+    pair encode; raises what the constructors raise for invalid values.
+
+    Memoized with a fixed size: a document repeats the few values of its
+    singletons and blocks many times over. Callers pass only fields they
+    have checked to be ints (True == 1 and 2.0 == 2 hash alike, so a bool
+    or float key would find an int entry), and the values are immutable,
+    so entries and documents may share them.
+    """
+    pairs = tuple((rad, Fraction(num, den)) for num, den, rad in terms)
+    if _is_canonical(pairs):
+        modulus = RadicalScalar._canonical(pairs)
+    else:
+        modulus = RadicalScalar(pairs)
+    return modulus if omega is None else ComplexRadicalEntry.make(modulus, *omega)
+
+
+def _term_from_json(term, row: int, col: int) -> Tuple[int, int, int]:
+    """A term's (num, den, rad), checked field by field with the labelled
+    messages; the labels are formatted only on this path."""
+    if not isinstance(term, dict):
+        raise ValueError(f"entry ({row}, {col}) has a malformed term {term!r}")
+    coefficient = _fraction_field(term, f"entry ({row}, {col}) term")
+    radicand = _int_field(term.get("rad"), f"entry ({row}, {col}) term.rad")
+    return coefficient.numerator, coefficient.denominator, radicand
+
+
 def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
     if not isinstance(document, dict):
         raise ValueError(f"entry must be an object, got {document!r}")
@@ -83,24 +120,26 @@ def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
     terms = document.get("terms")
     if not isinstance(terms, list):
         raise ValueError(f"entry ({row}, {col}) needs a list of terms")
-    pairs = []
+    key = []
     for term in terms:
-        if not isinstance(term, dict):
-            raise ValueError(f"entry ({row}, {col}) has a malformed term {term!r}")
-        coefficient = _fraction_field(term, f"entry ({row}, {col}) term")
-        radicand = _int_field(term.get("rad"), f"entry ({row}, {col}) term.rad")
-        pairs.append((radicand, coefficient))
+        if type(term) is dict:
+            num, den, rad = term.get("num"), term.get("den"), term.get("rad")
+            if type(num) is int and type(den) is int and type(rad) is int and den:
+                key.append((num, den, rad))
+                continue
+        key.append(_term_from_json(term, row, col))
+    omega = None
+    if "omega_num" in document or "omega_den" in document:
+        omega = document.get("omega_num"), document.get("omega_den")
     try:
-        if _is_canonical(pairs):
-            modulus = RadicalScalar._canonical(tuple(pairs))
-        else:
-            modulus = RadicalScalar(pairs)
-        if "omega_num" in document or "omega_den" in document:
-            exponent = _int_field(document.get("omega_num"), "entry.omega_num")
-            order = _int_field(document.get("omega_den"), "entry.omega_den")
-            value: MatrixEntry = ComplexRadicalEntry.make(modulus, exponent, order)
-        else:
-            value = modulus
+        if omega is not None and not (type(omega[0]) is int and type(omega[1]) is int):
+            # the terms are read first, so their errors come before the omega's
+            _entry_value(tuple(key), None)
+            omega = (
+                _int_field(omega[0], "entry.omega_num"),
+                _int_field(omega[1], "entry.omega_den"),
+            )
+        value = _entry_value(tuple(key), omega)
     except (SpectralTetrisError, ValueError, TypeError) as failure:
         raise ValueError(f"entry ({row}, {col}) is invalid: {failure}") from failure
     if not value:

@@ -43,24 +43,27 @@ def search_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_SEARCH_BUDGET
 
 
+def _positive_rationals(values: Sequence, empty: str, nonpositive: str) -> Tuple[Fraction, ...]:
+    # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
+    # Fraction passes as it is, and every other value converts as before
+    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    if not out:
+        raise ValueError(empty)
+    if any(v.numerator <= 0 for v in out):
+        raise ValueError(nonpositive)
+    return out
+
+
 def as_spectrum(values: Sequence) -> Spectrum:
     """Validate and normalize a sequence of eigenvalues (positive rationals)."""
-    out = tuple(Fraction(v) for v in values)
-    if not out:
-        raise ValueError("spectrum must be nonempty")
-    if any(v <= 0 for v in out):
-        raise ValueError("eigenvalues must be positive")
-    return out
+    return _positive_rationals(values, "spectrum must be nonempty", "eigenvalues must be positive")
 
 
 def as_norms_squared(values: Sequence) -> NormSequence:
     """Validate and normalize a sequence of squared vector norms (positive rationals)."""
-    out = tuple(Fraction(v) for v in values)
-    if not out:
-        raise ValueError("norm sequence must be nonempty")
-    if any(v <= 0 for v in out):
-        raise ValueError("squared norms must be positive")
-    return out
+    return _positive_rationals(
+        values, "norm sequence must be nonempty", "squared norms must be positive"
+    )
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,18 @@ class STReadyCertificate:
     partition: Tuple[int, ...]
 
 
-def integer_units(*groups: Sequence[Fraction]) -> Tuple[Tuple[int, ...], ...]:
-    """Each group as integers in one common unit: every value times the lcm of
-    all their denominators.
+def integer_units(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
+    """The unit, the lcm of all the values' denominators, followed by each
+    group as integers in that unit: every value times the unit.
 
     Scaling by a positive integer keeps every <, <= and == between sums of
-    the values, so a search decided by such comparisons visits the same
-    states in the same order on the integers, at int speed.
+    the values, so a search or fill decided by such comparisons makes the
+    same moves in the same order on the integers, at int speed; an integer
+    k stands for Fraction(k, unit).
     """
     unit = math.lcm(*(v.denominator for group in groups for v in group))
-    return tuple(tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
+    scaled = (tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
+    return (unit, *scaled)
 
 
 def majorizes(dominant: Sequence, dominated: Sequence) -> bool:
@@ -352,7 +357,7 @@ def st_ready_search(
     if sum(norms) != sum(eigs):
         return None
     cap = search_budget(budget)
-    units, eig_units = integer_units(norms, eigs)
+    _, units, eig_units = integer_units(norms, eigs)
     states_used = 0
     walk = _distinct_value_orders(eig_units)
     skip = None

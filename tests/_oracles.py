@@ -12,8 +12,9 @@ package's former code, kept as it was, and so are the readiness searches
 that tried every distinct eigenvalue order in full, the frame verifier and
 sparsity report that summed squares in RadicalScalar arithmetic, the
 JSON entry decoder that re-split every radicand, the tagged fusion search
-that compared columns by exact inner products, and the pruned readiness search
-whose states held Fractions.
+that compared columns by exact inner products, the pruned readiness search
+whose states held Fractions, and the Spectral Tetris fill that compared and
+subtracted Fractions.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -36,7 +37,7 @@ from spectral_tetris import (
     block_a_hat,
     pnstc,
 )
-from spectral_tetris.construct import column_maps, sparse_inner
+from spectral_tetris.construct import _Stuck, column_maps, sparse_inner
 from spectral_tetris.errors import SpectralTetrisError, SpectrumMismatch
 from spectral_tetris.exact_numeric import (
     ZERO,
@@ -1115,3 +1116,52 @@ def fraction_st_ready_search_oracle(
         if states_used >= cap:
             raise SearchBudgetExceeded(f"readiness search exceeded {cap} states")
         skip = search.reach + 1
+
+
+# -- the Spectral Tetris fill before it ran in integer units ------------------------
+# construct._greedy_fill as it was when every comparison, subtraction and spill
+# was a Fraction operation, verbatim bar its name and docstring; _Stuck,
+# block_a_hat and RadicalScalar are the package's, _place_block is the copy
+# above.
+
+
+def fraction_greedy_fill_oracle(
+    norms: Sequence[Fraction], eigs: Sequence[Fraction], swap_on_straddle: bool
+) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
+    norms = list(norms)
+    entries: Dict[Key, MatrixEntry] = {}
+    swaps: List[Tuple[int, int]] = []
+    remaining = list(eigs)
+    last = root = None
+    col = step = 0
+    for row in range(len(remaining)):
+        while remaining[row] > 0:
+            weight = remaining[row]
+            a = norms[col]
+            if weight >= a:
+                if a != last:
+                    last, root = a, RadicalScalar.sqrt(a)
+                entries[(row, col)] = root
+                remaining[row] = weight - a
+                col += 1
+                step += 1
+                continue
+            if col + 1 == len(norms):
+                raise _Stuck("partner", step, dict(norm=a, weight=weight, row=row))
+            b = norms[col + 1]
+            if weight > b:
+                if not swap_on_straddle:
+                    raise _Stuck("straddle", step, dict(norm=a, partner=b, weight=weight))
+                norms[col], norms[col + 1] = b, a
+                swaps.append((col, col + 1))
+                continue
+            spill = a + b - weight
+            if spill > remaining[row + 1]:
+                facts = dict(spill=spill, next_row=row + 1, room=remaining[row + 1])
+                raise _Stuck("overshoot", step, facts)
+            _place_block(entries, block_a_hat(weight, a, b), row, col)
+            remaining[row + 1] -= spill
+            remaining[row] = 0
+            col += 2
+            step += 1
+    return entries, step, tuple(swaps)

@@ -489,3 +489,14 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert answers() == reused
     assert [code for code, _, _ in reused[: len(argvs)]] == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
+
+
+def test_verify_rejects_a_matrix_of_negative_dimension(tmp_path, capsys):
+    """The m = -1 document once verified as a frame and exited 0."""
+    source = tmp_path / "negative.json"
+    write_document(str(source), {"m": -1, "n": 0, "complex": False, "entries": []})
+    code = run(["verify", "--input", str(source)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: invalid matrix: negative dimension")
+    assert captured.out == ""

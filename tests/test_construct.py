@@ -455,3 +455,9 @@ def test_scale_rejects_zero_and_rescales_complex_entries():
         matrix.scale(RadicalScalar())
     scaled = matrix.scale(RadicalScalar.from_rational(2))
     assert scaled.column_norm_squared(0) == 4
+
+
+def test_synthesis_matrix_rejects_negative_dimensions():
+    for rows, cols in ((-1, 0), (2, -3), (-1, -1)):
+        with pytest.raises(ValueError, match="negative dimension"):
+            SynthesisMatrix(rows, cols, {})

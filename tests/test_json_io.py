@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from spectral_tetris import (
+    ComplexRadicalEntry,
+    RadicalScalar,
     SynthesisMatrix,
     construct_untf,
     construct_untf_dft,
@@ -368,3 +370,88 @@ def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
         os.umask(previous)
     assert target.stat().st_mode & 0o777 == mode
     assert os.listdir(tmp_path) == ["frame.json"]
+
+
+# -- the entry memo -------------------------------------------------------------
+
+WARM_TERMS = [_term(1, 2, 1)]
+ORDER_4 = {"omega_num": 1, "omega_den": 4}
+
+# each is equal, as a Python value, to a field of the warm entries, and
+# True == 1, 2.0 == 2 hash alike, so a memo keyed before the type checks
+# would hand back the cached entry instead of raising
+LOOKALIKES = {
+    "bool-num": ([_term(True, 2, 1)], {}),
+    "bool-rad": ([_term(1, 2, True)], {}),
+    "float-den": ([_term(1, 2.0, 1)], {}),
+    "bool-num-complex": ([_term(True, 2, 1)], ORDER_4),
+    "float-den-complex": ([_term(1, 2.0, 1)], ORDER_4),
+    "float-omega": (WARM_TERMS, {"omega_num": 1.0, "omega_den": 4}),
+    "bool-omega": (WARM_TERMS, {"omega_num": True, "omega_den": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKALIKES))
+def test_a_warm_memo_still_rejects_lookalike_fields(name):
+    warm = [
+        {"row": 0, "col": 0, "terms": WARM_TERMS},
+        {"row": 0, "col": 1, "terms": WARM_TERMS, **ORDER_4},
+    ]
+    decoded = matrix_from_json({"m": 1, "n": 2, "complex": True, "entries": warm})
+    half = RadicalScalar.from_rational(rat("1/2"))
+    assert decoded.entries[(0, 1)] == ComplexRadicalEntry(half, 1, 4)
+    terms, phase = LOOKALIKES[name]
+    document = {"row": 0, "col": 2, "terms": terms, **phase}
+    expected = _decoded(entry_from_json_oracle, document)
+    assert expected[0] == "error"
+    assert _decoded(json_io._entry_from_json, document) == expected
+
+
+def test_decoding_builds_each_distinct_entry_once(monkeypatch):
+    """The 200 x 5500 unit-norm tight frame's document: 5,700 entries but
+    four distinct ones (the singleton 1 and three block entries). The
+    decoder builds Fractions and RadicalScalars once per distinct (terms,
+    omega) key; the previous decoder built them once per entry."""
+    document = matrix_to_json(construct_untf(200, 5500))
+    keys = {
+        (tuple((t["num"], t["den"], t["rad"]) for t in raw["terms"]), None)
+        for raw in document["entries"]
+    }
+    distinct_terms = sum(len(terms) for terms, _ in keys)
+    assert len(document["entries"]) > 100 * len(keys)
+
+    built = {"fractions": 0, "scalars": 0}
+
+    def counting_fraction(*args):
+        built["fractions"] += 1
+        return Fraction(*args)
+
+    wrap = RadicalScalar._canonical.__func__
+    construct = RadicalScalar.__init__
+
+    def counting_wrap(cls, terms):
+        built["scalars"] += 1
+        return wrap(cls, terms)
+
+    def counting_construct(self, terms=()):
+        built["scalars"] += 1
+        construct(self, terms)
+
+    monkeypatch.setattr(json_io, "Fraction", counting_fraction)
+    monkeypatch.setattr(RadicalScalar, "_canonical", classmethod(counting_wrap))
+    monkeypatch.setattr(RadicalScalar, "__init__", counting_construct)
+    json_io._entry_value.cache_clear()
+    decoded = matrix_from_json(document)
+    assert decoded.nonzero_count == len(document["entries"])
+    assert built["fractions"] <= distinct_terms
+    assert built["scalars"] <= len(keys)
+
+
+# -- shapes ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (2, -3), (-2, -2)])
+def test_loader_rejects_negative_dimensions(m, n):
+    """A negative m or n decoded as a matrix, and verify called it a frame."""
+    with pytest.raises(ValueError, match="invalid matrix: negative dimension"):
+        matrix_from_json({"m": m, "n": n, "complex": False, "entries": []})
