@@ -92,17 +92,10 @@ def _printable(value):
 
 def _matrix_csv(matrix: SynthesisMatrix) -> str:
     dense = matrix.to_dense()
-    complex_entries = matrix.is_complex  # a scan of every nonzero: read it once
-    lines: List[str] = []
-    for i in range(matrix.row_count):
-        cells = []
-        for j in range(matrix.col_count):
-            value = dense[i, j]
-            if complex_entries:
-                cells.append("%.17g%+.17gj" % (value.real, value.imag))
-            else:
-                cells.append("%.17g" % value)
-        lines.append(",".join(cells))
+    if matrix.is_complex:
+        lines = [",".join("%.17g%+.17gj" % (v.real, v.imag) for v in row) for row in dense]
+    else:
+        lines = [",".join("%.17g" % v for v in row) for row in dense]
     return "\n".join(lines) + "\n"
 
 

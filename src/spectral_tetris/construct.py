@@ -62,8 +62,9 @@ class SynthesisMatrix:
     """Sparse M x N synthesis matrix against the frame-operator eigenbasis.
 
     entries maps (row, col) to a nonzero exact entry; anything absent is
-    zero. meta carries construction by-products (swap logs, step traces,
-    certificates) and is never serialized.
+    zero. Views of it are stored (the complex flag, the column maps), so it
+    must not change after construction. meta carries construction
+    by-products (swap logs, step traces, certificates), never serialized.
     """
 
     row_count: int
@@ -75,28 +76,32 @@ class SynthesisMatrix:
     def __post_init__(self) -> None:
         if self.row_count < 0 or self.col_count < 0:
             raise ValueError(f"negative dimension in shape {self.row_count}x{self.col_count}")
+        self._complex = False
         for (i, j), value in self.entries.items():
             if not (0 <= i < self.row_count and 0 <= j < self.col_count):
                 raise ValueError(f"entry index ({i}, {j}) outside {self.row_count}x{self.col_count}")
             if not value:
                 raise ValueError(f"stored zero entry at ({i}, {j})")
+            if type(value) is ComplexRadicalEntry:  # an exact type test is the cheapest
+                self._complex = True
+        self._columns: Optional[List[Dict[int, MatrixEntry]]] = None
 
     def entry(self, row: int, col: int) -> MatrixEntry:
         return self.entries.get((row, col), ZERO)
 
+    def _column(self, col: int) -> Dict[int, MatrixEntry]:
+        """The stored {row: entry} map of a column; empty outside the matrix."""
+        return column_maps(self)[col] if 0 <= col < self.col_count else {}
+
     def column(self, col: int) -> Tuple[MatrixEntry, ...]:
-        return tuple(self.entry(i, col) for i in range(self.row_count))
+        found = self._column(col)
+        return tuple(found.get(i, ZERO) for i in range(self.row_count))
 
     def column_support(self, col: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(self.row_count) if (i, col) in self.entries)
+        return tuple(sorted(self._column(col)))
 
     def column_norm_squared(self, col: int) -> RadicalScalar:
-        total = ZERO
-        for i in range(self.row_count):
-            value = self.entries.get((i, col))
-            if value is not None:
-                total = total + entry_abs_squared(value)
-        return total
+        return sum(map(entry_abs_squared, self._column(col).values()), ZERO)
 
     def rows(self) -> Iterator[Tuple[int, int, MatrixEntry]]:
         for (i, j), value in sorted(self.entries.items()):
@@ -104,21 +109,17 @@ class SynthesisMatrix:
 
     @property
     def is_complex(self) -> bool:
-        return any(isinstance(v, ComplexRadicalEntry) for v in self.entries.values())
+        return self._complex
 
     @property
     def nonzero_count(self) -> int:
         return len(self.entries)
 
     def to_dense(self) -> np.ndarray:
-        if self.is_complex:
-            dense = np.zeros((self.row_count, self.col_count), dtype=np.complex128)
-            for (i, j), value in self.entries.items():
-                dense[i, j] = entry_to_complex(value)
-        else:
-            dense = np.zeros((self.row_count, self.col_count), dtype=np.float64)
-            for (i, j), value in self.entries.items():
-                dense[i, j] = to_float(value)
+        convert, dtype = (entry_to_complex, np.complex128) if self._complex else (to_float, float)
+        dense = np.zeros((self.row_count, self.col_count), dtype=dtype)
+        for (i, j), value in self.entries.items():
+            dense[i, j] = convert(value)
         return dense
 
     def scale(self, factor: RadicalScalar) -> "SynthesisMatrix":
@@ -137,11 +138,13 @@ class SynthesisMatrix:
 
 
 def column_maps(matrix: SynthesisMatrix) -> List[Dict[int, MatrixEntry]]:
-    """Per-column {row: entry} views, built in one pass over the sparse entries."""
-    columns: List[Dict[int, MatrixEntry]] = [dict() for _ in range(matrix.col_count)]
-    for (row, col), value in matrix.entries.items():
-        columns[col][row] = value
-    return columns
+    """Per-column {row: entry} views, built on first use and stored: never change them."""
+    if matrix._columns is None:
+        columns: List[Dict[int, MatrixEntry]] = [dict() for _ in range(matrix.col_count)]
+        for (row, col), value in matrix.entries.items():
+            columns[col][row] = value
+        matrix._columns = columns
+    return matrix._columns
 
 
 def row_columns(

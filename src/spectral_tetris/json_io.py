@@ -16,9 +16,10 @@ weights as {"num", "den"} objects). Rationals are never written as floats,
 and the loader rejects floats outright, so a round trip is exact.
 
 A document repeats few values, since every column is a singleton or half
-of a 2x2 block. Once each field is checked to be an int, the decoder looks
-the entry up in a bounded memo keyed on its (num, den, rad) triples and
-omega pair, so it builds each distinct entry once.
+of a 2x2 block. So the encoder reads each run of one entry object in
+(row, col) order once, and the decoder, once each field is checked to be an
+int, builds each distinct entry once from a bounded memo keyed on its
+(num, den, rad) triples and omega pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import json
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
@@ -51,22 +52,16 @@ def _fraction_field(value, label: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _terms_to_json(value: RadicalScalar) -> List[Dict[str, int]]:
-    return [
-        {"num": coefficient.numerator, "den": coefficient.denominator, "rad": radicand}
-        for radicand, coefficient in value.terms
-    ]
+_Terms = Tuple[Tuple[int, int, int], ...]
 
 
-def _entry_to_json(row: int, col: int, value: MatrixEntry) -> Dict[str, object]:
-    document: Dict[str, object] = {"row": row, "col": col}
+def _json_form(value: MatrixEntry) -> Tuple[_Terms, Optional[Tuple[int, int]]]:
+    """An entry's (num, den, rad) int triples and its omega pair (None when
+    real): what the document holds and what _entry_value decodes."""
+    omega = None
     if isinstance(value, ComplexRadicalEntry):
-        document["terms"] = _terms_to_json(value.modulus)
-        document["omega_num"] = value.root_exponent
-        document["omega_den"] = value.root_order
-    else:
-        document["terms"] = _terms_to_json(value)
-    return document
+        value, omega = value.modulus, (value.root_exponent, value.root_order)
+    return tuple([(c.numerator, c.denominator, r) for r, c in value.terms]), omega
 
 
 def _is_canonical(pairs: Tuple[Tuple[int, Fraction], ...]) -> bool:
@@ -82,9 +77,7 @@ def _is_canonical(pairs: Tuple[Tuple[int, Fraction], ...]) -> bool:
 
 
 @functools.lru_cache(maxsize=4096)
-def _entry_value(
-    terms: Tuple[Tuple[int, int, int], ...], omega: Optional[Tuple[int, int]]
-) -> MatrixEntry:
+def _entry_value(terms: _Terms, omega: Optional[Tuple[int, int]]) -> MatrixEntry:
     """The entry that (num, den, rad) int triples and an optional int omega
     pair encode; raises what the constructors raise for invalid values.
 
@@ -115,8 +108,9 @@ def _term_from_json(term, row: int, col: int) -> Tuple[int, int, int]:
 def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
     if not isinstance(document, dict):
         raise ValueError(f"entry must be an object, got {document!r}")
-    row = _int_field(document.get("row"), "entry.row")
-    col = _int_field(document.get("col"), "entry.col")
+    row, col = document.get("row"), document.get("col")
+    if type(row) is not int or type(col) is not int:
+        row, col = _int_field(row, "entry.row"), _int_field(col, "entry.col")
     terms = document.get("terms")
     if not isinstance(terms, list):
         raise ValueError(f"entry ({row}, {col}) needs a list of terms")
@@ -148,13 +142,27 @@ def _entry_from_json(document) -> Tuple[int, int, MatrixEntry]:
 
 
 def matrix_to_json(matrix: SynthesisMatrix) -> Dict[str, object]:
+    """Entries in (row, col) order, each in fresh dicts and lists."""
+    entries = []
+    last = form = None
+    for (row, col), value in sorted(matrix.entries.items()):
+        if value is not last:  # a row's singletons are runs of one entry object
+            last, form = value, _json_form(value)
+        terms, omega = form
+        if len(terms) == 1:  # most entries: no comprehension to call
+            ((num, den, rad),) = terms
+            listed = [{"num": num, "den": den, "rad": rad}]
+        else:
+            listed = [{"num": num, "den": den, "rad": rad} for num, den, rad in terms]
+        document = {"row": row, "col": col, "terms": listed}
+        if omega is not None:
+            document["omega_num"], document["omega_den"] = omega
+        entries.append(document)
     return {
         "m": matrix.row_count,
         "n": matrix.col_count,
         "complex": matrix.is_complex,
-        "entries": [
-            _entry_to_json(row, col, value) for row, col, value in matrix.rows()
-        ],
+        "entries": entries,
     }
 
 

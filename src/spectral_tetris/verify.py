@@ -9,11 +9,12 @@ Each property has one check: _rows_orthogonal, _matches (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
 The exact ones multiply only entries that share a column or a row, so they
 cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. The row
-and column square sums cost integer work per nonzero: a one-term entry
-c*sqrt(r) squares to the rational c^2*r, whose integer numerator is added
-under its (radicand, denominator) key, and each sum becomes one Fraction at
-the end (a RadicalScalar only when irrational). Off the exact route each
-fusion group takes one SVD, for its dimension and its projection.
+and column square sums add integers per nonzero: a one-term entry c*sqrt(r)
+squares to the rational c^2*r, whose integer numerator is added under its
+(radicand, denominator) key. Exact work is paid per distinct value: each
+entry object is squared once, each distinct sum settled into one Fraction
+(a RadicalScalar when irrational) and each distinct (sum, expectation)
+pair compared once. Off the exact route each fusion group takes one SVD.
 """
 
 from __future__ import annotations
@@ -67,14 +68,10 @@ def _squared_terms(value: MatrixEntry) -> Tuple[Tuple[Tuple[int, int], int], ...
     )
 
 
-def _settle(sums: _Accumulator) -> ExactSum:
-    """The exact value of an accumulator: one Fraction per radicand."""
-    if len(sums) == 1:
-        (((radicand, denominator), numerator),) = sums.items()
-        if radicand == 1:
-            return Fraction(numerator, denominator)
+def _settle(sums: Tuple[Tuple[Tuple[int, int], int], ...]) -> ExactSum:
+    """The exact value of an accumulator's items: one Fraction per radicand."""
     combined: Dict[int, Fraction] = {}
-    for (radicand, denominator), numerator in sums.items():
+    for (radicand, denominator), numerator in sums:
         combined[radicand] = combined.get(radicand, 0) + Fraction(numerator, denominator)
     terms = tuple(sorted(item for item in combined.items() if item[1]))
     if not terms:
@@ -89,21 +86,27 @@ def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum
     """Exact row and column square sums in one sweep (exact on both paths).
 
     Each nonzero adds integer numerators to its row's and its column's
-    accumulator; the sums are settled into Fractions (or RadicalScalars when
-    irrational) once at the end.
+    accumulator. The terms are squared once per distinct entry object (the
+    matrix keeps every entry alive, so ids are stable) and each distinct
+    accumulator is settled once, so equal sums are one object.
     """
     rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
     cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
+    squared: Dict[int, Tuple[Tuple[Tuple[int, int], int], ...]] = {}
     for (i, j), value in matrix.entries.items():
+        terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
         row, col = rows[i], cols[j]
-        for key, numerator in _squared_terms(value):
+        for key, numerator in terms:
             row[key] = row.get(key, 0) + numerator
             col[key] = col.get(key, 0) + numerator
-    return [_settle(sums) for sums in rows], [_settle(sums) for sums in cols]
+    keys = [tuple(sums.items()) for sums in rows + cols]
+    settled = {key: _settle(key) for key in dict.fromkeys(keys)}
+    sums = [settled[key] for key in keys]
+    return sums[: matrix.row_count], sums[matrix.row_count :]
 
 
 def _report_values(values: Sequence[ExactSum]) -> Tuple[SquareSum, ...]:
-    if all(isinstance(v, Fraction) for v in values):
+    if set(map(type, values)) <= {Fraction}:
         return tuple(values)
     return tuple(float(v) for v in values)
 
@@ -121,6 +124,8 @@ def _row_gram(
     """
     gram: Dict[Tuple[int, int], RadicalScalar] = {}
     for column in columns:
+        if len(column) < 2 and not diagonal:
+            continue  # a single row meets no other row here
         items = sorted(column.items())
         for a, (p, x) in enumerate(items):
             for q, y in items[a if diagonal else a + 1 :]:
@@ -128,35 +133,46 @@ def _row_gram(
     return gram
 
 
+def _off_diagonal(gram: np.ndarray) -> float:
+    """The largest modulus off the diagonal of a square matrix (0 when empty)."""
+    return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
+
+
 def _rows_orthogonal(
-    matrix: SynthesisMatrix,
-    columns: Sequence[SparseVector],
-    tolerance: float,
-    real: Optional[bool] = None,
+    matrix: SynthesisMatrix, columns: Sequence[SparseVector], tolerance: float
 ) -> bool:
     """Whether every pair of distinct rows is orthogonal: exactly (from the
     column supports) on the real path, within tolerance with complex entries.
-    Callers pass real when they have read is_complex, an O(nnz) scan."""
-    if real is None:
-        real = not matrix.is_complex
-    if real:
+    It reads the stored flag directly: its callers have read is_complex."""
+    if not matrix._complex:
         return not any(_row_gram(columns, diagonal=False).values())
     dense = matrix.to_dense()
-    gram = dense @ dense.conj().T
-    return bool(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0) <= tolerance)
+    return _off_diagonal(dense @ dense.conj().T) <= tolerance
 
 
-def _matches(actual: Sequence, expected: Optional[Sequence]) -> Optional[bool]:
+def _exact_expectation(expected: Sequence) -> List[ExactSum]:
+    """Expected values as exact numbers (RadicalScalars as they stand, the
+    rest as Fractions); ValueError names the position of a non-number."""
+    exact = list(expected)
+    for position, want in enumerate(exact):
+        if not isinstance(want, (Fraction, RadicalScalar)):
+            try:
+                exact[position] = Fraction(want)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                message = f"expected value {want!r} at position {position} is not a number"
+                raise ValueError(message) from failure
+    return exact
+
+
+def _matches(actual: Sequence[ExactSum], expected: Optional[Sequence]) -> Optional[bool]:
     """None without an expectation, else whether actual equals it exactly,
     entry by entry in order and with the same length."""
     if expected is None:
         return None
-    expected = list(expected)
-    # an expected Fraction is compared as it stands, anything else converted
-    return len(expected) == len(actual) and all(
-        value == (want if type(want) is Fraction else Fraction(want))
-        for value, want in zip(actual, expected)
-    )
+    expected = _exact_expectation(expected)
+    # both lists hold their objects, so each distinct pair is compared once
+    pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
+    return len(expected) == len(actual) and all(value == want for value, want in pairs.values())
 
 
 def _exact_rank(vectors: Sequence[SparseVector], length: int) -> int:
@@ -313,18 +329,19 @@ def verify_frame(
     expected_spectrum: Optional[Sequence] = None,
     expected_norms: Optional[Sequence] = None,
 ) -> VerificationReport:
-    """Full report on a synthesis matrix. Never raises; see the report fields.
+    """Full report on a synthesis matrix; see the report fields.
 
     Expected values, when given, are compared exactly (square sums are exact
-    rationals even on the complex path) and in order: row m against
-    expected_spectrum[m], column n against expected_norms[n].
+    even on the complex path; RadicalScalars meet irrational sums) and in
+    order: row m against expected_spectrum[m], column n against
+    expected_norms[n]. Raises only ValueError, for a non-number expectation.
     """
     m, n = matrix.row_count, matrix.col_count
     exact = not matrix.is_complex
     row_sums, col_norms = _square_sums(matrix)
 
     columns = column_maps(matrix)
-    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE, exact)
+    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
 
     is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
     tight_bound: Optional[SquareSum] = None
@@ -397,23 +414,27 @@ class FusionReport:
 def verify_fusion(
     reference: FusionFrame, expected_spectrum: Optional[Sequence] = None
 ) -> FusionReport:
-    """Full report on a fusion frame. Never raises; see the report fields.
+    """Full report on a fusion frame; see the report fields.
 
     The group flags are exact for a real generator. Off the exact route each
     group's reduced SVD gives both its dimension and its projection; with a
     complex generator the flags come from each group's Gram matrix at 1e-10.
+    Raises only ValueError, for a non-number expected value.
     """
     generator = reference.generator
     m = generator.row_count
     real = not generator.is_complex
     columns = column_maps(generator)
-    rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE, real)
     groups_orthogonal = weights_consistent = True
     if real:
+        rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)
         for group, weight_squared in zip(reference.partition, reference.weights_squared):
             orthogonal, consistent = group_flags(columns, group, weight_squared)
             groups_orthogonal &= orthogonal
             weights_consistent &= consistent
+    else:  # the dense form serves every complex check
+        dense = generator.to_dense()
+        rows_orthogonal = _off_diagonal(dense @ dense.conj().T) <= FUSION_TOLERANCE
 
     row_sums, _ = _square_sums(generator)
     exact = real and rows_orthogonal and groups_orthogonal and weights_consistent and all(
@@ -426,7 +447,7 @@ def verify_fusion(
         dims = reference.dims
         spectrum_matches = _matches(spectrum, expected_spectrum)
     else:
-        dense = generator.to_dense()
+        dense = generator.to_dense() if real else dense  # built above when complex
         operator = np.zeros((m, m), dtype=dense.dtype)
         numeric_dims: List[int] = []
         for group, weight_squared in zip(reference.partition, reference.weights_squared):
@@ -434,10 +455,8 @@ def verify_fusion(
             weight = float(weight_squared)
             if not real:
                 gram = block.conj().T @ block
-                norms = np.diag(gram)
-                off = np.max(np.abs(gram - np.diag(norms)))
-                groups_orthogonal &= bool(off <= FUSION_TOLERANCE)
-                weights_consistent &= bool(np.max(np.abs(norms - weight)) <= FUSION_TOLERANCE)
+                groups_orthogonal &= _off_diagonal(gram) <= FUSION_TOLERANCE
+                weights_consistent &= bool(np.abs(np.diag(gram) - weight).max() <= FUSION_TOLERANCE)
             u, singular, _ = np.linalg.svd(block, full_matrices=False)
             cutoff = FUSION_TOLERANCE * max(1.0, singular[0] if singular.size else 0.0)
             basis = u[:, singular > cutoff]
@@ -450,7 +469,7 @@ def verify_fusion(
         dims = tuple(numeric_dims)
         spectrum_matches = None
         if expected_spectrum is not None:
-            expected = sorted((float(Fraction(v)) for v in expected_spectrum), reverse=True)
+            expected = sorted(map(float, _exact_expectation(expected_spectrum)), reverse=True)
             spectrum_matches = len(expected) == len(spectrum) and all(
                 abs(want - value) <= FUSION_TOLERANCE for want, value in zip(expected, spectrum)
             )

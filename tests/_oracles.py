@@ -13,8 +13,9 @@ that tried every distinct eigenvalue order in full, the frame verifier and
 sparsity report that summed squares in RadicalScalar arithmetic, the
 JSON entry decoder that re-split every radicand, the tagged fusion search
 that compared columns by exact inner products, the pruned readiness search
-whose states held Fractions, and the Spectral Tetris fill that compared and
-subtracted Fractions.
+whose states held Fractions, the Spectral Tetris fill that compared and
+subtracted Fractions, and the JSON encoder, dense conversion and CSV writer
+that worked entry by entry.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -45,6 +46,8 @@ from spectral_tetris.exact_numeric import (
     MatrixEntry,
     RationalLike,
     entry_abs_squared,
+    entry_to_complex,
+    to_float,
 )
 from spectral_tetris.json_io import _fraction_field, _int_field
 from spectral_tetris.sequences import (
@@ -1165,3 +1168,67 @@ def fraction_greedy_fill_oracle(
             col += 2
             step += 1
     return entries, step, tuple(swaps)
+
+
+# -- the encoder, dense conversion and CSV writer that worked entry by entry -------
+# json_io.matrix_to_json with its two helpers, SynthesisMatrix.to_dense and
+# cli._matrix_csv, verbatim bar their names and the CSV writer reading the
+# dense form from the old conversion; SynthesisMatrix.rows and is_complex,
+# entry_to_complex and to_float are the package's.
+
+
+def _terms_to_json(value: RadicalScalar) -> List[Dict[str, int]]:
+    return [
+        {"num": coefficient.numerator, "den": coefficient.denominator, "rad": radicand}
+        for radicand, coefficient in value.terms
+    ]
+
+
+def _entry_to_json(row: int, col: int, value: MatrixEntry) -> Dict[str, object]:
+    document: Dict[str, object] = {"row": row, "col": col}
+    if isinstance(value, ComplexRadicalEntry):
+        document["terms"] = _terms_to_json(value.modulus)
+        document["omega_num"] = value.root_exponent
+        document["omega_den"] = value.root_order
+    else:
+        document["terms"] = _terms_to_json(value)
+    return document
+
+
+def matrix_to_json_oracle(matrix: SynthesisMatrix) -> Dict[str, object]:
+    return {
+        "m": matrix.row_count,
+        "n": matrix.col_count,
+        "complex": matrix.is_complex,
+        "entries": [
+            _entry_to_json(row, col, value) for row, col, value in matrix.rows()
+        ],
+    }
+
+
+def to_dense_oracle(matrix: SynthesisMatrix) -> np.ndarray:
+    if matrix.is_complex:
+        dense = np.zeros((matrix.row_count, matrix.col_count), dtype=np.complex128)
+        for (i, j), value in matrix.entries.items():
+            dense[i, j] = entry_to_complex(value)
+    else:
+        dense = np.zeros((matrix.row_count, matrix.col_count), dtype=np.float64)
+        for (i, j), value in matrix.entries.items():
+            dense[i, j] = to_float(value)
+    return dense
+
+
+def matrix_csv_oracle(matrix: SynthesisMatrix) -> str:
+    dense = to_dense_oracle(matrix)
+    complex_entries = matrix.is_complex  # a scan of every nonzero: read it once
+    lines: List[str] = []
+    for i in range(matrix.row_count):
+        cells = []
+        for j in range(matrix.col_count):
+            value = dense[i, j]
+            if complex_entries:
+                cells.append("%.17g%+.17gj" % (value.real, value.imag))
+            else:
+                cells.append("%.17g" % value)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

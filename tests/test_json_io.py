@@ -372,6 +372,30 @@ def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
     assert os.listdir(tmp_path) == ["frame.json"]
 
 
+@pytest.mark.parametrize(
+    "position",
+    [
+        {"row": True, "col": 2},
+        {"row": 1.0, "col": 2},
+        {"row": "1", "col": 2},
+        {"col": 2},
+        {"row": 1, "col": 2.5},
+        {"row": 1, "col": False},
+        {"row": 1, "col": None},
+        {"row": None, "col": None},
+        {"row": -1, "col": 2},
+    ],
+)
+def test_entry_positions_are_read_like_the_parent(position):
+    """Row and col take an exact-int fast path; anything else gets the
+    parent's field messages, row first."""
+    for terms in (WARM_TERMS, [_term(1, 0, 2)]):
+        document = {**position, "terms": terms}
+        assert _decoded(json_io._entry_from_json, document) == _decoded(
+            entry_from_json_oracle, document
+        )
+
+
 # -- the entry memo -------------------------------------------------------------
 
 WARM_TERMS = [_term(1, 2, 1)]
