@@ -13,15 +13,19 @@ and comparisons alone, so each wrapper scales the norms and eigenvalues
 once to integers in a common unit (sequences.integer_units) and the fill
 runs on ints; square roots are taken only for the entries it places.
 construct_untf_dft keeps its own J x J fill. The verifier and the fusion
-layer share three sparse views: column_maps, row_columns (the row
-incidence) and sparse_inner.
+layer share three sparse views, column_maps, row_columns (the row
+incidence) and sparse_inner, and one square-sum helper: _squared_terms
+writes |entry|^2 as integer numerators keyed by (radicand, denominator)
+and _settle turns such an accumulator into one exact value. The Naimark
+complement is numeric: its completion is read once, and each distinct
+float becomes one dyadic entry shared by every position that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -116,24 +120,37 @@ class SynthesisMatrix:
         return len(self.entries)
 
     def to_dense(self) -> np.ndarray:
+        """The matrix in floating point; ValueError names an entry too large for it."""
         convert, dtype = (entry_to_complex, np.complex128) if self._complex else (to_float, float)
         dense = np.zeros((self.row_count, self.col_count), dtype=dtype)
-        for (i, j), value in self.entries.items():
-            dense[i, j] = convert(value)
+        try:
+            for (i, j), value in self.entries.items():
+                dense[i, j] = convert(value)
+        except OverflowError:
+            raise ValueError(f"entry ({i}, {j}) is outside the float range") from None
+        if not np.isfinite(dense).all():  # a sum of terms can overflow without raising
+            i, j = np.argwhere(~np.isfinite(dense))[0]
+            raise ValueError(f"entry ({i}, {j}) is outside the float range")
         return dense
 
     def scale(self, factor: RadicalScalar) -> "SynthesisMatrix":
         """Multiply every entry by an exact nonnegative scalar."""
         if not factor:
             raise ValueError("scaling by zero would empty the matrix")
+        # entries are immutable, so each distinct entry object is multiplied once
+        products: Dict[int, MatrixEntry] = {}
         scaled: Dict[Key, MatrixEntry] = {}
         for key, value in self.entries.items():
-            if isinstance(value, ComplexRadicalEntry):
-                scaled[key] = ComplexRadicalEntry.make(
-                    value.modulus * factor, value.root_exponent, value.root_order
-                )
-            else:
-                scaled[key] = value * factor
+            product = products.get(id(value))
+            if product is None:
+                if isinstance(value, ComplexRadicalEntry):
+                    product = ComplexRadicalEntry.make(
+                        value.modulus * factor, value.root_exponent, value.root_order
+                    )
+                else:
+                    product = value * factor
+                products[id(value)] = product
+            scaled[key] = product
         return SynthesisMatrix(self.row_count, self.col_count, scaled, meta=dict(self.meta))
 
 
@@ -168,6 +185,50 @@ def sparse_inner(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> Radica
         if other is not None:
             total = total + value * other
     return total
+
+
+#: |entry|^2 as (radicand, denominator) -> integer numerator items: the sum
+#: of numerator/denominator * sqrt(radicand) over them.
+SquaredTerms = Tuple[Tuple[Tuple[int, int], int], ...]
+
+#: An exact square sum: a Fraction when rational, else the canonical
+#: RadicalScalar of its irrational value.
+ExactSum = Union[Fraction, RadicalScalar]
+
+
+def _squared_terms(value: MatrixEntry) -> SquaredTerms:
+    """|value|^2 as accumulator terms. A single term c*sqrt(r) with c = p/q
+    squares to the rational p*p*r/(q*q) without any exact product."""
+    terms = value.terms if isinstance(value, RadicalScalar) else ()
+    if len(terms) == 1:
+        ((radicand, coefficient),) = terms
+        denominator = coefficient.denominator
+        return (((1, denominator * denominator), coefficient.numerator ** 2 * radicand),)
+    return tuple(
+        ((radicand, coefficient.denominator), coefficient.numerator)
+        for radicand, coefficient in entry_abs_squared(value).terms
+    )
+
+
+def _settle(sums: SquaredTerms) -> ExactSum:
+    """The exact value of an accumulator's items: one Fraction per radicand,
+    its numerator and denominator summed on ints first."""
+    combined: Dict[int, Tuple[int, int]] = {}
+    for (radicand, denominator), numerator in sums:
+        if radicand in combined:
+            total, common = combined[radicand]
+            combined[radicand] = (total * denominator + numerator * common, common * denominator)
+        else:
+            combined[radicand] = (numerator, denominator)
+    terms = tuple(
+        sorted((radicand, Fraction(*ratio)) for radicand, ratio in combined.items() if ratio[0])
+    )
+    if not terms:
+        return Fraction(0)
+    if terms[-1][0] == 1:
+        return terms[0][1]
+    # the radicands come from canonical values, so they are squarefree already
+    return RadicalScalar._canonical(terms)
 
 
 def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: int) -> None:
@@ -501,6 +562,9 @@ def equal_norm_frame(
     return _certified_pnstc(norms, eigs, certificate, "equal_norm")
 
 
+_REAL_ONLY = "only real synthesis matrices can be complemented here"
+
+
 def naimark_complement(parseval: SynthesisMatrix) -> SynthesisMatrix:
     """(N-M) x N completion of a Parseval frame to an orthogonal N x N matrix.
 
@@ -508,23 +572,41 @@ def naimark_complement(parseval: SynthesisMatrix) -> SynthesisMatrix:
     space (computed numerically; such completions are not radical-representable
     in general), so stacking input over output gives pairwise-orthogonal
     equal-norm columns. Entries are stored as exact dyadic rationals read off
-    the floating-point completion. Raises NotParseval unless the input rows
-    are orthonormal to within 1e-10, ValueError on complex input.
+    the floating-point completion, each float converted once. Raises
+    NotParseval unless the input rows are orthonormal to within 1e-10,
+    ValueError on complex input.
     """
     if parseval.is_complex:
-        raise ValueError("only real synthesis matrices can be complemented here")
+        raise ValueError(_REAL_ONLY)
     m, n = parseval.row_count, parseval.col_count
     if m > n:
         raise NotParseval(f"a {m}x{n} matrix with m > n cannot have orthonormal rows")
-    dense = parseval.to_dense()
-    gram = dense @ dense.T
-    if m and np.max(np.abs(gram - np.eye(m))) > 1e-10:
-        raise NotParseval(
-            "rows are not orthonormal: max Gram deviation "
-            f"{np.max(np.abs(gram - np.eye(m))):.3e} exceeds 1e-10"
+
+    def refuse(deviation: float) -> NotParseval:
+        return NotParseval(
+            f"rows are not orthonormal: max Gram deviation {deviation:.3e} exceeds 1e-10"
         )
+
+    return _naimark_completion(parseval, refuse)
+
+
+def _naimark_completion(
+    parseval: SynthesisMatrix, refuse: Callable[[float], Exception]
+) -> SynthesisMatrix:
+    """The completion step of both Naimark functions: one dense form and one
+    Gram check, whose failure raises refuse(deviation); then ValueError on
+    complex input, the SVD completion and its stacked self-check."""
+    m, n = parseval.row_count, parseval.col_count
+    dense = parseval.to_dense()
+    gram = dense @ dense.conj().T
+    deviation = np.max(np.abs(gram - np.eye(m))) if m else 0.0
+    if deviation > 1e-10:
+        raise refuse(deviation)
+    if parseval.is_complex:
+        raise ValueError(_REAL_ONLY)
+    meta = {"algorithm": "naimark", "exact": False}
     if m == n:
-        return SynthesisMatrix(0, n, {}, meta={"algorithm": "naimark", "exact": False})
+        return SynthesisMatrix(0, n, {}, meta=meta)
     _, _, vh = np.linalg.svd(dense, full_matrices=True)
     completion = vh[m:]
     stacked = np.vstack([dense, completion])
@@ -533,12 +615,16 @@ def naimark_complement(parseval: SynthesisMatrix) -> SynthesisMatrix:
         raise NotParseval(
             f"completion self-check failed: stacked Gram deviates by {deviation:.3e}"
         )
+    # each distinct nonzero float becomes one exact dyadic entry, shared by
+    # every position that holds it (a completion repeats most of its values)
     entries: Dict[Key, MatrixEntry] = {}
-    for i in range(n - m):
-        for j in range(n):
-            value = completion[i, j]
-            if value != 0.0:
-                entries[(i, j)] = RadicalScalar.from_rational(Fraction(value))
-    return SynthesisMatrix(
-        n - m, n, entries, meta={"algorithm": "naimark", "exact": False}
-    )
+    exact: Dict[float, RadicalScalar] = {}
+    for i, row in enumerate(completion.tolist()):
+        for j, value in enumerate(row):
+            if value:
+                entry = exact.get(value)
+                if entry is None:
+                    ratio = Fraction(*value.as_integer_ratio())
+                    entry = exact[value] = RadicalScalar._canonical(((1, ratio),))
+                entries[(i, j)] = entry
+    return SynthesisMatrix(n - m, n, entries, meta=meta)

@@ -5,10 +5,12 @@ the span of a group of generator columns. Construction-side we only validate
 structure (disjoint groups covering all columns, sizes matching the declared
 dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
-Columns that share no row are orthogonal, so group_flags multiplies only the
-pairs construct.row_columns puts in one row, and the tagged search keeps one
-row set per subspace (see _TaggedSearch for why that is exact). The tagged
-search runs on weights and eigenvalues scaled to integers in one common unit
+Columns that share no row are orthogonal and real columns that share one
+row are not, so group_flags multiplies only pairs that construct.row_columns
+puts in two or more common rows; it takes squared norms from construct's
+square-sum helper, as the verifier does. The tagged search keeps one row
+set per subspace (see _TaggedSearch for why that is exact), runs on weights
+and eigenvalues scaled to integers in one common unit
 (sequences.integer_units) and reads each block's rows from
 blocks.block_a_hat_support, so it takes no square root; only the matrix it
 settles on is built, and checked, exactly.
@@ -22,13 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .blocks import block_a_hat_support
 from .construct import (
+    SquaredTerms,
     SynthesisMatrix,
+    _naimark_completion,
+    _settle,
+    _squared_terms,
     column_maps,
-    naimark_complement,
     pnstc,
     row_columns,
     sfr,
@@ -98,13 +101,34 @@ class ChainPartition:
 def group_flags(
     columns: Sequence[ColumnMap], group: Sequence[int], weight_squared: Fraction
 ) -> Tuple[bool, bool]:
-    """(orthogonal, consistent), exactly: the group's columns are pairwise
-    orthogonal, and each has squared norm weight_squared. Both together make
-    the group a tight frame for its span with bound weight_squared."""
-    shared = row_columns(columns, group).values()
-    pairs = {pair for cols in shared for pair in itertools.combinations(cols, 2)}
-    orthogonal = not any(sparse_inner(columns[a], columns[b]) for a, b in pairs)
-    consistent = all(sparse_inner(columns[c], columns[c]) == weight_squared for c in group)
+    """(orthogonal, consistent), exactly: the group's real columns are
+    pairwise orthogonal, and each has squared norm weight_squared. Both
+    together make the group a tight frame for its span with bound
+    weight_squared.
+
+    Two columns sharing exactly one row are not orthogonal (their inner
+    product is one product of nonzero reals), so only pairs sharing two or
+    more rows take an exact inner product. Squared norms are integer
+    accumulators (construct._squared_terms, _settle): each distinct entry
+    object is squared once and each distinct accumulator settled once.
+    """
+    shared: Dict[Tuple[int, int], int] = {}
+    for cols in row_columns(columns, group).values():
+        for pair in itertools.combinations(cols, 2):
+            shared[pair] = shared.get(pair, 0) + 1
+    orthogonal = not any(
+        count == 1 or sparse_inner(columns[a], columns[b]) for (a, b), count in shared.items()
+    )
+    squared: Dict[int, SquaredTerms] = {}
+    keys = []
+    for col in group:
+        sums: Dict[Tuple[int, int], int] = {}
+        for value in columns[col].values():
+            terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
+            for key, numerator in terms:
+                sums[key] = sums.get(key, 0) + numerator
+        keys.append(tuple(sums.items()))
+    consistent = all(_settle(key) == weight_squared for key in dict.fromkeys(keys))
     return orthogonal, consistent
 
 
@@ -632,8 +656,10 @@ def naimark_complement_fusion(ff: FusionFrame) -> FusionFrame:
 
     Complements the generator to an orthogonal basis of the big space and
     regroups the new rows' columns by the same partition: subspace i keeps
-    its dimension and receives squared weight 1 - w_i^2. Raises NotApplicable
-    when a weight leaves (0,1) or the generator is not Parseval at 1e-10.
+    its dimension and receives squared weight 1 - w_i^2. The completion step
+    (one dense form, one Gram check, one SVD) is naimark_complement's. Raises
+    NotApplicable when a weight leaves (0,1) or the generator is not Parseval
+    at 1e-10, ValueError on a complex generator.
     """
     for weight in ff.weights_squared:
         if not 0 < weight < 1:
@@ -641,14 +667,13 @@ def naimark_complement_fusion(ff: FusionFrame) -> FusionFrame:
                 f"squared weight {weight} outside (0,1): the complement weight "
                 "1 - w^2 would not be a valid fusion weight"
             )
-    dense = ff.generator.to_dense()
-    gram = dense @ dense.conj().T
-    deviation = np.max(np.abs(gram - np.eye(ff.m))) if ff.m else 0.0
-    if deviation > 1e-10:
-        raise NotApplicable(
+
+    def refuse(deviation: float) -> NotApplicable:
+        return NotApplicable(
             f"fusion frame is not Parseval: generator Gram deviates by {deviation:.3e}"
         )
-    complement = naimark_complement(ff.generator)
+
+    complement = _naimark_completion(ff.generator, refuse)
     weights = tuple(1 - w for w in ff.weights_squared)
     return FusionFrame(
         m=complement.row_count,

@@ -11,7 +11,9 @@ The exact ones multiply only entries that share a column or a row, so they
 cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. The row
 and column square sums add integers per nonzero: a one-term entry c*sqrt(r)
 squares to the rational c^2*r, whose integer numerator is added under its
-(radicand, denominator) key. Exact work is paid per distinct value: each
+(radicand, denominator) key. The helper that squares and settles them,
+construct._squared_terms and _settle, also serves group_flags; this module
+calls it through its own names. Exact work is paid per distinct value: each
 entry object is squared once, each distinct sum settled into one Fraction
 (a RadicalScalar when irrational) and each distinct (sum, expectation)
 pair compared once. Off the exact route each fusion group takes one SVD.
@@ -19,20 +21,27 @@ pair compared once. Off the exact route each fusion group takes one SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .construct import SynthesisMatrix, column_maps, row_columns, sparse_inner
-from .errors import SpectrumMismatch
-from .exact_numeric import (
-    MatrixEntry,
-    RadicalScalar,
-    ZERO,
-    entry_abs_squared,
+from .construct import (
+    ExactSum,
+    SquaredTerms,
+    SynthesisMatrix,
+    _settle,
+    _squared_terms,
+    column_maps,
+    row_columns,
+    sparse_inner,
 )
+from .errors import SpectrumMismatch
+# entry_abs_squared is no longer called here; it stays a module name because
+# the tests count the square sums' radical products through it
+from .exact_numeric import MatrixEntry, RadicalScalar, ZERO, entry_abs_squared  # noqa: F401
 from .fusion import FusionFrame, group_flags
 from .sequences import as_spectrum, maximal_block_number
 
@@ -43,43 +52,11 @@ FUSION_TOLERANCE = 1e-10
 #: case for construction outputs) and floats only for adversarial input.
 SquareSum = Union[Fraction, float]
 
-#: An exact square sum: a Fraction when rational, else the canonical
-#: RadicalScalar of its irrational value.
-ExactSum = Union[Fraction, RadicalScalar]
-
 SparseVector = Dict[int, MatrixEntry]
 
 # (radicand, denominator) -> integer numerator: the sum of numerator/denominator
 # * sqrt(radicand) over the keys
 _Accumulator = Dict[Tuple[int, int], int]
-
-
-def _squared_terms(value: MatrixEntry) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-    """|value|^2 as accumulator terms. A single term c*sqrt(r) with c = p/q
-    squares to the rational p*p*r/(q*q) without any exact product."""
-    terms = value.terms if isinstance(value, RadicalScalar) else ()
-    if len(terms) == 1:
-        ((radicand, coefficient),) = terms
-        denominator = coefficient.denominator
-        return (((1, denominator * denominator), coefficient.numerator ** 2 * radicand),)
-    return tuple(
-        ((radicand, coefficient.denominator), coefficient.numerator)
-        for radicand, coefficient in entry_abs_squared(value).terms
-    )
-
-
-def _settle(sums: Tuple[Tuple[Tuple[int, int], int], ...]) -> ExactSum:
-    """The exact value of an accumulator's items: one Fraction per radicand."""
-    combined: Dict[int, Fraction] = {}
-    for (radicand, denominator), numerator in sums:
-        combined[radicand] = combined.get(radicand, 0) + Fraction(numerator, denominator)
-    terms = tuple(sorted(item for item in combined.items() if item[1]))
-    if not terms:
-        return Fraction(0)
-    if terms[-1][0] == 1:
-        return terms[0][1]
-    # the radicands come from canonical values, so they are squarefree already
-    return RadicalScalar._canonical(terms)
 
 
 def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum]]:
@@ -92,7 +69,7 @@ def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum
     """
     rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
     cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
-    squared: Dict[int, Tuple[Tuple[Tuple[int, int], int], ...]] = {}
+    squared: Dict[int, SquaredTerms] = {}
     for (i, j), value in matrix.entries.items():
         terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
         row, col = rows[i], cols[j]
@@ -105,10 +82,21 @@ def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum
     return sums[: matrix.row_count], sums[matrix.row_count :]
 
 
-def _report_values(values: Sequence[ExactSum]) -> Tuple[SquareSum, ...]:
+def _to_float(value, label: str) -> float:
+    """float(value); ValueError names label when it is outside the float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if math.isinf(number):  # a sum of terms can overflow without raising
+        raise ValueError(f"{label} is outside the float range")
+    return number
+
+
+def _report_values(values: Sequence[ExactSum], label: str = "row") -> Tuple[SquareSum, ...]:
     if set(map(type, values)) <= {Fraction}:
         return tuple(values)
-    return tuple(float(v) for v in values)
+    return tuple(_to_float(v, f"{label} {p} square sum") for p, v in enumerate(values))
 
 
 def _row_gram(
@@ -334,7 +322,8 @@ def verify_frame(
     Expected values, when given, are compared exactly (square sums are exact
     even on the complex path; RadicalScalars meet irrational sums) and in
     order: row m against expected_spectrum[m], column n against
-    expected_norms[n]. Raises only ValueError, for a non-number expectation.
+    expected_norms[n]. Raises only ValueError: for a non-number expectation,
+    or for an irrational square sum or a complex entry outside the float range.
     """
     m, n = matrix.row_count, matrix.col_count
     exact = not matrix.is_complex
@@ -359,7 +348,7 @@ def verify_frame(
         is_frame=is_frame,
         rows_orthogonal=rows_orthogonal,
         row_square_sums=_report_values(row_sums),
-        column_square_norms=_report_values(col_norms),
+        column_square_norms=_report_values(col_norms, "column"),
         is_tight=is_tight,
         tight_bound=tight_bound,
         nonzero_count=matrix.nonzero_count,
@@ -419,7 +408,9 @@ def verify_fusion(
     The group flags are exact for a real generator. Off the exact route each
     group's reduced SVD gives both its dimension and its projection; with a
     complex generator the flags come from each group's Gram matrix at 1e-10.
-    Raises only ValueError, for a non-number expected value.
+    Raises only ValueError: for a non-number expected value and, on the
+    numeric route, for a generator entry, squared weight or expected value
+    outside the float range.
     """
     generator = reference.generator
     m = generator.row_count
@@ -450,9 +441,11 @@ def verify_fusion(
         dense = generator.to_dense() if real else dense  # built above when complex
         operator = np.zeros((m, m), dtype=dense.dtype)
         numeric_dims: List[int] = []
-        for group, weight_squared in zip(reference.partition, reference.weights_squared):
+        for index, (group, weight_squared) in enumerate(
+            zip(reference.partition, reference.weights_squared)
+        ):
             block = dense[:, list(group)]
-            weight = float(weight_squared)
+            weight = _to_float(weight_squared, f"squared weight {index}")
             if not real:
                 gram = block.conj().T @ block
                 groups_orthogonal &= _off_diagonal(gram) <= FUSION_TOLERANCE
@@ -469,7 +462,13 @@ def verify_fusion(
         dims = tuple(numeric_dims)
         spectrum_matches = None
         if expected_spectrum is not None:
-            expected = sorted(map(float, _exact_expectation(expected_spectrum)), reverse=True)
+            expected = sorted(
+                (
+                    _to_float(want, f"expected value at position {position}")
+                    for position, want in enumerate(_exact_expectation(expected_spectrum))
+                ),
+                reverse=True,
+            )
             spectrum_matches = len(expected) == len(spectrum) and all(
                 abs(want - value) <= FUSION_TOLERANCE for want, value in zip(expected, spectrum)
             )

@@ -14,8 +14,9 @@ sparsity report that summed squares in RadicalScalar arithmetic, the
 JSON entry decoder that re-split every radicand, the tagged fusion search
 that compared columns by exact inner products, the pruned readiness search
 whose states held Fractions, the Spectral Tetris fill that compared and
-subtracted Fractions, and the JSON encoder, dense conversion and CSV writer
-that worked entry by entry.
+subtracted Fractions, the JSON encoder, dense conversion and CSV writer
+that worked entry by entry, and the Naimark complement that converted every
+completion entry through two Fractions.
 Slow on purpose; tests keep the sizes small.
 """
 
@@ -39,7 +40,7 @@ from spectral_tetris import (
     pnstc,
 )
 from spectral_tetris.construct import _Stuck, column_maps, sparse_inner
-from spectral_tetris.errors import SpectralTetrisError, SpectrumMismatch
+from spectral_tetris.errors import NotParseval, SpectralTetrisError, SpectrumMismatch
 from spectral_tetris.exact_numeric import (
     ZERO,
     ComplexRadicalEntry,
@@ -1232,3 +1233,41 @@ def matrix_csv_oracle(matrix: SynthesisMatrix) -> str:
                 cells.append("%.17g" % value)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+# -- the Naimark complement that read the completion entry by entry -------------
+# The package's former naimark_complement, verbatim bar its name and docstring.
+
+
+def naimark_complement_oracle(parseval: SynthesisMatrix) -> SynthesisMatrix:
+    if parseval.is_complex:
+        raise ValueError("only real synthesis matrices can be complemented here")
+    m, n = parseval.row_count, parseval.col_count
+    if m > n:
+        raise NotParseval(f"a {m}x{n} matrix with m > n cannot have orthonormal rows")
+    dense = parseval.to_dense()
+    gram = dense @ dense.T
+    if m and np.max(np.abs(gram - np.eye(m))) > 1e-10:
+        raise NotParseval(
+            "rows are not orthonormal: max Gram deviation "
+            f"{np.max(np.abs(gram - np.eye(m))):.3e} exceeds 1e-10"
+        )
+    if m == n:
+        return SynthesisMatrix(0, n, {}, meta={"algorithm": "naimark", "exact": False})
+    _, _, vh = np.linalg.svd(dense, full_matrices=True)
+    completion = vh[m:]
+    stacked = np.vstack([dense, completion])
+    deviation = np.max(np.abs(stacked @ stacked.T - np.eye(n)))
+    if deviation > 1e-10:
+        raise NotParseval(
+            f"completion self-check failed: stacked Gram deviates by {deviation:.3e}"
+        )
+    entries: Dict[Key, MatrixEntry] = {}
+    for i in range(n - m):
+        for j in range(n):
+            value = completion[i, j]
+            if value != 0.0:
+                entries[(i, j)] = RadicalScalar.from_rational(Fraction(value))
+    return SynthesisMatrix(
+        n - m, n, entries, meta={"algorithm": "naimark", "exact": False}
+    )

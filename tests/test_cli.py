@@ -500,3 +500,41 @@ def test_verify_rejects_a_matrix_of_negative_dimension(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: invalid matrix: negative dimension")
     assert captured.out == ""
+
+
+# -- entries beyond the float range ------------------------------------------------
+
+
+HUGE_MATRIX = {
+    "m": 1,
+    "n": 2,
+    "complex": False,
+    "entries": [
+        {"row": 0, "col": 0, "terms": [{"num": 10**400, "den": 1, "rad": 1}]},
+        {"row": 0, "col": 1, "terms": [{"num": 1, "den": 1, "rad": 1}]},
+    ],
+}
+
+
+def _expect_float_range_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: entry (0, 0) is outside the float range")
+    assert captured.out == ""
+
+
+def test_naimark_refuses_an_entry_outside_the_float_range(tmp_path, capsys):
+    source = tmp_path / "huge.json"
+    write_document(str(source), HUGE_MATRIX)
+    target = tmp_path / "out.json"
+    _expect_float_range_error(capsys, ["naimark", "--input", str(source), "--output", str(target)])
+    assert not target.exists()
+
+
+def test_verify_refuses_a_fusion_entry_outside_the_float_range(tmp_path, capsys):
+    """The one group of two columns shares row 0, so it is not orthogonal and
+    the check takes the numeric route."""
+    source = tmp_path / "huge-fusion.json"
+    write_document(str(source), dict(HUGE_MATRIX, partition=[[0, 1]], weights_sq=[{"num": 1, "den": 1}]))
+    _expect_float_range_error(capsys, ["verify", "--input", str(source)])

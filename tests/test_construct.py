@@ -461,3 +461,25 @@ def test_synthesis_matrix_rejects_negative_dimensions():
     for rows, cols in ((-1, 0), (2, -3), (-1, -1)):
         with pytest.raises(ValueError, match="negative dimension"):
             SynthesisMatrix(rows, cols, {})
+
+
+# -- entries beyond the float range ------------------------------------------------
+
+
+def _huge(value):
+    return SynthesisMatrix(1, 2, {(0, 0): value, (0, 1): goldens.ONE})
+
+
+def test_to_dense_names_an_entry_outside_the_float_range():
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        _huge(RadicalScalar.from_rational(10**400)).to_dense()
+    # each term fits a float, but their sum does not
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        _huge(RadicalScalar([(1, 10**308), (2, 10**308)])).to_dense()
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        _huge(RadicalScalar.from_rational(Fraction(1, 10**400)).inverse()).to_dense()
+
+
+def test_naimark_complement_refuses_an_entry_outside_the_float_range():
+    with pytest.raises(ValueError, match="outside the float range"):
+        naimark_complement(_huge(RadicalScalar.from_rational(10**400)))

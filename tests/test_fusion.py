@@ -445,3 +445,25 @@ def test_uff_invariant_survives_python_optimize():
     assert result.stdout.strip() == (
         "SpectralTetrisError uff: no chain with a one-element imbalance"
     )
+
+
+# -- entries beyond the float range ------------------------------------------------
+
+
+def _huge_fusion(weight):
+    """One group of two columns sharing row 0, one entry 10**400: the group is
+    not orthogonal, so verify_fusion takes the numeric route."""
+    generator = SynthesisMatrix(
+        1, 2, {(0, 0): RadicalScalar.from_rational(10**400), (0, 1): goldens.ONE}
+    )
+    return FusionFrame(1, (weight,), (2,), generator, ((0, 1),))
+
+
+def test_verify_fusion_numeric_route_refuses_an_entry_outside_the_float_range():
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        verify_fusion(_huge_fusion(Fraction(1)))
+
+
+def test_naimark_complement_fusion_refuses_an_entry_outside_the_float_range():
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        naimark_complement_fusion(_huge_fusion(Fraction(1, 2)))

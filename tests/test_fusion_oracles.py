@@ -7,7 +7,8 @@ order and budget cut must equal those of the search that compared columns
 by exact inner products (kept verbatim in _oracles). It runs on weights
 and eigenvalues scaled to integers in one common unit, so the comparison is
 repeated over mixed denominators. The rest bounds the exact work the fusion
-layer does, by counting calls: inner products, and blocks built.
+layer does, by counting calls: inner products, blocks built, radical
+products and square sums settled.
 """
 
 import itertools
@@ -18,7 +19,14 @@ from hypothesis import strategies as st
 
 import spectral_tetris.construct as construct_module
 import spectral_tetris.fusion as fusion_module
-from spectral_tetris import verify_fusion, weighted_fusion
+from spectral_tetris import (
+    RadicalScalar,
+    column_maps,
+    construct_untf,
+    sffr,
+    verify_fusion,
+    weighted_fusion,
+)
 from spectral_tetris.errors import SearchBudgetExceeded
 from spectral_tetris.fusion import _TaggedSearch
 
@@ -226,3 +234,77 @@ def test_tagged_search_builds_no_block(monkeypatch):
     assert search.run() is not None
     assert before_build == [0]
     assert built  # the final matrix's blocks went through the counter
+
+
+def _count_group_work(monkeypatch, columns, groups, weight):
+    """Run group_flags on each group; return the flags, the RadicalScalar
+    products made and, per call, the accumulators handed to _settle and the
+    entries handed to _squared_terms."""
+    products = 0
+    settled, squared = [], []
+    multiply = RadicalScalar.__mul__
+    settle, square = fusion_module._settle, fusion_module._squared_terms
+
+    def counting_multiply(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    def counting_settle(sums):
+        settled[-1].append(sums)
+        return settle(sums)
+
+    def counting_square(value):
+        squared[-1].append(value)
+        return square(value)
+
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
+    monkeypatch.setattr(fusion_module, "_settle", counting_settle)
+    monkeypatch.setattr(fusion_module, "_squared_terms", counting_square)
+    flags = []
+    for group in groups:
+        settled.append([])
+        squared.append([])
+        flags.append(fusion_module.group_flags(columns, group, weight))
+    monkeypatch.undo()
+    return flags, products, settled, squared
+
+
+def _single_term(matrix):
+    return all(len(value.terms) == 1 for value in matrix.entries.values())
+
+
+def test_group_flags_square_without_products_and_settle_each_accumulator_once(monkeypatch):
+    """The CI's 1,125-column weighted_fusion frame and a 500-column sffr:
+    every entry is one term, so the squared norms need no radical product,
+    and the groups are orthogonal, so no pair shares a row."""
+    weighted = weighted_fusion((1,) * 4, (450, 225, 225, 225), (F(5, 2),) * 450, 10**5)
+    flat = sffr((F(5, 2),) * 200, 10, 50)
+    assert flat.meta["groups_orthogonal"]
+    for frame in (weighted, flat):
+        assert _single_term(frame.generator)
+        columns = column_maps(frame.generator)
+        flags, products, settled, squared = _count_group_work(
+            monkeypatch, columns, frame.partition, F(1)
+        )
+        assert flags == [(True, True)] * len(frame.partition)
+        assert products == 0
+        for group, sums, values in zip(frame.partition, settled, squared):
+            assert len(sums) == len(set(sums)) <= len(group)
+            distinct = {id(value) for col in group for value in columns[col].values()}
+            assert len(values) == len(set(map(id, values))) <= len(distinct)
+        # the unit columns hold a handful of distinct square sums, not one per column
+        assert sum(map(len, settled)) <= 4 * len(frame.partition)
+
+
+def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypatch):
+    """Columns 0 and 1 of the 3 x 9 frame are singletons in row 0; columns
+    2 and 3 of the 4 x 11 frame are one 2x2 block and share two rows."""
+    singletons = column_maps(construct_untf(3, 9))
+    flags, products, _, _ = _count_group_work(monkeypatch, singletons, [(0, 1), (0, 3)], F(1))
+    assert flags == [(False, True), (True, True)]
+    assert products == 0
+    block = column_maps(construct_untf(4, 11))
+    flags, products, _, _ = _count_group_work(monkeypatch, block, [(2, 3)], F(1))
+    assert flags == [(False, True)]
+    assert products > 0

@@ -20,6 +20,7 @@ from spectral_tetris import (
     verify_fusion,
     weighted_fusion,
 )
+from spectral_tetris.exact_numeric import ComplexRadicalEntry
 
 import goldens
 from goldens import ONE, rat, sq
@@ -304,3 +305,29 @@ def test_verify_reads_the_complex_flag_once_per_check(monkeypatch):
     assert fusion_report.exact
     assert frame_reads <= 2
     assert flag.reads == 1
+
+
+# -- values beyond the float range -------------------------------------------------
+
+
+def test_verify_frame_refuses_values_outside_the_float_range():
+    # (10**400 + sqrt 2)^2 is irrational, so the report needs its float
+    irrational = SynthesisMatrix(1, 2, {(0, 0): RadicalScalar([(1, 10**400), (2, 1)]), (0, 1): ONE})
+    with pytest.raises(ValueError, match="row 0 square sum is outside the float range"):
+        verify_frame(irrational)
+    huge = ComplexRadicalEntry.make(RadicalScalar.from_rational(10**400), 1, 4)
+    complex_matrix = SynthesisMatrix(1, 2, {(0, 0): huge, (0, 1): ONE})
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
+        verify_frame(complex_matrix)
+
+
+def test_verify_fusion_numeric_route_refuses_weights_and_expectations_outside_the_float_range():
+    # columns 0 and 1 share row 0, so the one group is not orthogonal
+    generator = SynthesisMatrix(2, 3, {(0, 0): ONE, (0, 1): ONE, (1, 2): ONE})
+    heavy = FusionFrame(2, (Fraction(10**400), Fraction(1)), (2, 1), generator, ((0, 1), (2,)))
+    with pytest.raises(ValueError, match="squared weight 0 is outside the float range"):
+        verify_fusion(heavy)
+    light = FusionFrame(2, (Fraction(1), Fraction(1)), (2, 1), generator, ((0, 1), (2,)))
+    assert not verify_fusion(light).exact
+    with pytest.raises(ValueError, match="expected value at position 1 is outside the float range"):
+        verify_fusion(light, (Fraction(2), Fraction(10**400)))
