@@ -8,12 +8,22 @@ the verification engine's job, with advisory findings recorded in meta.
 Columns that share no row are orthogonal and real columns that share one
 row are not, so group_flags multiplies only pairs that construct.row_columns
 puts in two or more common rows; it takes squared norms from construct's
-square-sum helper, as the verifier does. The tagged search keeps one row
-set per subspace (see _TaggedSearch for why that is exact), runs on weights
-and eigenvalues scaled to integers in one common unit
-(sequences.integer_units) and reads each block's rows from
-blocks.block_a_hat_support, so it takes no square root; only the matrix it
-settles on is built, and checked, exactly.
+square-sum helper, as the verifier does.
+
+When the round-robin order fails, weighted_fusion runs the readiness fill
+search (sequences._FillSearch) with one tag per subspace, each keeping the
+set of rows its columns use. It runs on weights and eigenvalues scaled to
+integers in one common unit, reads each block's rows from
+blocks.block_a_hat_support (so it takes no square root) and memoizes failed
+states; only the matrix it settles on is built, and checked, exactly. The
+row sets decide orthogonality exactly. Each column is a singleton or one
+column of a 2x2 block on consecutive rows, nonzero and real on its support,
+so two columns sharing one row are not orthogonal. Only a block's own two
+columns can share two rows (the search leaves a block's upper row for good),
+and a block with orthogonal rows and four nonzero entries has orthogonal
+columns only when both squared norms equal both row weights, which a > w
+rules out. A tag's columns are thus pairwise support-disjoint, so undoing a
+move just removes its rows.
 """
 
 from __future__ import annotations
@@ -22,9 +32,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .blocks import block_a_hat_support
 from .construct import (
     SquaredTerms,
     SynthesisMatrix,
@@ -43,11 +52,10 @@ from .errors import (
     NotApplicable,
     NotSTReady,
     OutOfRange,
-    SearchBudgetExceeded,
     SpectralTetrisError,
 )
 from .exact_numeric import MatrixEntry
-from .sequences import as_spectrum, drive, integer_units, majorizes, search_budget
+from .sequences import _FillSearch, as_spectrum, integer_units, majorizes, search_budget
 
 ColumnMap = Dict[int, MatrixEntry]
 
@@ -71,6 +79,11 @@ class FusionFrame:
     def __post_init__(self) -> None:
         if not (len(self.weights_squared) == len(self.dims) == len(self.partition)):
             raise ValueError("weights, dims and partition must align")
+        if self.m != self.generator.row_count:
+            raise ValueError(
+                f"ambient dimension {self.m} differs from the generator's "
+                f"{self.generator.row_count} rows"
+            )
         seen: Set[int] = set()
         for group, dim in zip(self.partition, self.dims):
             if len(group) != dim or dim < 1:
@@ -395,117 +408,6 @@ def _tagged_pnstc(
     return matrix, tuple(tuple(grouped[tag]) for tag in tags)
 
 
-class _TaggedSearch:
-    """Bounded depth-first search over tagged feeding orders.
-
-    Mirrors the greedy construction: each step either feeds one tagged norm
-    as a singleton or two as a block, and a column joins its tag only when
-    its rows avoid the tag's row set. Visits are generators run by
-    sequences.drive, one stack entry per column. States run on units and
-    eigs, the weights and spectrum as integers in one common unit; order
-    keeps the caller's weights, so run() builds the final matrix from them.
-
-    The row sets decide orthogonality exactly. Each column is a singleton or
-    one column of a 2x2 block on consecutive rows, nonzero and real on its
-    support, so two columns sharing one row are not orthogonal. Only a
-    block's own two columns can share two rows (the search leaves a block's
-    upper row for good), and a block with orthogonal rows and four nonzero
-    entries has orthogonal columns only when both squared norms equal both
-    row weights, which a > w rules out. A tag's columns are thus pairwise
-    support-disjoint, so undoing a move just removes its rows.
-    """
-
-    def __init__(
-        self,
-        weights: Tuple[Fraction, ...],
-        dims: Tuple[int, ...],
-        spectrum: Tuple[Fraction, ...],
-        budget: int,
-    ):
-        self.weights = weights
-        self.dims = dims
-        self.spectrum = spectrum
-        self.budget = budget
-        _, self.units, self.eigs = integer_units(weights, spectrum)
-        self.states = 0
-        self.remaining = list(dims)
-        self.rows: List[Set[int]] = [set() for _ in dims]
-        self.order: List[Tuple[Fraction, int]] = []
-
-    def _candidate_tags(self) -> List[int]:
-        # the first tag of each (weight, remaining, rows): later ones repeat it
-        picked: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
-        for tag in range(len(self.dims)):
-            if self.remaining[tag]:
-                key = (self.units[tag], self.remaining[tag], frozenset(self.rows[tag]))
-                picked.setdefault(key, tag)
-        return list(picked.values())
-
-    def run(self) -> Optional[Tuple[SynthesisMatrix, Tuple[Tuple[int, ...], ...]]]:
-        if drive(self._fill(0, self.eigs[0])):
-            return _tagged_pnstc(tuple(self.order), self.spectrum)
-        return None
-
-    def _fill(self, row: int, weight: int) -> Generator:
-        self.states += 1
-        if self.states > self.budget:
-            raise SearchBudgetExceeded(
-                f"no qualifying weight ordering found within the search budget "
-                f"({self.budget} states)"
-            )
-        if weight == 0:
-            if row + 1 == len(self.eigs):
-                return not any(self.remaining)
-            return (yield self._fill(row + 1, self.eigs[row + 1]))
-        if weight < 0:
-            return False
-        for tag in self._candidate_tags():
-            a = self.units[tag]
-            if a > weight or row in self.rows[tag]:
-                continue
-            self.remaining[tag] -= 1
-            self.rows[tag].add(row)
-            self.order.append((self.weights[tag], tag))
-            if (yield self._fill(row, weight - a)):
-                return True
-            self.order.pop()
-            self.rows[tag].discard(row)
-            self.remaining[tag] += 1
-        if row + 1 < len(self.eigs):
-            for tag in self._candidate_tags():
-                a = self.units[tag]
-                if a <= weight:
-                    continue
-                self.remaining[tag] -= 1
-                for partner in self._candidate_tags():
-                    b = self.units[partner]
-                    if b < weight or (partner == tag and self.remaining[tag] < 1):
-                        continue
-                    spill = a + b - weight
-                    if spill > self.eigs[row + 1]:
-                        continue
-                    first_rows, second_rows = block_a_hat_support(weight, a, b)
-                    first = {row + i for i in first_rows}
-                    second = {row + i for i in second_rows}
-                    if not self.rows[tag].isdisjoint(first):
-                        continue
-                    self.rows[tag] |= first
-                    self.remaining[partner] -= 1
-                    if self.rows[partner].isdisjoint(second):
-                        self.rows[partner] |= second
-                        self.order.extend(
-                            ((self.weights[tag], tag), (self.weights[partner], partner))
-                        )
-                        if (yield self._fill(row + 1, self.eigs[row + 1] - spill)):
-                            return True
-                        del self.order[-2:]
-                        self.rows[partner] -= second
-                    self.remaining[partner] += 1
-                    self.rows[tag] -= first
-                self.remaining[tag] += 1
-        return False
-
-
 def weighted_fusion(
     weights_squared: Sequence,
     dims: Sequence[int],
@@ -543,8 +445,15 @@ def weighted_fusion(
     outcome = _tagged_pnstc(tuple(round_robin), eigs)
     source = "round-robin"
     if outcome is None:
-        search = _TaggedSearch(weights, dims_t, eigs, search_budget(budget))
-        outcome = search.run()
+        cap = search_budget(budget)
+        _, units, eig_units = integer_units(weights, eigs)
+        search = _FillSearch(
+            eig_units, units, list(dims_t), [set() for _ in dims_t], cap,
+            f"no qualifying weight ordering found within the search budget ({cap} states)",
+            bridge_empty_rows=True,
+        )
+        if search.run():
+            outcome = _tagged_pnstc(tuple((weights[tag], tag) for tag in search.order), eigs)
         source = "search"
     if outcome is None:
         raise Infeasible(

@@ -3,10 +3,13 @@
 Everything here works on exact rationals (eigenvalues, squared norms), so
 every predicate is decided exactly. Construction itself lives elsewhere;
 this module answers "can the greedy construction possibly work, and in
-which order" before any matrix entry is computed. Readiness needs only
-sums and comparisons, never a square root, so the searches (the feed search
-here and the tagged fusion search) first scale their values to integers in
-one common unit (integer_units) and run every state on Python ints.
+which order" before any matrix entry is computed. One fill search,
+_FillSearch, answers both ordering questions: st_ready_search feeds it one
+tag per distinct squared norm, and fusion.weighted_fusion one tag per
+subspace with the rows its columns use; failed states are memoized in both.
+Readiness needs only sums and comparisons, never a square root, so the
+search first scales its values to integers in one common unit
+(integer_units) and runs every state on Python ints.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Generator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
+from .blocks import block_a_hat_support
 from .errors import (
     InvalidPartition,
     OutOfRange,
@@ -241,97 +245,138 @@ def drive(root: Generator) -> object:
     return outcome
 
 
-class _FeedSearch:
-    """Depth-first search over the order in which norms are fed to the greedy.
+class _FillSearch:
+    """Depth-first search over the order in which tagged columns feed the fill.
 
-    Eigenvalues and squared norms come as ints in one common unit (see
-    integer_units), so states compare, add and hash ints. A state is (row
-    index, remaining weight in the row, multiset of unused squared norms).
-    Moves mirror the construction: a singleton consumes one norm <= the
-    remaining weight; a two-column block consumes a norm above the remaining
-    weight together with a partner at least the remaining weight, spilling
-    the excess into the next row. Failed states are memoized.
-    Each visit of a state is a generator run by drive(), so the depth (one
-    level per fed norm) never reaches Python's recursion limit. reach is the
-    largest eigenvalue index read: a failed search fails the same way on any
-    order that shares eigs[:reach + 1]. The search may enter budget - spent
-    states (spent by earlier searches of the same walk); a cut quotes budget.
+    st_ready_search feeds one tag per distinct squared norm, weighted_fusion
+    one tag per subspace. Tag t has units[t], its squared norm as an int in
+    the unit of eigs (see integer_units), left[t] columns still to feed and,
+    when rows is given, rows[t], the rows of its fed columns; a column joins
+    its tag only when its rows avoid the tag's (the fusion module says why
+    that is exact). A state is (row, weight left in the row, tags). A
+    singleton feeds a column of unit <= weight; a 2x2 block feeds one above
+    the weight with a partner at least the weight, spilling the excess into
+    the next row. With bridge_empty_rows false no block leaves a row that
+    owns no column (a readiness partition strictly increases). order lists
+    each fed column's tag; reach is the largest eigenvalue index read, so a
+    failed search fails alike on any order sharing eigs[:reach + 1]. Entering
+    more than limit states raises SearchBudgetExceeded(cut). Visits are
+    generators run by drive(), one stack entry per column.
+
+    Failed states are memoized on (row, weight, sorted multiset of (unit,
+    left, row in rows) over the tags with columns left): rows below `row`
+    are never read again, and on entering a state no tag holds row + 1, so a
+    tag's rows matter only through `row` and tags alike in all three are
+    interchangeable. For row > 0, weight == eigs[row] exactly when the row
+    owns no column (each column placed in a row lowers its weight), so the
+    bridging rule needs no flag in the key. Without
+    row sets the tags are distinct norms, so the vector left is the key.
+    Candidates merge only on equal (unit, left, rows): a tag paired with
+    itself in a block is not interchangeable with a fresh tag of its
+    signature. Only tags of equal unit can merge, so distinct units skip it.
     """
 
-    def __init__(self, eigs: Tuple[int, ...], counts: Dict[int, int], budget: int, spent: int):
+    def __init__(
+        self, eigs: Tuple[int, ...], units: Sequence[int], left: List[int],
+        rows: Optional[List[Set[int]]], limit: int, cut: str, *, bridge_empty_rows: bool,
+    ):
         self.eigs = eigs
-        self.counts = counts
-        self.budget = budget
-        self.limit = budget - spent
+        self.units = units
+        self.left = left
+        self.rows = rows
+        self.limit = limit
+        self.cut = cut
+        self.bridge_empty_rows = bridge_empty_rows
+        self.merge = len(set(units)) < len(units)
         self.states = 0
         self.reach = 0
         self.failed: set = set()
-        self.feed: List[int] = []
-        self.partition: List[int] = []
-
-    def _key(self, row: int, weight: int):
-        return (row, weight, tuple(sorted((v, c) for v, c in self.counts.items() if c)))
+        self.order: List[int] = []
 
     def run(self) -> bool:
         return drive(self._fill(0, self.eigs[0]))
 
-    def _next_eig(self, row: int) -> int:
-        self.reach = max(self.reach, row + 1)
-        return self.eigs[row + 1]
+    def _tags(self) -> List[int]:
+        if not self.merge:
+            return [tag for tag, count in enumerate(self.left) if count]
+        picked: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
+        for tag, count in enumerate(self.left):
+            if count:
+                picked.setdefault((self.units[tag], count, frozenset(self.rows[tag])), tag)
+        return list(picked.values())
 
-    def _fill(self, row: int, weight: int):
+    def _key(self, row: int, weight: int) -> Tuple:
+        units, left, rows = self.units, self.left, self.rows
+        if rows is None:
+            return (row, weight, tuple(left))
+        tags = ((units[t], count, row in rows[t]) for t, count in enumerate(left) if count)
+        return (row, weight, tuple(sorted(tags)))
+
+    def _fill(self, row: int, weight: int) -> Generator:
         self.states += 1
         if self.states > self.limit:
-            raise SearchBudgetExceeded(
-                f"readiness search exceeded {self.budget} states"
-            )
+            raise SearchBudgetExceeded(self.cut)
+        eigs = self.eigs
         if weight == 0:
-            self.partition.append(len(self.feed))
-            if row + 1 == len(self.eigs):
-                return not any(self.counts.values())
-            if (yield self._fill(row + 1, self._next_eig(row))):
-                return True
-            self.partition.pop()
-            return False
-        if weight < 0:
-            return False
+            if row + 1 == len(eigs):
+                return not any(self.left)
+            self.reach = max(self.reach, row + 1)
+            return (yield self._fill(row + 1, eigs[row + 1]))
         key = self._key(row, weight)
         if key in self.failed:
             return False
-        values = [v for v, c in self.counts.items() if c]
-        for a in values:
-            if a <= weight:
-                self.counts[a] -= 1
-                self.feed.append(a)
-                if (yield self._fill(row, weight - a)):
-                    return True
-                self.feed.pop()
-                self.counts[a] += 1
-        if row + 1 < len(self.eigs) and not (
-            # Bridging out of a row that owns no column of its own would
-            # repeat the previous cut; partitions must strictly increase.
-            self.partition
-            and self.partition[-1] == len(self.feed)
-        ):
-            before = len(self.feed)
-            for a in values:
+        units, left, rows, order = self.units, self.left, self.rows, self.order
+        tags = self._tags()
+        for tag in tags:
+            a = units[tag]
+            if a > weight or (rows is not None and row in rows[tag]):
+                continue
+            left[tag] -= 1
+            order.append(tag)
+            if rows is not None:
+                rows[tag].add(row)
+            if (yield self._fill(row, weight - a)):
+                return True
+            if rows is not None:
+                rows[tag].discard(row)
+            order.pop()
+            left[tag] += 1
+        if row + 1 < len(eigs) and (self.bridge_empty_rows or row == 0 or weight != eigs[row]):
+            after = eigs[row + 1]
+            for tag in tags:
+                a = units[tag]
                 if a <= weight:
                     continue
-                self.counts[a] -= 1
-                partners = [b for b, c in self.counts.items() if c and b >= weight]
-                for b in partners:
+                left[tag] -= 1
+                partners = [b for b in self._tags() if units[b] >= weight]
+                if partners:
+                    self.reach = max(self.reach, row + 1)
+                for partner in partners:
+                    b = units[partner]
                     spill = a + b - weight
-                    if spill > self._next_eig(row):
+                    if spill > after:
                         continue
-                    self.counts[b] -= 1
-                    self.feed.extend((a, b))
-                    self.partition.append(before)
-                    if (yield self._fill(row + 1, self._next_eig(row) - spill)):
+                    if rows is not None:
+                        first_rows, second_rows = block_a_hat_support(weight, a, b)
+                        first = {row + i for i in first_rows}
+                        second = {row + i for i in second_rows}
+                        if not rows[tag].isdisjoint(first):
+                            continue
+                        rows[tag] |= first
+                        if not rows[partner].isdisjoint(second):
+                            rows[tag] -= first
+                            continue
+                        rows[partner] |= second
+                    left[partner] -= 1
+                    order += (tag, partner)
+                    if (yield self._fill(row + 1, after - spill)):
                         return True
-                    self.partition.pop()
-                    del self.feed[-2:]
-                    self.counts[b] += 1
-                self.counts[a] += 1
+                    del order[-2:]
+                    left[partner] += 1
+                    if rows is not None:
+                        rows[partner] -= second
+                        rows[tag] -= first
+                left[tag] += 1
         self.failed.add(key)
         return False
 
@@ -358,6 +403,11 @@ def st_ready_search(
         return None
     cap = search_budget(budget)
     _, units, eig_units = integer_units(norms, eigs)
+    counts: Dict[int, int] = {}
+    for v in units:
+        counts[v] = counts.get(v, 0) + 1
+    values = tuple(counts)
+    cut = f"readiness search exceeded {cap} states"
     states_used = 0
     walk = _distinct_value_orders(eig_units)
     skip = None
@@ -366,19 +416,41 @@ def st_ready_search(
             perm, permuted = walk.send(skip)
         except StopIteration:
             return None
-        counts: Dict[int, int] = {}
-        for v in units:
-            counts[v] = counts.get(v, 0) + 1
-        search = _FeedSearch(permuted, counts, cap, states_used)
+        search = _FillSearch(
+            permuted, values, list(counts.values()), None, cap - states_used, cut,
+            bridge_empty_rows=False,
+        )
         if search.run():
-            norm_order = _assign_indices(units, search.feed)
+            feed = [values[tag] for tag in search.order]
             return STReadyCertificate(
-                norm_order=norm_order,
+                norm_order=_assign_indices(units, feed),
                 eigenvalue_order=perm,
-                partition=tuple(search.partition),
+                partition=_feed_partition(permuted, feed),
             )
         states_used += search.states
         skip = search.reach + 1
+
+
+def _feed_partition(eigs: Sequence[int], feed: Sequence[int]) -> Tuple[int, ...]:
+    """The partition of a complete feed: replaying the fill, the number of
+    columns fed before each row's cut, a block's two columns after it."""
+    partition: List[int] = []
+    row, weight, fed = 0, eigs[0], 0
+    while True:
+        if weight == 0:
+            partition.append(fed)
+            row += 1
+            if row == len(eigs):
+                return tuple(partition)
+            weight = eigs[row]
+        elif feed[fed] <= weight:
+            weight -= feed[fed]
+            fed += 1
+        else:
+            partition.append(fed)
+            row += 1
+            weight = eigs[row] - (feed[fed] + feed[fed + 1] - weight)
+            fed += 2
 
 
 def _assign_indices(original: Sequence, feed: Sequence) -> Tuple[int, ...]:

@@ -39,9 +39,7 @@ from .construct import (
     sparse_inner,
 )
 from .errors import SpectrumMismatch
-# entry_abs_squared is no longer called here; it stays a module name because
-# the tests count the square sums' radical products through it
-from .exact_numeric import MatrixEntry, RadicalScalar, ZERO, entry_abs_squared  # noqa: F401
+from .exact_numeric import MatrixEntry, RadicalScalar, ZERO
 from .fusion import FusionFrame, group_flags
 from .sequences import as_spectrum, maximal_block_number
 

@@ -76,6 +76,15 @@ def test_fusion_frame_validates_structure():
     assert frame.subspace_count == 2
 
 
+def test_fusion_frame_ambient_dimension_is_the_generators_row_count():
+    # an m of 5 over a 2-row generator verified as an exact frame of
+    # spectrum (1, 1)
+    generator = two_column_identity()
+    for m in (5, 1, 0):
+        with pytest.raises(ValueError, match=f"ambient dimension {m} differs"):
+            FusionFrame(m, (rat(1), rat(1)), (1, 1), generator, ((0,), (1,)))
+
+
 # -- maximal chains -------------------------------------------------------------
 
 

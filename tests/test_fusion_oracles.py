@@ -1,25 +1,35 @@
 """The tagged fusion search and the fusion layer's work on support incidence.
 
-_TaggedSearch decides whether a column fits its subspace from row sets
-alone. That may not change a search: on every small input, in a random
-sweep and on the weighted_fusion goldens its result, state count, move
-order and budget cut must equal those of the search that compared columns
-by exact inner products (kept verbatim in _oracles). It runs on weights
+weighted_fusion's tagged search is the readiness fill search
+(sequences._FillSearch) with one tag per subspace. It decides whether a
+column fits its subspace from row sets alone and memoizes failed states.
+Neither may change an answer: on every small input, in a random sweep and on
+the weighted_fusion goldens, wherever the search that compared columns by
+exact inner products and kept no memo (verbatim in _oracles) settles, the
+result and move order must equal its own, in no more states; where both are
+cut, the cut messages must be equal; and where only that search is cut, the
+answer must equal the one it gives on a larger budget. It runs on weights
 and eigenvalues scaled to integers in one common unit, so the comparison is
-repeated over mixed denominators. The rest bounds the exact work the fusion
-layer does, by counting calls: inner products, blocks built, radical
-products and square sums settled.
+repeated over mixed denominators. A seeded sweep of random fusion profiles
+must settle within 20,000 states each, which the search without the memo
+did not. The rest bounds the exact work the fusion layer does, by counting
+calls: inner products, blocks built, radical products and square sums
+settled.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_tetris.construct as construct_module
 import spectral_tetris.fusion as fusion_module
+import spectral_tetris.sequences as sequences_module
 from spectral_tetris import (
+    Infeasible,
     RadicalScalar,
     column_maps,
     construct_untf,
@@ -28,7 +38,7 @@ from spectral_tetris import (
     weighted_fusion,
 )
 from spectral_tetris.errors import SearchBudgetExceeded
-from spectral_tetris.fusion import _TaggedSearch
+from spectral_tetris.sequences import _FillSearch, integer_units
 
 import goldens
 from _oracles import TaggedSearchOracle
@@ -36,29 +46,70 @@ from _oracles import TaggedSearchOracle
 WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(5, 2))
 SMALL_BUDGET = 100
 LARGE_BUDGET = 2_000
+# where only the oracle is cut, the budget its answer is read at
+ORACLE_BUDGET = 10**5
 
 
-def _outcome(cls, weights, dims, spectrum, budget):
-    """Everything a search run shows: result, cut message, states, order."""
-    search = cls(tuple(weights), tuple(dims), tuple(spectrum), budget)
+def _shown(run):
+    """What a run shows: its frame's shape, entries and partition, none or
+    its cut message."""
     try:
-        result = search.run()
+        result = run()
     except SearchBudgetExceeded as cut:
-        shown = ("cut", str(cut))
-    else:
-        if result is None:
-            shown = ("none",)
-        else:
-            matrix, partition = result
-            shown = ("frame", matrix.row_count, matrix.col_count, matrix.entries, partition)
-    return shown, search.states, list(search.order)
+        return ("cut", str(cut))
+    except Infeasible:
+        return ("none",)
+    if result is None:
+        return ("none",)
+    matrix, partition = result
+    return ("frame", matrix.row_count, matrix.col_count, matrix.entries, partition)
+
+
+def _outcome(weights, dims, spectrum, budget):
+    """weighted_fusion's tagged search, the round-robin order refused so
+    that it runs: what it shows, its states and its move order."""
+    searches = []
+    run = _FillSearch.run
+    build = fusion_module._tagged_pnstc
+
+    def recorded(search):
+        searches.append(search)
+        return run(search)
+
+    def frame():
+        found = weighted_fusion(weights, dims, spectrum, budget)
+        return found.generator, found.partition
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_FillSearch, "run", recorded)
+        # the first build is the round-robin order's
+        patch.setattr(
+            fusion_module, "_tagged_pnstc", lambda order, eigs: build(order, eigs) if searches else None
+        )
+        shown = _shown(frame)
+    (search,) = searches
+    return shown, search.states, [(F(weights[tag]), tag) for tag in search.order]
+
+
+def _oracle_outcome(weights, dims, spectrum, budget):
+    search = TaggedSearchOracle(tuple(weights), tuple(dims), tuple(spectrum), budget)
+    return _shown(search.run), search.states, list(search.order)
 
 
 def _assert_same_search(weights, dims, spectrum, budget):
-    """The search's outcome, which equals the oracle's."""
-    outcome = _outcome(_TaggedSearch, weights, dims, spectrum, budget)
-    assert outcome == _outcome(TaggedSearchOracle, weights, dims, spectrum, budget)
-    return outcome
+    """The search's outcome against the oracle's; returns both."""
+    outcome = _outcome(weights, dims, spectrum, budget)
+    expected = _oracle_outcome(weights, dims, spectrum, budget)
+    (shown, states, order), (oracle_shown, oracle_states, oracle_order) = outcome, expected
+    if oracle_shown[0] != "cut":
+        assert (shown, order) == (oracle_shown, oracle_order)
+        assert states <= oracle_states
+    elif shown[0] == "cut":
+        assert shown == oracle_shown
+    else:
+        settled, _states, settled_order = _oracle_outcome(weights, dims, spectrum, ORACLE_BUDGET)
+        assert (shown, order) == (settled, settled_order)
+    return outcome, expected
 
 
 def _round_robin(weights, dims):
@@ -90,15 +141,18 @@ def _small_inputs():
 
 
 def test_tagged_search_equals_the_inner_product_search_exhaustively():
-    cuts = 0
+    settled = 0
     for weights, dims, spectrum in _small_inputs():
-        _shown, states, _order = _assert_same_search(weights, dims, spectrum, LARGE_BUDGET)
+        outcome, expected = _assert_same_search(weights, dims, spectrum, LARGE_BUDGET)
         # the budget is read only once the states pass it, so a run that
         # stays within SMALL_BUDGET states is the same run at that budget
-        if states > SMALL_BUDGET:
-            shown, _states, _order = _assert_same_search(weights, dims, spectrum, SMALL_BUDGET)
-            cuts += shown[0] == "cut"
-    assert cuts  # the small budget cuts some searches, so cuts are compared too
+        if max(outcome[1], expected[1]) > SMALL_BUDGET:
+            outcome, expected = _assert_same_search(weights, dims, spectrum, SMALL_BUDGET)
+            settled += expected[0][0] == "cut" != outcome[0][0]
+    # the small budget cuts the oracle on 13 of these and the memo settles
+    # them, so those answers are compared at ORACLE_BUDGET; cuts of both
+    # are compared in the random sweeps and on the goldens
+    assert settled == 13
 
 
 @st.composite
@@ -176,6 +230,59 @@ def test_tagged_search_equals_the_inner_product_search_on_the_goldens():
         )
 
 
+def _tagged_search(weights, dims, spectrum, bridge_empty_rows):
+    """The fill search with one tag per subspace, as weighted_fusion sets it up."""
+    _, units, eigs = integer_units(weights, spectrum)
+    return _FillSearch(
+        eigs, units, list(dims), [set() for _ in dims], 10**4, "cut",
+        bridge_empty_rows=bridge_empty_rows,
+    )
+
+
+def test_the_bridging_rule_is_the_feed_searchs_alone():
+    """Row 1 owns no column when the first weight fills row 0, and the only
+    frame bridges out of it with a block of the two 3/2 weights. A feed
+    search may not make that move (its partition must strictly increase);
+    the tagged search must."""
+    weights, dims, spectrum = (F(1), F(3, 2), F(3, 2)), (1, 1, 1), (F(1), F(1), F(2))
+    search = _tagged_search(weights, dims, spectrum, bridge_empty_rows=True)
+    assert search.run()
+    assert search.order == [0, 1, 2]
+    assert not _tagged_search(weights, dims, spectrum, bridge_empty_rows=False).run()
+    shown, _states, order = _outcome(weights, dims, spectrum, LARGE_BUDGET)
+    assert shown[0] == "frame"
+    assert order == [(weights[t], t) for t in range(3)]
+
+
+def _fusion_profiles():
+    """1,547 seeded random profiles: 3 to 7 subspaces, squared weights from
+    {1/2, 2/3, 1, 5/4, 3/2}, dimensions 1 to 4, a flat spectrum over 2 to 8
+    rows."""
+    rng = random.Random(1547)
+    palette = (F(1, 2), F(2, 3), F(1), F(5, 4), F(3, 2))
+    for _ in range(1547):
+        count = rng.randint(3, 7)
+        weights = tuple(rng.choice(palette) for _ in range(count))
+        dims = tuple(rng.randint(1, 4) for _ in range(count))
+        rows = rng.randint(2, 8)
+        total = sum(w * d for w, d in zip(weights, dims))
+        yield weights, dims, (total / rows,) * rows
+
+
+def test_random_fusion_profiles_settle_within_the_budget():
+    """Without the failed-state memo the tagged search ran out of its
+    20,000 states on 156 of these profiles."""
+    seen = {"round-robin": 0, "search": 0, "none": 0}
+    for weights, dims, spectrum in _fusion_profiles():
+        try:
+            frame = weighted_fusion(weights, dims, spectrum, 20_000)
+        except Infeasible:
+            seen["none"] += 1
+        else:
+            seen[frame.meta["ordering"]] += 1
+    assert all(seen.values()), seen
+
+
 class _InnerProducts:
     """Calls through fusion.sparse_inner, the fusion layer's exact products."""
 
@@ -213,7 +320,7 @@ def test_tagged_search_builds_no_block(monkeypatch):
     final matrix is built."""
     built = []
     # the modules that look block_a_hat up by name
-    for module in (construct_module, fusion_module):
+    for module in (construct_module, fusion_module, sequences_module):
         if hasattr(module, "block_a_hat"):
             original = module.block_a_hat
 
@@ -230,8 +337,8 @@ def test_tagged_search_builds_no_block(monkeypatch):
         return tagged_pnstc(order, spectrum)
 
     monkeypatch.setattr(fusion_module, "_tagged_pnstc", building)
-    search = _TaggedSearch((F(1),) * 4, (450, 225, 225, 225), (F(5, 2),) * 450, 10**5)
-    assert search.run() is not None
+    outcome, _states, _order = _outcome((F(1),) * 4, (450, 225, 225, 225), (F(5, 2),) * 450, 10**5)
+    assert outcome[0] == "frame"
     assert before_build == [0]
     assert built  # the final matrix's blocks went through the counter
 

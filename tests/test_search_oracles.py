@@ -87,7 +87,7 @@ def _outcome(search, *args):
 
 
 def test_st_ready_search_matches_the_full_walk_exhaustively(monkeypatch):
-    pruned = _StateCount(monkeypatch, sequences._FeedSearch)
+    pruned = _StateCount(monkeypatch, sequences._FillSearch)
     full = _StateCount(monkeypatch, _oracles.FeedSearchOracle)
     cut = 0
     # mixed norms on the first palette only: on the second the full walk
@@ -190,7 +190,7 @@ def _answer(search, *args):
 def test_st_ready_search_equals_the_fraction_search_at_random(case):
     norms, spectrum, budget = case
     with pytest.MonkeyPatch.context() as patch:
-        ints = _StateCount(patch, sequences._FeedSearch)
+        ints = _StateCount(patch, sequences._FillSearch)
         fractions = _StateCount(patch, _oracles.FractionFeedSearchOracle)
         found = _answer(st_ready_search, norms, spectrum, budget)
         expected = _answer(fraction_st_ready_search_oracle, norms, spectrum, budget)
@@ -210,7 +210,7 @@ def test_st_ready_search_equals_the_fraction_search_at_random(case):
 def test_the_mixed_denominator_equal_norm_case_spends_its_states(monkeypatch):
     """The equal-norm case CI runs: 25,072 feed-search states in Fractions
     and in integer units alike, ending Infeasible."""
-    ints = _StateCount(monkeypatch, sequences._FeedSearch)
+    ints = _StateCount(monkeypatch, sequences._FillSearch)
     spectrum = [F(v) for v in "13/7 1824/1001 23/13 19/11 12/7 11/7 17/11 20/13 16/11".split()]
     with pytest.raises(Infeasible):
         equal_norm_frame(spectrum, 15)

@@ -197,7 +197,7 @@ def test_st_ready_search_budget_cutoff(monkeypatch):
 def _feed_search_states(monkeypatch):
     """The states of each feed search run, in run order."""
     states = []
-    run = sequences._FeedSearch.run
+    run = sequences._FillSearch.run
 
     def counted(search):
         try:
@@ -205,7 +205,7 @@ def _feed_search_states(monkeypatch):
         finally:
             states.append(search.states)
 
-    monkeypatch.setattr(sequences._FeedSearch, "run", counted)
+    monkeypatch.setattr(sequences._FillSearch, "run", counted)
     return states
 
 
@@ -313,13 +313,13 @@ def test_narrow_search_spends_one_order_per_failing_prefix(monkeypatch):
     with pytest.raises(SearchBudgetExceeded):
         st_ready_search_oracle([1] * 10, spectrum, budget=1000)
     searches = []
-    run = sequences._FeedSearch.run
+    run = sequences._FillSearch.run
 
     def counted(search):
         searches.append(search)
         return run(search)
 
-    monkeypatch.setattr(sequences._FeedSearch, "run", counted)
+    monkeypatch.setattr(sequences._FillSearch, "run", counted)
     assert st_ready_search([1] * 10, spectrum, budget=1000) is None
     assert len(searches) <= 8 * 7
 

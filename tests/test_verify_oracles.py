@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectral_tetris.construct as construct_module
 import spectral_tetris.verify as verify_module
 from spectral_tetris import (
     DftPathStuck,
@@ -465,9 +466,10 @@ def test_exact_fusion_reports_equal_the_parent(matrix, data):
 
 
 def _count_square_work(monkeypatch, matrix):
-    """Calls of entry_abs_squared and RadicalScalar.__mul__ made by the square sums."""
+    """Calls of entry_abs_squared and RadicalScalar.__mul__ made by the square
+    sums (construct._squared_terms looks entry_abs_squared up in construct)."""
     calls = {"abs_squared": 0, "mul": 0}
-    abs_squared = verify_module.entry_abs_squared
+    abs_squared = construct_module.entry_abs_squared
     multiply = RadicalScalar.__mul__
 
     def counting_abs_squared(value):
@@ -478,7 +480,7 @@ def _count_square_work(monkeypatch, matrix):
         calls["mul"] += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(verify_module, "entry_abs_squared", counting_abs_squared)
+    monkeypatch.setattr(construct_module, "entry_abs_squared", counting_abs_squared)
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
     rows, cols = verify_module._square_sums(matrix)
     monkeypatch.undo()
