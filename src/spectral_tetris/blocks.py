@@ -3,13 +3,18 @@
 A block is a tiny dense matrix whose columns later become consecutive frame
 vectors and whose rows overlap two (or J) consecutive rows of the synthesis
 matrix. Each constructor enforces the exact existence conditions and returns
-entries in exact arithmetic; block_a_hat_support reads which entries of a
-2x2 block are nonzero from comparisons alone, for searches that need only a
-block's shape.
+entries in exact arithmetic. Every 2x2 block (block_a, block_a_hat and the
+blocks of construct's Spectral Tetris fill) comes from one kernel,
+_block_from_units: it takes the row weight and the two squared norms as
+integers in a common unit, so the fill passes the ints it already decides
+its moves on, and takes each entry's square root from ints with one gcd.
+block_a_hat_support reads which entries of a 2x2 block are nonzero from
+comparisons alone, for searches that need only a block's shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -20,6 +25,7 @@ from .exact_numeric import (
     MatrixEntry,
     RadicalScalar,
     RationalLike,
+    _sqrt_ratio,
 )
 
 
@@ -48,14 +54,15 @@ def block_a(x: RationalLike) -> Block:
      [sqrt(1-x/2), -sqrt(1-x/2)]]
 
     Requires 0 <= x <= 2; the columns are unit norm, the rows orthogonal,
-    and the lower row receives weight 2 - x.
+    and the lower row receives weight 2 - x. It is block_a_hat(x, 1, 1),
+    extended to the endpoints: x = 0 gives a zero upper row, x = 2 a zero
+    lower row.
     """
     x = Fraction(x)
     if not 0 <= x <= 2:
         raise BlockDomain(f"block parameter {x} outside [0, 2]")
-    top = RadicalScalar.sqrt(x / 2)
-    bottom = RadicalScalar.sqrt(1 - x / 2)
-    return Block(rows=((top, top), (bottom, -bottom)))
+    unit = x.denominator
+    return _block_from_units(x.numerator, unit, unit, unit)
 
 
 def _require_block(x, a1_squared, a2_squared) -> None:
@@ -78,30 +85,48 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
     Exists exactly when a1^2 + a2^2 >= x > 0 and the two squared norms lie on
     the same side of x (both >= or both <=); otherwise NoSuchBlock is raised.
     The upper row receives weight x and the lower row y = a1^2 + a2^2 - x.
-    When a1^2 = a2^2 the formula reduces exactly to the symmetric block
-    [[sqrt(x/2), sqrt(x/2)], [sqrt(y/2), -sqrt(y/2)]] at two square roots, not
-    four. y = x, where its denominator x - y vanishes, forces a1^2 = a2^2 = x.
+    The three values are scaled to integers over the lcm of their
+    denominators and built by _block_from_units.
     """
     x = Fraction(x)
     a1 = Fraction(a1_squared)
     a2 = Fraction(a2_squared)
     _require_block(x, a1, a2)
+    unit = math.lcm(x.denominator, a1.denominator, a2.denominator)
+    return _block_from_units(
+        x.numerator * (unit // x.denominator),
+        a1.numerator * (unit // a1.denominator),
+        a2.numerator * (unit // a2.denominator),
+        unit,
+    )
+
+
+def _block_from_units(x: int, a1: int, a2: int, unit: int) -> Block:
+    """The 2x2 block for row weight x/unit and squared norms a1/unit, a2/unit.
+
+    With y = a1 + a2 - x and D = x - y the entries are
+
+        [[sqrt(x(a1 - y)/D),  sqrt(x(x - a1)/D)],
+         [sqrt(y(x - a1)/D), -sqrt(y(a1 - y)/D)]]
+
+    in units of 1/unit, each taken as sqrt(p/q) on ints by _sqrt_ratio (when
+    a1 > x, D and both numerators are negative, so the signs of p/q are
+    normalized there). When a1 = a2 the formula reduces exactly to the
+    symmetric block [[sqrt(x/2), sqrt(x/2)], [sqrt(y/2), -sqrt(y/2)]] at two
+    square roots, not four; y = x, where D vanishes, forces a1 = a2 = x.
+    Unchecked: the caller has decided that the block exists (_require_block),
+    or block_a allows x = 0 or y = 0 with a1 = a2.
+    """
     y = a1 + a2 - x
     if a1 == a2:
-        top = RadicalScalar.sqrt(x / 2)
-        bottom = RadicalScalar.sqrt(y / 2)
+        top = _sqrt_ratio(x, 2 * unit)
+        bottom = _sqrt_ratio(y, 2 * unit)
         return Block(rows=((top, top), (bottom, -bottom)))
-    denom = x - y
+    denom = (x - y) * unit
     return Block(
         rows=(
-            (
-                RadicalScalar.sqrt(x * (a1 - y) / denom),
-                RadicalScalar.sqrt(x * (x - a1) / denom),
-            ),
-            (
-                RadicalScalar.sqrt(y * (x - a1) / denom),
-                -RadicalScalar.sqrt(y * (a1 - y) / denom),
-            ),
+            (_sqrt_ratio(x * (a1 - y), denom), _sqrt_ratio(x * (x - a1), denom)),
+            (_sqrt_ratio(y * (x - a1), denom), -_sqrt_ratio(y * (a1 - y), denom)),
         )
     )
 

@@ -11,25 +11,31 @@ Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
 constructions reach it through pnstc. The fill decides its moves by sums
 and comparisons alone, so each wrapper scales the norms and eigenvalues
 once to integers in a common unit (sequences.integer_units) and the fill
-runs on ints; square roots are taken only for the entries it places.
+runs on ints; square roots are taken only for the entries it places, and
+its 2x2 blocks are built from those ints by blocks._block_from_units.
 construct_untf_dft keeps its own J x J fill. The verifier and the fusion
 layer share three sparse views, column_maps, row_columns (the row
 incidence) and sparse_inner, and one square-sum helper: _squared_terms
 writes |entry|^2 as integer numerators keyed by (radicand, denominator)
-and _settle turns such an accumulator into one exact value. The Naimark
-complement is numeric: its completion is read once, and each distinct
-float becomes one dyadic entry shared by every position that holds it.
+and _settle turns such an accumulator into one exact value. Beside it,
+_product_terms writes a product of two real entries the same way and
+_cancels decides on ints whether an accumulator is zero; the verifier's
+orthogonality checks use them. numpy is imported only inside the numeric
+code (to_dense and the Naimark complement), so the exact routes never load
+it. The Naimark complement is numeric: its completion is read once, and
+each distinct float becomes one dyadic entry shared by every position that
+holds it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .blocks import Block, block_a_hat, dft_block
+from .blocks import Block, _block_from_units, dft_block
 from .errors import (
     DftPathStuck,
     Infeasible,
@@ -57,6 +63,9 @@ from .sequences import (
     sfr_feasible,
     st_ready_search,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Key = Tuple[int, int]
 
@@ -121,6 +130,8 @@ class SynthesisMatrix:
 
     def to_dense(self) -> np.ndarray:
         """The matrix in floating point; ValueError names an entry too large for it."""
+        import numpy as np
+
         convert, dtype = (entry_to_complex, np.complex128) if self._complex else (to_float, float)
         dense = np.zeros((self.row_count, self.col_count), dtype=dtype)
         try:
@@ -210,9 +221,26 @@ def _squared_terms(value: MatrixEntry) -> SquaredTerms:
     )
 
 
-def _settle(sums: SquaredTerms) -> ExactSum:
-    """The exact value of an accumulator's items: one Fraction per radicand,
-    its numerator and denominator summed on ints first."""
+def _product_terms(x: RadicalScalar, y: RadicalScalar) -> SquaredTerms:
+    """x*y as accumulator terms, for real entries. Single terms c1*sqrt(r1)
+    and c2*sqrt(r2) with c1 = p1/q1, c2 = p2/q2 and g = gcd(r1, r2) multiply
+    to the one item p1*p2*g/(q1*q2) * sqrt((r1/g)*(r2/g)), whose radicand is
+    squarefree again, without any exact product; other entries fall back to
+    the terms of the exact product."""
+    if len(x.terms) == 1 and len(y.terms) == 1:
+        ((r1, c1),), ((r2, c2),) = x.terms, y.terms
+        g = math.gcd(r1, r2)
+        radicand = (r1 // g) * (r2 // g)
+        return (((radicand, c1.denominator * c2.denominator), c1.numerator * c2.numerator * g),)
+    return tuple(
+        ((radicand, coefficient.denominator), coefficient.numerator)
+        for radicand, coefficient in (x * y).terms
+    )
+
+
+def _per_radicand(sums: Iterable[Tuple[Tuple[int, int], int]]) -> Dict[int, Tuple[int, int]]:
+    """{radicand: (numerator, denominator)} of an accumulator's items, each
+    radicand's numerators and denominators summed on ints (not reduced)."""
     combined: Dict[int, Tuple[int, int]] = {}
     for (radicand, denominator), numerator in sums:
         if radicand in combined:
@@ -220,8 +248,25 @@ def _settle(sums: SquaredTerms) -> ExactSum:
             combined[radicand] = (total * denominator + numerator * common, common * denominator)
         else:
             combined[radicand] = (numerator, denominator)
+    return combined
+
+
+def _cancels(sums: Iterable[Tuple[Tuple[int, int], int]]) -> bool:
+    """Whether an accumulator's items sum to zero: square roots of distinct
+    squarefree radicands are linearly independent over the rationals, so
+    exactly when every radicand's numerators cancel on their own."""
+    return not any(total for total, _ in _per_radicand(sums).values())
+
+
+def _settle(sums: SquaredTerms) -> ExactSum:
+    """The exact value of an accumulator's items: one Fraction per radicand,
+    its numerator and denominator summed on ints first."""
     terms = tuple(
-        sorted((radicand, Fraction(*ratio)) for radicand, ratio in combined.items() if ratio[0])
+        sorted(
+            (radicand, Fraction(*ratio))
+            for radicand, ratio in _per_radicand(sums).items()
+            if ratio[0]
+        )
     )
     if not terms:
         return Fraction(0)
@@ -269,7 +314,7 @@ def _greedy_fill(
 ) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
     """The Spectral Tetris fill behind pnstc, pnstc_str and construct_untf.
 
-    Places singletons sqrt(a) and 2x2 blocks block_a_hat(w, a, b) as pnstc
+    Places singletons sqrt(a) and 2x2 blocks A^(w, a, b) as pnstc
     describes; a pair straddling the row weight (b < w < a) is swapped as
     pnstc_str describes when swap_on_straddle is set, else the fill stops.
     Returns the entries, the number of placements and the swaps.
@@ -277,7 +322,9 @@ def _greedy_fill(
     units and eig_units are the norms and eigenvalues times unit
     (sequences.integer_units), so every move is decided on ints and is the
     move a Fraction fill would make. Singletons take sqrt of the caller's
-    norms, blocks and the facts of a _Stuck get Fraction(k, unit) back.
+    norms; blocks are built from the same ints (blocks._block_from_units),
+    because the comparisons that chose a block have shown that it exists;
+    the facts of a _Stuck get Fraction(k, unit) back.
 
     Callers check sum(norms) == sum(eigs) first. Then before every step
     sum(remaining[row:]) == sum(norms[col:]) and no remaining weight is
@@ -330,8 +377,7 @@ def _greedy_fill(
                     room=Fraction(remaining[row + 1], unit),
                 )
                 raise _Stuck("overshoot", step, facts)
-            block = block_a_hat(Fraction(weight, unit), norms[col], norms[col + 1])
-            _place_block(entries, block, row, col)
+            _place_block(entries, _block_from_units(weight, a, b, unit), row, col)
             remaining[row + 1] -= spill
             weight = 0
             col += 2
@@ -596,6 +642,8 @@ def _naimark_completion(
     """The completion step of both Naimark functions: one dense form and one
     Gram check, whose failure raises refuse(deviation); then ValueError on
     complex input, the SVD completion and its stacked self-check."""
+    import numpy as np
+
     m, n = parseval.row_count, parseval.col_count
     dense = parseval.to_dense()
     gram = dense @ dense.conj().T

@@ -111,11 +111,7 @@ class RadicalScalar:
         value = Fraction(value)
         if value < 0:
             raise DomainError(f"square root of negative rational {value}")
-        if value == 0:
-            return cls()
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, r = _squarefree_split(value.numerator * value.denominator)
-        return cls._canonical(((r, Fraction(s, value.denominator)),))
+        return _sqrt_ratio(value.numerator, value.denominator)
 
     @property
     def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
@@ -255,6 +251,22 @@ def _collect(terms: Iterable[Tuple[int, Fraction]]) -> RadicalScalar:
 
 ZERO = RadicalScalar()
 ONE = RadicalScalar.from_rational(1)
+
+
+def _sqrt_ratio(numerator: int, denominator: int) -> RadicalScalar:
+    """sqrt(numerator/denominator) for ints of a nonnegative, defined ratio.
+
+    The signs are normalized and the ratio reduced by one gcd to p/q; then
+    sqrt(p/q) = sqrt(p*q)/q, split by the memoized _squarefree_split. Unchecked:
+    a negative ratio is the caller's error.
+    """
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    if not numerator:
+        return ZERO
+    g = math.gcd(numerator, denominator)
+    s, r = _squarefree_split((numerator // g) * (denominator // g))
+    return RadicalScalar._canonical(((r, Fraction(s, denominator // g)),))
 
 
 class ComplexRadicalEntry:

@@ -399,10 +399,10 @@ def st_ready_search(
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
-    if sum(norms) != sum(eigs):
+    _, units, eig_units = integer_units(norms, eigs)
+    if sum(units) != sum(eig_units):
         return None
     cap = search_budget(budget)
-    _, units, eig_units = integer_units(norms, eigs)
     counts: Dict[int, int] = {}
     for v in units:
         counts[v] = counts.get(v, 0) + 1
@@ -726,42 +726,45 @@ def sfr_feasible(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
     sharing the prefix that broke the rule, and used values that admit no
     completion are remembered and skipped: past a passing prefix the rule
     depends only on the prefix sum and the values left. Walking more than
-    search_budget() states raises SearchBudgetExceeded, never None.
+    search_budget() states raises SearchBudgetExceeded, never None. The walk
+    and the cuts run on integer_units of the eigenvalues.
     """
     eigs = as_spectrum(spectrum)
-    total = sum(eigs)
-    if total != count:
-        raise SumMismatch(f"eigenvalues sum to {total}, need {count}")
-    walk = _distinct_value_orders(eigs, set(), search_budget())
+    unit, eig_units = integer_units(eigs)
+    if sum(eig_units) != count * unit:
+        raise SumMismatch(f"eigenvalues sum to {sum(eigs)}, need {count}")
+    walk = _distinct_value_orders(eig_units, set(), search_budget())
     skip = None
     while True:
         try:
             perm, permuted = walk.send(skip)
         except StopIteration:
             return None
-        skip = _floor_partition(permuted, count)
+        skip = _floor_partition(permuted, count, unit)
         if not isinstance(skip, int):
             return SfrCertificate(partition=skip, eigenvalue_order=perm)
 
 
-def _floor_partition(eigs: Spectrum, count: int) -> Union[Tuple[int, ...], int]:
+def _floor_partition(eigs: Sequence[int], count: int, unit: int) -> Union[Tuple[int, ...], int]:
     """The floors of the prefix sums, ending at count, if they form a partition.
 
-    One running prefix: each cut must exceed the previous one, by at least
-    2 when the previous prefix sum was fractional. Otherwise returns the
-    length of the shortest prefix whose cut breaks that (M for the last
-    cut, count).
+    The eigenvalues are integers in the given unit, so each cut is the
+    quotient of the prefix by the unit and the prefix sum is fractional
+    when the remainder is not zero. One running prefix: each cut must
+    exceed the previous one, by at least 2 when the previous prefix sum was
+    fractional. Otherwise returns the length of the shortest prefix whose
+    cut breaks that (M for the last cut, count).
     """
     partition: List[int] = []
-    prefix = Fraction(0)
+    prefix = 0
     gap = 1
     for value in eigs[:-1]:
         prefix += value
-        cut = prefix.numerator // prefix.denominator
+        cut, fraction = divmod(prefix, unit)
         if partition and cut - partition[-1] < gap:
             return len(partition) + 1
         partition.append(cut)
-        gap = 1 if cut == prefix else 2
+        gap = 2 if fraction else 1
     if partition and count - partition[-1] < gap:
         return len(eigs)
     partition.append(count)

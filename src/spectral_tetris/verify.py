@@ -13,10 +13,17 @@ and column square sums add integers per nonzero: a one-term entry c*sqrt(r)
 squares to the rational c^2*r, whose integer numerator is added under its
 (radicand, denominator) key. The helper that squares and settles them,
 construct._squared_terms and _settle, also serves group_flags; this module
-calls it through its own names. Exact work is paid per distinct value: each
-entry object is squared once, each distinct sum settled into one Fraction
-(a RadicalScalar when irrational) and each distinct (sum, expectation)
-pair compared once. Off the exact route each fusion group takes one SVD.
+calls it through its own names. Row orthogonality and the column pairs of
+orthogonality_distance are decided on the same integer accumulators: a
+product of two one-term entries is one (radicand, denominator) item
+(construct._product_terms), and a pair is orthogonal exactly when every
+radicand's numerators cancel (construct._cancels), with no RadicalScalar
+product and no settling; _row_gram, the exact Gram, serves frame_operator.
+Exact work is paid per distinct value: each entry object is squared once,
+each pair of entry objects multiplied once, each distinct sum settled into
+one Fraction (a RadicalScalar when irrational) and each distinct (sum,
+expectation) pair compared once. Off the exact route each fusion group
+takes one SVD; numpy is imported there, and on the complex path, only.
 """
 
 from __future__ import annotations
@@ -24,24 +31,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .construct import (
     ExactSum,
     SquaredTerms,
     SynthesisMatrix,
+    _cancels,
+    _product_terms,
     _settle,
     _squared_terms,
     column_maps,
     row_columns,
-    sparse_inner,
 )
 from .errors import SpectrumMismatch
 from .exact_numeric import MatrixEntry, RadicalScalar, ZERO
 from .fusion import FusionFrame, group_flags
 from .sequences import as_spectrum, maximal_block_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMPLEX_TOLERANCE = 1e-12
 FUSION_TOLERANCE = 1e-10
@@ -121,17 +130,54 @@ def _row_gram(
 
 def _off_diagonal(gram: np.ndarray) -> float:
     """The largest modulus off the diagonal of a square matrix (0 when empty)."""
+    import numpy as np
+
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
+
+
+#: Per call: the product terms of each pair of real entry objects, keyed by
+#: their ids (the matrix keeps every entry alive, so ids are stable).
+_Products = Dict[Tuple[int, int], SquaredTerms]
+
+
+def _add_product(
+    sums: _Accumulator, products: _Products, x: RadicalScalar, y: RadicalScalar
+) -> None:
+    """Add x*y to an accumulator, its terms made once per pair of entry objects."""
+    key = (id(x), id(y))
+    terms = products.get(key)
+    if terms is None:
+        terms = products[key] = _product_terms(x, y)
+    for item, numerator in terms:
+        sums[item] = sums.get(item, 0) + numerator
 
 
 def _rows_orthogonal(
     matrix: SynthesisMatrix, columns: Sequence[SparseVector], tolerance: float
 ) -> bool:
-    """Whether every pair of distinct rows is orthogonal: exactly (from the
-    column supports) on the real path, within tolerance with complex entries.
-    It reads the stored flag directly: its callers have read is_complex."""
+    """Whether every pair of distinct rows is orthogonal: exactly on the real
+    path, within tolerance with complex entries. It reads the stored flag
+    directly: its callers have read is_complex.
+
+    Exactly, rows p and q only meet in the columns whose support holds both,
+    so each such column adds its product to the pair's integer accumulator,
+    and the pair is orthogonal when every radicand's numerators cancel:
+    sum |supp|^2 products on ints instead of M^2 row inner products.
+    """
     if not matrix._complex:
-        return not any(_row_gram(columns, diagonal=False).values())
+        products: _Products = {}
+        gram: Dict[Tuple[int, int], _Accumulator] = {}
+        for column in columns:
+            if len(column) < 2:
+                continue  # a single row meets no other row here
+            items = sorted(column.items())
+            for a, (p, x) in enumerate(items):
+                for q, y in items[a + 1 :]:
+                    sums = gram.get((p, q))
+                    if sums is None:
+                        sums = gram[(p, q)] = {}
+                    _add_product(sums, products, x, y)
+        return all(_cancels(sums.items()) for sums in gram.values())
     dense = matrix.to_dense()
     return _off_diagonal(dense @ dense.conj().T) <= tolerance
 
@@ -249,18 +295,27 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     sharing two or more rows.
     """
     if matrix.is_complex:
+        import numpy as np
+
         dense = matrix.to_dense()
         gram = np.abs(dense.conj().T @ dense)
         first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
         return int(np.max(last - first)) + 1 if first.size else 0
     columns = column_maps(matrix)
     cancels: Dict[Tuple[int, int], bool] = {}
+    products: _Products = {}
 
     def orthogonal(j: int, k: int) -> bool:
-        if j == k or len(columns[j].keys() & columns[k].keys()) == 1:
+        if j == k:
+            return False
+        shared = columns[j].keys() & columns[k].keys()
+        if len(shared) == 1:
             return False
         if (j, k) not in cancels:
-            cancels[(j, k)] = not sparse_inner(columns[j], columns[k])
+            sums: _Accumulator = {}
+            for row in shared:
+                _add_product(sums, products, columns[j][row], columns[k][row])
+            cancels[(j, k)] = _cancels(sums.items())
         return cancels[(j, k)]
 
     distance = 0
@@ -340,6 +395,8 @@ def verify_frame(
     elif exact:
         is_frame = _exact_rank(columns, m) == m
     else:
+        import numpy as np
+
         is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
 
     return VerificationReport(
@@ -436,6 +493,8 @@ def verify_fusion(
         dims = reference.dims
         spectrum_matches = _matches(spectrum, expected_spectrum)
     else:
+        import numpy as np
+
         dense = generator.to_dense() if real else dense  # built above when complex
         operator = np.zeros((m, m), dtype=dense.dtype)
         numeric_dims: List[int] = []

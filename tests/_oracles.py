@@ -28,6 +28,7 @@ import numpy as np
 
 from spectral_tetris import (
     Block,
+    BlockDomain,
     FusionFrame,
     NoSuchBlock,
     NotSTReady,
@@ -36,7 +37,6 @@ from spectral_tetris import (
     SearchBudgetExceeded,
     SumMismatch,
     SynthesisMatrix,
-    block_a_hat,
     pnstc,
 )
 from spectral_tetris.construct import _Stuck, column_maps, sparse_inner
@@ -858,8 +858,9 @@ def entry_from_json_oracle(document) -> Tuple[int, int, MatrixEntry]:
 # -- the tagged fusion search before it kept one row set per tag -----------------
 # _TaggedSearch (comparing each new column with its tag's placed columns by
 # exact inner products), the _tagged_pnstc it finishes with and the all-pairs
-# group_flags, verbatim bar their names and docstrings; pnstc, block_a_hat,
-# drive and sparse_inner are the package's.
+# group_flags, verbatim bar their names and docstrings and the blocks built by
+# fraction_block_a_hat_oracle below; pnstc, drive and sparse_inner are the
+# package's.
 
 ColumnMap = Dict[int, MatrixEntry]
 
@@ -980,7 +981,7 @@ class TaggedSearchOracle:
                     spill = a + b - weight
                     if spill > self.spectrum[row + 1]:
                         continue
-                    block = block_a_hat(weight, a, b)
+                    block = fraction_block_a_hat_oracle(weight, a, b)
                     first = {
                         row + i: block.rows[i][0] for i in range(2) if block.rows[i][0]
                     }
@@ -1122,11 +1123,67 @@ def fraction_st_ready_search_oracle(
         skip = search.reach + 1
 
 
+# -- the 2x2 blocks before they were built from integers ----------------------------
+# blocks.block_a, blocks._require_block and blocks.block_a_hat as they were when
+# every entry was RadicalScalar.sqrt of a Fraction formula, verbatim bar their
+# names and docstrings. They are the reference for blocks._block_from_units,
+# and the Fraction fill below and TaggedSearchOracle build their blocks with them.
+
+
+def fraction_block_a_oracle(x: RationalLike) -> Block:
+    x = Fraction(x)
+    if not 0 <= x <= 2:
+        raise BlockDomain(f"block parameter {x} outside [0, 2]")
+    top = RadicalScalar.sqrt(x / 2)
+    bottom = RadicalScalar.sqrt(1 - x / 2)
+    return Block(rows=((top, top), (bottom, -bottom)))
+
+
+def _fraction_require_block(x, a1_squared, a2_squared) -> None:
+    if x <= 0:
+        raise NoSuchBlock(f"row weight {x} must be positive")
+    if a1_squared + a2_squared < x:
+        raise NoSuchBlock(f"squared norms {a1_squared}, {a2_squared} sum below row weight {x}")
+    if not (
+        (a1_squared >= x and a2_squared >= x) or (a1_squared <= x and a2_squared <= x)
+    ):
+        raise NoSuchBlock(
+            f"squared norms {a1_squared}, {a2_squared} straddle the row weight {x}"
+        )
+
+
+def fraction_block_a_hat_oracle(
+    x: RationalLike, a1_squared: RationalLike, a2_squared: RationalLike
+) -> Block:
+    x = Fraction(x)
+    a1 = Fraction(a1_squared)
+    a2 = Fraction(a2_squared)
+    _fraction_require_block(x, a1, a2)
+    y = a1 + a2 - x
+    if a1 == a2:
+        top = RadicalScalar.sqrt(x / 2)
+        bottom = RadicalScalar.sqrt(y / 2)
+        return Block(rows=((top, top), (bottom, -bottom)))
+    denom = x - y
+    return Block(
+        rows=(
+            (
+                RadicalScalar.sqrt(x * (a1 - y) / denom),
+                RadicalScalar.sqrt(x * (x - a1) / denom),
+            ),
+            (
+                RadicalScalar.sqrt(y * (x - a1) / denom),
+                -RadicalScalar.sqrt(y * (a1 - y) / denom),
+            ),
+        )
+    )
+
+
 # -- the Spectral Tetris fill before it ran in integer units ------------------------
 # construct._greedy_fill as it was when every comparison, subtraction and spill
-# was a Fraction operation, verbatim bar its name and docstring; _Stuck,
-# block_a_hat and RadicalScalar are the package's, _place_block is the copy
-# above.
+# was a Fraction operation, verbatim bar its name and docstring, and its blocks
+# built by fraction_block_a_hat_oracle; _Stuck and RadicalScalar are the
+# package's, _place_block is the copy above.
 
 
 def fraction_greedy_fill_oracle(
@@ -1163,7 +1220,7 @@ def fraction_greedy_fill_oracle(
             if spill > remaining[row + 1]:
                 facts = dict(spill=spill, next_row=row + 1, room=remaining[row + 1])
                 raise _Stuck("overshoot", step, facts)
-            _place_block(entries, block_a_hat(weight, a, b), row, col)
+            _place_block(entries, fraction_block_a_hat_oracle(weight, a, b), row, col)
             remaining[row + 1] -= spill
             remaining[row] = 0
             col += 2

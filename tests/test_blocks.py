@@ -20,9 +20,9 @@ from spectral_tetris import (
     entry_to_complex,
 )
 
-from spectral_tetris.blocks import block_a_hat_support
+from spectral_tetris.blocks import _block_from_units, block_a_hat_support
 
-from _oracles import block_a_hat_oracle
+from _oracles import block_a_hat_oracle, fraction_block_a_hat_oracle, fraction_block_a_oracle
 
 NUMERIC_TOLERANCE = 1e-12
 
@@ -100,6 +100,39 @@ def test_block_a_hat_support_is_the_nonzero_pattern_in_any_unit():
         scaled = [v.numerator * (unit // v.denominator) for v in (x, a1, a2)]
         assert _support_or_none(*scaled) == expected, (x, a1, a2)
     assert built == 7800
+
+
+def _rows_or_refusal(build, *args):
+    try:
+        return build(*args).rows
+    except (BlockDomain, NoSuchBlock) as refusal:
+        return type(refusal), str(refusal)
+
+
+def test_blocks_from_integers_equal_the_fraction_formulas():
+    """block_a_hat and block_a build through blocks._block_from_units, on
+    ints in the lcm unit of their arguments. The Fraction formulas they
+    replaced (verbatim in _oracles) give the same entries and refuse the
+    same inputs with the same error; the kernel called directly with the
+    lcm-unit ints builds the same block."""
+    sixths = [Fraction(k, 6) for k in range(25)]
+    built = 0
+    for x, a1, a2 in itertools.product(sixths, repeat=3):
+        expected = _rows_or_refusal(fraction_block_a_hat_oracle, x, a1, a2)
+        assert _rows_or_refusal(block_a_hat, x, a1, a2) == expected, (x, a1, a2)
+        if isinstance(expected[0], type):
+            continue
+        built += 1
+        unit = math.lcm(x.denominator, a1.denominator, a2.denominator)
+        scaled = [v.numerator * (unit // v.denominator) for v in (x, a1, a2)]
+        assert _block_from_units(*scaled, unit).rows == expected, (x, a1, a2)
+    assert built == 7800
+    for x in [Fraction(-1, 6)] + sixths:
+        expected = _rows_or_refusal(fraction_block_a_oracle, x)
+        assert _rows_or_refusal(block_a, x) == expected, x
+        if not isinstance(expected[0], type):
+            unit = x.denominator
+            assert _block_from_units(x.numerator, unit, unit, unit).rows == expected, x
 
 
 def test_block_a_hat_reproduces_a_worked_step():

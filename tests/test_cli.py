@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from spectral_tetris import (
     sffr,
     write_document,
 )
+import spectral_tetris
 import spectral_tetris.cli as cli
 from spectral_tetris.cli import run
 from spectral_tetris.sequences import untf_feasible
@@ -457,6 +460,48 @@ def test_csv_export_reads_the_complex_flag_a_bounded_number_of_times(tmp_path, m
     monkeypatch.undo()
     assert reads <= 2
     assert len(text.strip().split("\n")) == 20
+
+
+_NUMPY_PROBE = """
+import sys
+
+import spectral_tetris
+from spectral_tetris.cli import run
+
+frame, dft, table = sys.argv[1:]
+exact = [
+    ["untf", "--dim", "4", "--count", "11", "--output", frame],
+    ["verify", "--input", frame],
+    ["pnstc", "--norms-squared", "2/3", "2/3", "5/6", "5/6", "5/3", "5/3",
+     "--spectrum", "13/6", "13/6", "2"],
+]
+for argv in exact:
+    assert run(argv) == 0, argv
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+assert run(["untf-dft", "--dim", "4", "--count", "5", "--output", dft]) == 0
+assert run(["untf", "--dim", "4", "--count", "11", "--format", "csv", "--output", table]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    """numpy is imported only where numbers are floats (DFT blocks, dense
+    views, CSV export, Naimark, numeric fusion), so importing the package
+    and running an exact command and its verification leave it unloaded.
+    A fresh interpreter, because this one has numpy loaded already."""
+    src = os.path.dirname(os.path.dirname(spectral_tetris.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [str(tmp_path / name) for name in ("u.json", "dft.json", "u.csv")]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *paths],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    dft = matrix_from_json(read_document(paths[1]))
+    assert dft.is_complex
+    with open(paths[2]) as handle:
+        assert len(handle.read().strip().split("\n")) == 4
 
 
 def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectral_tetris.blocks as blocks_module
 import spectral_tetris.construct as construct_module
 import spectral_tetris.fusion as fusion_module
 import spectral_tetris.sequences as sequences_module
@@ -317,18 +318,18 @@ def test_fusion_work_grows_with_the_columns(monkeypatch):
 def test_tagged_search_builds_no_block(monkeypatch):
     """The search reads each candidate block's rows from block_a_hat_support;
     building the block instead took 2,242 block_a_hat calls here. Only the
-    final matrix is built."""
+    final matrix is built. Every 2x2 block is built by blocks._block_from_units."""
     built = []
-    # the modules that look block_a_hat up by name
-    for module in (construct_module, fusion_module, sequences_module):
-        if hasattr(module, "block_a_hat"):
-            original = module.block_a_hat
+    # the modules that look the block kernel up by name
+    for module in (blocks_module, construct_module, fusion_module, sequences_module):
+        if hasattr(module, "_block_from_units"):
+            original = module._block_from_units
 
             def counting(*args, _original=original):
                 built.append(args)
                 return _original(*args)
 
-            monkeypatch.setattr(module, "block_a_hat", counting)
+            monkeypatch.setattr(module, "_block_from_units", counting)
     before_build = []
     tagged_pnstc = fusion_module._tagged_pnstc
 

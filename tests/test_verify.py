@@ -76,6 +76,21 @@ def test_verify_frame_detects_a_perturbed_entry():
     assert report.exact
 
 
+def test_verify_frame_needs_every_radicand_to_cancel():
+    # rows 0 and 1 meet in 1 - 1 + sqrt(2) - sqrt(3): the rational parts
+    # cancel, the sqrt(2) and sqrt(3) parts do not, and their numerators
+    # (1 and -1) would cancel if they were added across radicands; columns
+    # 0 and 3 meet in 1 - sqrt(3) the same way
+    root2, root3 = RadicalScalar.sqrt(2), RadicalScalar.sqrt(3)
+    entries = {(0, 0): ONE, (1, 0): ONE, (0, 1): ONE, (1, 1): -ONE}
+    entries.update({(0, 2): ONE, (1, 2): root2, (0, 3): ONE, (1, 3): -root3})
+    report = verify_frame(SynthesisMatrix(2, 4, entries))
+    assert not report.rows_orthogonal
+    assert report.is_frame  # from the exact rank
+    assert report.orthogonality_distance == 4
+    assert report.exact
+
+
 def test_verify_frame_rank_fallback_for_oblique_rows():
     # rows overlap yet still span, so the frame flag must come from rank
     matrix = SynthesisMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})

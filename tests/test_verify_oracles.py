@@ -25,6 +25,7 @@ from spectral_tetris import (
     SynthesisMatrix,
     construct_untf,
     construct_untf_dft,
+    equal_norm_frame,
     frame_operator,
     orthogonality_distance,
     pnstc,
@@ -174,30 +175,67 @@ def test_verify_frame_work_grows_with_the_columns(monkeypatch, count):
 
     The all-pairs definition forms N^2/2 column and M^2/2 row inner products;
     counting calls is deterministic where a wall-clock bound would not be.
+    Each row pair and each column pair that shares two or more rows is one
+    cancellation decision (verify._cancels) on an integer accumulator.
     """
     matrix = construct_untf(8, count)
     inner_calls = 0
     products = 0
-    sparse_inner = verify_module.sparse_inner
+    cancels = verify_module._cancels
     multiply = RadicalScalar.__mul__
 
-    def counting_inner(a, b):
+    def counting_inner(sums):
         nonlocal inner_calls
         inner_calls += 1
-        return sparse_inner(a, b)
+        return cancels(sums)
 
     def counting_multiply(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(verify_module, "sparse_inner", counting_inner)
+    monkeypatch.setattr(verify_module, "_cancels", counting_inner)
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
     report = verify_frame(matrix)
     monkeypatch.undo()
     assert report.is_tight and report.exact
     assert inner_calls <= count
     assert products <= 3 * count
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pnstc(
+            [Fraction(2, 3)] * 2 + [Fraction(5, 6)] * 2 + [Fraction(5, 3)] * 2,
+            [Fraction(13, 6)] * 2 + [Fraction(2)],
+        ),
+        lambda: equal_norm_frame([3, 2, 2], 5),
+        lambda: equal_norm_frame([Fraction(7, 2), 3, Fraction(5, 2)], 7),
+    ],
+)
+def test_verify_frame_makes_no_radical_product_on_irrational_blocks(monkeypatch, build):
+    """Every entry of these frames is one term c*sqrt(r) and their 2x2
+    blocks are irrational; rows and columns that share a block are decided
+    on integer accumulators, so verify_frame forms no RadicalScalar product."""
+    matrix = build()
+    assert matrix.nonzero_count > matrix.col_count  # at least one 2x2 block
+    assert any(radicand > 1 for value in matrix.entries.values() for radicand, _ in value.terms)
+    products = 0
+    multiply = RadicalScalar.__mul__
+
+    def counting_multiply(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
+    report = verify_frame(matrix)
+    monkeypatch.undo()
+    assert report.is_frame and report.rows_orthogonal and report.exact
+    assert report.orthogonality_distance == orthogonality_distance_oracle(matrix)
+    assert report == verify_frame_oracle(matrix)
+    assert products == 0
 
 
 @given(sparse_exact_matrices(min_cols=1), st.data())
