@@ -19,11 +19,14 @@ product of two one-term entries is one (radicand, denominator) item
 (construct._product_terms), and a pair is orthogonal exactly when every
 radicand's numerators cancel (construct._cancels), with no RadicalScalar
 product and no settling; _row_gram, the exact Gram, serves frame_operator.
-Exact work is paid per distinct value: each entry object is squared once,
-each pair of entry objects multiplied once, each distinct sum settled into
+_rows_orthogonal and _row_gram walk the same support pairs
+(_support_pairs). Exact work is paid per distinct value where values
+repeat: each entry object is squared once, each distinct sum settled into
 one Fraction (a RadicalScalar when irrational) and each distinct (sum,
-expectation) pair compared once. Off the exact route each fusion group
-takes one SVD; numpy is imported there, and on the complex path, only.
+expectation) pair compared once. Products are formed per support pair, as
+the fill makes new entry objects for every block and a pair of them
+seldom meets twice. Off the exact route each fusion group takes one SVD;
+numpy is imported there, and on the complex path, only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .construct import (
     ExactSum,
@@ -106,25 +109,34 @@ def _report_values(values: Sequence[ExactSum], label: str = "row") -> Tuple[Squa
     return tuple(_to_float(v, f"{label} {p} square sum") for p, v in enumerate(values))
 
 
-def _row_gram(
+def _support_pairs(
     columns: Sequence[SparseVector], diagonal: bool
-) -> Dict[Tuple[int, int], RadicalScalar]:
-    """Upper triangle of the exact row Gram AA^T, keyed (p, q) with p < q
-    (p <= q with the diagonal).
+) -> Iterator[Tuple[int, int, MatrixEntry, MatrixEntry]]:
+    """(p, q, x, y) for every pair of rows p < q (p <= q with the diagonal)
+    that meet in a column, x and y being their entries there.
 
-    Rows p and q only meet in the columns whose support holds both, so the
-    entry is summed from the products within each column's support:
-    sum |supp|^2 products instead of M^2 row inner products. Row pairs that
-    share no column are absent, i.e. zero.
+    Rows p and q only meet in the columns whose support holds both, so row
+    inner products are summed from these: sum |supp|^2 pairs instead of M^2
+    row inner products. Row pairs that share no column never appear.
     """
-    gram: Dict[Tuple[int, int], RadicalScalar] = {}
     for column in columns:
         if len(column) < 2 and not diagonal:
             continue  # a single row meets no other row here
         items = sorted(column.items())
         for a, (p, x) in enumerate(items):
             for q, y in items[a if diagonal else a + 1 :]:
-                gram[(p, q)] = gram.get((p, q), ZERO) + x * y
+                yield p, q, x, y
+
+
+def _row_gram(
+    columns: Sequence[SparseVector], diagonal: bool
+) -> Dict[Tuple[int, int], RadicalScalar]:
+    """Upper triangle of the exact row Gram AA^T, keyed (p, q) with p < q
+    (p <= q with the diagonal); pairs of rows that share no column are
+    absent, i.e. zero."""
+    gram: Dict[Tuple[int, int], RadicalScalar] = {}
+    for p, q, x, y in _support_pairs(columns, diagonal):
+        gram[(p, q)] = gram.get((p, q), ZERO) + x * y
     return gram
 
 
@@ -135,20 +147,9 @@ def _off_diagonal(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
 
 
-#: Per call: the product terms of each pair of real entry objects, keyed by
-#: their ids (the matrix keeps every entry alive, so ids are stable).
-_Products = Dict[Tuple[int, int], SquaredTerms]
-
-
-def _add_product(
-    sums: _Accumulator, products: _Products, x: RadicalScalar, y: RadicalScalar
-) -> None:
-    """Add x*y to an accumulator, its terms made once per pair of entry objects."""
-    key = (id(x), id(y))
-    terms = products.get(key)
-    if terms is None:
-        terms = products[key] = _product_terms(x, y)
-    for item, numerator in terms:
+def _add_product(sums: _Accumulator, x: RadicalScalar, y: RadicalScalar) -> None:
+    """Add the product of two real entries to an integer accumulator."""
+    for item, numerator in _product_terms(x, y):
         sums[item] = sums.get(item, 0) + numerator
 
 
@@ -159,24 +160,17 @@ def _rows_orthogonal(
     path, within tolerance with complex entries. It reads the stored flag
     directly: its callers have read is_complex.
 
-    Exactly, rows p and q only meet in the columns whose support holds both,
-    so each such column adds its product to the pair's integer accumulator,
-    and the pair is orthogonal when every radicand's numerators cancel:
-    sum |supp|^2 products on ints instead of M^2 row inner products.
+    Exactly, each support pair adds its product to the row pair's integer
+    accumulator, and the rows are orthogonal when every radicand's
+    numerators cancel.
     """
     if not matrix._complex:
-        products: _Products = {}
         gram: Dict[Tuple[int, int], _Accumulator] = {}
-        for column in columns:
-            if len(column) < 2:
-                continue  # a single row meets no other row here
-            items = sorted(column.items())
-            for a, (p, x) in enumerate(items):
-                for q, y in items[a + 1 :]:
-                    sums = gram.get((p, q))
-                    if sums is None:
-                        sums = gram[(p, q)] = {}
-                    _add_product(sums, products, x, y)
+        for p, q, x, y in _support_pairs(columns, diagonal=False):
+            sums = gram.get((p, q))
+            if sums is None:
+                sums = gram[(p, q)] = {}
+            _add_product(sums, x, y)
         return all(_cancels(sums.items()) for sums in gram.values())
     dense = matrix.to_dense()
     return _off_diagonal(dense @ dense.conj().T) <= tolerance
@@ -303,7 +297,6 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
         return int(np.max(last - first)) + 1 if first.size else 0
     columns = column_maps(matrix)
     cancels: Dict[Tuple[int, int], bool] = {}
-    products: _Products = {}
 
     def orthogonal(j: int, k: int) -> bool:
         if j == k:
@@ -314,7 +307,7 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
         if (j, k) not in cancels:
             sums: _Accumulator = {}
             for row in shared:
-                _add_product(sums, products, columns[j][row], columns[k][row])
+                _add_product(sums, columns[j][row], columns[k][row])
             cancels[(j, k)] = _cancels(sums.items())
         return cancels[(j, k)]
 
