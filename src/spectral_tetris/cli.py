@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -40,31 +39,39 @@ from .fusion import (
     weighted_fusion,
 )
 from .json_io import (
+    _render,
     fusion_from_json,
-    fusion_to_json,
     is_fusion_document,
     matrix_from_json,
-    matrix_to_json,
     read_document,
     write_document,
 )
 from .sequences import untf_feasible
 from .verify import verify_frame, verify_fusion
 
-_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_PATTERN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rational(text: str) -> Fraction:
-    """Exact CLI rational: an integer or p/q. Floats are rejected outright."""
-    cleaned = text.strip()
-    if not _RATIONAL_PATTERN.fullmatch(cleaned):
+    """Exact CLI rational: an integer or p/q. Floats are rejected outright.
+
+    The text is parsed once: the pattern's groups are the numerator and
+    denominator, and int() reads the same Unicode digits the pattern
+    matches, numerator first, as Fraction(text.strip()) would.
+    """
+    match = _RATIONAL_PATTERN.fullmatch(text.strip())
+    if match is None:
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q rational, got {text!r} (floats are not accepted)"
         )
-    try:
-        return Fraction(cleaned)
-    except ZeroDivisionError:
+    numerator, denominator = match.groups()
+    numerator = int(numerator)
+    if denominator is None:
+        return Fraction(numerator)
+    denominator = int(denominator)
+    if not denominator:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+    return Fraction(numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -106,18 +113,19 @@ def _output_path(job: JobSpec, extension: Optional[str] = None) -> str:
 
 
 def _emit(document: Dict[str, object]) -> int:
-    print(json.dumps(document, indent=2))
+    """Print the report as indented JSON, the text json.dumps(indent=2) gives."""
+    sys.stdout.write(_render(document) + "\n")
     return 0
 
 
 def _write_output(job: JobSpec, result: Union[SynthesisMatrix, FusionFrame]) -> str:
     """Write the result file atomically: lossless JSON, or CSV of the synthesis matrix."""
-    fusion = isinstance(result, FusionFrame)
     path = _output_path(job)
     if job.format == "csv":
-        write_document(path, _matrix_csv(result.generator if fusion else result))
+        matrix = result.generator if isinstance(result, FusionFrame) else result
+        write_document(path, _matrix_csv(matrix))
     else:
-        write_document(path, fusion_to_json(result) if fusion else matrix_to_json(result))
+        write_document(path, result)
     return path
 
 

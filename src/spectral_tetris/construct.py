@@ -14,13 +14,14 @@ once to integers in a common unit (sequences.integer_units) and the fill
 runs on ints; square roots are taken only for the entries it places, and
 its 2x2 blocks are built from those ints by blocks._block_from_units.
 construct_untf_dft keeps its own J x J fill. The verifier and the fusion
-layer share three sparse views, column_maps, row_columns (the row
-incidence) and sparse_inner, and one square-sum helper: _squared_terms
-writes |entry|^2 as integer numerators keyed by (radicand, denominator)
-and _settle turns such an accumulator into one exact value. Beside it,
-_product_terms writes a product of two real entries the same way and
-_cancels decides on ints whether an accumulator is zero; the verifier's
-orthogonality checks use them. numpy is imported only inside the numeric
+layer share two sparse views, column_maps and row_columns (the row
+incidence), and one square-sum helper: _squared_terms writes |entry|^2 as
+integer numerators keyed by (radicand, denominator) and _settle turns such
+an accumulator into one exact value. Beside it, _product_terms writes a
+product of two real entries the same way and _cancels decides on ints
+whether an accumulator is zero; _columns_cancel, built on them, decides
+whether two real columns are orthogonal for the verifier's column checks
+and fusion.group_flags alike. numpy is imported only inside the numeric
 code (to_dense and the Naimark complement), so the exact routes never load
 it. The Naimark complement is numeric: its completion is read once, and
 each distinct float becomes one dyadic entry shared by every position that
@@ -186,18 +187,6 @@ def row_columns(
     return rows
 
 
-def sparse_inner(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> RadicalScalar:
-    """Exact inner product of two sparse real vectors; only meaningful when no entry is complex."""
-    if len(b) < len(a):
-        a, b = b, a
-    total = ZERO
-    for index, value in a.items():
-        other = b.get(index)
-        if other is not None:
-            total = total + value * other
-    return total
-
-
 #: |entry|^2 as (radicand, denominator) -> integer numerator items: the sum
 #: of numerator/denominator * sqrt(radicand) over them.
 SquaredTerms = Tuple[Tuple[Tuple[int, int], int], ...]
@@ -256,6 +245,28 @@ def _cancels(sums: Iterable[Tuple[Tuple[int, int], int]]) -> bool:
     squarefree radicands are linearly independent over the rationals, so
     exactly when every radicand's numerators cancel on their own."""
     return not any(total for total, _ in _per_radicand(sums).values())
+
+
+def _add_product(sums: Dict[Tuple[int, int], int], x: RadicalScalar, y: RadicalScalar) -> None:
+    """Add the product of two real entries to an integer accumulator."""
+    for item, numerator in _product_terms(x, y):
+        sums[item] = sums.get(item, 0) + numerator
+
+
+def _columns_cancel(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> bool:
+    """Whether two real sparse columns are orthogonal, decided on ints.
+
+    Columns sharing no row are; columns sharing exactly one row are not,
+    their inner product being one product of nonzero reals. Otherwise the
+    products on the shared rows go into one accumulator, which must cancel.
+    """
+    shared = a.keys() & b.keys()
+    if len(shared) == 1:
+        return False
+    sums: Dict[Tuple[int, int], int] = {}
+    for row in shared:
+        _add_product(sums, a[row], b[row])
+    return _cancels(sums.items())
 
 
 def _settle(sums: SquaredTerms) -> ExactSum:

@@ -5,10 +5,10 @@ the span of a group of generator columns. Construction-side we only validate
 structure (disjoint groups covering all columns, sizes matching the declared
 dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
-Columns that share no row are orthogonal and real columns that share one
-row are not, so group_flags multiplies only pairs that construct.row_columns
-puts in two or more common rows; it takes squared norms from construct's
-square-sum helper, as the verifier does.
+Columns that share no row are orthogonal, so group_flags checks only the
+pairs that construct.row_columns puts in a common row, with the verifier's
+column check (construct._columns_cancel, on integers); it takes squared
+norms from construct's square-sum helper, as the verifier does.
 
 When the round-robin order fails, weighted_fusion runs the readiness fill
 search (sequences._FillSearch) with one tag per subspace, each keeping the
@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .construct import (
     SquaredTerms,
     SynthesisMatrix,
+    _columns_cancel,
     _naimark_completion,
     _settle,
     _squared_terms,
@@ -44,7 +45,6 @@ from .construct import (
     pnstc,
     row_columns,
     sfr,
-    sparse_inner,
 )
 from .errors import (
     Infeasible,
@@ -119,19 +119,19 @@ def group_flags(
     together make the group a tight frame for its span with bound
     weight_squared.
 
-    Two columns sharing exactly one row are not orthogonal (their inner
-    product is one product of nonzero reals), so only pairs sharing two or
-    more rows take an exact inner product. Squared norms are integer
-    accumulators (construct._squared_terms, _settle): each distinct entry
-    object is squared once and each distinct accumulator settled once.
+    Only pairs that share a row are checked, by construct._columns_cancel:
+    a pair sharing exactly one row is not orthogonal, and a pair sharing
+    more is decided on integer product accumulators, with no RadicalScalar
+    product. Squared norms are integer accumulators (construct._squared_terms,
+    _settle): each distinct entry object is squared once and each distinct
+    accumulator settled once.
     """
-    shared: Dict[Tuple[int, int], int] = {}
-    for cols in row_columns(columns, group).values():
-        for pair in itertools.combinations(cols, 2):
-            shared[pair] = shared.get(pair, 0) + 1
-    orthogonal = not any(
-        count == 1 or sparse_inner(columns[a], columns[b]) for (a, b), count in shared.items()
+    pairs = dict.fromkeys(
+        pair
+        for cols in row_columns(columns, group).values()
+        for pair in itertools.combinations(cols, 2)
     )
+    orthogonal = all(_columns_cancel(columns[a], columns[b]) for a, b in pairs)
     squared: Dict[int, SquaredTerms] = {}
     keys = []
     for col in group:

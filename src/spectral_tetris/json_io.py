@@ -20,6 +20,17 @@ of a 2x2 block. So the encoder reads each run of one entry object in
 (row, col) order once, and the decoder, once each field is checked to be an
 int, builds each distinct entry once from a bounded memo keyed on its
 (num, den, rad) triples and omega pair.
+
+Files and CLI reports are written as indented JSON by _render, whose text
+equals json.dumps(value, indent=2) for every value json.dumps accepts, and
+which raises the same exception classes (TypeError for what json cannot
+serialize, ValueError for a circular container). Up to CPython 3.12,
+json.dumps with an indent runs the stdlib's pure-Python encoder, one
+generator step per token; _render builds each container's text with one
+join. A matrix or fusion frame handed to write_document is written
+straight from the object, with no document dicts: each run of one entry
+object has its terms and omega text rendered once, and each entry is one
+format string around its row, column and that text.
 """
 
 from __future__ import annotations
@@ -27,8 +38,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
@@ -236,14 +248,172 @@ def is_fusion_document(document) -> bool:
     return isinstance(document, dict) and "partition" in document
 
 
-def write_document(path: str, document: Union[str, Dict[str, object]]) -> None:
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: str, float, bool, None and int keys
+    become quoted strings."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return '"' + _float_text(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _text(value, newline: str, path: Set[int]) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):  # int subclasses such as IntEnum, as json writes them
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    is_list = isinstance(value, (list, tuple))
+    if not is_list and not isinstance(value, dict):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        return "[]" if is_list else "{}"
+    marker = id(value)
+    if marker in path:
+        raise ValueError("Circular reference detected")
+    path.add(marker)
+    inner = newline + "  "
+    parts: List[str] = []
+    append = parts.append
+    # exact ints and strs, the bulk of a document, skip the call; a key is
+    # written before its value, so a bad key is what fails first, as in json
+    if is_list:
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                append(int.__repr__(item))
+            elif kind is str:
+                append(_quote(item))
+            else:
+                append(_text(item, inner, path))
+    else:
+        for key, item in value.items():
+            key = (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            kind = type(item)
+            if kind is int:
+                append(key + int.__repr__(item))
+            elif kind is str:
+                append(key + _quote(item))
+            else:
+                append(key + _text(item, inner, path))
+    path.discard(marker)
+    opening, closing = ("[", "]") if is_list else ("{", "}")
+    return opening + inner + ("," + inner).join(parts) + newline + closing
+
+
+def _render(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), with the same exception classes, for a
+    value nested where newline (a newline and its indentation) starts each
+    of its lines: TypeError for what json cannot serialize, ValueError for
+    a container that holds itself."""
+    return _text(value, newline, set())
+
+
+#: One entry of a matrix document, around its row, column and terms text,
+#: and one term of exact ints.
+_ENTRY = '\n    {\n      "row": %s,\n      "col": %s,\n      "terms": %s\n    }'
+_TERM = '\n        {\n          "num": %d,\n          "den": %d,\n          "rad": %d\n        }'
+
+
+def _terms_text(value: MatrixEntry) -> str:
+    """An entry's text after "terms": at its place in a matrix document."""
+    terms, omega = _json_form(value)
+    if terms and all(type(field) is int for term in terms for field in term):
+        text = "[" + ",".join([_TERM % term for term in terms]) + "\n      ]"
+    else:
+        text = _render([{"num": num, "den": den, "rad": rad} for num, den, rad in terms], "\n      ")
+    if omega is not None:
+        text += ',\n      "omega_num": %s,\n      "omega_den": %s' % (
+            _render(omega[0]),
+            _render(omega[1]),
+        )
+    return text
+
+
+def _matrix_text(matrix: SynthesisMatrix, tail: str = "") -> str:
+    """_render(matrix_to_json(matrix)) + tail + the closing brace and a
+    newline, with no document dicts: each run of one entry object renders
+    its terms and omega once."""
+    head = '{\n  "m": %s,\n  "n": %s,\n  "complex": %s,\n  "entries": ' % (
+        _render(matrix.row_count),
+        _render(matrix.col_count),
+        _render(matrix.is_complex),
+    )
+    entries = []
+    last = None
+    for (row, col), value in sorted(matrix.entries.items()):
+        if value is not last:  # a row's singletons are runs of one entry object
+            last, body = value, _terms_text(value)
+        if type(row) is not int or type(col) is not int:
+            row, col = _render(row), _render(col)
+        entries.append(_ENTRY % (row, col, body))
+    listed = "[" + ",".join(entries) + "\n  ]" if entries else "[]"
+    return head + listed + tail + "\n}\n"
+
+
+def _fusion_text(frame: FusionFrame) -> str:
+    """_render(fusion_to_json(frame)) + "\\n", the generator's entries written
+    as _matrix_text writes them."""
+    weights = [
+        {"num": weight.numerator, "den": weight.denominator} for weight in frame.weights_squared
+    ]
+    return _matrix_text(
+        frame.generator,
+        ',\n  "partition": %s,\n  "weights_sq": %s'
+        % (_render(frame.partition, "\n  "), _render(weights, "\n  ")),
+    )
+
+
+def write_document(
+    path: str, document: Union[str, SynthesisMatrix, FusionFrame, Dict[str, object]]
+) -> None:
     """Write atomically: the file appears complete or not at all.
 
-    A str is written as it stands, a dict as indented JSON, serialized before
-    any file is opened. The file gets the mode open(path, "w") gives a new
-    file: 0o666 less the umask.
+    A str is written as it stands. Anything else is written as the text of
+    json.dumps(..., indent=2) plus a newline: a SynthesisMatrix or
+    FusionFrame as its matrix_to_json or fusion_to_json document, rendered
+    from the object with the text of each run of one entry object made
+    once, and any other value (a dict, say) through _render. The text is
+    made before any file is opened. The file gets the mode open(path, "w")
+    gives a new file: 0o666 less the umask.
     """
-    text = document if isinstance(document, str) else json.dumps(document, indent=2) + "\n"
+    if isinstance(document, str):
+        text = document
+    elif isinstance(document, FusionFrame):
+        text = _fusion_text(document)
+    elif isinstance(document, SynthesisMatrix):
+        text = _matrix_text(document)
+    else:
+        text = _render(document) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     staging = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     handle = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -18,7 +18,9 @@ orthogonality_distance are decided on the same integer accumulators: a
 product of two one-term entries is one (radicand, denominator) item
 (construct._product_terms), and a pair is orthogonal exactly when every
 radicand's numerators cancel (construct._cancels), with no RadicalScalar
-product and no settling; _row_gram, the exact Gram, serves frame_operator.
+product and no settling. A column pair is decided by
+construct._columns_cancel, which fusion.group_flags calls too; _row_gram,
+the exact Gram, serves frame_operator.
 _rows_orthogonal and _row_gram walk the same support pairs
 (_support_pairs). Exact work is paid per distinct value where values
 repeat: each entry object is squared once, each distinct sum settled into
@@ -40,8 +42,9 @@ from .construct import (
     ExactSum,
     SquaredTerms,
     SynthesisMatrix,
+    _add_product,
     _cancels,
-    _product_terms,
+    _columns_cancel,
     _settle,
     _squared_terms,
     column_maps,
@@ -145,12 +148,6 @@ def _off_diagonal(gram: np.ndarray) -> float:
     import numpy as np
 
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
-
-
-def _add_product(sums: _Accumulator, x: RadicalScalar, y: RadicalScalar) -> None:
-    """Add the product of two real entries to an integer accumulator."""
-    for item, numerator in _product_terms(x, y):
-        sums[item] = sums.get(item, 0) + numerator
 
 
 def _rows_orthogonal(
@@ -285,8 +282,8 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     orthogonal, and two columns sharing exactly one row never are: their
     inner product is the product of two nonzero reals. So each row's
     columns are scanned from both ends for the widest pair that does not
-    cancel, and an exact inner product is formed only for candidate pairs
-    sharing two or more rows.
+    cancel, and products are taken, on integers (construct._columns_cancel),
+    only for candidate pairs sharing two or more rows.
     """
     if matrix.is_complex:
         import numpy as np
@@ -301,14 +298,8 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     def orthogonal(j: int, k: int) -> bool:
         if j == k:
             return False
-        shared = columns[j].keys() & columns[k].keys()
-        if len(shared) == 1:
-            return False
         if (j, k) not in cancels:
-            sums: _Accumulator = {}
-            for row in shared:
-                _add_product(sums, columns[j][row], columns[k][row])
-            cancels[(j, k)] = _cancels(sums.items())
+            cancels[(j, k)] = _columns_cancel(columns[j], columns[k])
         return cancels[(j, k)]
 
     distance = 0

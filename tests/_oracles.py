@@ -10,7 +10,8 @@ package's exact arithmetic, nothing of its verifier). The exceptions are the
 Spectral Tetris fill and the fusion verifier: their oracles are the
 package's former code, kept as it was, and so are the readiness searches
 that tried every distinct eigenvalue order in full, the frame verifier and
-sparsity report that summed squares in RadicalScalar arithmetic, the
+sparsity report that summed squares in RadicalScalar arithmetic (their
+orthogonality and rank checks replaced by the dense oracles), the
 JSON entry decoder that re-split every radicand, the tagged fusion search
 that compared columns by exact inner products, the pruned readiness search
 whose states held Fractions, the Spectral Tetris fill that compared and
@@ -39,7 +40,7 @@ from spectral_tetris import (
     SynthesisMatrix,
     pnstc,
 )
-from spectral_tetris.construct import _Stuck, column_maps, sparse_inner
+from spectral_tetris.construct import _Stuck, column_maps
 from spectral_tetris.errors import NotParseval, SpectralTetrisError, SpectrumMismatch
 from spectral_tetris.exact_numeric import (
     ZERO,
@@ -68,10 +69,7 @@ from spectral_tetris.verify import (
     FusionReport,
     SquareSum,
     VerificationReport,
-    _exact_rank,
     _row_gram,
-    _rows_orthogonal,
-    orthogonality_distance,
 )
 
 Key = Tuple[int, int]
@@ -210,6 +208,19 @@ def _dense_columns(matrix):
     ]
 
 
+def sparse_inner(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> RadicalScalar:
+    """Exact inner product of two sparse real vectors: the package's former
+    helper, which the former fusion code below calls."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = ZERO
+    for index, value in a.items():
+        other = b.get(index)
+        if other is not None:
+            total = total + value * other
+    return total
+
+
 def row_gram_oracle(matrix):
     """Exact AA^T of a real matrix, every entry a full row inner product."""
     rows = _dense_rows(matrix)
@@ -232,6 +243,18 @@ def orthogonality_distance_oracle(matrix) -> int:
             if _dot(columns[j], columns[k]):
                 distance = max(distance, k - j + 1)
     return distance
+
+
+def complex_rows_orthogonal_oracle(matrix) -> bool:
+    """Every off-diagonal entry of the float Gram AA* within 1e-12."""
+    dense = matrix.to_dense()
+    gram = dense @ dense.conj().T
+    return all(
+        abs(gram[p, q]) <= COMPLEX_TOLERANCE
+        for p in range(matrix.row_count)
+        for q in range(matrix.row_count)
+        if p != q
+    )
 
 
 def complex_orthogonality_distance_oracle(matrix) -> int:
@@ -715,9 +738,10 @@ def floor_partition_oracle(eigs: Spectrum, count: int) -> Optional[Tuple[int, ..
 # -- square sums in RadicalScalar arithmetic ----------------------------------------
 # _square_sums, _report_values, _matches, _sparsity_bound, verify_frame and
 # sparsity_report as they were when every nonzero's square was an exact
-# product added into RadicalScalar sums, verbatim bar names; the row,
-# rank and distance checks are the package's. verify_fusion_oracle above reads
-# _square_sums from here.
+# product added into RadicalScalar sums, verbatim bar names, except that the
+# row orthogonality, rank and orthogonality distance checks are the dense
+# all-pairs oracles above (float Gram ones on the complex path), not the
+# package's. verify_fusion_oracle above reads _square_sums from here.
 
 
 def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[RadicalScalar], List[RadicalScalar]]:
@@ -772,8 +796,12 @@ def verify_frame_oracle(
     exact = not matrix.is_complex
     row_sums, col_norms = _square_sums(matrix)
 
-    columns = column_maps(matrix)
-    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
+    if exact:
+        rows_orthogonal = rows_orthogonal_oracle(matrix)
+        distance = orthogonality_distance_oracle(matrix)
+    else:
+        rows_orthogonal = complex_rows_orthogonal_oracle(matrix)
+        distance = complex_orthogonality_distance_oracle(matrix)
 
     is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
     tight_bound: Optional[SquareSum] = None
@@ -783,7 +811,7 @@ def verify_frame_oracle(
     if rows_orthogonal:
         is_frame = all(bool(value) for value in row_sums)
     elif exact:
-        is_frame = _exact_rank(columns, m) == m
+        is_frame = exact_rank_oracle(matrix) == m
     else:
         is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
 
@@ -796,7 +824,7 @@ def verify_frame_oracle(
         tight_bound=tight_bound,
         nonzero_count=matrix.nonzero_count,
         optimal_sparsity_bound=sparsity_bound_oracle(row_sums, n),
-        orthogonality_distance=orthogonality_distance(matrix),
+        orthogonality_distance=distance,
         exact=exact,
         spectrum_matches=matches_oracle(row_sums, expected_spectrum),
         norms_match=matches_oracle(col_norms, expected_norms),
@@ -859,8 +887,8 @@ def entry_from_json_oracle(document) -> Tuple[int, int, MatrixEntry]:
 # _TaggedSearch (comparing each new column with its tag's placed columns by
 # exact inner products), the _tagged_pnstc it finishes with and the all-pairs
 # group_flags, verbatim bar their names and docstrings and the blocks built by
-# fraction_block_a_hat_oracle below; pnstc, drive and sparse_inner are the
-# package's.
+# fraction_block_a_hat_oracle below; pnstc and drive are the package's, and
+# sparse_inner is the package's former helper (above).
 
 ColumnMap = Dict[int, MatrixEntry]
 

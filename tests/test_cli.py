@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, reports, output files, formats."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_tetris import (
     RadicalScalar,
@@ -391,6 +395,74 @@ def test_usage_problems_exit_1(capsys):
     capsys.readouterr()
     assert run(["sfr", "--spectrum", "2.5", "1.5", "--count", "4"]) == 1
     assert "floats are not accepted" in capsys.readouterr().err
+
+
+# -- the rational argument type against the parser it replaced ------------------------
+
+_PARENT_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def _parent_rational(text: str) -> Fraction:
+    """cli.rational as it was when it matched and then parsed with
+    Fraction, verbatim bar its name and pattern name."""
+    cleaned = text.strip()
+    if not _PARENT_RATIONAL_PATTERN.fullmatch(cleaned):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or p/q rational, got {text!r} (floats are not accepted)"
+        )
+    try:
+        return Fraction(cleaned)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+
+
+def _rational_outcome(parse, text):
+    try:
+        value = parse(text)
+    except (argparse.ArgumentTypeError, ValueError) as failure:
+        return type(failure), str(failure)
+    return type(value), value
+
+
+_DIGITS = st.text(st.sampled_from("0123456789\u0663\u06f7\u0966\u0967\u07c0\uff17"), max_size=5)
+_PADDING = st.sampled_from(["", " ", "\t", "\n ", "\u3000", "\x0b", "\xa0"])
+
+
+@st.composite
+def rational_texts(draw):
+    """Signs, leading zeros, surrounding whitespace, zero denominators,
+    non-ASCII digits and float-looking text."""
+    sign = draw(st.sampled_from(["", "+", "-", "+-", "\u2212"]))
+    tail = draw(
+        st.one_of(
+            st.just(""),
+            _DIGITS.map(lambda digits: "/" + digits),
+            st.sampled_from(
+                ["/0", "/00", "/-3", "/+3", ".5", ".", "e3", "E-2", "_0", " /2", "/2/3", "j"]
+            ),
+        )
+    )
+    return draw(_PADDING) + sign + draw(_DIGITS) + tail + draw(_PADDING)
+
+
+@given(st.one_of(rational_texts(), st.text(max_size=8)))
+@settings(max_examples=500, deadline=None)
+def test_rational_parses_as_the_parent_did(text):
+    outcome = _rational_outcome(cli.rational, text)
+    assert outcome == _rational_outcome(_parent_rational, text)
+    if outcome[0] is Fraction:
+        assert outcome[1] == Fraction(text.strip())
+
+
+def test_rational_error_messages():
+    assert _rational_outcome(cli.rational, " 3/0 ") == (
+        argparse.ArgumentTypeError, "zero denominator in ' 3/0 '"
+    )
+    assert _rational_outcome(cli.rational, "2.5") == (
+        argparse.ArgumentTypeError,
+        "expected an integer or p/q rational, got '2.5' (floats are not accepted)",
+    )
+    assert cli.rational(" -007/\u0664\u0662 ") == Fraction(-1, 6)
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

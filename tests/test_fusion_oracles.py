@@ -285,17 +285,17 @@ def test_random_fusion_profiles_settle_within_the_budget():
 
 
 class _InnerProducts:
-    """Calls through fusion.sparse_inner, the fusion layer's exact products."""
+    """Calls through fusion._columns_cancel, the fusion layer's column-pair check."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        inner = fusion_module.sparse_inner
+        cancel = fusion_module._columns_cancel
 
         def counting(a, b):
             self.calls += 1
-            return inner(a, b)
+            return cancel(a, b)
 
-        monkeypatch.setattr(fusion_module, "sparse_inner", counting)
+        monkeypatch.setattr(fusion_module, "_columns_cancel", counting)
 
 
 def test_fusion_work_grows_with_the_columns(monkeypatch):
@@ -345,18 +345,25 @@ def test_tagged_search_builds_no_block(monkeypatch):
 
 
 def _count_group_work(monkeypatch, columns, groups, weight):
-    """Run group_flags on each group; return the flags, the RadicalScalar
-    products made and, per call, the accumulators handed to _settle and the
-    entries handed to _squared_terms."""
+    """Run group_flags on each group; return the flags, the products made
+    (RadicalScalar products and integer products through
+    construct._product_terms alike) and, per call, the accumulators handed
+    to _settle and the entries handed to _squared_terms."""
     products = 0
     settled, squared = [], []
     multiply = RadicalScalar.__mul__
+    product_terms = construct_module._product_terms
     settle, square = fusion_module._settle, fusion_module._squared_terms
 
     def counting_multiply(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
+
+    def counting_product_terms(x, y):
+        nonlocal products
+        products += 1
+        return product_terms(x, y)
 
     def counting_settle(sums):
         settled[-1].append(sums)
@@ -367,6 +374,7 @@ def _count_group_work(monkeypatch, columns, groups, weight):
         return square(value)
 
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
+    monkeypatch.setattr(construct_module, "_product_terms", counting_product_terms)
     monkeypatch.setattr(fusion_module, "_settle", counting_settle)
     monkeypatch.setattr(fusion_module, "_squared_terms", counting_square)
     flags = []
@@ -407,7 +415,9 @@ def test_group_flags_square_without_products_and_settle_each_accumulator_once(mo
 
 def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypatch):
     """Columns 0 and 1 of the 3 x 9 frame are singletons in row 0; columns
-    2 and 3 of the 4 x 11 frame are one 2x2 block and share two rows."""
+    2 and 3 of the 4 x 11 frame are one 2x2 block and share two rows, so
+    their inner product takes one integer product per shared row and no
+    RadicalScalar product."""
     singletons = column_maps(construct_untf(3, 9))
     flags, products, _, _ = _count_group_work(monkeypatch, singletons, [(0, 1), (0, 3)], F(1))
     assert flags == [(False, True), (True, True)]
@@ -415,4 +425,4 @@ def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypa
     block = column_maps(construct_untf(4, 11))
     flags, products, _, _ = _count_group_work(monkeypatch, block, [(2, 3)], F(1))
     assert flags == [(False, True)]
-    assert products > 0
+    assert products == 2
