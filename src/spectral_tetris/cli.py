@@ -11,11 +11,9 @@ partial artifacts behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -47,7 +45,7 @@ from .json_io import (
     write_document,
 )
 from .sequences import untf_feasible
-from .verify import verify_frame, verify_fusion
+from .verify import FusionReport, VerificationReport, verify_frame, verify_fusion
 
 _RATIONAL_PATTERN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
@@ -74,27 +72,17 @@ def rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One parsed CLI invocation."""
-
-    command: str
-    parameters: Dict[str, object]
-    output_path: Optional[str]
-    format: str
-
-
-def _printable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: _printable(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-    if isinstance(value, (tuple, list)):
-        return [_printable(item) for item in value]
-    return value
+def _printable(report: Union[VerificationReport, FusionReport]) -> Dict[str, object]:
+    """A report's fields in order, as JSON values: Fractions become "p/q"
+    text and tuples lists. No report nests a dataclass or a tuple in a tuple."""
+    document: Dict[str, object] = {}
+    for name, value in vars(report).items():
+        if isinstance(value, tuple):
+            value = [str(item) if isinstance(item, Fraction) else item for item in value]
+        elif isinstance(value, Fraction):
+            value = str(value)
+        document[name] = value
+    return document
 
 
 def _matrix_csv(matrix: SynthesisMatrix) -> str:
@@ -106,10 +94,10 @@ def _matrix_csv(matrix: SynthesisMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_path(job: JobSpec, extension: Optional[str] = None) -> str:
-    if job.output_path:
-        return job.output_path
-    return f"{job.command}.{extension or job.format}"
+def _output_path(args: argparse.Namespace, extension: Optional[str] = None) -> str:
+    if args.output:
+        return args.output
+    return f"{args.command}.{extension or args.format}"
 
 
 def _emit(document: Dict[str, object]) -> int:
@@ -118,10 +106,10 @@ def _emit(document: Dict[str, object]) -> int:
     return 0
 
 
-def _write_output(job: JobSpec, result: Union[SynthesisMatrix, FusionFrame]) -> str:
+def _write_output(args: argparse.Namespace, result: Union[SynthesisMatrix, FusionFrame]) -> str:
     """Write the result file atomically: lossless JSON, or CSV of the synthesis matrix."""
-    path = _output_path(job)
-    if job.format == "csv":
+    path = _output_path(args)
+    if args.format == "csv":
         matrix = result.generator if isinstance(result, FusionFrame) else result
         write_document(path, _matrix_csv(matrix))
     else:
@@ -130,29 +118,27 @@ def _write_output(job: JobSpec, result: Union[SynthesisMatrix, FusionFrame]) -> 
 
 
 def _deliver_matrix(
-    job: JobSpec,
+    args: argparse.Namespace,
     matrix: SynthesisMatrix,
     expected_spectrum: Optional[Sequence] = None,
     expected_norms: Optional[Sequence] = None,
     **fields: object,
 ) -> int:
     report = verify_frame(matrix, expected_spectrum, expected_norms)
-    return _emit({"output": _write_output(job, matrix), **fields, "report": _printable(report)})
+    return _emit({"output": _write_output(args, matrix), **fields, "report": _printable(report)})
 
 
 def _deliver_fusion(
-    job: JobSpec, frame: FusionFrame, expected_spectrum: Optional[Sequence] = None
+    args: argparse.Namespace, frame: FusionFrame, expected_spectrum: Optional[Sequence] = None
 ) -> int:
     report = verify_fusion(frame, expected_spectrum)
-    return _emit({"output": _write_output(job, frame), "report": _printable(report)})
+    return _emit({"output": _write_output(args, frame), "report": _printable(report)})
 
 
-def _cmd_untf(job: JobSpec, build: Callable[[int, int], SynthesisMatrix]) -> int:
-    dim = job.parameters["dim"]
-    count = job.parameters["count"]
-    matrix = build(dim, count)
-    flat = [Fraction(count, dim)] * dim
-    return _deliver_matrix(job, matrix, flat, [Fraction(1)] * count)
+def _cmd_untf(args: argparse.Namespace, build: Callable[[int, int], SynthesisMatrix]) -> int:
+    matrix = build(args.dim, args.count)
+    flat = [Fraction(args.count, args.dim)] * args.dim
+    return _deliver_matrix(args, matrix, flat, [Fraction(1)] * args.count)
 
 
 def _realized_order(matrix: SynthesisMatrix, spectrum: Sequence) -> List[Fraction]:
@@ -168,106 +154,80 @@ def _realized_order(matrix: SynthesisMatrix, spectrum: Sequence) -> List[Fractio
     return [spectrum[i] for i in order]
 
 
-def _cmd_sfr(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    matrix = sfr(spectrum, job.parameters["count"])
+def _cmd_sfr(args: argparse.Namespace) -> int:
+    matrix = sfr(args.spectrum, args.count)
     return _deliver_matrix(
-        job, matrix, _realized_order(matrix, spectrum), [Fraction(1)] * matrix.col_count
+        args, matrix, _realized_order(matrix, args.spectrum), [Fraction(1)] * matrix.col_count
     )
 
 
-def _cmd_pnstc(job: JobSpec) -> int:
-    norms = job.parameters["norms_squared"]
-    spectrum = job.parameters["spectrum"]
-    matrix = pnstc(norms, spectrum)
-    return _deliver_matrix(job, matrix, spectrum, norms)
+def _cmd_pnstc(args: argparse.Namespace) -> int:
+    matrix = pnstc(args.norms_squared, args.spectrum)
+    return _deliver_matrix(args, matrix, args.spectrum, args.norms_squared)
 
 
-def _cmd_pnstc_str(job: JobSpec) -> int:
-    norms = job.parameters["norms_squared"]
-    spectrum = job.parameters["spectrum"]
-    matrix, swaps = pnstc_str(norms, spectrum)
-    return _deliver_matrix(job, matrix, spectrum, swaps=[list(swap) for swap in swaps])
+def _cmd_pnstc_str(args: argparse.Namespace) -> int:
+    matrix, swaps = pnstc_str(args.norms_squared, args.spectrum)
+    return _deliver_matrix(args, matrix, args.spectrum, swaps=[list(swap) for swap in swaps])
 
 
-def _cmd_equal_norm(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    count = job.parameters["count"]
-    matrix = equal_norm_frame(spectrum, count, job.parameters.get("budget"))
-    shared = sum(spectrum, Fraction(0)) / count
-    return _deliver_matrix(job, matrix, _realized_order(matrix, spectrum), [shared] * count)
+def _cmd_equal_norm(args: argparse.Namespace) -> int:
+    matrix = equal_norm_frame(args.spectrum, args.count, args.budget)
+    shared = sum(args.spectrum, Fraction(0)) / args.count
+    realized = _realized_order(matrix, args.spectrum)
+    return _deliver_matrix(args, matrix, realized, [shared] * args.count)
 
 
-def _cmd_naimark(job: JobSpec) -> int:
-    matrix = matrix_from_json(read_document(job.parameters["input"]))
-    return _deliver_matrix(job, naimark_complement(matrix))
+def _cmd_naimark(args: argparse.Namespace) -> int:
+    matrix = matrix_from_json(read_document(args.input))
+    return _deliver_matrix(args, naimark_complement(matrix))
 
 
-def _cmd_sffr(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    frame = sffr(spectrum, job.parameters["subspaces"], job.parameters["subspace_dim"])
-    return _deliver_fusion(job, frame, spectrum)
+def _cmd_sffr(args: argparse.Namespace) -> int:
+    frame = sffr(args.spectrum, args.subspaces, args.subspace_dim)
+    return _deliver_fusion(args, frame, args.spectrum)
 
 
-def _cmd_rff(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    frame = rff(spectrum, job.parameters["count"])
-    return _deliver_fusion(job, frame, spectrum)
+def _cmd_rff(args: argparse.Namespace) -> int:
+    return _deliver_fusion(args, rff(args.spectrum, args.count), args.spectrum)
 
 
-def _cmd_uff(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    frame = uff(spectrum, job.parameters["dims"])
-    return _deliver_fusion(job, frame, spectrum)
+def _cmd_uff(args: argparse.Namespace) -> int:
+    return _deliver_fusion(args, uff(args.spectrum, args.dims), args.spectrum)
 
 
-def _cmd_weighted_fusion(job: JobSpec) -> int:
-    spectrum = job.parameters["spectrum"]
-    frame = weighted_fusion(
-        job.parameters["weights_squared"],
-        job.parameters["dims"],
-        spectrum,
-        job.parameters.get("budget"),
-    )
-    return _deliver_fusion(job, frame, spectrum)
+def _cmd_weighted_fusion(args: argparse.Namespace) -> int:
+    frame = weighted_fusion(args.weights_squared, args.dims, args.spectrum, args.budget)
+    return _deliver_fusion(args, frame, args.spectrum)
 
 
-def _cmd_extend_tight(job: JobSpec) -> int:
-    frame = fusion_from_json(read_document(job.parameters["input"]))
-    spectrum = job.parameters["spectrum"]
-    bound, total, complement = extend_to_tight(frame, spectrum)
-    document: Dict[str, object] = {
-        "tight_bound": _printable(bound),
-        "extended_count": total,
-    }
+def _cmd_extend_tight(args: argparse.Namespace) -> int:
+    frame = fusion_from_json(read_document(args.input))
+    bound, total, complement = extend_to_tight(frame, args.spectrum)
+    document: Dict[str, object] = {"tight_bound": bound, "extended_count": total}
     if complement is not None:
-        document["output"] = _write_output(job, complement)
+        document["output"] = _write_output(args, complement)
         document["report"] = _printable(verify_fusion(complement))
     return _emit(document)
 
 
-def _cmd_verify(job: JobSpec) -> int:
-    document = read_document(job.parameters["input"])
-    spectrum = job.parameters.get("spectrum")
+def _cmd_verify(args: argparse.Namespace) -> int:
+    document = read_document(args.input)
     if is_fusion_document(document):
-        report = verify_fusion(fusion_from_json(document), spectrum)
+        report = verify_fusion(fusion_from_json(document), args.spectrum)
     else:
-        report = verify_frame(
-            matrix_from_json(document), spectrum, job.parameters.get("norms")
-        )
+        report = verify_frame(matrix_from_json(document), args.spectrum, args.norms)
     return _emit({"report": _printable(report)})
 
 
-def _cmd_feasibility_grid(job: JobSpec) -> int:
-    max_dim = job.parameters["max_dim"]
-    max_count = job.parameters["max_count"]
+def _cmd_feasibility_grid(args: argparse.Namespace) -> int:
     lines = ["m,n,feasible"]
     cells = 0
-    for m in range(1, max_dim + 1):
-        for n in range(m, max_count + 1):
+    for m in range(1, args.max_dim + 1):
+        for n in range(m, args.max_count + 1):
             lines.append(f"{m},{n},{'true' if untf_feasible(m, n) else 'false'}")
             cells += 1
-    path = _output_path(job, "csv")
+    path = _output_path(args, "csv")
     write_document(path, "\n".join(lines) + "\n")
     return _emit({"output": path, "cells": cells})
 
@@ -389,22 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    values = vars(args).copy()
-    command = values.pop("command")
-    output_path = values.pop("output", None)
-    format_name = values.pop("format", "json")
-    return JobSpec(command, values, output_path, format_name)
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code == 0 else 1
-    job = _job_from_args(args)
     try:
-        return _HANDLERS[job.command](job)
+        return _HANDLERS[args.command](args)
     except SpectralTetrisError as failure:
         print(f"{type(failure).__name__}: {failure}", file=sys.stderr)
         return 2

@@ -15,17 +15,22 @@ runs on ints; square roots are taken only for the entries it places, and
 its 2x2 blocks are built from those ints by blocks._block_from_units.
 construct_untf_dft keeps its own J x J fill. The verifier and the fusion
 layer share two sparse views, column_maps and row_columns (the row
-incidence), and one square-sum helper: _squared_terms writes |entry|^2 as
-integer numerators keyed by (radicand, denominator) and _settle turns such
-an accumulator into one exact value. Beside it, _product_terms writes a
-product of two real entries the same way and _cancels decides on ints
-whether an accumulator is zero; _columns_cancel, built on them, decides
-whether two real columns are orthogonal for the verifier's column checks
-and fusion.group_flags alike. numpy is imported only inside the numeric
-code (to_dense and the Naimark complement), so the exact routes never load
-it. The Naimark complement is numeric: its completion is read once, and
-each distinct float becomes one dyadic entry shared by every position that
-holds it.
+incidence), and this is the only module that builds or reads the integer
+accumulators of the exact checks: (radicand, denominator) -> numerator
+maps whose items sum to one exact value. In the Spectral Tetris fills
+every column is a singleton or half of a 2x2 block of one-term radicals
+c*sqrt(r), so each square sum and each inner product is such a map, built
+with no RadicalScalar product. _squared_terms writes |entry|^2 and
+_product_terms a product of two real entries as items; _cancels decides
+on ints whether an accumulator is zero, and _settle (_settle_all for many,
+each distinct one once) turns it into one exact value. On them stand the
+one square-sum sweep, _square_sums, the one walk over the row pairs that
+meet in a column, _row_products, and the column check _columns_cancel,
+which the verifier and fusion.group_flags call. numpy is imported only
+inside the numeric code (to_dense and the Naimark complement), so the
+exact routes never load it. The Naimark complement is numeric: its
+completion is read once, and each distinct float becomes one dyadic entry
+shared by every position that holds it.
 """
 
 from __future__ import annotations
@@ -187,8 +192,11 @@ def row_columns(
     return rows
 
 
-#: |entry|^2 as (radicand, denominator) -> integer numerator items: the sum
-#: of numerator/denominator * sqrt(radicand) over them.
+#: (radicand, denominator) -> integer numerator: the sum of
+#: numerator/denominator * sqrt(radicand) over the keys.
+_Accumulator = Dict[Tuple[int, int], int]
+
+#: |entry|^2 as an accumulator's items.
 SquaredTerms = Tuple[Tuple[Tuple[int, int], int], ...]
 
 #: An exact square sum: a Fraction when rational, else the canonical
@@ -240,14 +248,14 @@ def _per_radicand(sums: Iterable[Tuple[Tuple[int, int], int]]) -> Dict[int, Tupl
     return combined
 
 
-def _cancels(sums: Iterable[Tuple[Tuple[int, int], int]]) -> bool:
-    """Whether an accumulator's items sum to zero: square roots of distinct
+def _cancels(sums: _Accumulator) -> bool:
+    """Whether an accumulator sums to zero: square roots of distinct
     squarefree radicands are linearly independent over the rationals, so
     exactly when every radicand's numerators cancel on their own."""
-    return not any(total for total, _ in _per_radicand(sums).values())
+    return not any(total for total, _ in _per_radicand(sums.items()).values())
 
 
-def _add_product(sums: Dict[Tuple[int, int], int], x: RadicalScalar, y: RadicalScalar) -> None:
+def _add_product(sums: _Accumulator, x: RadicalScalar, y: RadicalScalar) -> None:
     """Add the product of two real entries to an integer accumulator."""
     for item, numerator in _product_terms(x, y):
         sums[item] = sums.get(item, 0) + numerator
@@ -263,10 +271,32 @@ def _columns_cancel(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> boo
     shared = a.keys() & b.keys()
     if len(shared) == 1:
         return False
-    sums: Dict[Tuple[int, int], int] = {}
+    sums: _Accumulator = {}
     for row in shared:
         _add_product(sums, a[row], b[row])
-    return _cancels(sums.items())
+    return _cancels(sums)
+
+
+def _row_products(columns: Sequence[Dict[int, MatrixEntry]]) -> Dict[Key, _Accumulator]:
+    """{(p, q): the accumulator of rows p and q's inner product} for every
+    pair of rows p < q that meet in a column of a real matrix.
+
+    Rows p and q only meet in the columns whose support holds both, so this
+    takes sum |supp|^2 products over the columns instead of M^2 row inner
+    products. Row pairs that share no column are absent.
+    """
+    products: Dict[Key, _Accumulator] = {}
+    for column in columns:
+        if len(column) < 2:
+            continue  # a single row meets no other row here
+        items = sorted(column.items())
+        for a, (p, x) in enumerate(items):
+            for q, y in items[a + 1 :]:
+                sums = products.get((p, q))
+                if sums is None:
+                    sums = products[(p, q)] = {}
+                _add_product(sums, x, y)
+    return products
 
 
 def _settle(sums: SquaredTerms) -> ExactSum:
@@ -285,6 +315,35 @@ def _settle(sums: SquaredTerms) -> ExactSum:
         return terms[0][1]
     # the radicands come from canonical values, so they are squarefree already
     return RadicalScalar._canonical(terms)
+
+
+def _settle_all(accumulators: Iterable[_Accumulator]) -> List[ExactSum]:
+    """The exact value of each accumulator, in order. Each distinct one is
+    settled once, so equal sums are one object."""
+    keys = [tuple(sums.items()) for sums in accumulators]
+    settled = {key: _settle(key) for key in dict.fromkeys(keys)}
+    return [settled[key] for key in keys]
+
+
+def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum]]:
+    """Exact row and column square sums in one sweep (exact on both paths).
+
+    Each nonzero adds integer numerators to its row's and its column's
+    accumulator. The terms are squared once per distinct entry object (the
+    matrix keeps every entry alive, so ids are stable) and the accumulators
+    are settled by _settle_all.
+    """
+    rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
+    cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
+    squared: Dict[int, SquaredTerms] = {}
+    for (i, j), value in matrix.entries.items():
+        terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
+        row, col = rows[i], cols[j]
+        for key, numerator in terms:
+            row[key] = row.get(key, 0) + numerator
+            col[key] = col.get(key, 0) + numerator
+    sums = _settle_all(rows + cols)
+    return sums[: matrix.row_count], sums[matrix.row_count :]
 
 
 def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: int) -> None:

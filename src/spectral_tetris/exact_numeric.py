@@ -16,11 +16,12 @@ r2 with g = gcd(r1, r2) the product radicand (r1/g)*(r2/g) is squarefree
 again. Those results are built by _collect, which merges equal radicands
 and drops zero coefficients but never factors. sqrt splits p*q once and
 wraps the single squarefree term directly. The split is memoized in a
-bounded cache. The JSON decoder memoizes whole entries in a bounded cache
-keyed on their integer terms, so a document builds each distinct entry
-once; terms that are already canonical (radicands increasing, each
-squarefree by the cached split, coefficients nonzero) are wrapped directly
-instead of passing through the constructor.
+bounded cache. The split and the pivot prime of inverse come from one
+trial-division routine, _prime_powers. The JSON decoder memoizes whole
+entries in a bounded cache keyed on their integer terms, so a document
+builds each distinct entry once; terms that are already canonical
+(radicands increasing, each squarefree by the cached split, coefficients
+nonzero) are wrapped directly instead of passing through the constructor.
 
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
@@ -32,13 +33,30 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
 
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
+
+
+def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
+    """(p, e) for each prime p dividing n >= 1, p**e exactly dividing n, in
+    increasing p, by trial division by 2 and the odd numbers. The first pair
+    costs only the divisions up to the smallest prime."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n, 1
 
 
 @functools.lru_cache(maxsize=4096)
@@ -53,18 +71,10 @@ def _squarefree_split(n: int) -> Tuple[int, int]:
     if n == 0:
         return 0, 0
     s, r = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                r *= d
-        d += 1 if d == 2 else 2
-    r *= n
+    for p, e in _prime_powers(n):
+        s *= p ** (e // 2)
+        if e % 2:
+            r *= p
     return s, r
 
 
@@ -192,18 +202,8 @@ class RadicalScalar:
             raise ZeroDivisionError("inverse of zero RadicalScalar")
         if self.is_rational():
             return RadicalScalar.from_rational(1 / self._terms[0][1])
-        # pick the smallest prime dividing any radicand > 1
-        p = None
-        for r, _ in self._terms:
-            if r > 1:
-                d = 2
-                while d * d <= r:
-                    if r % d == 0:
-                        p = d if p is None else min(p, d)
-                        break
-                    d += 1
-                else:
-                    p = r if p is None else min(p, r)
+        # the smallest prime dividing any radicand > 1
+        p = min(next(_prime_powers(r))[0] for r, _ in self._terms if r > 1)
         # dividing the radicands that p divides by p keeps them squarefree,
         # distinct and in order, so both halves are canonical as they stand
         plain = RadicalScalar._canonical(

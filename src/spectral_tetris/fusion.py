@@ -7,8 +7,9 @@ dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
 Columns that share no row are orthogonal, so group_flags checks only the
 pairs that construct.row_columns puts in a common row, with the verifier's
-column check (construct._columns_cancel, on integers); it takes squared
-norms from construct's square-sum helper, as the verifier does.
+column check (construct._columns_cancel, on integers). It squares nothing
+itself: its callers hand it the column square sums of the one
+construct._square_sums sweep per matrix, the sweep the verifier reads.
 
 When the round-robin order fails, weighted_fusion runs the readiness fill
 search (sequences._FillSearch) with one tag per subspace, each keeping the
@@ -35,12 +36,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .construct import (
-    SquaredTerms,
+    ExactSum,
     SynthesisMatrix,
     _columns_cancel,
     _naimark_completion,
-    _settle,
-    _squared_terms,
+    _square_sums,
     column_maps,
     pnstc,
     row_columns,
@@ -112,7 +112,10 @@ class ChainPartition:
 
 
 def group_flags(
-    columns: Sequence[ColumnMap], group: Sequence[int], weight_squared: Fraction
+    columns: Sequence[ColumnMap],
+    group: Sequence[int],
+    weight_squared: Fraction,
+    col_norms: Sequence[ExactSum],
 ) -> Tuple[bool, bool]:
     """(orthogonal, consistent), exactly: the group's real columns are
     pairwise orthogonal, and each has squared norm weight_squared. Both
@@ -122,9 +125,8 @@ def group_flags(
     Only pairs that share a row are checked, by construct._columns_cancel:
     a pair sharing exactly one row is not orthogonal, and a pair sharing
     more is decided on integer product accumulators, with no RadicalScalar
-    product. Squared norms are integer accumulators (construct._squared_terms,
-    _settle): each distinct entry object is squared once and each distinct
-    accumulator settled once.
+    product. The squared norms are read from col_norms, the column half of
+    the caller's construct._square_sums sweep over the whole matrix.
     """
     pairs = dict.fromkeys(
         pair
@@ -132,16 +134,7 @@ def group_flags(
         for pair in itertools.combinations(cols, 2)
     )
     orthogonal = all(_columns_cancel(columns[a], columns[b]) for a, b in pairs)
-    squared: Dict[int, SquaredTerms] = {}
-    keys = []
-    for col in group:
-        sums: Dict[Tuple[int, int], int] = {}
-        for value in columns[col].values():
-            terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
-            for key, numerator in terms:
-                sums[key] = sums.get(key, 0) + numerator
-        keys.append(tuple(sums.items()))
-    consistent = all(_settle(key) == weight_squared for key in dict.fromkeys(keys))
+    consistent = all(col_norms[col] == weight_squared for col in group)
     return orthogonal, consistent
 
 
@@ -215,7 +208,10 @@ def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFr
             floor_ok = math.floor(value) <= subspace_count - 3
             break
     columns = column_maps(generator)
-    groups_orthogonal = all(all(group_flags(columns, group, Fraction(1))) for group in partition)
+    _, col_norms = _square_sums(generator)
+    groups_orthogonal = all(
+        all(group_flags(columns, group, Fraction(1), col_norms)) for group in partition
+    )
     return FusionFrame(
         m=len(eigs),
         weights_squared=(Fraction(1),) * subspace_count,
@@ -402,8 +398,9 @@ def _tagged_pnstc(
     for col, (_w, tag) in enumerate(order):
         grouped[tag].append(col)
     columns = column_maps(matrix)
+    _, col_norms = _square_sums(matrix)
     weights = {tag: w for w, tag in order}
-    if not all(all(group_flags(columns, grouped[tag], weights[tag])) for tag in tags):
+    if not all(all(group_flags(columns, grouped[tag], weights[tag], col_norms)) for tag in tags):
         return None
     return matrix, tuple(tuple(grouped[tag]) for tag in tags)
 

@@ -8,27 +8,29 @@ raises on a mathematical failure: every discrepancy is a field.
 Each property has one check: _rows_orthogonal, _matches (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
 The exact ones multiply only entries that share a column or a row, so they
-cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. The row
-and column square sums add integers per nonzero: a one-term entry c*sqrt(r)
-squares to the rational c^2*r, whose integer numerator is added under its
-(radicand, denominator) key. The helper that squares and settles them,
-construct._squared_terms and _settle, also serves group_flags; this module
-calls it through its own names. Row orthogonality and the column pairs of
-orthogonality_distance are decided on the same integer accumulators: a
-product of two one-term entries is one (radicand, denominator) item
-(construct._product_terms), and a pair is orthogonal exactly when every
-radicand's numerators cancel (construct._cancels), with no RadicalScalar
-product and no settling. A column pair is decided by
-construct._columns_cancel, which fusion.group_flags calls too; _row_gram,
-the exact Gram, serves frame_operator.
-_rows_orthogonal and _row_gram walk the same support pairs
-(_support_pairs). Exact work is paid per distinct value where values
-repeat: each entry object is squared once, each distinct sum settled into
-one Fraction (a RadicalScalar when irrational) and each distinct (sum,
-expectation) pair compared once. Products are formed per support pair, as
-the fill makes new entry objects for every block and a pair of them
-seldom meets twice. Off the exact route each fusion group takes one SVD;
-numpy is imported there, and on the complex path, only.
+cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. All the
+integer work lives in construct, and this module only calls it:
+
+- construct._square_sums is the one sweep for the row and column square
+  sums. A one-term entry c*sqrt(r) squares to the rational c^2*r, whose
+  integer numerator is added under its (radicand, denominator) key. Each
+  entry object is squared once and each distinct sum settled once, into a
+  Fraction (a RadicalScalar when irrational). verify_fusion hands the
+  column half to group_flags.
+- construct._row_products is the one walk over the row pairs that meet in
+  a column. It keeps one integer accumulator per pair; a product of two
+  one-term entries is one item. _rows_orthogonal asks whether each one
+  cancels (construct._cancels), with no RadicalScalar product.
+  frame_operator takes its diagonal from the row square sums, and its
+  entries off it from the same accumulators, each distinct one settled
+  once (construct._settle_all, which the square sums use too).
+- construct._columns_cancel decides a column pair the same way, for
+  orthogonality_distance and group_flags.
+
+Each distinct (sum, expectation) pair is compared once. Products are formed
+per support pair, as the fill makes new entry objects for every block and
+a pair of them seldom meets twice. Off the exact route each fusion group
+takes one SVD; numpy is imported there, and on the complex path, only.
 """
 
 from __future__ import annotations
@@ -36,17 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .construct import (
     ExactSum,
-    SquaredTerms,
     SynthesisMatrix,
-    _add_product,
     _cancels,
     _columns_cancel,
-    _settle,
-    _squared_terms,
+    _row_products,
+    _settle_all,
+    _square_sums,
     column_maps,
     row_columns,
 )
@@ -67,33 +68,6 @@ SquareSum = Union[Fraction, float]
 
 SparseVector = Dict[int, MatrixEntry]
 
-# (radicand, denominator) -> integer numerator: the sum of numerator/denominator
-# * sqrt(radicand) over the keys
-_Accumulator = Dict[Tuple[int, int], int]
-
-
-def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum]]:
-    """Exact row and column square sums in one sweep (exact on both paths).
-
-    Each nonzero adds integer numerators to its row's and its column's
-    accumulator. The terms are squared once per distinct entry object (the
-    matrix keeps every entry alive, so ids are stable) and each distinct
-    accumulator is settled once, so equal sums are one object.
-    """
-    rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
-    cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
-    squared: Dict[int, SquaredTerms] = {}
-    for (i, j), value in matrix.entries.items():
-        terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
-        row, col = rows[i], cols[j]
-        for key, numerator in terms:
-            row[key] = row.get(key, 0) + numerator
-            col[key] = col.get(key, 0) + numerator
-    keys = [tuple(sums.items()) for sums in rows + cols]
-    settled = {key: _settle(key) for key in dict.fromkeys(keys)}
-    sums = [settled[key] for key in keys]
-    return sums[: matrix.row_count], sums[matrix.row_count :]
-
 
 def _to_float(value, label: str) -> float:
     """float(value); ValueError names label when it is outside the float range."""
@@ -112,37 +86,6 @@ def _report_values(values: Sequence[ExactSum], label: str = "row") -> Tuple[Squa
     return tuple(_to_float(v, f"{label} {p} square sum") for p, v in enumerate(values))
 
 
-def _support_pairs(
-    columns: Sequence[SparseVector], diagonal: bool
-) -> Iterator[Tuple[int, int, MatrixEntry, MatrixEntry]]:
-    """(p, q, x, y) for every pair of rows p < q (p <= q with the diagonal)
-    that meet in a column, x and y being their entries there.
-
-    Rows p and q only meet in the columns whose support holds both, so row
-    inner products are summed from these: sum |supp|^2 pairs instead of M^2
-    row inner products. Row pairs that share no column never appear.
-    """
-    for column in columns:
-        if len(column) < 2 and not diagonal:
-            continue  # a single row meets no other row here
-        items = sorted(column.items())
-        for a, (p, x) in enumerate(items):
-            for q, y in items[a if diagonal else a + 1 :]:
-                yield p, q, x, y
-
-
-def _row_gram(
-    columns: Sequence[SparseVector], diagonal: bool
-) -> Dict[Tuple[int, int], RadicalScalar]:
-    """Upper triangle of the exact row Gram AA^T, keyed (p, q) with p < q
-    (p <= q with the diagonal); pairs of rows that share no column are
-    absent, i.e. zero."""
-    gram: Dict[Tuple[int, int], RadicalScalar] = {}
-    for p, q, x, y in _support_pairs(columns, diagonal):
-        gram[(p, q)] = gram.get((p, q), ZERO) + x * y
-    return gram
-
-
 def _off_diagonal(gram: np.ndarray) -> float:
     """The largest modulus off the diagonal of a square matrix (0 when empty)."""
     import numpy as np
@@ -157,18 +100,11 @@ def _rows_orthogonal(
     path, within tolerance with complex entries. It reads the stored flag
     directly: its callers have read is_complex.
 
-    Exactly, each support pair adds its product to the row pair's integer
-    accumulator, and the rows are orthogonal when every radicand's
-    numerators cancel.
+    Exactly, the rows are orthogonal when every meeting row pair's integer
+    accumulator (construct._row_products) cancels.
     """
     if not matrix._complex:
-        gram: Dict[Tuple[int, int], _Accumulator] = {}
-        for p, q, x, y in _support_pairs(columns, diagonal=False):
-            sums = gram.get((p, q))
-            if sums is None:
-                sums = gram[(p, q)] = {}
-            _add_product(sums, x, y)
-        return all(_cancels(sums.items()) for sums in gram.values())
+        return all(map(_cancels, _row_products(columns).values()))
     dense = matrix.to_dense()
     return _off_diagonal(dense @ dense.conj().T) <= tolerance
 
@@ -258,18 +194,28 @@ class FrameOperator:
         return tuple(value.real for value in values)
 
 
+def _radical(value: ExactSum) -> RadicalScalar:
+    """An exact sum as a RadicalScalar, the entry type of an exact FrameOperator."""
+    return value if isinstance(value, RadicalScalar) else RadicalScalar.from_rational(value)
+
+
 def frame_operator(matrix: SynthesisMatrix) -> FrameOperator:
     """Gram matrix of the rows; the frame operator in the chosen eigenbasis."""
     if matrix.is_complex:
         dense = matrix.to_dense()
         gram = dense @ dense.conj().T
         return FrameOperator(tuple(tuple(row) for row in gram.tolist()), exact=False)
-    gram = _row_gram(column_maps(matrix), diagonal=True)
-    entries = tuple(
-        tuple(gram.get((min(p, q), max(p, q)), ZERO) for q in range(matrix.row_count))
-        for p in range(matrix.row_count)
-    )
-    return FrameOperator(entries, exact=True)
+    # the diagonal is the row square sums, the entries off it the settled
+    # accumulators of the rows that meet; rows that share no column meet in ZERO
+    m = matrix.row_count
+    row_sums, _ = _square_sums(matrix)
+    gram = [[ZERO] * m for _ in range(m)]
+    for p, value in enumerate(row_sums):
+        gram[p][p] = _radical(value)
+    products = _row_products(column_maps(matrix))
+    for (p, q), value in zip(products, _settle_all(products.values())):
+        gram[p][q] = gram[q][p] = _radical(value)
+    return FrameOperator(tuple(map(tuple, gram)), exact=True)
 
 
 def orthogonality_distance(matrix: SynthesisMatrix) -> int:
@@ -455,18 +401,18 @@ def verify_fusion(
     m = generator.row_count
     real = not generator.is_complex
     columns = column_maps(generator)
+    row_sums, col_norms = _square_sums(generator)
     groups_orthogonal = weights_consistent = True
     if real:
         rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)
         for group, weight_squared in zip(reference.partition, reference.weights_squared):
-            orthogonal, consistent = group_flags(columns, group, weight_squared)
+            orthogonal, consistent = group_flags(columns, group, weight_squared, col_norms)
             groups_orthogonal &= orthogonal
             weights_consistent &= consistent
     else:  # the dense form serves every complex check
         dense = generator.to_dense()
         rows_orthogonal = _off_diagonal(dense @ dense.conj().T) <= FUSION_TOLERANCE
 
-    row_sums, _ = _square_sums(generator)
     exact = real and rows_orthogonal and groups_orthogonal and weights_consistent and all(
         isinstance(v, Fraction) for v in row_sums
     )

@@ -69,7 +69,6 @@ from spectral_tetris.verify import (
     FusionReport,
     SquareSum,
     VerificationReport,
-    _row_gram,
 )
 
 Key = Tuple[int, int]
@@ -476,15 +475,25 @@ def pnstc_str_oracle(
 
 
 # -- the fusion verifier the package had -----------------------------------------
-# verify_fusion and its two helpers below are the package's former code, kept
-# verbatim bar their names and docstrings; the report type, the square sums,
-# the row Gram and the sparse inner product are the package's. They are the
-# reference for the verifier whose row, group and match checks are shared
-# with the fusion constructions, and whose numeric route takes one SVD per group.
+# verify_fusion and its numeric group checks below are the package's former
+# code, kept verbatim bar their names and docstrings; the row check beside them
+# sums each row pair's inner product with sparse_inner. The report type is the
+# package's; the square sums and sparse_inner are this file's. They are the
+# reference for the verifier whose row, group and match checks are shared with
+# the fusion constructions, and whose numeric route takes one SVD per group.
 
 
 def _rows_exactly_orthogonal_oracle(columns) -> bool:
-    return not any(_row_gram(columns, diagonal=False).values())
+    """Every pair of distinct rows has a zero exact inner product, each one
+    summed by sparse_inner over the two rows' {column: entry} maps (the
+    package's former row Gram took the same products per shared column)."""
+    rows: Dict[int, Dict[int, MatrixEntry]] = {}
+    for col, column in enumerate(columns):
+        for row, value in column.items():
+            rows.setdefault(row, {})[col] = value
+    return not any(
+        sparse_inner(rows[p], rows[q]) for p, q in itertools.combinations(sorted(rows), 2)
+    )
 
 
 def numeric_group_checks_oracle(

@@ -576,6 +576,36 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
         assert len(handle.read().strip().split("\n")) == 4
 
 
+_LIBRARY_NUMPY_PROBE = """
+import sys
+from fractions import Fraction
+
+from spectral_tetris import construct_untf, frame_operator, sffr, sparsity_report, verify_fusion
+
+matrix = construct_untf(4, 11)
+operator = frame_operator(matrix)
+assert operator.exact and operator.diagonal() == (Fraction(11, 4),) * 4
+assert sparsity_report(matrix, [Fraction(11, 4)] * 4)[0] == matrix.nonzero_count
+report = verify_fusion(sffr([Fraction(5, 2)] * 4, 5, 2), [Fraction(5, 2)] * 4)
+assert report.exact and report.spectrum_matches
+assert "numpy" not in sys.modules, "an exact library route loaded numpy"
+"""
+
+
+def test_exact_library_routes_do_not_load_numpy():
+    """frame_operator and sparsity_report on a real frame, and verify_fusion
+    on an exact sffr frame, run on the exact route alone: a fresh
+    interpreter that calls them still has no numpy."""
+    src = os.path.dirname(os.path.dirname(spectral_tetris.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_NUMPY_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     """Help, parse errors and successful runs, interleaved, print and exit
     exactly as with a parser built for each call."""

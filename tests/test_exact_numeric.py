@@ -17,6 +17,7 @@ from spectral_tetris import (
     entry_to_complex,
     to_float,
 )
+from spectral_tetris.exact_numeric import _prime_powers, _squarefree_split
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -204,3 +205,26 @@ def test_arithmetic_results_keep_the_canonical_form(a, b, q):
         results.append(a.inverse())
     for value in results:
         assert_canonical(value)
+
+
+def test_split_and_smallest_prime_match_sieves_below_20000():
+    """For every n < 20,000: the split is n = s*s*r with s the largest
+    integer whose square divides n, and the first prime of _prime_powers
+    (the pivot prime of inverse) is the smallest divisor above 1. Both
+    references are sieves, not trial division."""
+    limit = 20_000
+    largest_root = [1] * limit
+    for root in range(2, math.isqrt(limit - 1) + 1):
+        for n in range(root * root, limit, root * root):
+            largest_root[n] = root
+    smallest_prime = list(range(limit))
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        for n in range(d * d, limit, d):
+            smallest_prime[n] = min(smallest_prime[n], d)
+    split = _squarefree_split.__wrapped__  # the function itself, not its cache
+    assert split(0) == (0, 0)
+    for n in range(1, limit):
+        root = largest_root[n]
+        assert split(n) == (root, n // (root * root)), n
+        if n > 1:
+            assert next(_prime_powers(n))[0] == smallest_prime[n], n

@@ -344,16 +344,18 @@ def test_tagged_search_builds_no_block(monkeypatch):
     assert built  # the final matrix's blocks went through the counter
 
 
-def _count_group_work(monkeypatch, columns, groups, weight):
-    """Run group_flags on each group; return the flags, the products made
-    (RadicalScalar products and integer products through
-    construct._product_terms alike) and, per call, the accumulators handed
-    to _settle and the entries handed to _squared_terms."""
+def _count_group_work(monkeypatch, matrix, groups, weight):
+    """Run the one construct._square_sums sweep over the matrix, then
+    group_flags on each group with its column half; return the flags, the
+    products made (RadicalScalar products and integer products through
+    construct._product_terms alike) and the accumulators handed to _settle
+    and the entries handed to _squared_terms, first by the sweep and then
+    per group_flags call."""
     products = 0
-    settled, squared = [], []
+    settled, squared = [[]], [[]]
     multiply = RadicalScalar.__mul__
     product_terms = construct_module._product_terms
-    settle, square = fusion_module._settle, fusion_module._squared_terms
+    settle, square = construct_module._settle, construct_module._squared_terms
 
     def counting_multiply(self, other):
         nonlocal products
@@ -375,13 +377,15 @@ def _count_group_work(monkeypatch, columns, groups, weight):
 
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
     monkeypatch.setattr(construct_module, "_product_terms", counting_product_terms)
-    monkeypatch.setattr(fusion_module, "_settle", counting_settle)
-    monkeypatch.setattr(fusion_module, "_squared_terms", counting_square)
+    monkeypatch.setattr(construct_module, "_settle", counting_settle)
+    monkeypatch.setattr(construct_module, "_squared_terms", counting_square)
+    columns = column_maps(matrix)
+    _, col_norms = construct_module._square_sums(matrix)
     flags = []
     for group in groups:
         settled.append([])
         squared.append([])
-        flags.append(fusion_module.group_flags(columns, group, weight))
+        flags.append(fusion_module.group_flags(columns, group, weight, col_norms))
     monkeypatch.undo()
     return flags, products, settled, squared
 
@@ -398,19 +402,22 @@ def test_group_flags_square_without_products_and_settle_each_accumulator_once(mo
     flat = sffr((F(5, 2),) * 200, 10, 50)
     assert flat.meta["groups_orthogonal"]
     for frame in (weighted, flat):
-        assert _single_term(frame.generator)
-        columns = column_maps(frame.generator)
+        matrix = frame.generator
+        assert _single_term(matrix)
         flags, products, settled, squared = _count_group_work(
-            monkeypatch, columns, frame.partition, F(1)
+            monkeypatch, matrix, frame.partition, F(1)
         )
         assert flags == [(True, True)] * len(frame.partition)
         assert products == 0
-        for group, sums, values in zip(frame.partition, settled, squared):
-            assert len(sums) == len(set(sums)) <= len(group)
-            distinct = {id(value) for col in group for value in columns[col].values()}
-            assert len(values) == len(set(map(id, values))) <= len(distinct)
+        # the sweep squares each distinct entry object once and settles each
+        # distinct accumulator once; group_flags squares and settles nothing
+        (sweep_sums, *group_sums), (sweep_values, *group_values) = settled, squared
+        assert group_sums == [[]] * len(frame.partition) == group_values
+        assert 0 < len(sweep_sums) == len(set(sweep_sums)) <= matrix.row_count + matrix.col_count
+        distinct = {id(value) for value in matrix.entries.values()}
+        assert 0 < len(sweep_values) == len(set(map(id, sweep_values))) <= len(distinct)
         # the unit columns hold a handful of distinct square sums, not one per column
-        assert sum(map(len, settled)) <= 4 * len(frame.partition)
+        assert len(sweep_sums) <= 4 * len(frame.partition)
 
 
 def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypatch):
@@ -418,11 +425,11 @@ def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypa
     2 and 3 of the 4 x 11 frame are one 2x2 block and share two rows, so
     their inner product takes one integer product per shared row and no
     RadicalScalar product."""
-    singletons = column_maps(construct_untf(3, 9))
+    singletons = construct_untf(3, 9)
     flags, products, _, _ = _count_group_work(monkeypatch, singletons, [(0, 1), (0, 3)], F(1))
     assert flags == [(False, True), (True, True)]
     assert products == 0
-    block = column_maps(construct_untf(4, 11))
+    block = construct_untf(4, 11)
     flags, products, _, _ = _count_group_work(monkeypatch, block, [(2, 3)], F(1))
     assert flags == [(False, True)]
     assert products == 2

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import spectral_tetris.cli as cli
+import spectral_tetris.construct as construct_module
 import spectral_tetris.verify as verify_module
 from spectral_tetris import (
     ComplexRadicalEntry,
@@ -181,14 +182,15 @@ def test_round_trip_keeps_the_flag_on_mixed_entries():
 def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkeypatch):
     """The 200 x 5500 unit-norm tight frame: 5,700 nonzeros, a few hundred
     distinct entry objects. The previous verifier squared every nonzero,
-    settled 5,700 accumulators and built the column maps twice."""
+    settled 5,700 accumulators and built the column maps twice. The square
+    sums live in construct, so the counters wrap construct's helpers."""
     matrix = construct_untf(200, 5500)
     distinct = len({id(value) for value in matrix.entries.values()})
     assert matrix.nonzero_count > 10 * distinct
     counts = {"squared": 0, "settled": 0, "builds": 0}
     squared, settle, maps = (
-        verify_module._squared_terms,
-        verify_module._settle,
+        construct_module._squared_terms,
+        construct_module._settle,
         verify_module.column_maps,
     )
 
@@ -204,13 +206,13 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
         counts["builds"] += target._columns is None
         return maps(target)
 
-    monkeypatch.setattr(verify_module, "_squared_terms", counting_squared)
-    monkeypatch.setattr(verify_module, "_settle", counting_settle)
+    monkeypatch.setattr(construct_module, "_squared_terms", counting_squared)
+    monkeypatch.setattr(construct_module, "_settle", counting_settle)
     monkeypatch.setattr(verify_module, "column_maps", counting_maps)
     report = verify_frame(matrix, [F(55, 2)] * 200, [F(1)] * 5500)
     assert report.is_frame and report.spectrum_matches and report.norms_match
-    assert counts["squared"] <= distinct
-    assert counts["settled"] <= 8
+    assert 0 < counts["squared"] <= distinct
+    assert 0 < counts["settled"] <= 8
     assert counts["builds"] == 1
 
 

@@ -108,6 +108,7 @@ def test_frame_operator_entries_match_all_pairs(matrix):
     operator = frame_operator(matrix)
     assert operator.exact
     assert operator.entries == row_gram_oracle(matrix)
+    assert {type(value) for row in operator.entries for value in row} <= {RadicalScalar}
 
 
 @given(sparse_exact_matrices())
@@ -254,7 +255,8 @@ def test_group_flags_match_all_pairs(matrix, data):
         generator=matrix,
         partition=partition,
     )
-    flags = [group_flags(column_maps(matrix), group, weight) for group in partition]
+    _, col_norms = construct_module._square_sums(matrix)
+    flags = [group_flags(column_maps(matrix), group, weight, col_norms) for group in partition]
     assert (all(o for o, _ in flags), all(c for _, c in flags)) == fusion_group_flags_oracle(frame)
 
 
@@ -540,6 +542,37 @@ def test_square_sums_form_no_exact_products_on_non_square_norms(monkeypatch):
     calls, rows, cols = _count_square_work(monkeypatch, matrix)
     assert calls == {"abs_squared": 0, "mul": 0}
     assert rows == list(spectrum) and cols == list(norms)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_untf(8, 800),
+        lambda: construct_untf(8, 803),
+        lambda: pnstc((F(2, 3),) * 6 + (F(5, 6),) * 12 + (F(5, 3),) * 6, (F(6),) * 4),
+    ],
+    ids=["untf-8x800", "untf-8x803", "pnstc-non-square-norms"],
+)
+def test_frame_operator_forms_no_exact_products(monkeypatch, build):
+    """The diagonal comes from the integer square sums and each off-diagonal
+    entry from its row pair's integer accumulator, settled once; the result
+    is still the all-pairs Gram, entry for entry, in RadicalScalars."""
+    matrix = build()
+    products = 0
+    multiply = RadicalScalar.__mul__
+
+    def counting_multiply(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
+    operator = frame_operator(matrix)
+    monkeypatch.undo()
+    assert products == 0
+    assert operator.exact and operator.is_diagonal()
+    assert operator.entries == row_gram_oracle(matrix)
+    assert {type(value) for row in operator.entries for value in row} == {RadicalScalar}
 
 
 def test_irrational_square_sums_stay_exact():
