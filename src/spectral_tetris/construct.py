@@ -325,13 +325,13 @@ def _settle_all(accumulators: Iterable[_Accumulator]) -> List[ExactSum]:
     return [settled[key] for key in keys]
 
 
-def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum]]:
-    """Exact row and column square sums in one sweep (exact on both paths).
+def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[_Accumulator], List[_Accumulator]]:
+    """Row and column square-sum accumulators in one sweep (exact on both paths).
 
     Each nonzero adds integer numerators to its row's and its column's
     accumulator. The terms are squared once per distinct entry object (the
-    matrix keeps every entry alive, so ids are stable) and the accumulators
-    are settled by _settle_all.
+    matrix keeps every entry alive, so ids are stable). Each caller settles
+    the half it reads with _settle_all.
     """
     rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
     cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
@@ -342,8 +342,7 @@ def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[ExactSum], List[ExactSum
         for key, numerator in terms:
             row[key] = row.get(key, 0) + numerator
             col[key] = col.get(key, 0) + numerator
-    sums = _settle_all(rows + cols)
-    return sums[: matrix.row_count], sums[matrix.row_count :]
+    return rows, cols
 
 
 def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: int) -> None:

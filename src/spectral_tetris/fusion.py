@@ -9,7 +9,8 @@ Columns that share no row are orthogonal, so group_flags checks only the
 pairs that construct.row_columns puts in a common row, with the verifier's
 column check (construct._columns_cancel, on integers). It squares nothing
 itself: its callers hand it the column square sums of the one
-construct._square_sums sweep per matrix, the sweep the verifier reads.
+construct._square_sums sweep per matrix, the sweep the verifier reads,
+with only the column half settled.
 
 When the round-robin order fails, weighted_fusion runs the readiness fill
 search (sequences._FillSearch) with one tag per subspace, each keeping the
@@ -40,6 +41,7 @@ from .construct import (
     SynthesisMatrix,
     _columns_cancel,
     _naimark_completion,
+    _settle_all,
     _square_sums,
     column_maps,
     pnstc,
@@ -208,7 +210,7 @@ def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFr
             floor_ok = math.floor(value) <= subspace_count - 3
             break
     columns = column_maps(generator)
-    _, col_norms = _square_sums(generator)
+    col_norms = _settle_all(_square_sums(generator)[1])
     groups_orthogonal = all(
         all(group_flags(columns, group, Fraction(1), col_norms)) for group in partition
     )
@@ -398,7 +400,7 @@ def _tagged_pnstc(
     for col, (_w, tag) in enumerate(order):
         grouped[tag].append(col)
     columns = column_maps(matrix)
-    _, col_norms = _square_sums(matrix)
+    col_norms = _settle_all(_square_sums(matrix)[1])
     weights = {tag: w for w, tag in order}
     if not all(all(group_flags(columns, grouped[tag], weights[tag], col_norms)) for tag in tags):
         return None

@@ -9,13 +9,15 @@ tag per distinct squared norm, and fusion.weighted_fusion one tag per
 subspace with the rows its columns use; failed states are memoized in both.
 Readiness needs only sums and comparisons, never a square root, so the
 search first scales its values to integers in one common unit
-(integer_units) and runs every state on Python ints.
+(integer_units) and runs every state on Python ints. The maximal block
+number runs on the same integers, mod the unit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -483,20 +485,33 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
     Equivalently the largest number of disjoint sub-multisets with integer
     sums; the returned permutation lists those parts consecutively (any
     non-integer remainder last). Only the fractional parts matter, so the
-    count is exact for any M by dynamic programming over how many
-    eigenvalues of each fractional part remain (see _mu_residue). Only a
-    spectrum whose DP would exceed a fixed work cap, which takes many
-    distinct fractional parts, falls back to a greedy extraction of
-    smallest integer-sum parts, bounded in the combinations it tries; that
-    result is flagged heuristic. Greedy is not exact in general: it can
-    merge elements of two genuine parts with a stray element and destroy
-    both.
+    count runs on integer residues: each eigenvalue in the common unit of
+    integer_units, mod that unit.
+
+    Two eigenvalues a, b whose residues sum to 0 mod the unit (r and
+    unit - r, or two of unit/2) can always be one part. Take an optimal
+    packing: if a and b lie in different parts A and B, then {a, b} and
+    A | B - {a, b} also sum to integers, and the second is not empty since
+    neither a nor b is an integer; if they share a part with other members,
+    {a, b} splits off and the count grows; if one is left over, {a, b}
+    replaces the part of the other; both left over would add a part. So
+    some optimal packing holds the pair, and pairing off complementary
+    classes greedily is exact. What remains is exact for any M by dynamic
+    programming over how many eigenvalues of each residue remain (see
+    _mu_residue). Only a remainder whose DP would exceed a fixed work cap,
+    which takes many distinct fractional parts, falls back to a greedy
+    extraction of smallest integer-sum parts, bounded in the combinations it
+    tries; that result is flagged heuristic. Greedy is not exact in general:
+    it can merge elements of two genuine parts with a stray element and
+    destroy both.
     """
     eigs = as_spectrum(spectrum)
-    exact = _mu_residue(eigs)
+    unit, scaled = integer_units(eigs)
+    residues = [value % unit for value in scaled]
+    exact = _mu_residue(residues, unit)
     if exact is not None:
         return BlockCount(mu=exact[0], permutation=exact[1], heuristic=False)
-    mu, order = _mu_greedy(eigs)
+    mu, order = _mu_greedy(residues, unit)
     return BlockCount(mu=mu, permutation=order, heuristic=True)
 
 
@@ -508,34 +523,43 @@ class _MuWorkExceeded(Exception):
 _Counts = Tuple[int, ...]
 
 
-def _mu_residue(eigs: Spectrum) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Exact (mu, permutation) by DP over residue-class counts; None past the cap.
+def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Exact (mu, permutation) from residues mod unit; None past the cap.
 
-    Each integer eigenvalue is a part of its own. The others are grouped by
-    fractional part into classes, and a state is the vector of how many
-    members of each class remain. A state with one nonempty class p/q (in
-    lowest terms) holds floor(count/q) parts. Otherwise take the lowest
-    nonempty class: in an optimal choice one of its members is either left
-    over, or lies in a part that can be taken minimal (a part with a proper
-    integer-sum subpart splits into two). So the state's value is the best
-    of leaving one member and closing one minimal zero-sum part through it.
-    The DP runs on an explicit stack, children before parents.
+    Each residue-0 (integer) eigenvalue is a part of its own. The others are
+    grouped into classes by residue, and complementary classes are paired
+    off first: r with unit - r as long as both have members, and unit/2
+    with itself. By the exchange argument of maximal_block_number some
+    optimal packing holds every such pair, so this is exact. Afterwards no
+    class has a partner left, every remaining minimal part has three or
+    more members, and _residue_dp works on the smaller counts. A state there
+    is the vector of how many members of each class remain. A state with
+    one nonempty class r holds floor(count/q) parts, q = unit/gcd(r, unit).
+    Otherwise take the lowest nonempty class: in an optimal choice one of
+    its members is either left over, or lies in a part that can be taken
+    minimal (a part with a proper integer-sum subpart splits into two). So
+    the state's value is the best of leaving one member and closing one
+    minimal zero-sum part through it.
     """
-    integers: List[int] = []
-    classes: Dict[Fraction, List[int]] = {}
-    for index, value in enumerate(eigs):
-        if value.denominator == 1:
-            integers.append(index)
-        else:
-            classes.setdefault(value - math.floor(value), []).append(index)
-    residues = sorted(classes)
-    members = [classes[r] for r in residues]
-    counts = tuple(len(group) for group in members)
+    classes: Dict[int, List[int]] = {}
+    for index, residue in enumerate(residues):
+        classes.setdefault(residue, []).append(index)
+    order = classes.pop(0, [])
+    mu = len(order)
+    for residue, group in classes.items():
+        partner = classes.get(unit - residue)
+        if partner is not None:  # a class met again as a partner has none left to pair
+            pairs = len(group) // 2 if partner is group else min(len(group), len(partner))
+            for _ in range(pairs):
+                order += (group.pop(), partner.pop())
+            mu += pairs
+    kept = sorted(residue for residue, group in classes.items() if group)
+    members = [classes[residue] for residue in kept]
+    counts = tuple(map(len, members))
     try:
-        best = _residue_dp(residues, counts)
+        best = _residue_dp(kept, counts, unit)
     except _MuWorkExceeded:
         return None
-    order = list(integers)
     taken = [0] * len(counts)
     state: Optional[_Counts] = counts
     while state is not None:
@@ -544,22 +568,23 @@ def _mu_residue(eigs: Spectrum) -> Optional[Tuple[int, Tuple[int, ...]]]:
             order.extend(members[k][taken[k]:taken[k] + size])
             taken[k] += size
     placed = set(order)
-    order.extend(i for i in range(len(eigs)) if i not in placed)
-    return len(integers) + best[counts][0], tuple(order)
+    order.extend(i for i in range(len(residues)) if i not in placed)
+    return mu + best[counts][0], tuple(order)
 
 
 def _residue_dp(
-    residues: List[Fraction], counts: _Counts
+    ints: List[int], counts: _Counts, modulus: int
 ) -> Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]]:
     """best[state] = (parts, part closed here or None, next state) per reached state.
 
-    A part of None with a next state leaves one member of the lowest class
-    over. A state with a single nonempty class p/q closes all its
-    floor(count/q) parts at once, as one run of q*floor(count/q) members,
-    and has no next state. Raises _MuWorkExceeded past _MU_WORK_CAP.
+    Classes are the residues ints[k] mod modulus, ascending and nonzero. A
+    part of None with a next state leaves one member of the lowest class
+    over. A state with a single nonempty class closes all its parts at
+    once, as one run of whole parts, and has no next state. Raises
+    _MuWorkExceeded past _MU_WORK_CAP.
     """
-    modulus = math.lcm(*(r.denominator for r in residues))
-    ints = [r.numerator * (modulus // r.denominator) for r in residues]
+    sizes = [modulus // math.gcd(a, modulus) for a in ints]
+    width = len(ints)
     work = [0]
 
     def spend(units: int) -> None:
@@ -576,36 +601,38 @@ def _residue_dp(
         if state in best:
             stack.pop()
             continue
-        nonempty = [k for k, c in enumerate(state) if c]
-        if len(nonempty) <= 1:
-            parts = state[nonempty[0]] // residues[nonempty[0]].denominator if nonempty else 0
-            run = tuple(parts * residues[k].denominator if c else 0 for k, c in enumerate(state))
-            best[state] = (parts, run, None)
-            stack.pop()
-            continue
         moves = moves_of.get(state)
         if moves is None:
-            low = nonempty[0]
+            low = 0
+            while low < width and not state[low]:
+                low += 1
+            if low == width or not any(state[low + 1 :]):
+                parts = state[low] // sizes[low] if low < width else 0
+                run = state[:low] + (parts * sizes[low],) + state[low + 1 :] if parts else None
+                best[state] = (parts, run, None)
+                stack.pop()
+                continue
             if low not in parts_through:
                 parts_through[low] = _minimal_zero_sum_parts(low, ints, counts, modulus, spend)
             candidates = parts_through[low]
             spend(1 + len(candidates))
-            moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1:])]
-            moves += [
-                (part, tuple(c - p for c, p in zip(state, part)))
-                for part in candidates
-                if all(p <= c for p, c in zip(part, state))
-            ]
+            moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
+            for part in candidates:
+                child = tuple(map(operator.sub, state, part))
+                if min(child) >= 0:
+                    moves.append((part, child))
             moves_of[state] = moves
-        missing = [child for _, child in moves if child not in best]
-        if missing:
-            stack.extend(missing)
-            continue
+            missing = [child for _, child in moves if child not in best]
+            if missing:
+                stack.extend(missing)
+                continue
+        top = None
+        for part, child in moves:
+            value = best[child][0] + (part is not None)
+            if top is None or value > top[0]:
+                top = (value, part, child)
         del moves_of[state]
-        best[state] = max(
-            ((best[child][0] + (part is not None), part, child) for part, child in moves),
-            key=lambda option: option[0],
-        )
+        best[state] = top
         stack.pop()
     return best
 
@@ -642,14 +669,15 @@ def _minimal_zero_sum_parts(
     return found
 
 
-def _mu_greedy(eigs: Spectrum) -> Tuple[int, Tuple[int, ...]]:
+def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]]:
     """Repeatedly extract a smallest integer-sum part; heuristic and bounded.
 
-    Parts have at most _MU_GREEDY_PART_SIZE members, and once
+    A part sums to an integer when its residues sum to 0 mod unit. Parts
+    have at most _MU_GREEDY_PART_SIZE members, and once
     _MU_GREEDY_COMBINATIONS candidate parts have been tried the rest is
     left over.
     """
-    remaining = list(range(len(eigs)))
+    remaining = list(range(len(residues)))
     order: List[int] = []
     mu = 0
     tries = 0
@@ -659,7 +687,7 @@ def _mu_greedy(eigs: Spectrum) -> Tuple[int, Tuple[int, ...]]:
         combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
         for combo in itertools.islice(combos, _MU_GREEDY_COMBINATIONS - tries):
             tries += 1
-            if sum(eigs[i] for i in combo).denominator == 1:
+            if not sum(map(residues.__getitem__, combo)) % unit:
                 part = combo
                 break
         if part is None:

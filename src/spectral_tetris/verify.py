@@ -14,16 +14,18 @@ integer work lives in construct, and this module only calls it:
 - construct._square_sums is the one sweep for the row and column square
   sums. A one-term entry c*sqrt(r) squares to the rational c^2*r, whose
   integer numerator is added under its (radicand, denominator) key. Each
-  entry object is squared once and each distinct sum settled once, into a
-  Fraction (a RadicalScalar when irrational). verify_fusion hands the
-  column half to group_flags.
+  entry object is squared once. The sweep returns the accumulators, and
+  each caller settles only the half it reads, each distinct sum once
+  (construct._settle_all), into a Fraction (a RadicalScalar when
+  irrational): frame_operator and sparsity_report the rows alone.
+  verify_fusion hands the column half to group_flags.
 - construct._row_products is the one walk over the row pairs that meet in
   a column. It keeps one integer accumulator per pair; a product of two
   one-term entries is one item. _rows_orthogonal asks whether each one
   cancels (construct._cancels), with no RadicalScalar product.
   frame_operator takes its diagonal from the row square sums, and its
   entries off it from the same accumulators, each distinct one settled
-  once (construct._settle_all, which the square sums use too).
+  once (construct._settle_all, as for the square sums).
 - construct._columns_cancel decides a column pair the same way, for
   orthogonality_distance and group_flags.
 
@@ -208,7 +210,7 @@ def frame_operator(matrix: SynthesisMatrix) -> FrameOperator:
     # the diagonal is the row square sums, the entries off it the settled
     # accumulators of the rows that meet; rows that share no column meet in ZERO
     m = matrix.row_count
-    row_sums, _ = _square_sums(matrix)
+    row_sums = _settle_all(_square_sums(matrix)[0])
     gram = [[ZERO] * m for _ in range(m)]
     for p, value in enumerate(row_sums):
         gram[p][p] = _radical(value)
@@ -310,7 +312,7 @@ def verify_frame(
     """
     m, n = matrix.row_count, matrix.col_count
     exact = not matrix.is_complex
-    row_sums, col_norms = _square_sums(matrix)
+    row_sums, col_norms = map(_settle_all, _square_sums(matrix))
 
     columns = column_maps(matrix)
     rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
@@ -353,7 +355,7 @@ def sparsity_report(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple[int, i
     that actually carries that spectrum on its rows.
     """
     eigs = as_spectrum(spectrum)
-    row_sums, _ = _square_sums(matrix)
+    row_sums = _settle_all(_square_sums(matrix)[0])
     sums = [v for v in row_sums if isinstance(v, Fraction)]
     if len(sums) != len(row_sums) or sorted(sums) != sorted(eigs):
         raise SpectrumMismatch("row square sums do not match the stated spectrum")
@@ -401,7 +403,7 @@ def verify_fusion(
     m = generator.row_count
     real = not generator.is_complex
     columns = column_maps(generator)
-    row_sums, col_norms = _square_sums(generator)
+    row_sums, col_norms = map(_settle_all, _square_sums(generator))
     groups_orthogonal = weights_consistent = True
     if real:
         rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)

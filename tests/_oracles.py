@@ -56,6 +56,8 @@ from spectral_tetris.sequences import (
     SfrCertificate,
     Spectrum,
     STReadyCertificate,
+    _MU_GREEDY_COMBINATIONS,
+    _MU_GREEDY_PART_SIZE,
     _assign_indices,
     _distinct_value_orders,
     as_norms_squared,
@@ -170,6 +172,37 @@ def mu_subset_dp_oracle(spectrum):
         mask ^= part
     order.extend(i for i in range(m_count) if mask >> i & 1)
     return best[full], tuple(order)
+
+
+def mu_greedy_oracle(spectrum):
+    """(mu, permutation) of the bounded greedy fallback, summing Fractions.
+
+    Repeatedly takes the first combination, smallest size first and at most
+    _MU_GREEDY_PART_SIZE members, whose eigenvalues sum to an integer;
+    once _MU_GREEDY_COMBINATIONS combinations have been tried in all, the
+    rest is left over.
+    """
+    eigs = tuple(Fraction(v) for v in spectrum)
+    remaining = list(range(len(eigs)))
+    order = []
+    mu = 0
+    tries = 0
+    while remaining:
+        part = None
+        sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
+        combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
+        for combo in itertools.islice(combos, _MU_GREEDY_COMBINATIONS - tries):
+            tries += 1
+            if sum(eigs[i] for i in combo).denominator == 1:
+                part = combo
+                break
+        if part is None:
+            break
+        mu += 1
+        order.extend(part)
+        remaining = [i for i in remaining if i not in part]
+    order.extend(remaining)
+    return mu, tuple(order)
 
 
 def distinct_value_orders_oracle(values):

@@ -345,12 +345,12 @@ def test_tagged_search_builds_no_block(monkeypatch):
 
 
 def _count_group_work(monkeypatch, matrix, groups, weight):
-    """Run the one construct._square_sums sweep over the matrix, then
-    group_flags on each group with its column half; return the flags, the
-    products made (RadicalScalar products and integer products through
-    construct._product_terms alike) and the accumulators handed to _settle
-    and the entries handed to _squared_terms, first by the sweep and then
-    per group_flags call."""
+    """Run the one construct._square_sums sweep over the matrix and settle
+    its column half, then group_flags on each group with those column
+    norms; return the flags, the products made (RadicalScalar products and
+    integer products through construct._product_terms alike) and the
+    accumulators handed to _settle and the entries handed to _squared_terms,
+    first by the sweep and then per group_flags call."""
     products = 0
     settled, squared = [[]], [[]]
     multiply = RadicalScalar.__mul__
@@ -380,7 +380,7 @@ def _count_group_work(monkeypatch, matrix, groups, weight):
     monkeypatch.setattr(construct_module, "_settle", counting_settle)
     monkeypatch.setattr(construct_module, "_squared_terms", counting_square)
     columns = column_maps(matrix)
-    _, col_norms = construct_module._square_sums(matrix)
+    col_norms = construct_module._settle_all(construct_module._square_sums(matrix)[1])
     flags = []
     for group in groups:
         settled.append([])

@@ -24,6 +24,7 @@ from spectral_tetris import (
     SynthesisMatrix,
     construct_untf,
     construct_untf_dft,
+    frame_operator,
     matrix_from_json,
     matrix_to_json,
     naimark_complement,
@@ -31,6 +32,7 @@ from spectral_tetris import (
     pnstc_str,
     sffr,
     sfr,
+    sparsity_report,
     uff,
     verify_frame,
     verify_fusion,
@@ -40,7 +42,7 @@ from spectral_tetris.construct import column_maps
 from spectral_tetris.exact_numeric import ZERO, entry_abs_squared
 
 import goldens
-from _oracles import matrix_csv_oracle, matrix_to_json_oracle, to_dense_oracle
+from _oracles import matrix_csv_oracle, matrix_to_json_oracle, row_gram_oracle, to_dense_oracle
 from test_verify_oracles import matrices_with_complex_columns, sparse_exact_matrices
 
 ROOT_2 = RadicalScalar.sqrt(2)
@@ -214,6 +216,55 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
     assert 0 < counts["squared"] <= distinct
     assert 0 < counts["settled"] <= 8
     assert counts["builds"] == 1
+
+
+def _settled_by(monkeypatch, call):
+    """call()'s result and the accumulators it handed to construct._settle."""
+    settled = []
+    settle = construct_module._settle
+
+    def counting_settle(sums):
+        settled.append(sums)
+        return settle(sums)
+
+    monkeypatch.setattr(construct_module, "_settle", counting_settle)
+    result = call()
+    monkeypatch.undo()
+    return result, settled
+
+
+def test_row_readers_settle_exactly_the_row_accumulators(monkeypatch):
+    """Rows of square sums 3, 9 and 16 on disjoint supports, and six
+    columns of squared norms 1, 2, 4, 5, 6 and 10: every square sum is an
+    accumulator of its own and no two rows meet. frame_operator and
+    sparsity_report read the rows only, so each settles M = 3
+    accumulators, not the M + N = 9 of both halves."""
+    squares = {(0, 0): 1, (0, 1): 2, (1, 2): 4, (1, 3): 5, (2, 4): 6, (2, 5): 10}
+    matrix = SynthesisMatrix(3, 6, {key: RadicalScalar.sqrt(v) for key, v in squares.items()})
+    operator, settled = _settled_by(monkeypatch, lambda: frame_operator(matrix))
+    assert len(settled) == 3
+    assert operator.entries == row_gram_oracle(matrix)
+    assert operator.diagonal() == (3, 9, 16)
+    report, settled = _settled_by(monkeypatch, lambda: sparsity_report(matrix, [16, 9, 3]))
+    assert len(settled) == 3
+    assert report == (6, 6, True)
+
+
+def test_row_readers_leave_the_column_accumulators_of_untf_unsettled(monkeypatch):
+    """untf(8, 400): frame_operator settles the distinct row accumulators
+    and its row pairs', sparsity_report the distinct row accumulators
+    alone; neither settles one of the 400 column accumulators."""
+    matrix = construct_untf(8, 400)
+    rows, cols = construct_module._square_sums(matrix)
+    row_keys = {tuple(sums.items()) for sums in rows}
+    col_keys = {tuple(sums.items()) for sums in cols} - row_keys
+    assert col_keys
+    operator, settled = _settled_by(monkeypatch, lambda: frame_operator(matrix))
+    assert row_keys <= set(settled) and not col_keys & set(settled)
+    assert operator.entries == row_gram_oracle(matrix)
+    report, settled = _settled_by(monkeypatch, lambda: sparsity_report(matrix, [F(50)] * 8))
+    assert sorted(settled) == sorted(row_keys)
+    assert report[2]
 
 
 class _CountedFraction(F):

@@ -1,6 +1,7 @@
 """Feasibility layer: majorization, readiness, block counts, floor conditions."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -37,10 +38,12 @@ from spectral_tetris.sequences import (
     _mu_greedy,
     as_norms_squared,
     as_spectrum,
+    integer_units,
 )
 
 from _oracles import (
     distinct_value_orders_oracle,
+    mu_greedy_oracle,
     mu_oracle,
     mu_subset_dp_oracle,
     st_ready_oracle,
@@ -356,7 +359,13 @@ def test_block_number_greedy_counterexample_is_handled_exactly():
     result = maximal_block_number(ninth)
     assert result.mu == 2 == mu_oracle(ninth)
     assert not result.heuristic
-    assert _mu_greedy(tuple(ninth))[0] == 1
+    assert _greedy(ninth)[0] == 1
+
+
+def _greedy(spectrum):
+    """The bounded greedy fallback on the spectrum's residues in its unit."""
+    unit, scaled = integer_units(as_spectrum(spectrum))
+    return _mu_greedy([value % unit for value in scaled], unit)
 
 
 def test_block_number_permutation_achieves_the_count():
@@ -455,16 +464,86 @@ def test_block_number_flat_spectrum_collapses_to_floor():
 
 
 def test_block_number_hostile_residues_end_flagged_and_bounded():
+    """The greedy fallback sums int residues mod the unit; it tries the same
+    combinations in the same order as the greedy that summed Fractions."""
     primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
     for spectrum in (
         [2 + Fraction(1, p) for p in primes],
         [2 + Fraction(k, 97) for k in range(1, 49)],
+        [2 + Fraction(k, 101) for k in range(1, 41)],
     ):
         start = time.perf_counter()
         result = maximal_block_number(spectrum)
         assert time.perf_counter() - start < WALL_BOUND_S
         assert result.heuristic
         assert _integer_prefixes(spectrum, result.permutation) == result.mu
+        assert (result.mu, result.permutation) == mu_greedy_oracle(spectrum)
+
+
+def test_block_number_pairs_complementary_residues_exactly():
+    """k/97 and (97 - k)/97 for every k: 48 pairs, no DP left. Without the
+    pairing this spectrum passed the work cap and went to the greedy."""
+    spectrum = [2 + Fraction(k, 97) for k in range(1, 97)]
+    start = time.perf_counter()
+    result = maximal_block_number(spectrum)
+    assert time.perf_counter() - start < WALL_BOUND_S
+    assert not result.heuristic
+    assert result.mu == 48
+    assert _integer_prefixes(spectrum, result.permutation) == 48
+
+
+@st.composite
+def _planted_spectra(draw):
+    """Up to 10 eigenvalues from planted groups: a residue p/q with its
+    complement 1 - p/q, a run of halves, or a residue with no partner
+    planted."""
+    spectrum = []
+    while len(spectrum) < 10 and (not spectrum or draw(st.booleans())):
+        q = draw(st.integers(2, 12))
+        p = draw(st.integers(1, q - 1))
+        whole = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(["pair", "halves", "lone"]))
+        if kind == "pair":
+            spectrum += [whole + Fraction(p, q), draw(st.integers(0, 3)) + Fraction(q - p, q)]
+        elif kind == "halves":
+            spectrum += [whole + Fraction(1, 2)] * draw(st.integers(1, 4))
+        else:
+            spectrum.append(whole + Fraction(p, q))
+    return draw(st.permutations(spectrum[:10]))
+
+
+@given(_planted_spectra())
+@settings(max_examples=80, deadline=None)
+def test_block_number_with_planted_complements_matches_subset_dp(spectrum):
+    _assert_exact_block_number(spectrum)
+
+
+def test_block_number_forms_no_fraction_arithmetic_after_validation(monkeypatch):
+    """An M = 20 spectrum of the bench's wide shape (integers 2-4 plus 0,
+    1/2, 1/3 or 1/4, and a last eigenvalue that makes the total an integer)
+    runs on int residues alone: no Fraction sum, difference or comparison."""
+    rng = random.Random(20)
+    fractional = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    spectrum = [rng.randint(2, 4) + rng.choice(fractional) for _ in range(19)]
+    total = sum(spectrum)
+    spectrum.append(rng.randint(2, 3) + (math.ceil(total) - total))
+    eigs = as_spectrum(sorted(spectrum, reverse=True))
+    expected = maximal_block_number(eigs)
+    calls = []
+    arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__")
+    for name in arithmetic + ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        method = getattr(Fraction, name)
+
+        def counting(self, other, name=name, method=method):
+            calls.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    result = maximal_block_number(eigs)
+    monkeypatch.undo()
+    assert calls == []
+    assert result == expected and not result.heuristic
+    assert _integer_prefixes(eigs, result.permutation) == result.mu
 
 
 def test_block_number_coprime_shapes_hold_one_part():

@@ -255,7 +255,7 @@ def test_group_flags_match_all_pairs(matrix, data):
         generator=matrix,
         partition=partition,
     )
-    _, col_norms = construct_module._square_sums(matrix)
+    col_norms = construct_module._settle_all(construct_module._square_sums(matrix)[1])
     flags = [group_flags(column_maps(matrix), group, weight, col_norms) for group in partition]
     assert (all(o for o, _ in flags), all(c for _, c in flags)) == fusion_group_flags_oracle(frame)
 
@@ -522,7 +522,7 @@ def _count_square_work(monkeypatch, matrix):
 
     monkeypatch.setattr(construct_module, "entry_abs_squared", counting_abs_squared)
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
-    rows, cols = verify_module._square_sums(matrix)
+    rows, cols = map(verify_module._settle_all, verify_module._square_sums(matrix))
     monkeypatch.undo()
     return calls, rows, cols
 
@@ -580,7 +580,7 @@ def test_irrational_square_sums_stay_exact():
     (sqrt(6) + 1)^2 in a row, and reports as a float only where irrational."""
     root6 = RadicalScalar.sqrt(6)
     matrix = SynthesisMatrix(2, 2, {(0, 0): root6 - 1, (0, 1): root6 + 1, (1, 1): root6 - 1})
-    rows, cols = verify_module._square_sums(matrix)
+    rows, cols = map(verify_module._settle_all, verify_module._square_sums(matrix))
     assert rows == [Fraction(14), RadicalScalar([(1, 7), (6, -2)])]
     assert type(rows[0]) is Fraction
     assert cols == [RadicalScalar([(1, 7), (6, -2)]), RadicalScalar([(1, 14)])]
