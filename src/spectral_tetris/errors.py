@@ -19,7 +19,19 @@ class InvalidPartition(SpectralTetrisError):
 
 
 class SearchBudgetExceeded(SpectralTetrisError):
-    """An exhaustive search hit its state cap before settling the question."""
+    """An exhaustive search hit its state cap before settling the question.
+
+    Where the search says so, states is what it spent and budget its cap
+    (equal at a cut: the state past the cap is refused, not spent), and
+    reach the deepest row (eigenvalue index) a fill search had read. Each is
+    None where not set; the message is the same either way.
+    """
+
+    def __init__(self, message, *, states=None, budget=None, reach=None):
+        super().__init__(message)
+        self.states = states
+        self.budget = budget
+        self.reach = reach
 
 
 class Underdetermined(SpectralTetrisError):

@@ -7,8 +7,10 @@ which order" before any matrix entry is computed. One fill search,
 _FillSearch, answers both ordering questions: st_ready_search feeds it one
 tag per distinct squared norm, and fusion.weighted_fusion one tag per
 subspace with the rows its columns use; failed states are memoized in both.
-Readiness needs only sums and comparisons, never a square root, so the
-search first scales its values to integers in one common unit
+A readiness search over one squared norm has a forced move at every state
+and runs as one int loop, with the states, cuts and certificates of the
+stack walk. Readiness needs only sums and comparisons, never a square
+root, so the search first scales its values to integers in one common unit
 (integer_units) and runs every state on Python ints. The maximal block
 number runs on the same integers, mod the unit.
 """
@@ -210,7 +212,9 @@ def _distinct_value_orders(
             taken[value_ids[index]] += 1
             nodes += 1
             if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"eigenvalue order walk exceeded {budget} states")
+                raise SearchBudgetExceeded(
+                    f"eigenvalue order walk exceeded {budget} states", states=budget, budget=budget
+                )
             if len(perm) == m_count:
                 depth = yield tuple(perm), tuple(values[i] for i in perm)
                 if depth is not None:
@@ -262,8 +266,13 @@ class _FillSearch:
     owns no column (a readiness partition strictly increases). order lists
     each fed column's tag; reach is the largest eigenvalue index read, so a
     failed search fails alike on any order sharing eigs[:reach + 1]. Entering
-    more than limit states raises SearchBudgetExceeded(cut). Visits are
-    generators run by drive(), one stack entry per column.
+    more than limit states raises SearchBudgetExceeded(cut), with states and
+    budget set to budget (the caller's whole cap, default limit) and the
+    reach at the cut. Visits are generators run by drive(), one stack entry
+    per column; a search with one tag and no row sets (readiness with one
+    squared norm) has one move per state and runs as the int loop _forced
+    instead, entering and cutting on the same states with the same reach
+    and order.
 
     Failed states are memoized on (row, weight, sorted multiset of (unit,
     left, row in rows) over the tags with columns left): rows below `row`
@@ -281,6 +290,7 @@ class _FillSearch:
     def __init__(
         self, eigs: Tuple[int, ...], units: Sequence[int], left: List[int],
         rows: Optional[List[Set[int]]], limit: int, cut: str, *, bridge_empty_rows: bool,
+        budget: Optional[int] = None,
     ):
         self.eigs = eigs
         self.units = units
@@ -288,6 +298,7 @@ class _FillSearch:
         self.rows = rows
         self.limit = limit
         self.cut = cut
+        self.budget = limit if budget is None else budget
         self.bridge_empty_rows = bridge_empty_rows
         self.merge = len(set(units)) < len(units)
         self.states = 0
@@ -296,7 +307,64 @@ class _FillSearch:
         self.order: List[int] = []
 
     def run(self) -> bool:
+        if self.rows is None and len(self.units) == 1:
+            return self._forced()
         return drive(self._fill(0, self.eigs[0]))
+
+    def _cut(self) -> SearchBudgetExceeded:
+        return SearchBudgetExceeded(
+            self.cut, states=self.budget, budget=self.budget, reach=self.reach
+        )
+
+    def _forced(self) -> bool:
+        """_fill's walk for one tag and no row sets, as one int loop.
+
+        With one tag a state has at most one move: a singleton when the unit
+        fits the weight, else a block of two columns. So the walk is a path
+        that visits each state once and needs no memo. Each step places the
+        whole run of singletons that fit and counts their states; a run that
+        would pass the limit stops on the state the walk cuts on. A failed
+        path leaves order and left as they were, like the walk's undos.
+        """
+        eigs, a, order, limit = self.eigs, self.units[0], self.order, self.limit
+        left, last = self.left[0], len(eigs) - 1
+        row, weight, states = 0, eigs[0], 1
+        while states <= limit:
+            if weight == 0:
+                if row == last:
+                    break
+                row += 1
+                self.reach = row
+                weight = eigs[row]
+                states += 1
+            elif a <= weight and left:
+                run = min(left, weight // a, limit + 1 - states)
+                left -= run
+                weight -= run * a
+                order += [0] * run
+                states += run
+            elif (left < 2 or row == last
+                  or not (self.bridge_empty_rows or row == 0 or weight != eigs[row])):
+                break
+            else:
+                self.reach = row + 1
+                spill = 2 * a - weight
+                if spill > eigs[row + 1]:
+                    break
+                row += 1
+                weight = eigs[row] - spill
+                left -= 2
+                order += (0, 0)
+                states += 1
+        self.states = states
+        if states > limit:
+            self.left[0] = left
+            raise self._cut()
+        if weight == 0 and row == last and not left:
+            self.left[0] = 0
+            return True
+        order.clear()
+        return False
 
     def _tags(self) -> List[int]:
         if not self.merge:
@@ -317,7 +385,7 @@ class _FillSearch:
     def _fill(self, row: int, weight: int) -> Generator:
         self.states += 1
         if self.states > self.limit:
-            raise SearchBudgetExceeded(self.cut)
+            raise self._cut()
         eigs = self.eigs
         if weight == 0:
             if row + 1 == len(eigs):
@@ -420,7 +488,7 @@ def st_ready_search(
             return None
         search = _FillSearch(
             permuted, values, list(counts.values()), None, cap - states_used, cut,
-            bridge_empty_rows=False,
+            bridge_empty_rows=False, budget=cap,
         )
         if search.run():
             feed = [values[tag] for tag in search.order]
@@ -585,13 +653,7 @@ def _residue_dp(
     """
     sizes = [modulus // math.gcd(a, modulus) for a in ints]
     width = len(ints)
-    work = [0]
-
-    def spend(units: int) -> None:
-        work[0] += units
-        if work[0] > _MU_WORK_CAP:
-            raise _MuWorkExceeded
-
+    work = 0
     parts_through: Dict[int, List[_Counts]] = {}
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
     moves_of: Dict[_Counts, List[Tuple[Optional[_Counts], _Counts]]] = {}
@@ -613,9 +675,13 @@ def _residue_dp(
                 stack.pop()
                 continue
             if low not in parts_through:
-                parts_through[low] = _minimal_zero_sum_parts(low, ints, counts, modulus, spend)
+                parts_through[low], work = _minimal_zero_sum_parts(
+                    low, ints, counts, modulus, work
+                )
             candidates = parts_through[low]
-            spend(1 + len(candidates))
+            work += 1 + len(candidates)
+            if work > _MU_WORK_CAP:
+                raise _MuWorkExceeded
             moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
             for part in candidates:
                 child = tuple(map(operator.sub, state, part))
@@ -638,25 +704,30 @@ def _residue_dp(
 
 
 def _minimal_zero_sum_parts(
-    low: int, ints: List[int], counts: _Counts, modulus: int, spend
-) -> List[_Counts]:
-    """Count vectors of the minimal zero-sum multisets whose lowest class is low.
+    low: int, ints: List[int], counts: _Counts, modulus: int, work: int
+) -> Tuple[List[_Counts], int]:
+    """Count vectors of the minimal zero-sum multisets whose lowest class is
+    low, and the work after the walk: the given work plus one unit per node
+    and per subset sum held.
 
     Classes are residues ints[k]/modulus with at most counts[k] members. A
     multiset is minimal zero-sum exactly when dropping one member of its
     highest class leaves a zero-sum-free multiset T (no nonempty
     sub-multiset sums to 0 mod modulus) and that member is -sum(T). So walk
     the zero-sum-free T, classes non-decreasing from low, keeping the set
-    of their nonempty subset sums, and close each T once.
+    of their nonempty subset sums, and close each T once. Raises
+    _MuWorkExceeded once the work passes _MU_WORK_CAP.
     """
     size = len(ints)
     class_of = {a: k for k, a in enumerate(ints)}
     found: List[_Counts] = []
     start = tuple(int(k == low) for k in range(size))
-    stack = [(start, low, ints[low], frozenset((ints[low],)))]
+    stack = [(start, low, ints[low], {ints[low]})]
     while stack:
         used, last, total, sums = stack.pop()
-        spend(1 + len(sums))
+        work += 1 + len(sums)
+        if work > _MU_WORK_CAP:
+            raise _MuWorkExceeded
         closing = class_of.get(-total % modulus)
         if closing is not None and closing >= last and used[closing] < counts[closing]:
             found.append(used[:closing] + (used[closing] + 1,) + used[closing + 1:])
@@ -665,8 +736,11 @@ def _minimal_zero_sum_parts(
             if used[k] == counts[k] or -a % modulus in sums:
                 continue
             grown = used[:k] + (used[k] + 1,) + used[k + 1:]
-            stack.append((grown, k, (total + a) % modulus, sums | {a} | {(s + a) % modulus for s in sums}))
-    return found
+            grown_sums = {(s + a) % modulus for s in sums}
+            grown_sums |= sums
+            grown_sums.add(a)
+            stack.append((grown, k, (total + a) % modulus, grown_sums))
+    return found, work
 
 
 def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]]:

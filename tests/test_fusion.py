@@ -410,6 +410,10 @@ def test_weighted_fusion_budget_cut_is_not_infeasible():
     # round-robin fails here, so the tagged search runs and is cut at once
     with pytest.raises(SearchBudgetExceeded, match="search budget"):
         weighted_fusion((1,) * 6, goldens.UFF_DIMS, (Fraction(11, 4),) * 4, budget=1)
+    # a later cut has read two rows past the first
+    with pytest.raises(SearchBudgetExceeded, match=r"search budget \(5 states\)$") as cut:
+        weighted_fusion((1,) * 6, goldens.UFF_DIMS, (Fraction(11, 4),) * 4, budget=5)
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (5, 5, 2)
 
 
 def test_weighted_fusion_search_runs_past_the_recursion_limit():

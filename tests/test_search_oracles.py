@@ -9,6 +9,8 @@ st_ready_search must never spend more feed-search states than they did.
 Nor may running the feed search on integers in one common unit: on random
 norms and spectra over mixed denominators, st_ready_search must give the
 certificate, states and cut of the search whose states held Fractions.
+Nor may running a single-norm search as one int loop: it must leave what
+the generator walk leaves, at every budget.
 """
 
 import itertools
@@ -188,7 +190,10 @@ def _answer(search, *args):
 @given(mixed_denominator_inputs())
 @settings(max_examples=500, deadline=None)
 def test_st_ready_search_equals_the_fraction_search_at_random(case):
-    norms, spectrum, budget = case
+    _assert_as_the_fraction_search(*case)
+
+
+def _assert_as_the_fraction_search(norms, spectrum, budget):
     with pytest.MonkeyPatch.context() as patch:
         ints = _StateCount(patch, sequences._FillSearch)
         fractions = _StateCount(patch, _oracles.FractionFeedSearchOracle)
@@ -205,6 +210,66 @@ def test_st_ready_search_equals_the_fraction_search_at_random(case):
     else:
         assert found == expected
         assert ints.states == fractions.states
+
+
+# norms of the single-norm sweep, and a third palette over thirds, sixths,
+# quarters and fifths
+SINGLE_NORMS = (F(1), F(1, 2), F(2, 3), F(3, 2))
+FORCED_PALETTES = PALETTES + ((F(2, 3), F(5, 6), F(7, 4), F(9, 5)),)
+
+
+def _walked(search, forced):
+    """run(), or the generator walk of the same search: its answer or its
+    cut's message and attributes, then states, reach, order and left."""
+    try:
+        if forced:
+            search._fill = None  # run() may not enter the generator walk
+            found = search.run()
+        else:
+            found = sequences.drive(search._fill(0, search.eigs[0]))
+    except SearchBudgetExceeded as cut:
+        found = (str(cut), cut.states, cut.budget, cut.reach)
+    return found, search.states, search.reach, search.order, search.left
+
+
+def test_the_forced_fill_is_the_generator_walk():
+    """A search with one tag and no row sets runs as one int loop. On every
+    multiset of up to six eigenvalues over mixed-denominator palettes, in
+    three orders, with squared norms 1, 1/2, 2/3 and 3/2, the column counts
+    next to total/norm, either bridging rule, and every budget from 0 to one
+    past the states the walk needs, run() must leave what the generator walk
+    leaves. The same inputs with an integer count must give st_ready_search
+    the certificate, states and cut of the Fraction search."""
+    compared = cuts = found = 0
+    for palette in FORCED_PALETTES:
+        for spectrum in itertools.chain.from_iterable(map(_orderings, _multisets(palette))):
+            if len(spectrum) > 6:
+                continue
+            for norm in SINGLE_NORMS:
+                _, units, eigs = sequences.integer_units((norm,), spectrum)
+                count = sum(spectrum) / norm
+                for left, bridge in itertools.product(
+                    {math.floor(count), math.ceil(count)} - {0}, (False, True)
+                ):
+                    def search(budget):
+                        return sequences._FillSearch(
+                            eigs, units, [left], None, budget, f"cut at {budget}",
+                            bridge_empty_rows=bridge,
+                        )
+
+                    needed = search(LARGE_BUDGET)
+                    found += sequences.drive(needed._fill(0, eigs[0]))
+                    for budget in range(needed.states + 2):
+                        walked = _walked(search(budget), forced=False)
+                        assert _walked(search(budget), forced=True) == walked, (
+                            spectrum, norm, left, bridge, budget,
+                        )
+                        compared += 1
+                        cuts += isinstance(walked[0], tuple)
+                if count.denominator == 1:
+                    for budget in (1, 3, SMALL_BUDGET):
+                        _assert_as_the_fraction_search([norm] * count.numerator, spectrum, budget)
+    assert compared > 10_000 and cuts > 5_000 and found > 500, (compared, cuts, found)
 
 
 def test_the_mixed_denominator_equal_norm_case_spends_its_states(monkeypatch):

@@ -217,9 +217,24 @@ def test_a_cut_on_a_later_order_quotes_the_callers_budget(monkeypatch):
     # left; the cut used to quote that remainder ("exceeded 1 states")
     states = _feed_search_states(monkeypatch)
     spectrum = [Fraction(v) for v in ("7/5", "6/5", "13/10", "11/10", "5/4", "3/4")]
-    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 5 states$"):
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 5 states$") as cut:
         st_ready_search([1] * 7, spectrum, budget=5)
     assert states == [2, 2, 2]
+    # states and budget are the caller's, reach that of the order that cut
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (5, 5, 0)
+
+
+def test_a_cut_says_what_it_spent_against_which_budget():
+    # one squared norm, so the forced loop cuts, here on entering row 1
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 3 states$") as cut:
+        st_ready_search([1] * 4, [2, 2], budget=3)
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (3, 3, 1)
+    # two squared norms, so the generator walk cuts
+    norms = [Fraction(3, 2), Fraction(1, 2), 1, 1, 1]
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 4 states$") as cut:
+        st_ready_search(norms, [Fraction(5, 2), Fraction(3, 2), 1], budget=4)
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (4, 4, 2)
+    assert SearchBudgetExceeded("bare").states is None
 
 
 def test_a_walk_that_ends_on_its_budget_answers(monkeypatch):
@@ -450,7 +465,7 @@ def test_minimal_zero_sum_parts_are_exactly_the_minimal_ones():
                 for sub in subs
             ):
                 expected.append(vector)
-        found = _minimal_zero_sum_parts(low, ints, counts, 12, lambda units: None)
+        found, _work = _minimal_zero_sum_parts(low, ints, counts, 12, 0)
         assert sorted(found) == sorted(expected)
         assert len(found) == len(set(found))
 
@@ -658,8 +673,10 @@ def test_st_ready_search_settles_twenty_distinct_narrow_eigenvalues():
 
 def test_sfr_feasible_raises_past_the_search_budget(monkeypatch):
     monkeypatch.setenv(SEARCH_BUDGET_ENV, "1")
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as cut:
         sfr_feasible((Fraction(1, 2), Fraction(1, 2), 1), 2)
+    # the order walk reads no rows
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (1, 1, None)
     with pytest.raises(SearchBudgetExceeded):
         sfr(*HOSTILE_SPECTRA[1])
     # the identity order of two eigenvalues needs two states
