@@ -50,12 +50,15 @@ from .verify import FusionReport, VerificationReport, verify_frame, verify_fusio
 _RATIONAL_PATTERN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
+@functools.lru_cache(maxsize=1024)
 def rational(text: str) -> Fraction:
     """Exact CLI rational: an integer or p/q. Floats are rejected outright.
 
     The text is parsed once: the pattern's groups are the numerator and
     denominator, and int() reads the same Unicode digits the pattern
-    matches, numerator first, as Fraction(text.strip()) would.
+    matches, numerator first, as Fraction(text.strip()) would. Value lists
+    repeat a few tokens, so each token text is parsed once per process
+    (Fractions are immutable; a bad token is not cached and raises again).
     """
     match = _RATIONAL_PATTERN.fullmatch(text.strip())
     if match is None:

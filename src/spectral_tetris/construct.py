@@ -13,12 +13,17 @@ and comparisons alone, so each wrapper scales the norms and eigenvalues
 once to integers in a common unit (sequences.integer_units) and the fill
 runs on ints; square roots are taken only for the entries it places, and
 its 2x2 blocks are built from those ints by blocks._block_from_units.
-construct_untf_dft keeps its own J x J fill. The verifier and the fusion
-layer share two sparse views, column_maps and row_columns (the row
-incidence), and this is the only module that builds or reads the integer
-accumulators of the exact checks: (radicand, denominator) -> numerator
-maps whose items sum to one exact value. In the Spectral Tetris fills
-every column is a singleton or half of a 2x2 block of one-term radicals
+construct_untf_dft keeps its own J x J fill. The fill's entries are
+nonzero (a singleton is sqrt of a positive norm, and _place_block stores
+only nonzero block entries) and inside the shape (every row and column it
+writes it has just read from the eigenvalue and norm lists), so the
+wrappers build through SynthesisMatrix._unchecked; construct_untf_dft
+keeps the checking constructor. The verifier and the fusion layer share
+two sparse views, column_maps and row_columns (the row incidence), and
+this is the only module that builds or reads the integer accumulators of
+the exact checks: (radicand, denominator) -> numerator maps whose items
+sum to one exact value. In the Spectral Tetris fills every column is a
+singleton or half of a 2x2 block of one-term radicals
 c*sqrt(r), so each square sum and each inner product is such a map, built
 with no RadicalScalar product. _squared_terms writes |entry|^2 and
 _product_terms a product of two real entries as items; _cancels decides
@@ -84,6 +89,17 @@ class SynthesisMatrix:
     zero. Views of it are stored (the complex flag, the column maps), so it
     must not change after construction. meta carries construction
     by-products (swap logs, step traces, certificates), never serialized.
+
+    The constructor checks the shape and every entry. Producers whose
+    entries are valid by construction pass them to _unchecked with the
+    complex flag they know: the fill behind pnstc, pnstc_str and
+    construct_untf (so sfr, equal_norm_frame and the fusion generators
+    too; see the module docstring); scale, whose nonzero factor keeps each
+    entry nonzero at its key; the Naimark completion, which stores only the
+    nonzero floats of its (N - M) x N completion; fusion.extend_to_tight,
+    which reverses the rows of a generator already built; and
+    json_io.matrix_from_json, whose one pass makes each check once per
+    entry.
     """
 
     row_count: int
@@ -104,6 +120,23 @@ class SynthesisMatrix:
             if type(value) is ComplexRadicalEntry:  # an exact type test is the cheapest
                 self._complex = True
         self._columns: Optional[List[Dict[int, MatrixEntry]]] = None
+
+    @classmethod
+    def _unchecked(
+        cls,
+        row_count: int,
+        col_count: int,
+        entries: Dict[Key, MatrixEntry],
+        is_complex: bool,
+        meta: Dict[str, object],
+    ) -> "SynthesisMatrix":
+        """Wrap entries already known to be nonzero and inside the shape,
+        with the complex flag the caller knows, unchecked."""
+        matrix = object.__new__(cls)
+        matrix.row_count, matrix.col_count, matrix.entries = row_count, col_count, entries
+        matrix.basis_note, matrix.meta = cls.basis_note, meta
+        matrix._complex, matrix._columns = is_complex, None
+        return matrix
 
     def entry(self, row: int, col: int) -> MatrixEntry:
         return self.entries.get((row, col), ZERO)
@@ -168,7 +201,14 @@ class SynthesisMatrix:
                     product = value * factor
                 products[id(value)] = product
             scaled[key] = product
-        return SynthesisMatrix(self.row_count, self.col_count, scaled, meta=dict(self.meta))
+        meta = dict(self.meta)
+        # keys and shape are this matrix's, and a nonzero factor times a
+        # nonzero entry is nonzero; only a hand-made ComplexRadicalEntry of
+        # modulus 0 scales to zero, and the constructor refuses it
+        if not all(products.values()):
+            return SynthesisMatrix(self.row_count, self.col_count, scaled, meta=meta)
+        is_complex = any(type(product) is ComplexRadicalEntry for product in products.values())
+        return SynthesisMatrix._unchecked(self.row_count, self.col_count, scaled, is_complex, meta)
 
 
 def column_maps(matrix: SynthesisMatrix) -> List[Dict[int, MatrixEntry]]:
@@ -477,9 +517,8 @@ def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
     except _Stuck as stuck:
         kind, step, facts = stuck.args
         raise NotSTReady(_FILL_WORDING[kind].format(**facts), step=step) from None
-    return SynthesisMatrix(
-        len(eigs), len(norms), entries, meta={"algorithm": "pnstc", "steps": steps}
-    )
+    meta = {"algorithm": "pnstc", "steps": steps}
+    return SynthesisMatrix._unchecked(len(eigs), len(norms), entries, False, meta)
 
 
 def pnstc_str(
@@ -508,7 +547,7 @@ def pnstc_str(
         kind, _, facts = stuck.args
         raise ReorderFailed(_REORDER_WORDING[kind].format(**facts)) from None
     meta = {"algorithm": "pnstc_str", "swaps": swaps}
-    return SynthesisMatrix(len(eigs), len(norms), entries, meta=meta), swaps
+    return SynthesisMatrix._unchecked(len(eigs), len(norms), entries, False, meta), swaps
 
 
 def _certified_pnstc(
@@ -579,9 +618,8 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
             f"{dimension}: eigenvalue {label} is neither an integer "
             f">= 2 nor of the form (2L-1)/L ({_FILL_WORDING[kind].format(**facts)})"
         ) from None
-    return SynthesisMatrix(
-        dimension, count, entries, meta={"algorithm": "untf", "eigenvalue": eigenvalue}
-    )
+    meta = {"algorithm": "untf", "eigenvalue": eigenvalue}
+    return SynthesisMatrix._unchecked(dimension, count, entries, False, meta)
 
 
 def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
@@ -723,7 +761,7 @@ def _naimark_completion(
         raise ValueError(_REAL_ONLY)
     meta = {"algorithm": "naimark", "exact": False}
     if m == n:
-        return SynthesisMatrix(0, n, {}, meta=meta)
+        return SynthesisMatrix._unchecked(0, n, {}, False, meta)
     _, _, vh = np.linalg.svd(dense, full_matrices=True)
     completion = vh[m:]
     stacked = np.vstack([dense, completion])
@@ -744,4 +782,4 @@ def _naimark_completion(
                     ratio = Fraction(*value.as_integer_ratio())
                     entry = exact[value] = RadicalScalar._canonical(((1, ratio),))
                 entries[(i, j)] = entry
-    return SynthesisMatrix(n - m, n, entries, meta=meta)
+    return SynthesisMatrix._unchecked(n - m, n, entries, False, meta)

@@ -525,11 +525,12 @@ def extend_to_tight(
     flipped: Dict[Tuple[int, int], MatrixEntry] = {}
     for (row, col), value in complement.generator.entries.items():
         flipped[(ambient - 1 - row, col)] = value
-    generator = SynthesisMatrix(
+    generator = SynthesisMatrix._unchecked(
         ambient,
         complement.generator.col_count,
         flipped,
-        meta=dict(complement.generator.meta),
+        complement.generator.is_complex,
+        dict(complement.generator.meta),
     )
     generator.meta["rows_reversed"] = True
     result = FusionFrame(

@@ -17,9 +17,15 @@ and the loader rejects floats outright, so a round trip is exact.
 
 A document repeats few values, since every column is a singleton or half
 of a 2x2 block. So the encoder reads each run of one entry object in
-(row, col) order once, and the decoder, once each field is checked to be an
-int, builds each distinct entry once from a bounded memo keyed on its
-(num, den, rad) triples and omega pair.
+(row, col) order once. The decoder reads the entries in one pass and makes
+each check once per entry: a plain entry (exact int row and col, one term
+of exact ints, no omega) is looked up in a per-document memo keyed on its
+(num, den, rad) once those types are tested; a miss, and every other
+entry, is read field by field and built once per distinct entry from a
+bounded memo keyed on its (num, den, rad) triples and omega pair. The
+matrix is then built unchecked, since the pass has made the constructor's
+checks. A document declaring m or n above MAX_DIMENSION is refused before
+any entry is read.
 
 Files and CLI reports are written as indented JSON by _render, whose text
 equals json.dumps(value, indent=2) for every value json.dumps accepts, and
@@ -178,30 +184,73 @@ def matrix_to_json(matrix: SynthesisMatrix) -> Dict[str, object]:
     }
 
 
+#: The largest m or n a document may declare. Even an empty document costs
+#: verify_frame work and memory in proportion to its declared shape: it
+#: allocates per row and per column and reports every square sum. An empty
+#: 10^5 x 10^5 document takes `spectral-tetris verify --input` 0.4-0.5 s,
+#: 42 MB and a 2.2 MB report; at 10^6 it took 3.2-3.7 s and 271 MB (Python
+#: 3.11 on a 2-core x86-64 host).
+MAX_DIMENSION = 10**5
+
+
 def matrix_from_json(document) -> SynthesisMatrix:
+    """The matrix a document encodes, read in one pass that makes each
+    check once per entry.
+
+    The type tests of a plain entry come before its memo lookup, so a bool
+    or float never meets an int key. Duplicates are refused in the pass. An
+    entry outside the shape is noted there and refused after it, behind the
+    negative-dimension check, so every message and its order are those of
+    reading every entry and then calling the public constructor.
+    """
     if not isinstance(document, dict):
         raise ValueError("matrix document must be an object")
     m = _int_field(document.get("m"), "m")
     n = _int_field(document.get("n"), "n")
+    if m > MAX_DIMENSION or n > MAX_DIMENSION:
+        raise ValueError(f"declared shape {m}x{n} exceeds the bound {MAX_DIMENSION} on m and n")
     raw_entries = document.get("entries")
     if not isinstance(raw_entries, list):
         raise ValueError("entries must be a list")
     entries: Dict[Tuple[int, int], MatrixEntry] = {}
+    plain: Dict[Tuple[int, int, int], MatrixEntry] = {}
+    is_complex = outside = False
     for raw in raw_entries:
-        row, col, value = _entry_from_json(raw)
-        if (row, col) in entries:
+        key = value = None
+        if type(raw) is dict and "omega_num" not in raw and "omega_den" not in raw:
+            row, col, terms = raw.get("row"), raw.get("col"), raw.get("terms")
+            if type(row) is int and type(col) is int and type(terms) is list and len(terms) == 1:
+                term = terms[0]
+                if type(term) is dict:
+                    key = term.get("num"), term.get("den"), term.get("rad")
+                    num, den, rad = key
+                    if type(num) is int and type(den) is int and type(rad) is int and den:
+                        value = plain.get(key)
+                    else:
+                        key = None
+        if value is None:
+            row, col, value = _entry_from_json(raw)
+            if key is not None:
+                plain[key] = value
+            elif type(value) is ComplexRadicalEntry:
+                is_complex = True
+        position = row, col
+        if position in entries:
             raise ValueError(f"duplicate entry at ({row}, {col})")
-        entries[(row, col)] = value
-    try:
-        matrix = SynthesisMatrix(m, n, entries)
-    except ValueError as failure:
-        raise ValueError(f"invalid matrix: {failure}") from failure
+        entries[position] = value
+        if not (0 <= row < m and 0 <= col < n):
+            outside = True
+    if outside or m < 0 or n < 0:
+        try:  # the constructor names the shape or the first entry outside it
+            SynthesisMatrix(m, n, entries)
+        except ValueError as failure:
+            raise ValueError(f"invalid matrix: {failure}") from failure
     declared = document.get("complex")
     if not isinstance(declared, bool):
         raise ValueError("complex flag must be a boolean")
-    if declared != matrix.is_complex:
+    if declared != is_complex:
         raise ValueError("complex flag does not match the entries")
-    return matrix
+    return SynthesisMatrix._unchecked(m, n, entries, is_complex, {})
 
 
 def fusion_to_json(frame: FusionFrame) -> Dict[str, object]:

@@ -890,6 +890,17 @@ def sparsity_report_oracle(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple
     return count, bound, count == bound
 
 
+# -- the checking constructor as the judge of unchecked builds ----------------------
+
+
+def assert_constructor_accepts(matrix: SynthesisMatrix) -> None:
+    """The public constructor, which checks the shape and every entry,
+    accepts the matrix's entries and finds the same complex flag: the guard
+    on every producer that builds through SynthesisMatrix._unchecked."""
+    rebuilt = SynthesisMatrix(matrix.row_count, matrix.col_count, dict(matrix.entries))
+    assert rebuilt.is_complex == matrix.is_complex
+
+
 # -- the JSON entry decoder that split every radicand -------------------------------
 # json_io._entry_from_json verbatim bar its name; the field readers are the
 # package's.

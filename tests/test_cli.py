@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -465,6 +466,25 @@ def test_rational_error_messages():
     assert cli.rational(" -007/\u0664\u0662 ") == Fraction(-1, 6)
 
 
+def test_a_repeated_token_parses_once_and_a_bad_one_fails_every_time(capsys):
+    """rational is memoized per token text; exceptions are not cached, so a
+    bad token raises the same ArgumentTypeError each time it appears."""
+    cli.rational.cache_clear()
+    assert [cli.rational("7/3") for _ in range(3)] == [Fraction(7, 3)] * 3
+    assert cli.rational.cache_info().misses == 1
+    expected = (
+        argparse.ArgumentTypeError,
+        "expected an integer or p/q rational, got '2.5' (floats are not accepted)",
+    )
+    assert [_rational_outcome(cli.rational, "2.5") for _ in range(2)] == [expected] * 2
+    errors = []
+    for _ in range(2):
+        assert run(["sfr", "--spectrum", "2.5", "2.5", "--count", "4"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(f"argument --spectrum: {expected[1]}\n")
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = run(["verify", "--input", str(tmp_path / "absent.json")])
     captured = capsys.readouterr()
@@ -647,6 +667,25 @@ def test_verify_rejects_a_matrix_of_negative_dimension(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: invalid matrix: negative dimension")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "naimark", "extend-tight"])
+def test_a_declared_shape_above_the_bound_ends_in_one_error_line(tmp_path, capsys, command):
+    """A 67-byte document declaring 10^9 x 10^9 once cost work and memory
+    in proportion to that shape; now every command that reads a document
+    refuses it before reading an entry."""
+    source = tmp_path / "huge-shape.json"
+    source.write_text('{"m": 1000000000, "n": 1000000000, "complex": false, "entries": []}')
+    argv = [command, "--input", str(source)]
+    if command != "verify":
+        argv += ["--output", str(tmp_path / "out.json")]
+    if command == "extend-tight":
+        argv += ["--spectrum", "3"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: declared shape 1000000000x1000000000 exceeds the bound 100000 on m and n\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["huge-shape.json"]
 
 
 # -- entries beyond the float range ------------------------------------------------

@@ -32,7 +32,7 @@ from spectral_tetris import (
 
 import goldens
 from goldens import assert_matches
-from _oracles import pnstc_oracle, pnstc_str_oracle
+from _oracles import assert_constructor_accepts, pnstc_oracle, pnstc_str_oracle
 
 NAIMARK_TOLERANCE = 1e-10
 DFT_TOLERANCE = 1e-12
@@ -282,6 +282,27 @@ def test_sfr_failures():
         sfr((Fraction(1, 2), Fraction(1, 2), 1), 2)
     with pytest.raises(ValueError):
         sfr((1, 1), 0)
+
+
+def test_certified_builds_pass_the_public_checks():
+    """sfr and equal_norm_frame build through pnstc, which skips the
+    constructor's checks: every frame they return must still pass them."""
+    built = [
+        sfr(goldens.SFR_SPECTRUM, goldens.SFR_COUNT),
+        sfr((Fraction(5, 2), 1, Fraction(3, 2)), 5),
+        equal_norm_frame((8, 6, 4), 9),
+        equal_norm_frame((3,) * 400, 1200),
+    ]
+    for m in range(1, 6):
+        for n in range(m, 3 * m + 2):
+            for build in (sfr, equal_norm_frame):
+                try:
+                    built.append(build((Fraction(n, m),) * m, n))
+                except Infeasible:
+                    pass
+    assert len(built) > 20
+    for matrix in built:
+        assert_constructor_accepts(matrix)
 
 
 # -- equal-norm frames ----------------------------------------------------------

@@ -15,7 +15,12 @@ from fractions import Fraction
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_greedy_fill_oracle, pnstc_oracle, pnstc_str_oracle
+from _oracles import (
+    assert_constructor_accepts,
+    fraction_greedy_fill_oracle,
+    pnstc_oracle,
+    pnstc_str_oracle,
+)
 from spectral_tetris import construct_untf, pnstc, pnstc_str
 from spectral_tetris.construct import _FILL_WORDING, _greedy_fill, _Stuck
 from spectral_tetris.errors import Infeasible, SpectralTetrisError
@@ -74,12 +79,14 @@ def stop_kind(case, swap_on_straddle):
 
 def outcome(build, *args):
     """Everything a construction returns, or the class, message and step of
-    the SpectralTetrisError it raises; any other exception escapes the test."""
+    the SpectralTetrisError it raises; any other exception escapes the test.
+    A matrix must also pass the checks of the public constructor."""
     try:
         result = build(*args)
     except SpectralTetrisError as failure:
         return type(failure), str(failure), getattr(failure, "step", None)
     matrix, swaps = result if isinstance(result, tuple) else (result, None)
+    assert_constructor_accepts(matrix)
     return matrix.row_count, matrix.col_count, matrix.entries, matrix.meta, swaps
 
 

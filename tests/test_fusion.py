@@ -38,6 +38,7 @@ from spectral_tetris import (
 
 import goldens
 from goldens import assert_matches, rat
+from _oracles import assert_constructor_accepts
 
 FUSION_TOLERANCE = 1e-10
 
@@ -313,6 +314,23 @@ def test_extend_to_tight_golden():
     assert complement.generator.meta["rows_reversed"] is True
 
 
+def test_fusion_generators_pass_the_public_checks():
+    """Every generator here is built without the constructor's checks
+    (through pnstc or extend_to_tight's row flip), so each must still pass
+    them."""
+    base = sffr(goldens.SFFR_SPECTRUM, 5, 2)
+    frames = [
+        base,
+        rff((Fraction(11, 4),) * 4, 11),
+        rff(goldens.RFF_MIXED_SPECTRUM, 10),
+        uff((Fraction(11, 4),) * 4, goldens.UFF_DIMS),
+        weighted_fusion(goldens.WEIGHTED_WEIGHTS_SQ, goldens.WEIGHTED_DIMS, goldens.WEIGHTED_SPECTRUM),
+        extend_to_tight(base, goldens.SFFR_SPECTRUM)[2],
+    ]
+    for frame in frames:
+        assert_constructor_accepts(frame.generator)
+
+
 def test_extend_to_tight_stacked_spectrum_is_flat():
     frame = sffr(goldens.SFFR_SPECTRUM, 5, 2)
     bound, _total, complement = extend_to_tight(frame, goldens.SFFR_SPECTRUM)
@@ -377,6 +395,8 @@ def test_naimark_complement_fusion_preserves_dims_and_flips_weights():
         base.partition,
     )
     complement = naimark_complement_fusion(parseval)
+    assert_constructor_accepts(parseval.generator)
+    assert_constructor_accepts(complement.generator)
     assert complement.dims == parseval.dims
     assert complement.partition == parseval.partition
     assert complement.weights_squared == (Fraction(3, 4),) * 4

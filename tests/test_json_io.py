@@ -31,7 +31,7 @@ import spectral_tetris.json_io as json_io
 from spectral_tetris.json_io import is_fusion_document
 
 import goldens
-from _oracles import entry_from_json_oracle
+from _oracles import assert_constructor_accepts, entry_from_json_oracle
 from goldens import ONE, rat
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -49,6 +49,8 @@ def golden_matrices():
 
 
 def assert_same_matrix(left, right):
+    assert_constructor_accepts(left)
+    assert_constructor_accepts(right)
     assert left.row_count == right.row_count
     assert left.col_count == right.col_count
     assert left.is_complex == right.is_complex
@@ -64,6 +66,18 @@ def test_matrix_round_trip_is_bit_exact_for_every_golden():
         wire = json.loads(json.dumps(document))  # force a real serialization pass
         loaded = matrix_from_json(wire)
         assert_same_matrix(matrix, loaded), name
+
+
+def test_a_document_declared_too_small_is_refused():
+    """Every golden's document declared one row or one column short. The
+    decoder builds its matrix unchecked, so its own bounds test must refuse
+    each one."""
+    for matrix in golden_matrices().values():
+        wire = json.loads(json.dumps(matrix_to_json(matrix)))
+        m, n = matrix.row_count, matrix.col_count
+        for shape in ((m - 1, n), (m, n - 1)):
+            with pytest.raises(ValueError, match=r"^invalid matrix: entry index \(\d+, \d+\) outside"):
+                matrix_from_json({**wire, "m": shape[0], "n": shape[1]})
 
 
 def test_round_trip_preserves_the_verification_report():
@@ -479,3 +493,107 @@ def test_loader_rejects_negative_dimensions(m, n):
     """A negative m or n decoded as a matrix, and verify called it a frame."""
     with pytest.raises(ValueError, match="invalid matrix: negative dimension"):
         matrix_from_json({"m": m, "n": n, "complex": False, "entries": []})
+
+
+@pytest.mark.parametrize("m, n", [(json_io.MAX_DIMENSION + 1, 1), (1, json_io.MAX_DIMENSION + 1), (10**9, 10**9), (-1, 10**9)])
+def test_loader_refuses_declared_shapes_above_the_bound(m, n):
+    """An empty document's verification costs work and memory in
+    proportion to its declared shape, so an oversized one is refused before
+    any entry is read: here the entries are not even a list."""
+    message = f"declared shape {m}x{n} exceeds the bound {json_io.MAX_DIMENSION} on m and n"
+    document = {"m": m, "n": n, "complex": False, "entries": None}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        matrix_from_json(document)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fusion_from_json({**document, "partition": [[0]], "weights_sq": [{"num": 1, "den": 1}]})
+
+
+def test_loader_accepts_declared_shapes_at_the_bound():
+    bound = json_io.MAX_DIMENSION
+    matrix = matrix_from_json({"m": bound, "n": bound, "complex": False, "entries": []})
+    assert (matrix.row_count, matrix.col_count, matrix.nonzero_count) == (bound, bound, 0)
+
+
+# -- the decoder's messages -------------------------------------------------------
+
+
+def _entry(row, col, *terms, **phase):
+    return {"row": row, "col": col, "terms": list(terms) or [_term(1, 1, 2)], **phase}
+
+
+def _document(*entries, m=2, n=3, flag=False):
+    return {"m": m, "n": n, "complex": flag, "entries": list(entries)}
+
+
+# the full text each hostile document raises, and so its order: a malformed
+# entry wins over an earlier one outside the shape, and over a negative m
+DECODER_MESSAGES = {
+    "not-an-object": ([], "matrix document must be an object"),
+    "float-m": ({"m": 2.0, "n": 3, "complex": False, "entries": []}, "m must be an integer, got 2.0"),
+    "entries-not-list": ({"m": 2, "n": 3, "complex": False, "entries": {}}, "entries must be a list"),
+    "entry-not-object": (_document([0, 0]), "entry must be an object, got [0, 0]"),
+    "bool-row": (_document(_entry(True, 0)), "entry.row must be an integer, got True"),
+    "float-num": (
+        _document(_entry(0, 1, _term(1.0, 1, 2))),
+        "entry (0, 1) term.num must be an integer, got 1.0",
+    ),
+    "zero-den": (_document(_entry(0, 1, _term(1, 0, 2))), "entry (0, 1) term has zero denominator"),
+    "zero-rad": (
+        _document(_entry(0, 1, _term(1, 1, 0))),
+        "entry (0, 1) is invalid: radicand 0 is not a positive integer",
+    ),
+    "explicit-zero": (_document(_entry(0, 1, _term(0, 1, 2))), "entry (0, 1) encodes an explicit zero"),
+    "term-not-object": (
+        _document(_entry(0, 1, [1, 1, 2])),
+        "entry (0, 1) has a malformed term [1, 1, 2]",
+    ),
+    "terms-not-list": (
+        _document({"row": 0, "col": 1, "terms": _term(1, 1, 2)}),
+        "entry (0, 1) needs a list of terms",
+    ),
+    "float-omega": (
+        _document(_entry(0, 1, omega_num=1.5, omega_den=3), flag=True),
+        "entry (0, 1) is invalid: entry.omega_num must be an integer, got 1.5",
+    ),
+    "duplicate": (_document(_entry(0, 1), _entry(1, 2), _entry(0, 1)), "duplicate entry at (0, 1)"),
+    "outside-then-malformed": (
+        _document(_entry(2, 0), _entry(0, 1, _term(1, 1, "2"))),
+        "entry (0, 1) term.rad must be an integer, got '2'",
+    ),
+    "outside-twice": (
+        _document(_entry(0, 0), _entry(0, 3), _entry(5, 0)),
+        "invalid matrix: entry index (0, 3) outside 2x3",
+    ),
+    "negative-m-bad-entry": (
+        _document(_entry(0, 0), _entry(0, 1, _term(1, 0, 2)), m=-1),
+        "entry (0, 1) term has zero denominator",
+    ),
+    "negative-m-outside": (
+        _document(_entry(0, 0), m=-1),
+        "invalid matrix: negative dimension in shape -1x3",
+    ),
+    "outside-flag-not-bool": (
+        {**_document(_entry(2, 0)), "complex": "false"},
+        "invalid matrix: entry index (2, 0) outside 2x3",
+    ),
+    "flag-mismatch-real": (_document(_entry(0, 0), flag=True), "complex flag does not match the entries"),
+    "flag-mismatch-complex": (
+        _document(_entry(0, 0, omega_num=1, omega_den=3)),
+        "complex flag does not match the entries",
+    ),
+    "flag-not-bool": ({**_document(_entry(0, 0)), "complex": 0}, "complex flag must be a boolean"),
+    "flag-missing": ({"m": 2, "n": 3, "entries": [_entry(0, 0)]}, "complex flag must be a boolean"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_MESSAGES))
+def test_decoder_messages_are_pinned(name):
+    document, message = DECODER_MESSAGES[name]
+    with pytest.raises(ValueError) as failure:
+        matrix_from_json(document)
+    assert str(failure.value) == message
+    if isinstance(document, dict):
+        fusion = {**document, "partition": [[0]], "weights_sq": [{"num": 1, "den": 1}]}
+        with pytest.raises(ValueError) as failure:
+            fusion_from_json(fusion)
+        assert str(failure.value) == message

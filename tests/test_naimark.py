@@ -10,6 +10,7 @@ and the encoded document must equal those of the parent naimark_complement
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +28,11 @@ from spectral_tetris import (
 from spectral_tetris.exact_numeric import ComplexRadicalEntry
 from spectral_tetris.sequences import untf_feasible
 
-from _oracles import naimark_complement_oracle
+from _oracles import assert_constructor_accepts, naimark_complement_oracle
 
 
 def _assert_same_complement(got, want):
+    assert_constructor_accepts(got)
     assert (got.row_count, got.col_count, got.meta) == (want.row_count, want.col_count, want.meta)
     assert list(got.entries) == list(want.entries)
     for key, value in want.entries.items():
@@ -113,6 +115,7 @@ def test_scale_equals_per_entry_products():
     for matrix in (shared, distinct, construct_untf_dft(4, 5), construct_untf_dft(5, 7)):
         for factor in FACTORS:
             scaled = matrix.scale(factor)
+            assert_constructor_accepts(scaled)
             assert (scaled.row_count, scaled.col_count) == (matrix.row_count, matrix.col_count)
             assert scaled.meta == matrix.meta and scaled.meta is not matrix.meta
             assert list(scaled.entries) == list(matrix.entries)
@@ -134,3 +137,17 @@ def test_scale_multiplies_each_distinct_entry_object_once(monkeypatch):
     monkeypatch.setattr(RadicalScalar, "__mul__", counting)
     matrix.scale(RadicalScalar.sqrt(F(20, 550)))
     assert calls == distinct
+
+
+def test_scale_of_hand_made_complex_entries_answers_as_the_constructor_does():
+    """A ComplexRadicalEntry built directly may have modulus 0 or a real
+    phase. Scaled, the first becomes zero, which the constructor refuses,
+    and the second a RadicalScalar, so the flag is read off the products."""
+    zero_modulus = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar(), 1, 3)})
+    with pytest.raises(ValueError, match=r"^stored zero entry at \(0, 0\)$"):
+        zero_modulus.scale(RadicalScalar.from_rational(2))
+    real_phase = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar.from_rational(1), 0, 1)})
+    assert real_phase.is_complex
+    scaled = real_phase.scale(RadicalScalar.from_rational(2))
+    assert_constructor_accepts(scaled)
+    assert not scaled.is_complex
