@@ -683,7 +683,9 @@ def test_a_declared_shape_above_the_bound_ends_in_one_error_line(tmp_path, capsy
         argv += ["--spectrum", "3"]
     assert run(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: declared shape 1000000000x1000000000 exceeds the bound 100000 on m and n\n"
+    assert captured.err == (
+        "error: declared shape 1000000000x1000000000 exceeds the bound 100000 on m and n\n"
+    )
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["huge-shape.json"]
 

@@ -324,7 +324,9 @@ def test_fusion_generators_pass_the_public_checks():
         rff((Fraction(11, 4),) * 4, 11),
         rff(goldens.RFF_MIXED_SPECTRUM, 10),
         uff((Fraction(11, 4),) * 4, goldens.UFF_DIMS),
-        weighted_fusion(goldens.WEIGHTED_WEIGHTS_SQ, goldens.WEIGHTED_DIMS, goldens.WEIGHTED_SPECTRUM),
+        weighted_fusion(
+            goldens.WEIGHTED_WEIGHTS_SQ, goldens.WEIGHTED_DIMS, goldens.WEIGHTED_SPECTRUM
+        ),
         extend_to_tight(base, goldens.SFFR_SPECTRUM)[2],
     ]
     for frame in frames:

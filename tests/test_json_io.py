@@ -76,7 +76,8 @@ def test_a_document_declared_too_small_is_refused():
         wire = json.loads(json.dumps(matrix_to_json(matrix)))
         m, n = matrix.row_count, matrix.col_count
         for shape in ((m - 1, n), (m, n - 1)):
-            with pytest.raises(ValueError, match=r"^invalid matrix: entry index \(\d+, \d+\) outside"):
+            outside = r"^invalid matrix: entry index \(\d+, \d+\) outside"
+            with pytest.raises(ValueError, match=outside):
                 matrix_from_json({**wire, "m": shape[0], "n": shape[1]})
 
 
@@ -495,7 +496,10 @@ def test_loader_rejects_negative_dimensions(m, n):
         matrix_from_json({"m": m, "n": n, "complex": False, "entries": []})
 
 
-@pytest.mark.parametrize("m, n", [(json_io.MAX_DIMENSION + 1, 1), (1, json_io.MAX_DIMENSION + 1), (10**9, 10**9), (-1, 10**9)])
+@pytest.mark.parametrize(
+    "m, n",
+    [(json_io.MAX_DIMENSION + 1, 1), (1, json_io.MAX_DIMENSION + 1), (10**9, 10**9), (-1, 10**9)],
+)
 def test_loader_refuses_declared_shapes_above_the_bound(m, n):
     """An empty document's verification costs work and memory in
     proportion to its declared shape, so an oversized one is refused before
@@ -529,8 +533,8 @@ def _document(*entries, m=2, n=3, flag=False):
 # entry wins over an earlier one outside the shape, and over a negative m
 DECODER_MESSAGES = {
     "not-an-object": ([], "matrix document must be an object"),
-    "float-m": ({"m": 2.0, "n": 3, "complex": False, "entries": []}, "m must be an integer, got 2.0"),
-    "entries-not-list": ({"m": 2, "n": 3, "complex": False, "entries": {}}, "entries must be a list"),
+    "float-m": ({**_document(), "m": 2.0}, "m must be an integer, got 2.0"),
+    "entries-not-list": ({**_document(), "entries": {}}, "entries must be a list"),
     "entry-not-object": (_document([0, 0]), "entry must be an object, got [0, 0]"),
     "bool-row": (_document(_entry(True, 0)), "entry.row must be an integer, got True"),
     "float-num": (
@@ -542,7 +546,10 @@ DECODER_MESSAGES = {
         _document(_entry(0, 1, _term(1, 1, 0))),
         "entry (0, 1) is invalid: radicand 0 is not a positive integer",
     ),
-    "explicit-zero": (_document(_entry(0, 1, _term(0, 1, 2))), "entry (0, 1) encodes an explicit zero"),
+    "explicit-zero": (
+        _document(_entry(0, 1, _term(0, 1, 2))),
+        "entry (0, 1) encodes an explicit zero",
+    ),
     "term-not-object": (
         _document(_entry(0, 1, [1, 1, 2])),
         "entry (0, 1) has a malformed term [1, 1, 2]",
@@ -576,7 +583,10 @@ DECODER_MESSAGES = {
         {**_document(_entry(2, 0)), "complex": "false"},
         "invalid matrix: entry index (2, 0) outside 2x3",
     ),
-    "flag-mismatch-real": (_document(_entry(0, 0), flag=True), "complex flag does not match the entries"),
+    "flag-mismatch-real": (
+        _document(_entry(0, 0), flag=True),
+        "complex flag does not match the entries",
+    ),
     "flag-mismatch-complex": (
         _document(_entry(0, 0, omega_num=1, omega_den=3)),
         "complex flag does not match the entries",

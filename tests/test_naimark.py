@@ -146,7 +146,8 @@ def test_scale_of_hand_made_complex_entries_answers_as_the_constructor_does():
     zero_modulus = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar(), 1, 3)})
     with pytest.raises(ValueError, match=r"^stored zero entry at \(0, 0\)$"):
         zero_modulus.scale(RadicalScalar.from_rational(2))
-    real_phase = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar.from_rational(1), 0, 1)})
+    one = RadicalScalar.from_rational(1)
+    real_phase = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(one, 0, 1)})
     assert real_phase.is_complex
     scaled = real_phase.scale(RadicalScalar.from_rational(2))
     assert_constructor_accepts(scaled)
