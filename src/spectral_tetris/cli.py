@@ -37,6 +37,7 @@ from .fusion import (
     weighted_fusion,
 )
 from .json_io import (
+    MAX_DIMENSION,
     _render,
     fusion_from_json,
     is_fusion_document,
@@ -46,6 +47,20 @@ from .json_io import (
 )
 from .sequences import untf_feasible
 from .verify import FusionReport, VerificationReport, verify_frame, verify_fusion
+
+#: The most cells feasibility-grid writes. The largest accepted grids,
+#: --max-dim 1 --max-count 1000000 and --max-dim 1413 --max-count 1413,
+#: took 1.6-2.0 s and 112 MB each for 14 MB of CSV (Python 3.11 on a
+#: 2-core x86-64 host).
+MAX_GRID_CELLS = 10**6
+
+#: The widest document naimark completes. Its Parseval input's complement is
+#: dense: the CLI run on a 1 x n document of entries sqrt(1/n) took 1.1 s
+#: at n = 100, 3.0 s and 57 MB at n = 160, 12 s at n = 250 and 85 s and
+#: 288 MB at n = 500, most of it in verify_frame's exact row-orthogonality
+#: check of the (n - 1) x n complement (Python 3.11 on a 2-core x86-64
+#: host). The library function naimark_complement itself is not capped.
+NAIMARK_MAX_WIDTH = 160
 
 _RATIONAL_PATTERN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
@@ -120,6 +135,13 @@ def _write_output(args: argparse.Namespace, result: Union[SynthesisMatrix, Fusio
     return path
 
 
+def _requested(m: int, n: int) -> None:
+    """Refuse, before anything is built, a shape whose document json_io's
+    reader would refuse."""
+    if m > MAX_DIMENSION or n > MAX_DIMENSION:
+        raise ValueError(f"requested shape {m}x{n} exceeds the bound {MAX_DIMENSION} on m and n")
+
+
 def _deliver_matrix(
     args: argparse.Namespace,
     matrix: SynthesisMatrix,
@@ -139,6 +161,7 @@ def _deliver_fusion(
 
 
 def _cmd_untf(args: argparse.Namespace, build: Callable[[int, int], SynthesisMatrix]) -> int:
+    _requested(args.dim, args.count)
     matrix = build(args.dim, args.count)
     flat = [Fraction(args.count, args.dim)] * args.dim
     return _deliver_matrix(args, matrix, flat, [Fraction(1)] * args.count)
@@ -158,6 +181,7 @@ def _realized_order(matrix: SynthesisMatrix, spectrum: Sequence) -> List[Fractio
 
 
 def _cmd_sfr(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), args.count)
     matrix = sfr(args.spectrum, args.count)
     return _deliver_matrix(
         args, matrix, _realized_order(matrix, args.spectrum), [Fraction(1)] * matrix.col_count
@@ -165,16 +189,19 @@ def _cmd_sfr(args: argparse.Namespace) -> int:
 
 
 def _cmd_pnstc(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), len(args.norms_squared))
     matrix = pnstc(args.norms_squared, args.spectrum)
     return _deliver_matrix(args, matrix, args.spectrum, args.norms_squared)
 
 
 def _cmd_pnstc_str(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), len(args.norms_squared))
     matrix, swaps = pnstc_str(args.norms_squared, args.spectrum)
     return _deliver_matrix(args, matrix, args.spectrum, swaps=[list(swap) for swap in swaps])
 
 
 def _cmd_equal_norm(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), args.count)
     matrix = equal_norm_frame(args.spectrum, args.count, args.budget)
     shared = sum(args.spectrum, Fraction(0)) / args.count
     realized = _realized_order(matrix, args.spectrum)
@@ -183,29 +210,38 @@ def _cmd_equal_norm(args: argparse.Namespace) -> int:
 
 def _cmd_naimark(args: argparse.Namespace) -> int:
     matrix = matrix_from_json(read_document(args.input))
+    if matrix.col_count > NAIMARK_MAX_WIDTH:
+        raise ValueError(
+            f"naimark takes documents of n <= {NAIMARK_MAX_WIDTH}, got n = {matrix.col_count}"
+        )
     return _deliver_matrix(args, naimark_complement(matrix))
 
 
 def _cmd_sffr(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), args.subspaces * args.subspace_dim)
     frame = sffr(args.spectrum, args.subspaces, args.subspace_dim)
     return _deliver_fusion(args, frame, args.spectrum)
 
 
 def _cmd_rff(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), args.count)
     return _deliver_fusion(args, rff(args.spectrum, args.count), args.spectrum)
 
 
 def _cmd_uff(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), sum(args.dims))
     return _deliver_fusion(args, uff(args.spectrum, args.dims), args.spectrum)
 
 
 def _cmd_weighted_fusion(args: argparse.Namespace) -> int:
+    _requested(len(args.spectrum), sum(args.dims))
     frame = weighted_fusion(args.weights_squared, args.dims, args.spectrum, args.budget)
     return _deliver_fusion(args, frame, args.spectrum)
 
 
 def _cmd_extend_tight(args: argparse.Namespace) -> int:
     frame = fusion_from_json(read_document(args.input))
+    _requested(len(args.spectrum), frame.generator.col_count)
     bound, total, complement = extend_to_tight(frame, args.spectrum)
     document: Dict[str, object] = {"tight_bound": bound, "extended_count": total}
     if complement is not None:
@@ -224,12 +260,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility_grid(args: argparse.Namespace) -> int:
+    rows = max(0, min(args.max_dim, args.max_count))
+    cells = rows * (args.max_count + 1) - rows * (rows + 1) // 2  # n runs from m to max_count
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"a grid of {cells} cells exceeds the bound {MAX_GRID_CELLS}")
     lines = ["m,n,feasible"]
-    cells = 0
-    for m in range(1, args.max_dim + 1):
+    for m in range(1, rows + 1):
         for n in range(m, args.max_count + 1):
             lines.append(f"{m},{n},{'true' if untf_feasible(m, n) else 'false'}")
-            cells += 1
     path = _output_path(args, "csv")
     write_document(path, "\n".join(lines) + "\n")
     return _emit({"output": path, "cells": cells})

@@ -32,11 +32,15 @@ equals json.dumps(value, indent=2) for every value json.dumps accepts, and
 which raises the same exception classes (TypeError for what json cannot
 serialize, ValueError for a circular container). Up to CPython 3.12,
 json.dumps with an indent runs the stdlib's pure-Python encoder, one
-generator step per token; _render builds each container's text with one
-join. A matrix or fusion frame handed to write_document is written
-straight from the object, with no document dicts: each run of one entry
-object has its terms and omega text rendered once, and each entry is one
-format string around its row, column and that text.
+generator step per token; _render walks only the nonempty lists, tuples
+and dicts and builds each one's text with one join. It writes None, bools,
+exact ints and exact strs itself; json (its C encoder, with no indent)
+writes every other leaf and every key that is not an exact str, or raises
+its own exception for it. A matrix or fusion frame handed to
+write_document is written straight from the object, with no document
+dicts: each run of one entry object has its terms and omega text rendered
+once, and each entry is one format string around its row, column and that
+text.
 """
 
 from __future__ import annotations
@@ -297,37 +301,6 @@ def is_fusion_document(document) -> bool:
     return isinstance(document, dict) and "partition" in document
 
 
-_INFINITY = float("inf")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: str, float, bool, None and int keys
-    become quoted strings."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return '"' + _float_text(key) + '"'
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _text(value, newline: str, path: Set[int]) -> str:
     if value is None:
         return "null"
@@ -335,17 +308,15 @@ def _text(value, newline: str, path: Set[int]) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _quote(value)
-    if isinstance(value, int):  # int subclasses such as IntEnum, as json writes them
+    if kind is int:
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
     is_list = isinstance(value, (list, tuple))
-    if not is_list and not isinstance(value, dict):
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    if not value:
-        return "[]" if is_list else "{}"
+    # the container test comes first, since bool() of a numpy array raises
+    if not (is_list or isinstance(value, dict)) or not value:
+        return json.dumps(value)  # json's C encoder: its own text or its own exception
     marker = id(value)
     if marker in path:
         raise ValueError("Circular reference detected")
@@ -366,7 +337,8 @@ def _text(value, newline: str, path: Set[int]) -> str:
                 append(_text(item, inner, path))
     else:
         for key, item in value.items():
-            key = (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            # json writes any other key, or refuses it, as in {key: 0}
+            key = (_quote(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
             kind = type(item)
             if kind is int:
                 append(key + int.__repr__(item))
@@ -383,7 +355,13 @@ def _render(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2), with the same exception classes, for a
     value nested where newline (a newline and its indentation) starts each
     of its lines: TypeError for what json cannot serialize, ValueError for
-    a container that holds itself."""
+    a container that holds itself.
+
+    Only the layout of nonempty containers is made here. Every leaf other
+    than None, a bool, an exact int or an exact str, every empty container
+    and every key other than an exact str is json.dumps's own text without
+    an indent, or json.dumps's own exception.
+    """
     return _text(value, newline, set())
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, reports, output files, formats."""
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -688,6 +689,138 @@ def test_a_declared_shape_above_the_bound_ends_in_one_error_line(tmp_path, capsy
     )
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["huge-shape.json"]
+
+
+ABOVE = str(cli.MAX_DIMENSION + 1)
+MANY = ["3"] * (cli.MAX_DIMENSION + 1)
+
+
+def _sffr_input(tmp_path):
+    source = tmp_path / "sffr-in.json"
+    write_document(str(source), fusion_to_json(sffr(goldens.SFFR_SPECTRUM, 5, 2)))
+    return str(source)
+
+
+REQUESTS_ABOVE_THE_BOUND = {
+    "untf": (lambda tmp: ["untf", "--dim", "2", "--count", "100002"], "2x100002"),
+    "untf-dft": (lambda tmp: ["untf-dft", "--dim", ABOVE, "--count", ABOVE], f"{ABOVE}x{ABOVE}"),
+    "sfr": (lambda tmp: ["sfr", "--spectrum", "3", "--count", ABOVE], f"1x{ABOVE}"),
+    "pnstc": (lambda tmp: ["pnstc", "--norms-squared", *MANY, "--spectrum", "6"], f"1x{ABOVE}"),
+    "pnstc-str": (
+        lambda tmp: ["pnstc-str", "--norms-squared", "1", "--spectrum", *MANY],
+        f"{ABOVE}x1",
+    ),
+    "equal-norm": (lambda tmp: ["equal-norm", "--spectrum", *MANY, "--count", "4"], f"{ABOVE}x4"),
+    "sffr": (
+        lambda tmp: ["sffr", "--spectrum", "3", "--subspaces", "1001", "--subspace-dim", "100"],
+        "1x100100",
+    ),
+    "rff": (lambda tmp: ["rff", "--spectrum", "3", "--count", ABOVE], f"1x{ABOVE}"),
+    "uff": (lambda tmp: ["uff", "--spectrum", "3", "--dims", "100000", "1"], f"1x{ABOVE}"),
+    "weighted-fusion": (
+        lambda tmp: [
+            "weighted-fusion", "--weights-squared", "1", "--dims", ABOVE, "--spectrum", "3",
+        ],
+        f"1x{ABOVE}",
+    ),
+    "extend-tight": (
+        lambda tmp: ["extend-tight", "--input", _sffr_input(tmp), "--spectrum", *MANY],
+        f"{ABOVE}x10",
+    ),
+}
+
+
+def _expect_one_error_line(tmp_path, capsys, argv, message):
+    before = sorted(os.listdir(tmp_path))
+    target = tmp_path / "out.json"
+    assert run(argv + ["--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS_ABOVE_THE_BOUND))
+def test_a_requested_shape_above_the_bound_is_refused_before_anything_is_built(
+    tmp_path, capsys, monkeypatch, command
+):
+    """The CLI once wrote a 2 x 100002 untf file that its own verify refused."""
+    build, shape = REQUESTS_ABOVE_THE_BOUND[command]
+    argv = build(tmp_path)
+    # nothing below the check may run: every builder is gone
+    for name in ("construct_untf", "construct_untf_dft", "sfr", "pnstc", "pnstc_str",
+                 "equal_norm_frame", "sffr", "rff", "uff", "weighted_fusion", "extend_to_tight"):
+        monkeypatch.setattr(cli, name, None)
+    monkeypatch.setitem(cli._HANDLERS, "untf", functools.partial(cli._cmd_untf, build=None))
+    monkeypatch.setitem(cli._HANDLERS, "untf-dft", functools.partial(cli._cmd_untf, build=None))
+    message = f"requested shape {shape} exceeds the bound 100000 on m and n"
+    _expect_one_error_line(tmp_path, capsys, argv, message)
+
+
+def test_every_construction_command_has_a_request_above_the_bound():
+    constructions = set(cli._HANDLERS) - {"naimark", "verify", "feasibility-grid"}
+    assert set(REQUESTS_ABOVE_THE_BOUND) == constructions
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, cli.MAX_DIMENSION), (cli.MAX_DIMENSION, cli.MAX_DIMENSION)]
+)
+def test_a_requested_shape_within_the_bound_passes_the_check(shape):
+    cli._requested(*shape)
+
+
+def _one_entry_row(tmp_path, width):
+    source = tmp_path / f"row{width}.json"
+    entry = {"row": 0, "col": 0, "terms": [{"num": 1, "den": 1, "rad": 1}]}
+    write_document(str(source), {"m": 1, "n": width, "complex": False, "entries": [entry]})
+    return str(source)
+
+
+def test_naimark_refuses_a_document_wider_than_its_bound(tmp_path, capsys):
+    width = cli.NAIMARK_MAX_WIDTH + 1
+    argv = ["naimark", "--input", _one_entry_row(tmp_path, width)]
+    message = f"naimark takes documents of n <= {cli.NAIMARK_MAX_WIDTH}, got n = {width}"
+    _expect_one_error_line(tmp_path, capsys, argv, message)
+
+
+def test_naimark_completes_a_document_at_its_bound(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    argv = ["naimark", "--input", _one_entry_row(tmp_path, cli.NAIMARK_MAX_WIDTH)]
+    code, captured = run_json(capsys, argv + ["--output", str(target)])
+    assert code == 0
+    assert json.loads(captured.out)["report"]["is_frame"] is True
+    assert read_document(str(target))["m"] == cli.NAIMARK_MAX_WIDTH - 1
+
+
+@pytest.mark.parametrize(
+    "max_dim, max_count, cells",
+    [(1, 10**6 + 1, 10**6 + 1), (1415, 1415, 1001820), (10**12, 10**12, 500000000000500000000000)],
+)
+def test_feasibility_grid_refuses_a_grid_above_its_bound(
+    tmp_path, capsys, max_dim, max_count, cells
+):
+    argv = ["feasibility-grid", "--max-dim", str(max_dim), "--max-count", str(max_count)]
+    message = f"a grid of {cells} cells exceeds the bound {cli.MAX_GRID_CELLS}"
+    _expect_one_error_line(tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize(
+    "max_dim, max_count", [(3, 6), (6, 3), (5, 5), (1, 1), (0, 4), (4, 0), (-2, 5), (10**12, 3)]
+)
+def test_feasibility_grid_counts_the_cells_it_writes(tmp_path, capsys, max_dim, max_count):
+    """The count is computed before the grid is built; a tall grid over few
+    counts walks only the rows that hold cells."""
+    target = tmp_path / "grid.csv"
+    argv = ["feasibility-grid", "--max-dim", str(max_dim), "--max-count", str(max_count)]
+    code, captured = run_json(capsys, argv + ["--output", str(target)])
+    assert code == 0
+    lines = target.read_text().strip().split("\n")
+    assert json.loads(captured.out)["cells"] == len(lines) - 1
+    assert lines[1:] == [
+        f"{m},{n},{'true' if untf_feasible(m, n) else 'false'}"
+        for m in range(1, min(max_dim, 10**3) + 1)
+        for n in range(m, max_count + 1)
+    ]
 
 
 # -- entries beyond the float range ------------------------------------------------

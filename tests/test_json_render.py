@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_tetris.json_io as json_io
@@ -99,6 +99,8 @@ def _stdlib(value):
 
 
 @given(VALUES)
+@example(np.float64(1.5))
+@example([np.float64(-0.0), {"x": np.float64("nan"), np.float64(2.5): np.float64("-inf")}])
 @settings(max_examples=400, deadline=None)
 def test_render_equals_indented_dumps(value):
     assert json_io._render(value) == _stdlib(value)
@@ -132,11 +134,14 @@ def _self_containing_dict():
         _self_containing_dict(),
         [[1, object()], _self_containing_list()],
         {(1, 2): _self_containing_list()},
+        np.array([1, 2]),
+        [1, np.array([1.0, 2.0])],
+        {"a": np.array([[1, 2]])},
     ],
     ids=[
         "object", "fraction", "set", "bytes", "object-in-dict", "nested-fraction",
         "tuple-key", "frozenset-key", "bytes-key", "self-list", "self-dict", "first-error-wins",
-        "key-before-value",
+        "key-before-value", "numpy-array", "numpy-array-in-list", "numpy-array-in-dict",
     ],
 )
 def test_render_raises_what_dumps_raises(value):
@@ -342,3 +347,25 @@ def test_cli_run_never_reaches_the_pure_python_encoder(tmp_path, capsys, monkeyp
     reports = capsys.readouterr().out
     assert reports.count('"is_frame": true') == 2
     assert target.read_text() == json.dumps(matrix_to_json(construct_untf(40, 1100)), indent=2) + "\n"
+
+
+def test_delegated_leaves_never_reach_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    """Floats and keys other than strs are written as json's own compact
+    text, and the untf-dft command writes complex entries; neither reaches
+    the pure-Python encoder."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was called")
+
+    document = {
+        "floats": [1.5, -0.0, float("nan"), float("inf"), np.float64(0.1), Ratio(2.5)],
+        "scalars": {1: 0.25, 2.5: -1e300, True: 5e-324, None: float("-inf"), False: 1, "s": 2.0},
+    }
+    target, dft = tmp_path / "floats.json", tmp_path / "dft.json"
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    write_document(str(target), document)
+    assert run(["untf-dft", "--dim", "4", "--count", "5", "--output", str(dft)]) == 0
+    monkeypatch.undo()
+    assert target.read_text() == json.dumps(document, indent=2) + "\n"
+    _assert_indented(capsys.readouterr().out)
+    assert dft.read_text() == json.dumps(matrix_to_json(construct_untf_dft(4, 5)), indent=2) + "\n"
