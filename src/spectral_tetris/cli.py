@@ -55,11 +55,12 @@ from .verify import FusionReport, VerificationReport, verify_frame, verify_fusio
 MAX_GRID_CELLS = 10**6
 
 #: The widest document naimark completes. Its Parseval input's complement is
-#: dense: the CLI run on a 1 x n document of entries sqrt(1/n) took 1.1 s
-#: at n = 100, 3.0 s and 57 MB at n = 160, 12 s at n = 250 and 85 s and
-#: 288 MB at n = 500, most of it in verify_frame's exact row-orthogonality
-#: check of the (n - 1) x n complement (Python 3.11 on a 2-core x86-64
-#: host). The library function naimark_complement itself is not capped.
+#: dense: the CLI run on a 1 x n document of entries sqrt(1/n) took 0.8 s
+#: at n = 100, 1.6-2.2 s and 58 MB at n = 160, 5.5 s at n = 250 and 41 s
+#: and 282 MB at n = 500, most of it in verify_frame's exact row-pair walk
+#: and exact rank of the (n - 1) x n complement (Python 3.11 on a 2-core
+#: x86-64 host). The library function naimark_complement itself is not
+#: capped.
 NAIMARK_MAX_WIDTH = 160
 
 _RATIONAL_PATTERN = re.compile(r"([+-]?\d+)(?:/(\d+))?")

@@ -18,30 +18,33 @@ nonzero (a singleton is sqrt of a positive norm, and _place_block stores
 only nonzero block entries) and inside the shape (every row and column it
 writes it has just read from the eigenvalue and norm lists), so the
 wrappers build through SynthesisMatrix._unchecked; construct_untf_dft
-keeps the checking constructor. The verifier and the fusion layer share
-two sparse views, column_maps and row_columns (the row incidence), and
-this is the only module that builds or reads the integer accumulators of
-the exact checks: (radicand, denominator) -> numerator maps whose items
-sum to one exact value. In the Spectral Tetris fills every column is a
-singleton or half of a 2x2 block of one-term radicals
-c*sqrt(r), so each square sum and each inner product is such a map, built
-with no RadicalScalar product. _squared_terms writes |entry|^2 and
-_product_terms a product of two real entries as items; _cancels decides
-on ints whether an accumulator is zero, and _settle (_settle_all for many,
-each distinct one once) turns it into one exact value. On them stand the
-one square-sum sweep, _square_sums, the one walk over the row pairs that
-meet in a column, _row_products, and the column check _columns_cancel,
-which the verifier and fusion.group_flags call. numpy is imported only
-inside the numeric code (to_dense and the Naimark complement), so the
-exact routes never load it. The Naimark complement is numeric: its
-completion is read once, and each distinct float becomes one dyadic entry
-shared by every position that holds it.
+keeps the checking constructor.
+
+This is also the only module that computes the exact checks' sums, in one
+Sweep per matrix that the verifier and the fusion layer read. It reads
+each distinct entry object once into its form: its terms with every
+coefficient an int over D, the lcm of the matrix's denominators. A
+product of two forms is then an int over D^2 per radicand, so in one pass
+each the Sweep yields the row and column square sums as ints, the row ->
+columns incidence and one {radicand: int} accumulator per row pair that
+meets in a column, and decides a column pair's inner product on ints; no
+RadicalScalar product is formed. Each distinct sum becomes one exact value
+(a Fraction s/D^2, a RadicalScalar when irrational) only when a caller
+reads it, and each part is computed only when a caller reads it. A unit
+past _UNIT_BITS takes the keyed route, bounded-work safety for many coprime
+denominators that no bench or construction matrix reaches: products go in
+under (radicand, denominator) keys and each sum is added up once. numpy is
+imported only inside the numeric code (to_dense and the Naimark
+complement), so the exact routes never load it. The Naimark complement is
+numeric: its completion is read once, and each distinct float becomes one
+dyadic entry shared by every position that holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -221,168 +224,340 @@ def column_maps(matrix: SynthesisMatrix) -> List[Dict[int, MatrixEntry]]:
     return matrix._columns
 
 
-def row_columns(
-    columns: Sequence[Dict[int, MatrixEntry]], cols: Iterable[int]
-) -> Dict[int, List[int]]:
-    """{row: the given columns with a nonzero in that row, in the given order}."""
-    rows: Dict[int, List[int]] = {}
-    for col in cols:
-        for row in columns[col]:
-            rows.setdefault(row, []).append(col)
-    return rows
-
-
-#: (radicand, denominator) -> integer numerator: the sum of
-#: numerator/denominator * sqrt(radicand) over the keys.
-_Accumulator = Dict[Tuple[int, int], int]
-
-#: |entry|^2 as an accumulator's items.
-SquaredTerms = Tuple[Tuple[Tuple[int, int], int], ...]
-
-#: An exact square sum: a Fraction when rational, else the canonical
-#: RadicalScalar of its irrational value.
+#: An exact square sum or inner product: a Fraction when rational, else the
+#: canonical RadicalScalar of its irrational value.
 ExactSum = Union[Fraction, RadicalScalar]
 
+#: An entry's (radicand, coefficient) terms, each coefficient an int over
+#: the sweep's unit D, or the term's own Fraction past _UNIT_BITS.
+Form = Tuple[Tuple[int, Union[int, Fraction]], ...]
 
-def _squared_terms(value: MatrixEntry) -> SquaredTerms:
-    """|value|^2 as accumulator terms. A single term c*sqrt(r) with c = p/q
-    squares to the rational p*p*r/(q*q) without any exact product."""
-    terms = value.terms if isinstance(value, RadicalScalar) else ()
-    if len(terms) == 1:
-        ((radicand, coefficient),) = terms
-        denominator = coefficient.denominator
-        return (((1, denominator * denominator), coefficient.numerator ** 2 * radicand),)
-    return tuple(
-        ((radicand, coefficient.denominator), coefficient.numerator)
-        for radicand, coefficient in entry_abs_squared(value).terms
-    )
+#: radicand -> coefficient over the sweep's scale (D^2, or 1 past
+#: _UNIT_BITS): the sum of coefficient/scale * sqrt(radicand) over the items.
+Accumulator = Dict[int, Union[int, Fraction]]
 
-
-def _product_terms(x: RadicalScalar, y: RadicalScalar) -> SquaredTerms:
-    """x*y as accumulator terms, for real entries. Single terms c1*sqrt(r1)
-    and c2*sqrt(r2) with c1 = p1/q1, c2 = p2/q2 and g = gcd(r1, r2) multiply
-    to the one item p1*p2*g/(q1*q2) * sqrt((r1/g)*(r2/g)), whose radicand is
-    squarefree again, without any exact product; other entries fall back to
-    the terms of the exact product."""
-    if len(x.terms) == 1 and len(y.terms) == 1:
-        ((r1, c1),), ((r2, c2),) = x.terms, y.terms
-        g = math.gcd(r1, r2)
-        radicand = (r1 // g) * (r2 // g)
-        return (((radicand, c1.denominator * c2.denominator), c1.numerator * c2.numerator * g),)
-    return tuple(
-        ((radicand, coefficient.denominator), coefficient.numerator)
-        for radicand, coefficient in (x * y).terms
-    )
+#: The most bits the common unit D may have. Many coprime denominators
+#: make D the product of them all, every int over D^2 twice that long and
+#: each distinct sum a gcd of that length to settle: one D over the
+#: 8,000 x 8,000 diagonal of 1/p for distinct primes p would be 112 kbit.
+#: Past the bound the sweep takes the keyed route (see Sweep), whose
+#: denominators grow only with the terms that meet in one sum. On rows,
+#: diagonals and dense 40 x k blocks of 1/p over the first k primes, the
+#: sweep on ints over D was the faster one up to 417-bit units and the
+#: keyed route from 694 bits (rows, diagonals) and 990 bits (dense blocks)
+#: on (Python 3.11, 2-core x86-64 host). Every Spectral Tetris and bench
+#: matrix has a unit of at most 5 bits, the Naimark complement of a 1 x 160
+#: Parseval row one of 59.
+_UNIT_BITS = 512
 
 
-def _per_radicand(sums: Iterable[Tuple[Tuple[int, int], int]]) -> Dict[int, Tuple[int, int]]:
-    """{radicand: (numerator, denominator)} of an accumulator's items, each
-    radicand's numerators and denominators summed on ints (not reduced)."""
-    combined: Dict[int, Tuple[int, int]] = {}
-    for (radicand, denominator), numerator in sums:
-        if radicand in combined:
-            total, common = combined[radicand]
-            combined[radicand] = (total * denominator + numerator * common, common * denominator)
+def _entry_terms(value: MatrixEntry) -> Tuple[Tuple[int, Fraction], ...]:
+    """The canonical terms of a real entry, or of a complex entry's modulus."""
+    return (value.modulus if isinstance(value, ComplexRadicalEntry) else value).terms
+
+
+def _add_product(sums: Accumulator, x: Form, y: Form) -> None:
+    """Add the product of two forms to an accumulator. Terms c1*sqrt(r1) and
+    c2*sqrt(r2) with g = gcd(r1, r2) multiply to c1*c2*g * sqrt((r1/g)*(r2/g)),
+    whose radicand is squarefree again; ints over D multiply to ints over
+    D^2, so no RadicalScalar product is formed."""
+    for r1, a1 in x:
+        for r2, a2 in y:
+            if r1 == r2:
+                sums[1] = sums.get(1, 0) + a1 * a2 * r1
+            else:
+                g = math.gcd(r1, r2)
+                radicand = (r1 // g) * (r2 // g)
+                sums[radicand] = sums.get(radicand, 0) + a1 * a2 * g
+
+
+def _add_keyed_product(sums: Dict[Tuple[int, int], int], x: Form, y: Form) -> None:
+    """_add_product past _UNIT_BITS, where the forms keep Fraction
+    coefficients: each product goes in as an int numerator under its
+    (radicand, denominator) key, unreduced, so no sum pays a gcd on a
+    growing denominator (_combined adds them up once)."""
+    for r1, c1 in x:
+        for r2, c2 in y:
+            g = math.gcd(r1, r2)
+            key = ((r1 // g) * (r2 // g), c1.denominator * c2.denominator)
+            sums[key] = sums.get(key, 0) + c1.numerator * c2.numerator * g
+
+
+def _combined(sums: Dict[Tuple[int, int], int]) -> Accumulator:
+    """{radicand: Fraction} of a keyed accumulator: each radicand's numerators
+    and denominators summed on ints, and reduced once."""
+    ratios: Dict[int, Tuple[int, int]] = {}
+    for (radicand, denominator), numerator in sums.items():
+        if radicand in ratios:
+            total, common = ratios[radicand]
+            ratios[radicand] = (total * denominator + numerator * common, common * denominator)
         else:
-            combined[radicand] = (numerator, denominator)
-    return combined
+            ratios[radicand] = (numerator, denominator)
+    return {radicand: Fraction(*ratio) for radicand, ratio in ratios.items()}
 
 
-def _cancels(sums: _Accumulator) -> bool:
+def _vanishes(sums: Accumulator) -> bool:
     """Whether an accumulator sums to zero: square roots of distinct
     squarefree radicands are linearly independent over the rationals, so
-    exactly when every radicand's numerators cancel on their own."""
-    return not any(total for total, _ in _per_radicand(sums.items()).values())
+    exactly when every coefficient is zero."""
+    return not any(sums.values())
 
 
-def _add_product(sums: _Accumulator, x: RadicalScalar, y: RadicalScalar) -> None:
-    """Add the product of two real entries to an integer accumulator."""
-    for item, numerator in _product_terms(x, y):
-        sums[item] = sums.get(item, 0) + numerator
-
-
-def _columns_cancel(a: Dict[int, MatrixEntry], b: Dict[int, MatrixEntry]) -> bool:
-    """Whether two real sparse columns are orthogonal, decided on ints.
-
-    Columns sharing no row are; columns sharing exactly one row are not,
-    their inner product being one product of nonzero reals. Otherwise the
-    products on the shared rows go into one accumulator, which must cancel.
-    """
-    shared = a.keys() & b.keys()
-    if len(shared) == 1:
-        return False
-    sums: _Accumulator = {}
-    for row in shared:
-        _add_product(sums, a[row], b[row])
-    return _cancels(sums)
-
-
-def _row_products(columns: Sequence[Dict[int, MatrixEntry]]) -> Dict[Key, _Accumulator]:
-    """{(p, q): the accumulator of rows p and q's inner product} for every
-    pair of rows p < q that meet in a column of a real matrix.
-
-    Rows p and q only meet in the columns whose support holds both, so this
-    takes sum |supp|^2 products over the columns instead of M^2 row inner
-    products. Row pairs that share no column are absent.
-    """
-    products: Dict[Key, _Accumulator] = {}
-    for column in columns:
-        if len(column) < 2:
-            continue  # a single row meets no other row here
-        items = sorted(column.items())
-        for a, (p, x) in enumerate(items):
-            for q, y in items[a + 1 :]:
-                sums = products.get((p, q))
-                if sums is None:
-                    sums = products[(p, q)] = {}
-                _add_product(sums, x, y)
-    return products
-
-
-def _settle(sums: SquaredTerms) -> ExactSum:
-    """The exact value of an accumulator's items: one Fraction per radicand,
-    its numerator and denominator summed on ints first."""
-    terms = tuple(
-        sorted(
-            (radicand, Fraction(*ratio))
-            for radicand, ratio in _per_radicand(sums).items()
-            if ratio[0]
-        )
+def _exact_sum(sums: Accumulator, scale: int) -> ExactSum:
+    """The exact value of an accumulator: one Fraction per nonzero radicand."""
+    terms = sorted(
+        (radicand, value if type(value) is Fraction else Fraction(value, scale))
+        for radicand, value in sums.items()
+        if value
     )
     if not terms:
         return Fraction(0)
     if terms[-1][0] == 1:
         return terms[0][1]
     # the radicands come from canonical values, so they are squarefree already
-    return RadicalScalar._canonical(terms)
+    return RadicalScalar._canonical(tuple(terms))
 
 
-def _settle_all(accumulators: Iterable[_Accumulator]) -> List[ExactSum]:
-    """The exact value of each accumulator, in order. Each distinct one is
-    settled once, so equal sums are one object."""
-    keys = [tuple(sums.items()) for sums in accumulators]
-    settled = {key: _settle(key) for key in dict.fromkeys(keys)}
-    return [settled[key] for key in keys]
+class Sweep:
+    """The exact checks of one matrix, on ints over one common unit.
 
+    D is the lcm of the denominators of the entries' coefficients, and each
+    distinct entry object is read once (_entry_terms) into its form: its
+    terms with each coefficient an int over D. Every product of two forms is
+    then an int over D^2 per radicand, so the row and column square sums,
+    the inner products of the row pairs that meet in a column and those of
+    column pairs are ints, and each distinct sum becomes one exact value
+    (_exact_sum) only when a caller reads it. Past _UNIT_BITS the forms keep
+    the terms' own Fractions, products go in under (radicand, denominator)
+    keys (_add_keyed_product) and each sum is combined once (_combined)
+    into the same {radicand: Fraction} accumulators, which the rest reads
+    as it reads ints, with scale 1.
 
-def _square_sums(matrix: SynthesisMatrix) -> Tuple[List[_Accumulator], List[_Accumulator]]:
-    """Row and column square-sum accumulators in one sweep (exact on both paths).
-
-    Each nonzero adds integer numerators to its row's and its column's
-    accumulator. The terms are squared once per distinct entry object (the
-    matrix keeps every entry alive, so ids are stable). Each caller settles
-    the half it reads with _settle_all.
+    Each part is computed on first use and kept, so a caller pays only for
+    what it reads: forms, the square sums (_squares, settled as row_sums
+    and col_sums), row_units for the block count, pairs (the row pairs'
+    accumulators), incidence (row -> columns) and columns_cancel. The
+    matrix keeps every entry alive, so the ids stay valid; a complex
+    entry's form is its modulus's, which serves the square sums only.
     """
-    rows: List[_Accumulator] = [{} for _ in range(matrix.row_count)]
-    cols: List[_Accumulator] = [{} for _ in range(matrix.col_count)]
-    squared: Dict[int, SquaredTerms] = {}
-    for (i, j), value in matrix.entries.items():
-        terms = squared.get(id(value)) or squared.setdefault(id(value), _squared_terms(value))
-        row, col = rows[i], cols[j]
-        for key, numerator in terms:
-            row[key] = row.get(key, 0) + numerator
-            col[key] = col.get(key, 0) + numerator
-    return rows, cols
+
+    def __init__(self, matrix: SynthesisMatrix):
+        self.matrix = matrix
+        self.scale = 1
+        self._keyed = False
+        self._single = True  # every form has one term
+
+    @cached_property
+    def forms(self) -> Dict[int, Form]:
+        """{id(entry): form} over the distinct entry objects; sets scale, and
+        _square, the square of each one-term form (an int over scale)."""
+        values = {id(value): value for value in self.matrix.entries.values()}
+        terms = dict(zip(values, map(_entry_terms, values.values())))
+        unit = 1
+        for den in {c.denominator for parts in terms.values() for _, c in parts}:
+            unit = math.lcm(unit, den)
+            if unit.bit_length() > _UNIT_BITS:
+                self._keyed, self._single = True, False
+                return terms
+        self.scale = unit * unit
+        forms: Dict[int, Form] = {}
+        self._square = square = {}
+        for key, parts in terms.items():
+            if len(parts) == 1:
+                ((radicand, c),) = parts
+                a = c.numerator * (unit // c.denominator)
+                forms[key] = ((radicand, a),)
+                square[key] = a * a * radicand
+            else:
+                self._single = False
+                forms[key] = tuple((r, c.numerator * (unit // c.denominator)) for r, c in parts)
+        return forms
+
+    @cached_property
+    def _squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
+        """Row and column square sums in one pass over the nonzeros: their
+        rational parts as ints over scale, and the irrational parts, which
+        only multi-term entries have, as {row or column: accumulator}."""
+        matrix, forms = self.matrix, self.forms
+        if self._keyed:
+            return self._keyed_squares()
+        rational = self._square
+        irrational: Dict[int, Accumulator] = {}
+        for key, form in forms.items():
+            if len(form) > 1:
+                sums: Accumulator = {}
+                _add_product(sums, form, form)
+                rational[key] = sums.pop(1, 0)
+                if not _vanishes(sums):
+                    irrational[key] = sums
+        rows, cols = [0] * matrix.row_count, [0] * matrix.col_count
+        for (i, j), value in matrix.entries.items():
+            square = rational[id(value)]
+            rows[i] += square
+            cols[j] += square
+        row_parts: Dict[int, Accumulator] = {}
+        col_parts: Dict[int, Accumulator] = {}
+        if irrational:
+            for (i, j), value in matrix.entries.items():
+                for radicand, part in irrational.get(id(value), {}).items():
+                    for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
+                        target[radicand] = target.get(radicand, 0) + part
+        return rows, cols, row_parts, col_parts
+
+    def _keyed_squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
+        """_squares past _UNIT_BITS, on (radicand, denominator) keys."""
+        matrix, forms = self.matrix, self.forms
+        rows: List[Dict[Tuple[int, int], int]] = [{} for _ in range(matrix.row_count)]
+        cols: List[Dict[Tuple[int, int], int]] = [{} for _ in range(matrix.col_count)]
+        for (i, j), value in matrix.entries.items():
+            form = forms[id(value)]
+            _add_keyed_product(rows[i], form, form)
+            _add_keyed_product(cols[j], form, form)
+        halves = []
+        for keyed in (rows, cols):
+            rational, parts = [], {}
+            for index, sums in enumerate(map(_combined, keyed)):
+                rational.append(sums.pop(1, 0))
+                if not _vanishes(sums):
+                    parts[index] = sums
+            halves.append((rational, parts))
+        (row_sums, row_parts), (col_sums, col_parts) = halves
+        return row_sums, col_sums, row_parts, col_parts
+
+    def _settled(self, sums: list, parts: Dict[int, Accumulator]) -> List[ExactSum]:
+        """The exact value of each square sum, each distinct one settled once,
+        so equal sums are one object. Past _UNIT_BITS the sums are Fractions
+        already, and each is wrapped as it stands: hashing them to find the
+        equal ones would cost more."""
+        if self._keyed:
+            return [_exact_sum({1: s, **parts.get(index, {})}, 1) for index, s in enumerate(sums)]
+        if not parts:
+            settled = {s: _exact_sum({1: s}, self.scale) for s in dict.fromkeys(sums)}
+            return list(map(settled.__getitem__, sums))
+        keys = [((1, s), *parts.get(index, {}).items()) for index, s in enumerate(sums)]
+        exact = {key: _exact_sum(dict(key), self.scale) for key in dict.fromkeys(keys)}
+        return list(map(exact.__getitem__, keys))
+
+    @cached_property
+    def row_sums(self) -> List[ExactSum]:
+        """The exact row square sums, in row order."""
+        rows, _, row_parts, _ = self._squares
+        return self._settled(rows, row_parts)
+
+    @cached_property
+    def col_sums(self) -> List[ExactSum]:
+        """The exact column square sums, in column order."""
+        _, cols, _, col_parts = self._squares
+        return self._settled(cols, col_parts)
+
+    @cached_property
+    def row_units(self) -> Optional[Tuple[int, List[int]]]:
+        """The row square sums as sequences.integer_units gives them, (unit,
+        each sum times unit), or None unless every one is a positive
+        rational. Over D^2 no Fraction is formed: with g = gcd(D^2, sums),
+        the lcm of the reduced denominators is D^2/g and each sum is s/g."""
+        rows, _, row_parts, _ = self._squares
+        if any(s <= 0 for s in rows) or not all(map(_vanishes, row_parts.values())):
+            return None
+        if self._keyed:
+            return integer_units(rows)
+        common = math.gcd(self.scale, *rows)
+        return self.scale // common, [s // common for s in rows]
+
+    @cached_property
+    def pairs(self) -> Dict[Key, Accumulator]:
+        """{(p, q): the accumulator of rows p and q's inner product} for every
+        pair of rows p < q that meet in a column of a real matrix.
+
+        Rows p and q only meet in the columns whose support holds both, so
+        this takes sum |supp|^2 products over the columns instead of M^2 row
+        inner products. Row pairs that share no column are absent.
+        """
+        forms = self.forms
+        add = _add_keyed_product if self._keyed else _add_product
+        inline = self._single  # one-term forms multiply here as _add_product would
+        pairs: Dict[Key, Accumulator] = {}
+        for column in column_maps(self.matrix):
+            if len(column) < 2:
+                continue  # a single row meets no other row here
+            items = [(row, forms[id(value)]) for row, value in sorted(column.items())]
+            for a, (p, x) in enumerate(items):
+                if inline:
+                    ((r1, a1),) = x
+                for q, y in items[a + 1 :]:
+                    sums = pairs.get((p, q))
+                    if sums is None:
+                        sums = pairs[(p, q)] = {}
+                    if not inline:
+                        add(sums, x, y)
+                        continue
+                    ((r2, a2),) = y
+                    if r1 == r2:
+                        sums[1] = sums.get(1, 0) + a1 * a2 * r1
+                    else:
+                        g = math.gcd(r1, r2)
+                        radicand = (r1 // g) * (r2 // g)
+                        sums[radicand] = sums.get(radicand, 0) + a1 * a2 * g
+        if self._keyed:
+            return {pair: _combined(sums) for pair, sums in pairs.items()}
+        return pairs
+
+    def rows_orthogonal(self) -> bool:
+        """Whether every pair of distinct rows of a real matrix is orthogonal."""
+        return all(map(_vanishes, self.pairs.values()))
+
+    def pair_values(self) -> Dict[Key, ExactSum]:
+        """The exact inner product of each row pair in pairs, each distinct
+        accumulator settled once."""
+        keys = {pair: tuple(sums.items()) for pair, sums in self.pairs.items()}
+        exact = {key: _exact_sum(dict(key), self.scale) for key in dict.fromkeys(keys.values())}
+        return {pair: exact[key] for pair, key in keys.items()}
+
+    @cached_property
+    def incidence(self) -> Dict[int, List[int]]:
+        """{row: the columns with a nonzero in that row, in increasing order}."""
+        rows: Dict[int, List[int]] = {}
+        for col, column in enumerate(column_maps(self.matrix)):
+            for row in column:
+                if row in rows:
+                    rows[row].append(col)
+                else:
+                    rows[row] = [col]
+        return rows
+
+    def columns_cancel(self, j: int, k: int) -> bool:
+        """Whether real columns j and k are orthogonal.
+
+        Columns sharing no row are; columns sharing exactly one row are not,
+        their inner product being one product of nonzero reals. Otherwise the
+        products on the shared rows go into one accumulator, which must cancel.
+        """
+        columns, forms = column_maps(self.matrix), self.forms
+        a, b = columns[j], columns[k]
+        shared = a.keys() & b.keys()
+        if len(shared) == 1:
+            return False
+        add = _add_keyed_product if self._keyed else _add_product
+        sums: Accumulator = {}
+        for row in shared:
+            add(sums, forms[id(a[row])], forms[id(b[row])])
+        return _vanishes(_combined(sums) if self._keyed else sums)
+
+    def norms_equal(self, cols: Sequence[int], weight) -> bool:
+        """Whether each of the given columns has squared norm weight, decided
+        on the ints over scale for an int or Fraction weight."""
+        if not isinstance(weight, (int, Fraction)):
+            return all(self.col_sums[col] == weight for col in cols)
+        _, sums, _, parts = self._squares
+        if parts and not all(_vanishes(parts.get(col, {})) for col in cols):
+            return False
+        if self._keyed:
+            target = weight
+        else:  # weight * scale, when it is an int; no int sum matches otherwise
+            quotient, rest = divmod(weight.numerator * self.scale, weight.denominator)
+            target = None if rest else quotient
+        values = [sums[col] for col in cols]
+        return values.count(target) == len(values)
 
 
 def _place_block(entries: Dict[Key, MatrixEntry], block: Block, row: int, col: int) -> None:

@@ -5,12 +5,13 @@ the span of a group of generator columns. Construction-side we only validate
 structure (disjoint groups covering all columns, sizes matching the declared
 dimensions); the mathematical claims (per-group orthogonality, spectrum) are
 the verification engine's job, with advisory findings recorded in meta.
-Columns that share no row are orthogonal, so group_flags checks only the
-pairs that construct.row_columns puts in a common row, with the verifier's
-column check (construct._columns_cancel, on integers). It squares nothing
-itself: its callers hand it the column square sums of the one
-construct._square_sums sweep per matrix, the sweep the verifier reads,
-with only the column half settled.
+Columns that share no row are orthogonal, so group_flags checks, for
+every group at once, only the pairs of one group that the sweep's row
+incidence puts in a common row, with the verifier's column check
+(construct.Sweep.columns_cancel, on integers). It squares nothing itself:
+it reads the column square sums of the matrix's one construct.Sweep, the
+kind of sweep the verifier reads, and compares them to the weights as
+ints, unsettled. maximal_chains and rff read the same incidence.
 
 When the round-robin order fails, weighted_fusion runs the readiness fill
 search (sequences._FillSearch) with one tag per subspace, each keeping the
@@ -36,18 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .construct import (
-    ExactSum,
-    SynthesisMatrix,
-    _columns_cancel,
-    _naimark_completion,
-    _settle_all,
-    _square_sums,
-    column_maps,
-    pnstc,
-    row_columns,
-    sfr,
-)
+from .construct import Sweep, SynthesisMatrix, _naimark_completion, column_maps, pnstc, sfr
 from .errors import (
     Infeasible,
     NoExtension,
@@ -58,8 +48,6 @@ from .errors import (
 )
 from .exact_numeric import MatrixEntry
 from .sequences import _FillSearch, as_spectrum, integer_units, majorizes, search_budget
-
-ColumnMap = Dict[int, MatrixEntry]
 
 
 @dataclass
@@ -114,29 +102,35 @@ class ChainPartition:
 
 
 def group_flags(
-    columns: Sequence[ColumnMap],
-    group: Sequence[int],
-    weight_squared: Fraction,
-    col_norms: Sequence[ExactSum],
+    sweep: Sweep, partition: Sequence[Sequence[int]], weights_squared: Sequence[Fraction]
 ) -> Tuple[bool, bool]:
-    """(orthogonal, consistent), exactly: the group's real columns are
-    pairwise orthogonal, and each has squared norm weight_squared. Both
-    together make the group a tight frame for its span with bound
-    weight_squared.
+    """(orthogonal, consistent), exactly, over every group of a real matrix:
+    each group's columns are pairwise orthogonal, and each has the group's
+    squared weight as its squared norm. Both together make each group a
+    tight frame for its span with bound its squared weight.
 
-    Only pairs that share a row are checked, by construct._columns_cancel:
-    a pair sharing exactly one row is not orthogonal, and a pair sharing
-    more is decided on integer product accumulators, with no RadicalScalar
-    product. The squared norms are read from col_norms, the column half of
-    the caller's construct._square_sums sweep over the whole matrix.
+    Only pairs of one group that share a row are checked, by
+    Sweep.columns_cancel: a pair sharing exactly one row is not orthogonal,
+    and a pair sharing more is decided on integer product accumulators,
+    with no RadicalScalar product. The squared norms are the sweep's
+    column square sums, compared as ints (Sweep.norms_equal), unsettled.
     """
-    pairs = dict.fromkeys(
-        pair
-        for cols in row_columns(columns, group).values()
-        for pair in itertools.combinations(cols, 2)
-    )
-    orthogonal = all(_columns_cancel(columns[a], columns[b]) for a, b in pairs)
-    consistent = all(col_norms[col] == weight_squared for col in group)
+    group_of: Dict[int, int] = {}
+    for index, group in enumerate(partition):
+        group_of.update(dict.fromkeys(group, index))
+    pairs: Dict[Tuple[int, int], None] = {}
+    for cols in sweep.incidence.values():
+        groups = [group_of.get(col) for col in cols]
+        if len(set(groups)) == len(groups):
+            continue  # no two columns of one group meet in this row
+        members: Dict[int, List[int]] = {}
+        for col, index in zip(cols, groups):
+            if index is not None:
+                members.setdefault(index, []).append(col)
+        for same in members.values():
+            pairs.update(dict.fromkeys(itertools.combinations(same, 2)))
+    orthogonal = all(sweep.columns_cancel(a, b) for a, b in pairs)
+    consistent = all(map(sweep.norms_equal, partition, weights_squared))
     return orthogonal, consistent
 
 
@@ -149,8 +143,9 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
     """
     maps = column_maps(matrix)
     pool = sorted(set(columns))
-    incidence = row_columns(maps, pool)
+    incidence = Sweep(matrix).incidence
     unvisited = set(pool)
+    expanded: Set[int] = set()  # a row's pool columns all join its first chain
     chains: List[Tuple[int, ...]] = []
     for start in pool:
         if start not in unvisited:
@@ -161,7 +156,8 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
         while stack:
             col = stack.pop()
             component.append(col)
-            for row in maps[col]:
+            for row in maps[col].keys() - expanded:
+                expanded.add(row)
                 for neighbour in incidence[row]:
                     if neighbour in unvisited:
                         unvisited.discard(neighbour)
@@ -209,11 +205,8 @@ def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFr
         if value.denominator != 1:
             floor_ok = math.floor(value) <= subspace_count - 3
             break
-    columns = column_maps(generator)
-    col_norms = _settle_all(_square_sums(generator)[1])
-    groups_orthogonal = all(
-        all(group_flags(columns, group, Fraction(1), col_norms)) for group in partition
-    )
+    unit_weights = (Fraction(1),) * subspace_count
+    groups_orthogonal = all(group_flags(Sweep(generator), partition, unit_weights))
     return FusionFrame(
         m=len(eigs),
         weights_squared=(Fraction(1),) * subspace_count,
@@ -241,7 +234,7 @@ def rff(spectrum: Sequence, count: int) -> FusionFrame:
         raise ValueError(f"frame size {count} must be positive")
     generator = pnstc((Fraction(1),) * count, eigs)
     columns = column_maps(generator)
-    bucket_count = max(len(cols) for cols in row_columns(columns, range(count)).values())
+    bucket_count = max(map(len, Sweep(generator).incidence.values()))
     buckets: List[List[int]] = [[] for _ in range(bucket_count)]
     supports: List[Set[int]] = [set() for _ in range(bucket_count)]
     for col in range(count):
@@ -324,7 +317,7 @@ def uff(spectrum: Sequence, dims: Sequence[int]) -> FusionFrame:
         if not donors:
             raise SpectralTetrisError("uff: no donor bucket despite a positive deficit")
         donor = max(donors)
-        receiver_rows = row_columns(columns, groups[receiver]).keys()
+        receiver_rows = set().union(*map(columns.__getitem__, groups[receiver]))
         detachable = [col for col in groups[donor] if receiver_rows.isdisjoint(columns[col])]
         if detachable:
             moved = max(detachable)
@@ -399,10 +392,9 @@ def _tagged_pnstc(
     grouped: Dict[int, List[int]] = {tag: [] for tag in tags}
     for col, (_w, tag) in enumerate(order):
         grouped[tag].append(col)
-    columns = column_maps(matrix)
-    col_norms = _settle_all(_square_sums(matrix)[1])
     weights = {tag: w for w, tag in order}
-    if not all(all(group_flags(columns, grouped[tag], weights[tag], col_norms)) for tag in tags):
+    groups = [grouped[tag] for tag in tags]
+    if not all(group_flags(Sweep(matrix), groups, [weights[tag] for tag in tags])):
         return None
     return matrix, tuple(tuple(grouped[tag]) for tag in tags)
 

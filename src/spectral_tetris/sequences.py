@@ -539,10 +539,12 @@ class BlockCount(NamedTuple):
 
 # Cap on the work of the exact maximal block number: DP states times the
 # part candidates tried at each, plus the nodes and subset sums of the part
-# enumeration. Past it the bounded greedy answers, flagged heuristic.
+# enumeration, each unit weighted by the machine words of the residues
+# (_words). Past it the bounded greedy answers, flagged heuristic.
 _MU_WORK_CAP = 1_000_000
 # The greedy fallback tries parts of at most this many eigenvalues and at
-# most _MU_GREEDY_COMBINATIONS candidate parts in all.
+# most _MU_GREEDY_COMBINATIONS candidate parts in all, each weighted by
+# _words as well.
 _MU_GREEDY_PART_SIZE = 8
 _MU_GREEDY_COMBINATIONS = 50_000
 
@@ -573,14 +575,26 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
     it can merge elements of two genuine parts with a stray element and
     destroy both.
     """
-    eigs = as_spectrum(spectrum)
-    unit, scaled = integer_units(eigs)
+    return _block_count(*integer_units(as_spectrum(spectrum)))
+
+
+def _block_count(unit: int, scaled: Sequence[int]) -> BlockCount:
+    """maximal_block_number of the eigenvalues Fraction(k, unit) for k in
+    scaled: positive ints in a common unit, as integer_units gives them.
+    The verifier passes its integer row sums here, so they are neither
+    validated nor scaled a second time."""
     residues = [value % unit for value in scaled]
     exact = _mu_residue(residues, unit)
     if exact is not None:
         return BlockCount(mu=exact[0], permutation=exact[1], heuristic=False)
     mu, order = _mu_greedy(residues, unit)
     return BlockCount(mu=mu, permutation=order, heuristic=True)
+
+
+def _words(modulus: int) -> int:
+    """64-bit machine words of a residue mod modulus (at least 1): the
+    weight of one unit of mu's work, whose sums and residues are that long."""
+    return max(1, -(-modulus.bit_length() // 64))
 
 
 class _MuWorkExceeded(Exception):
@@ -651,8 +665,8 @@ def _residue_dp(
     once, as one run of whole parts, and has no next state. Raises
     _MuWorkExceeded past _MU_WORK_CAP.
     """
-    sizes = [modulus // math.gcd(a, modulus) for a in ints]
     width = len(ints)
+    weight = _words(modulus)
     work = 0
     parts_through: Dict[int, List[_Counts]] = {}
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
@@ -669,8 +683,9 @@ def _residue_dp(
             while low < width and not state[low]:
                 low += 1
             if low == width or not any(state[low + 1 :]):
-                parts = state[low] // sizes[low] if low < width else 0
-                run = state[:low] + (parts * sizes[low],) + state[low + 1 :] if parts else None
+                size = modulus // math.gcd(ints[low], modulus) if low < width else 0
+                parts = state[low] // size if size else 0
+                run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
                 best[state] = (parts, run, None)
                 stack.pop()
                 continue
@@ -679,7 +694,7 @@ def _residue_dp(
                     low, ints, counts, modulus, work
                 )
             candidates = parts_through[low]
-            work += 1 + len(candidates)
+            work += (1 + len(candidates)) * weight
             if work > _MU_WORK_CAP:
                 raise _MuWorkExceeded
             moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
@@ -707,8 +722,9 @@ def _minimal_zero_sum_parts(
     low: int, ints: List[int], counts: _Counts, modulus: int, work: int
 ) -> Tuple[List[_Counts], int]:
     """Count vectors of the minimal zero-sum multisets whose lowest class is
-    low, and the work after the walk: the given work plus one unit per node
-    and per subset sum held.
+    low, and the work after the walk: the given work plus, per node, one
+    unit for the node, one per subset sum it holds and one per class it
+    scans for a child, each weighted by the residues' _words.
 
     Classes are residues ints[k]/modulus with at most counts[k] members. A
     multiset is minimal zero-sum exactly when dropping one member of its
@@ -719,13 +735,14 @@ def _minimal_zero_sum_parts(
     _MuWorkExceeded once the work passes _MU_WORK_CAP.
     """
     size = len(ints)
+    weight = _words(modulus)
     class_of = {a: k for k, a in enumerate(ints)}
     found: List[_Counts] = []
     start = tuple(int(k == low) for k in range(size))
     stack = [(start, low, ints[low], {ints[low]})]
     while stack:
         used, last, total, sums = stack.pop()
-        work += 1 + len(sums)
+        work += (1 + len(sums) + size - last) * weight
         if work > _MU_WORK_CAP:
             raise _MuWorkExceeded
         closing = class_of.get(-total % modulus)
@@ -748,18 +765,20 @@ def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]
 
     A part sums to an integer when its residues sum to 0 mod unit. Parts
     have at most _MU_GREEDY_PART_SIZE members, and once
-    _MU_GREEDY_COMBINATIONS candidate parts have been tried the rest is
-    left over.
+    _MU_GREEDY_COMBINATIONS candidate parts, each weighted by the residues'
+    _words, have been tried the rest is left over.
     """
     remaining = list(range(len(residues)))
     order: List[int] = []
     mu = 0
+    weight = _words(unit)
+    budget = _MU_GREEDY_COMBINATIONS // weight
     tries = 0
     while remaining:
         part = None
         sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
         combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
-        for combo in itertools.islice(combos, _MU_GREEDY_COMBINATIONS - tries):
+        for combo in itertools.islice(combos, budget - tries):
             tries += 1
             if not sum(map(residues.__getitem__, combo)) % unit:
                 part = combo

@@ -7,32 +7,32 @@ raises on a mathematical failure: every discrepancy is a field.
 
 Each property has one check: _rows_orthogonal, _matches (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
-The exact ones multiply only entries that share a column or a row, so they
-cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs. All the
-integer work lives in construct, and this module only calls it:
+All the integer work lives in construct.Sweep, one per matrix and call,
+and this module only reads it; each part is computed on first read, so a
+caller pays only for what it reads:
 
-- construct._square_sums is the one sweep for the row and column square
-  sums. A one-term entry c*sqrt(r) squares to the rational c^2*r, whose
-  integer numerator is added under its (radicand, denominator) key. Each
-  entry object is squared once. The sweep returns the accumulators, and
-  each caller settles only the half it reads, each distinct sum once
-  (construct._settle_all), into a Fraction (a RadicalScalar when
-  irrational): frame_operator and sparsity_report the rows alone.
-  verify_fusion hands the column half to group_flags.
-- construct._row_products is the one walk over the row pairs that meet in
-  a column. It keeps one integer accumulator per pair; a product of two
-  one-term entries is one item. _rows_orthogonal asks whether each one
-  cancels (construct._cancels), with no RadicalScalar product.
-  frame_operator takes its diagonal from the row square sums, and its
-  entries off it from the same accumulators, each distinct one settled
-  once (construct._settle_all, as for the square sums).
-- construct._columns_cancel decides a column pair the same way, for
+- row_sums and col_sums, the exact square sums from one pass over the
+  nonzeros on ints over D^2 (D the lcm of the entries' denominators), each
+  distinct sum settled once into a Fraction (a RadicalScalar when
+  irrational). frame_operator and sparsity_report read the rows alone;
+  verify_fusion reads the rows and hands the sweep to group_flags, which
+  compares the column sums to the weights as ints, unsettled.
+- rows_orthogonal, on the one walk over the row pairs that meet in a
+  column: one {radicand: int} accumulator per pair, which must vanish.
+  frame_operator takes its diagonal from the row sums and its entries off
+  it from the same accumulators (pair_values), each distinct one settled
+  once.
+- incidence and columns_cancel, which decide column pairs on ints for
   orthogonality_distance and group_flags.
+- row_units, the integer row sums in the unit that
+  sequences.integer_units would give them, which _sparsity_bound hands to
+  sequences._block_count, so mu neither validates nor rescales them.
 
-Each distinct (sum, expectation) pair is compared once. Products are formed
-per support pair, as the fill makes new entry objects for every block and
-a pair of them seldom meets twice. Off the exact route each fusion group
-takes one SVD; numpy is imported there, and on the complex path, only.
+The exact checks multiply only entries that share a column or a row, so
+they cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs.
+Each distinct (sum, expectation) pair is compared once. Off the exact route
+each fusion group takes one SVD; numpy is imported there, and on the
+complex path, only.
 """
 
 from __future__ import annotations
@@ -42,21 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from .construct import (
-    ExactSum,
-    SynthesisMatrix,
-    _cancels,
-    _columns_cancel,
-    _row_products,
-    _settle_all,
-    _square_sums,
-    column_maps,
-    row_columns,
-)
+from .construct import ExactSum, Sweep, SynthesisMatrix, column_maps
 from .errors import SpectrumMismatch
 from .exact_numeric import MatrixEntry, RadicalScalar, ZERO
 from .fusion import FusionFrame, group_flags
-from .sequences import as_spectrum, maximal_block_number
+from .sequences import _block_count, as_spectrum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,18 +85,12 @@ def _off_diagonal(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
 
 
-def _rows_orthogonal(
-    matrix: SynthesisMatrix, columns: Sequence[SparseVector], tolerance: float
-) -> bool:
+def _rows_orthogonal(sweep: Sweep, tolerance: float) -> bool:
     """Whether every pair of distinct rows is orthogonal: exactly on the real
-    path, within tolerance with complex entries. It reads the stored flag
-    directly: its callers have read is_complex.
-
-    Exactly, the rows are orthogonal when every meeting row pair's integer
-    accumulator (construct._row_products) cancels.
-    """
-    if not matrix._complex:
-        return all(map(_cancels, _row_products(columns).values()))
+    path (Sweep.rows_orthogonal), within tolerance with complex entries."""
+    matrix = sweep.matrix
+    if not matrix.is_complex:
+        return sweep.rows_orthogonal()
     dense = matrix.to_dense()
     return _off_diagonal(dense @ dense.conj().T) <= tolerance
 
@@ -115,6 +99,8 @@ def _exact_expectation(expected: Sequence) -> List[ExactSum]:
     """Expected values as exact numbers (RadicalScalars as they stand, the
     rest as Fractions); ValueError names the position of a non-number."""
     exact = list(expected)
+    if set(map(type, exact)) <= {Fraction, RadicalScalar}:
+        return exact
     for position, want in enumerate(exact):
         if not isinstance(want, (Fraction, RadicalScalar)):
             try:
@@ -210,12 +196,11 @@ def frame_operator(matrix: SynthesisMatrix) -> FrameOperator:
     # the diagonal is the row square sums, the entries off it the settled
     # accumulators of the rows that meet; rows that share no column meet in ZERO
     m = matrix.row_count
-    row_sums = _settle_all(_square_sums(matrix)[0])
+    sweep = Sweep(matrix)
     gram = [[ZERO] * m for _ in range(m)]
-    for p, value in enumerate(row_sums):
+    for p, value in enumerate(sweep.row_sums):
         gram[p][p] = _radical(value)
-    products = _row_products(column_maps(matrix))
-    for (p, q), value in zip(products, _settle_all(products.values())):
+    for (p, q), value in sweep.pair_values().items():
         gram[p][q] = gram[q][p] = _radical(value)
     return FrameOperator(tuple(map(tuple, gram)), exact=True)
 
@@ -230,7 +215,7 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     orthogonal, and two columns sharing exactly one row never are: their
     inner product is the product of two nonzero reals. So each row's
     columns are scanned from both ends for the widest pair that does not
-    cancel, and products are taken, on integers (construct._columns_cancel),
+    cancel, and products are taken, on integers (Sweep.columns_cancel),
     only for candidate pairs sharing two or more rows.
     """
     if matrix.is_complex:
@@ -240,18 +225,22 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
         gram = np.abs(dense.conj().T @ dense)
         first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
         return int(np.max(last - first)) + 1 if first.size else 0
-    columns = column_maps(matrix)
+    return _real_distance(Sweep(matrix))
+
+
+def _real_distance(sweep: Sweep) -> int:
+    """orthogonality_distance of a real matrix, read from its sweep."""
     cancels: Dict[Tuple[int, int], bool] = {}
 
     def orthogonal(j: int, k: int) -> bool:
         if j == k:
             return False
         if (j, k) not in cancels:
-            cancels[(j, k)] = _columns_cancel(columns[j], columns[k])
+            cancels[(j, k)] = sweep.columns_cancel(j, k)
         return cancels[(j, k)]
 
     distance = 0
-    for cols in row_columns(columns, range(len(columns))).values():
+    for cols in sweep.incidence.values():
         for a, j in enumerate(cols):
             if cols[-1] - j + 1 <= distance:
                 break
@@ -265,13 +254,16 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     return distance
 
 
-def _sparsity_bound(row_sums: Sequence[ExactSum], col_count: int) -> Optional[int]:
-    if not row_sums:
+def _sparsity_bound(sweep: Sweep) -> Optional[int]:
+    """N + 2(M - mu), mu counted on the sweep's integer row sums (None
+    unless they are positive rationals)."""
+    m, n = sweep.matrix.row_count, sweep.matrix.col_count
+    if not m:
         return 0
-    if any(not isinstance(value, Fraction) or value <= 0 for value in row_sums):
+    units = sweep.row_units
+    if units is None:
         return None
-    mu = maximal_block_number(row_sums).mu
-    return col_count + 2 * (len(row_sums) - mu)
+    return n + 2 * (m - _block_count(*units).mu)
 
 
 @dataclass(frozen=True)
@@ -310,14 +302,15 @@ def verify_frame(
     expected_norms[n]. Raises only ValueError: for a non-number expectation,
     or for an irrational square sum or a complex entry outside the float range.
     """
-    m, n = matrix.row_count, matrix.col_count
+    m = matrix.row_count
     exact = not matrix.is_complex
-    row_sums, col_norms = map(_settle_all, _square_sums(matrix))
+    sweep = Sweep(matrix)
+    row_sums, col_norms = sweep.row_sums, sweep.col_sums
+    rows_orthogonal = _rows_orthogonal(sweep, COMPLEX_TOLERANCE)
 
-    columns = column_maps(matrix)
-    rows_orthogonal = _rows_orthogonal(matrix, columns, COMPLEX_TOLERANCE)
-
-    is_tight = rows_orthogonal and all(value == row_sums[0] for value in row_sums[1:])
+    # equal sums are mostly one object, which needs no comparison
+    first = row_sums[0] if m else None
+    is_tight = rows_orthogonal and all(value is first or value == first for value in row_sums)
     tight_bound: Optional[SquareSum] = None
     if is_tight and m > 0:
         tight_bound = _report_values(row_sums[:1])[0]
@@ -325,7 +318,7 @@ def verify_frame(
     if rows_orthogonal:
         is_frame = all(bool(value) for value in row_sums)
     elif exact:
-        is_frame = _exact_rank(columns, m) == m
+        is_frame = _exact_rank(column_maps(matrix), m) == m
     else:
         import numpy as np
 
@@ -339,8 +332,8 @@ def verify_frame(
         is_tight=is_tight,
         tight_bound=tight_bound,
         nonzero_count=matrix.nonzero_count,
-        optimal_sparsity_bound=_sparsity_bound(row_sums, n),
-        orthogonality_distance=orthogonality_distance(matrix),
+        optimal_sparsity_bound=_sparsity_bound(sweep),
+        orthogonality_distance=_real_distance(sweep) if exact else orthogonality_distance(matrix),
         exact=exact,
         spectrum_matches=_matches(row_sums, expected_spectrum),
         norms_match=_matches(col_norms, expected_norms),
@@ -355,11 +348,12 @@ def sparsity_report(matrix: SynthesisMatrix, spectrum: Sequence) -> Tuple[int, i
     that actually carries that spectrum on its rows.
     """
     eigs = as_spectrum(spectrum)
-    row_sums = _settle_all(_square_sums(matrix)[0])
+    sweep = Sweep(matrix)
+    row_sums = sweep.row_sums
     sums = [v for v in row_sums if isinstance(v, Fraction)]
     if len(sums) != len(row_sums) or sorted(sums) != sorted(eigs):
         raise SpectrumMismatch("row square sums do not match the stated spectrum")
-    bound = _sparsity_bound(row_sums, matrix.col_count)
+    bound = _sparsity_bound(sweep)
     count = matrix.nonzero_count
     return count, bound, count == bound
 
@@ -402,15 +396,14 @@ def verify_fusion(
     generator = reference.generator
     m = generator.row_count
     real = not generator.is_complex
-    columns = column_maps(generator)
-    row_sums, col_norms = map(_settle_all, _square_sums(generator))
+    sweep = Sweep(generator)
+    row_sums = sweep.row_sums
     groups_orthogonal = weights_consistent = True
     if real:
-        rows_orthogonal = _rows_orthogonal(generator, columns, FUSION_TOLERANCE)
-        for group, weight_squared in zip(reference.partition, reference.weights_squared):
-            orthogonal, consistent = group_flags(columns, group, weight_squared, col_norms)
-            groups_orthogonal &= orthogonal
-            weights_consistent &= consistent
+        rows_orthogonal = sweep.rows_orthogonal()
+        groups_orthogonal, weights_consistent = group_flags(
+            sweep, reference.partition, reference.weights_squared
+        )
     else:  # the dense form serves every complex check
         dense = generator.to_dense()
         rows_orthogonal = _off_diagonal(dense @ dense.conj().T) <= FUSION_TOLERANCE

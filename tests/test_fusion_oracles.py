@@ -32,7 +32,6 @@ import spectral_tetris.sequences as sequences_module
 from spectral_tetris import (
     Infeasible,
     RadicalScalar,
-    column_maps,
     construct_untf,
     sffr,
     verify_fusion,
@@ -285,17 +284,18 @@ def test_random_fusion_profiles_settle_within_the_budget():
 
 
 class _InnerProducts:
-    """Calls through fusion._columns_cancel, the fusion layer's column-pair check."""
+    """Calls through construct.Sweep.columns_cancel, the column-pair check
+    of the fusion layer."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        cancel = fusion_module._columns_cancel
+        cancel = construct_module.Sweep.columns_cancel
 
-        def counting(a, b):
+        def counting(sweep, j, k):
             self.calls += 1
-            return cancel(a, b)
+            return cancel(sweep, j, k)
 
-        monkeypatch.setattr(fusion_module, "_columns_cancel", counting)
+        monkeypatch.setattr(construct_module.Sweep, "columns_cancel", counting)
 
 
 def test_fusion_work_grows_with_the_columns(monkeypatch):
@@ -345,47 +345,47 @@ def test_tagged_search_builds_no_block(monkeypatch):
 
 
 def _count_group_work(monkeypatch, matrix, groups, weight):
-    """Run the one construct._square_sums sweep over the matrix and settle
-    its column half, then group_flags on each group with those column
-    norms; return the flags, the products made (RadicalScalar products and
-    integer products through construct._product_terms alike) and the
-    accumulators handed to _settle and the entries handed to _squared_terms,
-    first by the sweep and then per group_flags call."""
+    """Run the one construct.Sweep over the matrix and settle its column
+    half, then group_flags on each group alone with that sweep; return the
+    flags, the products made (RadicalScalar products and integer products
+    through construct._add_product alike) and the accumulators handed to
+    _exact_sum and the entries handed to _entry_terms, first by the sweep
+    and then per group_flags call."""
     products = 0
     settled, squared = [[]], [[]]
     multiply = RadicalScalar.__mul__
-    product_terms = construct_module._product_terms
-    settle, square = construct_module._settle, construct_module._squared_terms
+    add_product = construct_module._add_product
+    settle, square = construct_module._exact_sum, construct_module._entry_terms
 
     def counting_multiply(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    def counting_product_terms(x, y):
+    def counting_add_product(sums, x, y):
         nonlocal products
         products += 1
-        return product_terms(x, y)
+        return add_product(sums, x, y)
 
-    def counting_settle(sums):
-        settled[-1].append(sums)
-        return settle(sums)
+    def counting_settle(sums, scale):
+        settled[-1].append(tuple(sums.items()))
+        return settle(sums, scale)
 
     def counting_square(value):
         squared[-1].append(value)
         return square(value)
 
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
-    monkeypatch.setattr(construct_module, "_product_terms", counting_product_terms)
-    monkeypatch.setattr(construct_module, "_settle", counting_settle)
-    monkeypatch.setattr(construct_module, "_squared_terms", counting_square)
-    columns = column_maps(matrix)
-    col_norms = construct_module._settle_all(construct_module._square_sums(matrix)[1])
+    monkeypatch.setattr(construct_module, "_add_product", counting_add_product)
+    monkeypatch.setattr(construct_module, "_exact_sum", counting_settle)
+    monkeypatch.setattr(construct_module, "_entry_terms", counting_square)
+    sweep = construct_module.Sweep(matrix)
+    sweep.col_sums
     flags = []
     for group in groups:
         settled.append([])
         squared.append([])
-        flags.append(fusion_module.group_flags(columns, group, weight, col_norms))
+        flags.append(fusion_module.group_flags(sweep, [group], [weight]))
     monkeypatch.undo()
     return flags, products, settled, squared
 

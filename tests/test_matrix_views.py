@@ -184,32 +184,35 @@ def test_round_trip_keeps_the_flag_on_mixed_entries():
 def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkeypatch):
     """The 200 x 5500 unit-norm tight frame: 5,700 nonzeros, a few hundred
     distinct entry objects. The previous verifier squared every nonzero,
-    settled 5,700 accumulators and built the column maps twice. The square
-    sums live in construct, so the counters wrap construct's helpers."""
+    settled 5,700 accumulators and built the column maps twice. The sweep
+    lives in construct, so the counters wrap its handles: _entry_terms
+    reads one entry, _exact_sum settles one sum, and column_maps is looked
+    up by both modules."""
     matrix = construct_untf(200, 5500)
     distinct = len({id(value) for value in matrix.entries.values()})
     assert matrix.nonzero_count > 10 * distinct
     counts = {"squared": 0, "settled": 0, "builds": 0}
     squared, settle, maps = (
-        construct_module._squared_terms,
-        construct_module._settle,
-        verify_module.column_maps,
+        construct_module._entry_terms,
+        construct_module._exact_sum,
+        construct_module.column_maps,
     )
 
     def counting_squared(value):
         counts["squared"] += 1
         return squared(value)
 
-    def counting_settle(sums):
+    def counting_settle(*args):
         counts["settled"] += 1
-        return settle(sums)
+        return settle(*args)
 
     def counting_maps(target):
         counts["builds"] += target._columns is None
         return maps(target)
 
-    monkeypatch.setattr(construct_module, "_squared_terms", counting_squared)
-    monkeypatch.setattr(construct_module, "_settle", counting_settle)
+    monkeypatch.setattr(construct_module, "_entry_terms", counting_squared)
+    monkeypatch.setattr(construct_module, "_exact_sum", counting_settle)
+    monkeypatch.setattr(construct_module, "column_maps", counting_maps)
     monkeypatch.setattr(verify_module, "column_maps", counting_maps)
     report = verify_frame(matrix, [F(55, 2)] * 200, [F(1)] * 5500)
     assert report.is_frame and report.spectrum_matches and report.norms_match
@@ -219,15 +222,16 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
 
 
 def _settled_by(monkeypatch, call):
-    """call()'s result and the accumulators it handed to construct._settle."""
+    """call()'s result and the accumulators it handed to construct._exact_sum,
+    each as its items."""
     settled = []
-    settle = construct_module._settle
+    settle = construct_module._exact_sum
 
-    def counting_settle(sums):
-        settled.append(sums)
-        return settle(sums)
+    def counting_settle(sums, scale):
+        settled.append(tuple(sums.items()))
+        return settle(sums, scale)
 
-    monkeypatch.setattr(construct_module, "_settle", counting_settle)
+    monkeypatch.setattr(construct_module, "_exact_sum", counting_settle)
     result = call()
     monkeypatch.undo()
     return result, settled
@@ -255,9 +259,10 @@ def test_row_readers_leave_the_column_accumulators_of_untf_unsettled(monkeypatch
     and its row pairs', sparsity_report the distinct row accumulators
     alone; neither settles one of the 400 column accumulators."""
     matrix = construct_untf(8, 400)
-    rows, cols = construct_module._square_sums(matrix)
-    row_keys = {tuple(sums.items()) for sums in rows}
-    col_keys = {tuple(sums.items()) for sums in cols} - row_keys
+    rows, cols, row_parts, col_parts = construct_module.Sweep(matrix)._squares
+    assert not row_parts and not col_parts
+    row_keys = {((1, s),) for s in rows}
+    col_keys = {((1, s),) for s in cols} - row_keys
     assert col_keys
     operator, settled = _settled_by(monkeypatch, lambda: frame_operator(matrix))
     assert row_keys <= set(settled) and not col_keys & set(settled)

@@ -14,8 +14,10 @@ from spectral_tetris import (
     Infeasible,
     InvalidPartition,
     OutOfRange,
+    RadicalScalar,
     SearchBudgetExceeded,
     SumMismatch,
+    SynthesisMatrix,
     Underdetermined,
     majorizes,
     maximal_block_number,
@@ -30,6 +32,7 @@ from spectral_tetris import (
     untf_floor_condition,
 )
 from spectral_tetris import sequences
+from spectral_tetris.construct import Sweep
 from spectral_tetris.sequences import (
     DEFAULT_SEARCH_BUDGET,
     SEARCH_BUDGET_ENV,
@@ -446,6 +449,103 @@ def test_block_number_residue_dp_matches_subset_dp_exhaustively():
 @settings(max_examples=60, deadline=None)
 def test_block_number_residue_dp_matches_subset_dp_for_larger_m(terms):
     _assert_exact_block_number([whole + r for whole, r in terms])
+
+
+def _swept_block_count(spectrum):
+    """The verifier's route to mu: a diagonal matrix whose rows square-sum to
+    the spectrum, its sweep's integer row sums handed to _block_count."""
+    eigs = as_spectrum(spectrum)
+    entries = {(i, i): RadicalScalar.sqrt(value) for i, value in enumerate(eigs)}
+    matrix = SynthesisMatrix(len(eigs), len(eigs), entries)
+    return sequences._block_count(*Sweep(matrix).row_units)
+
+
+def test_swept_block_count_equals_the_public_one_exhaustively():
+    for size in range(1, 6):
+        for parts in itertools.combinations_with_replacement(RESIDUES, size):
+            spectrum = [1 + r for r in parts]
+            assert _swept_block_count(spectrum) == maximal_block_number(spectrum)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from(RESIDUES + [Fraction(2, 5), Fraction(3, 7)])),
+        min_size=7,
+        max_size=10,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_swept_block_count_equals_the_public_one_for_larger_m(terms):
+    spectrum = [whole + r for whole, r in terms]
+    result = _swept_block_count(spectrum)
+    assert result == maximal_block_number(spectrum)
+    assert result.mu == mu_subset_dp_oracle(spectrum)[0]
+
+
+@given(
+    st.lists(
+        st.fractions(min_value="1/3", max_value=3, max_denominator=3), min_size=1, max_size=5
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_swept_block_count_matches_the_oracle(spectrum):
+    result = _swept_block_count(spectrum)
+    assert result == maximal_block_number(spectrum)
+    assert result.mu == mu_oracle(spectrum)
+
+
+def test_swept_block_count_equals_the_public_one_on_hostile_spectra():
+    """The CI's three hostile residue spectra, heuristic flag and permutation too."""
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    for spectrum in (
+        [2 + Fraction(1, p) for p in primes],
+        [2 + Fraction(k, 97) for k in range(1, 49)],
+        [2 + Fraction(k, 101) for k in range(1, 41)],
+    ):
+        assert _swept_block_count(spectrum) == maximal_block_number(spectrum)
+
+
+def test_part_enumeration_weighs_its_work_by_the_residue_words():
+    """The same classes scaled by 2^200 find the same parts; each node and
+    subset sum then counts its 4 machine words."""
+    ints, counts, scale = [2, 3, 4, 6, 8, 9], (3, 2, 2, 2, 1, 2), 2**200
+    for low in range(len(ints)):
+        found, work = _minimal_zero_sum_parts(low, ints, counts, 12, 0)
+        wide = [a * scale for a in ints]
+        found_wide, work_wide = _minimal_zero_sum_parts(low, wide, counts, 12 * scale, 0)
+        assert found_wide == found
+        assert work_wide == 4 * work
+
+
+def test_block_number_of_long_residues_stops_early(monkeypatch):
+    """1/p^2 over the first 1,000 primes: one 22.5-kbit unit. Counted per
+    unit, the exact walk held sets of such residues until 10^6 units (2 s)
+    and the greedy then tried 50,000 parts; weighted by the residues' 353
+    machine words, the greedy tries at most 141."""
+    primes = []
+    n = 2
+    while len(primes) < 1000:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    spectrum = [Fraction(1, p * p) for p in primes]
+    unit = math.lcm(*(p * p for p in primes))
+    tried = 0
+    islice = itertools.islice
+
+    def counting(iterable, stop):
+        nonlocal tried
+        for item in islice(iterable, stop):
+            tried += 1
+            yield item
+
+    monkeypatch.setattr(sequences.itertools, "islice", counting)
+    start = time.perf_counter()
+    result = maximal_block_number(spectrum)
+    assert time.perf_counter() - start < WALL_BOUND_S
+    assert result.mu == 0 and result.heuristic
+    assert sorted(result.permutation) == list(range(1000))
+    assert 0 < tried <= sequences._MU_GREEDY_COMBINATIONS // sequences._words(unit)
 
 
 def test_minimal_zero_sum_parts_are_exactly_the_minimal_ones():

@@ -6,6 +6,7 @@ that carry planted cancelling 2x2 pairs, three-row column supports, empty
 columns and empty rows, and count how many exact products it forms.
 """
 
+import contextlib
 import dataclasses
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_tetris.construct as construct_module
-import spectral_tetris.verify as verify_module
 from spectral_tetris import (
     DftPathStuck,
     FusionFrame,
@@ -37,7 +37,7 @@ from spectral_tetris import (
     verify_fusion,
     weighted_fusion,
 )
-from spectral_tetris.construct import column_maps
+from spectral_tetris.construct import Sweep
 from spectral_tetris.fusion import group_flags
 
 import goldens
@@ -62,6 +62,10 @@ VALUES = [
     RadicalScalar.sqrt(Fraction(1, 2)),
     RadicalScalar.sqrt(Fraction(3, 8)),
     RadicalScalar.sqrt(6) - 1,
+    # coprime denominators and a multi-term entry: sweep units other than 1, 2 and 4
+    RadicalScalar.sqrt(Fraction(2, 75)),
+    RadicalScalar.from_rational(Fraction(1, 7)),
+    (RadicalScalar.sqrt(3) + 1) * Fraction(1, 11),
 ]
 values = st.sampled_from(VALUES)
 
@@ -177,12 +181,12 @@ def test_verify_frame_work_grows_with_the_columns(monkeypatch, count):
     The all-pairs definition forms N^2/2 column and M^2/2 row inner products;
     counting calls is deterministic where a wall-clock bound would not be.
     Each row pair and each column pair that shares two or more rows is one
-    cancellation decision (verify._cancels) on an integer accumulator.
+    cancellation decision (construct._vanishes) on an integer accumulator.
     """
     matrix = construct_untf(8, count)
     inner_calls = 0
     products = 0
-    cancels = verify_module._cancels
+    cancels = construct_module._vanishes
     multiply = RadicalScalar.__mul__
 
     def counting_inner(sums):
@@ -195,7 +199,7 @@ def test_verify_frame_work_grows_with_the_columns(monkeypatch, count):
         products += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(verify_module, "_cancels", counting_inner)
+    monkeypatch.setattr(construct_module, "_vanishes", counting_inner)
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
     report = verify_frame(matrix)
     monkeypatch.undo()
@@ -255,9 +259,8 @@ def test_group_flags_match_all_pairs(matrix, data):
         generator=matrix,
         partition=partition,
     )
-    col_norms = construct_module._settle_all(construct_module._square_sums(matrix)[1])
-    flags = [group_flags(column_maps(matrix), group, weight, col_norms) for group in partition]
-    assert (all(o for o, _ in flags), all(c for _, c in flags)) == fusion_group_flags_oracle(frame)
+    flags = group_flags(Sweep(matrix), partition, (weight,) * len(partition))
+    assert flags == fusion_group_flags_oracle(frame)
 
 
 # -- verify_fusion against the parent's verifier ------------------------------------
@@ -507,7 +510,7 @@ def test_exact_fusion_reports_equal_the_parent(matrix, data):
 
 def _count_square_work(monkeypatch, matrix):
     """Calls of entry_abs_squared and RadicalScalar.__mul__ made by the square
-    sums (construct._squared_terms looks entry_abs_squared up in construct)."""
+    sums (construct looks entry_abs_squared up in construct)."""
     calls = {"abs_squared": 0, "mul": 0}
     abs_squared = construct_module.entry_abs_squared
     multiply = RadicalScalar.__mul__
@@ -522,7 +525,8 @@ def _count_square_work(monkeypatch, matrix):
 
     monkeypatch.setattr(construct_module, "entry_abs_squared", counting_abs_squared)
     monkeypatch.setattr(RadicalScalar, "__mul__", counting_multiply)
-    rows, cols = map(verify_module._settle_all, verify_module._square_sums(matrix))
+    sweep = Sweep(matrix)
+    rows, cols = sweep.row_sums, sweep.col_sums
     monkeypatch.undo()
     return calls, rows, cols
 
@@ -580,9 +584,122 @@ def test_irrational_square_sums_stay_exact():
     (sqrt(6) + 1)^2 in a row, and reports as a float only where irrational."""
     root6 = RadicalScalar.sqrt(6)
     matrix = SynthesisMatrix(2, 2, {(0, 0): root6 - 1, (0, 1): root6 + 1, (1, 1): root6 - 1})
-    rows, cols = map(verify_module._settle_all, verify_module._square_sums(matrix))
+    sweep = Sweep(matrix)
+    rows, cols = sweep.row_sums, sweep.col_sums
     assert rows == [Fraction(14), RadicalScalar([(1, 7), (6, -2)])]
     assert type(rows[0]) is Fraction
     assert cols == [RadicalScalar([(1, 7), (6, -2)]), RadicalScalar([(1, 14)])]
     assert type(cols[1]) is Fraction
     assert_same_report(verify_frame(matrix, (14, 1)), verify_frame_oracle(matrix, (14, 1)))
+
+
+# -- both routes of the sweep ---------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _keyed_route():
+    """construct._UNIT_BITS at 0: every nonempty matrix takes the sweep's
+    bounded-work route, on (radicand, denominator) keys."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct_module, "_UNIT_BITS", 0)
+        yield
+
+
+def _partition_flags(matrix, data):
+    """group_flags over a drawn partition with a drawn weight, and the oracle's."""
+    count = matrix.col_count
+    order = data.draw(st.permutations(range(count)))
+    cuts = data.draw(st.sets(st.integers(1, count - 1)) if count > 1 else st.just(set()))
+    bounds = [0] + sorted(cuts) + [count]
+    partition = tuple(tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:]))
+    weight = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)]))
+    frame = FusionFrame(
+        m=matrix.row_count,
+        weights_squared=(weight,) * len(partition),
+        dims=tuple(len(group) for group in partition),
+        generator=matrix,
+        partition=partition,
+    )
+    flags = group_flags(Sweep(matrix), partition, (weight,) * len(partition))
+    return flags, fusion_group_flags_oracle(frame)
+
+
+@given(sparse_exact_matrices(min_cols=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_keyed_route_matches_the_oracles(matrix, data):
+    """The oracle sweeps above, past the unit bound."""
+    with _keyed_route():
+        sweep = Sweep(matrix)
+        sweep.forms
+        assert sweep._keyed == bool(matrix.nonzero_count)
+        _check_against_the_parent(matrix)
+        assert frame_operator(matrix).entries == row_gram_oracle(matrix)
+        assert orthogonality_distance(matrix) == orthogonality_distance_oracle(matrix)
+        flags, expected = _partition_flags(matrix, data)
+        assert flags == expected
+
+
+@given(matrices_with_complex_columns())
+@settings(max_examples=100, deadline=None)
+def test_keyed_route_matches_the_oracles_with_complex_columns(matrix):
+    with _keyed_route():
+        _check_against_the_parent(matrix)
+
+
+@given(sparse_exact_matrices(min_cols=1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_keyed_route_fusion_reports_equal_the_parent(matrix, data):
+    count = matrix.col_count
+    cuts = data.draw(st.sets(st.integers(1, count - 1)) if count > 1 else st.just(set()))
+    bounds = [0] + sorted(cuts) + [count]
+    partition = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    frame = FusionFrame(matrix.row_count, (Fraction(1),) * len(partition),
+                        tuple(map(len, partition)), matrix, partition)
+    with _keyed_route():
+        oracle = verify_fusion_oracle(frame)
+        report = verify_fusion(frame)
+        assert report.exact == oracle.exact
+        if oracle.exact:
+            assert_same_report(report, oracle)
+
+
+BOUND = construct_module._UNIT_BITS
+
+
+@pytest.mark.parametrize("exponent", [BOUND - 1, BOUND])
+def test_the_route_turns_at_the_unit_bound(exponent):
+    """Entries 1/2^k and 1/3: the unit 3 * 2^k has k + 2 bits, so k = bound - 2
+    stays on ints over D and k = bound - 1 takes the keyed route; both
+    reports equal the oracle's."""
+    entries = {
+        (0, 0): RadicalScalar.from_rational(Fraction(1, 2 ** (exponent - 1))),
+        (0, 1): RadicalScalar.from_rational(Fraction(1, 3)),
+        (1, 1): RadicalScalar.sqrt(Fraction(1, 3)),
+    }
+    matrix = SynthesisMatrix(2, 2, entries)
+    sweep = Sweep(matrix)
+    sweep.forms
+    assert sweep._keyed == (exponent == BOUND)
+    _check_against_the_parent(matrix)
+
+
+def _reciprocal_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_a_row_of_reciprocal_primes_equals_the_parent():
+    """A 1 x 2,000 row of 1/p over distinct primes: a common unit of 2,000
+    primes (about 28 kbit) would make every numerator that long, so the
+    sweep takes the keyed route. The oracle's all-pairs distance takes most
+    of this test's time (about 15 s)."""
+    row = {(0, j): RadicalScalar.from_rational(Fraction(1, p))
+           for j, p in enumerate(_reciprocal_primes(2000))}
+    matrix = SynthesisMatrix(1, 2000, row)
+    report = verify_frame(matrix)
+    assert report.is_frame and report.rows_orthogonal
+    assert_same_report(report, verify_frame_oracle(matrix))
