@@ -55,8 +55,8 @@ from .verify import FusionReport, VerificationReport, verify_frame, verify_fusio
 MAX_GRID_CELLS = 10**6
 
 #: The widest document naimark completes. Its Parseval input's complement is
-#: dense: the CLI run on a 1 x n document of entries sqrt(1/n) took 0.8 s
-#: at n = 100, 1.6-2.2 s and 58 MB at n = 160, 5.5 s at n = 250 and 41 s
+#: dense: the CLI run on a 1 x n document of entries sqrt(1/n) took 0.9 s
+#: at n = 100, 1.9-2.6 s and 57 MB at n = 160, 6.0 s at n = 250 and 48-58 s
 #: and 282 MB at n = 500, most of it in verify_frame's exact row-pair walk
 #: and exact rank of the (n - 1) x n complement (Python 3.11 on a 2-core
 #: x86-64 host). The library function naimark_complement itself is not

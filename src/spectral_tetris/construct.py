@@ -345,7 +345,6 @@ class Sweep:
         self.matrix = matrix
         self.scale = 1
         self._keyed = False
-        self._single = True  # every form has one term
 
     @cached_property
     def forms(self) -> Dict[int, Form]:
@@ -357,7 +356,7 @@ class Sweep:
         for den in {c.denominator for parts in terms.values() for _, c in parts}:
             unit = math.lcm(unit, den)
             if unit.bit_length() > _UNIT_BITS:
-                self._keyed, self._single = True, False
+                self._keyed = True
                 return terms
         self.scale = unit * unit
         forms: Dict[int, Form] = {}
@@ -369,7 +368,6 @@ class Sweep:
                 forms[key] = ((radicand, a),)
                 square[key] = a * a * radicand
             else:
-                self._single = False
                 forms[key] = tuple((r, c.numerator * (unit // c.denominator)) for r, c in parts)
         return forms
 
@@ -475,29 +473,17 @@ class Sweep:
         """
         forms = self.forms
         add = _add_keyed_product if self._keyed else _add_product
-        inline = self._single  # one-term forms multiply here as _add_product would
         pairs: Dict[Key, Accumulator] = {}
         for column in column_maps(self.matrix):
             if len(column) < 2:
                 continue  # a single row meets no other row here
             items = [(row, forms[id(value)]) for row, value in sorted(column.items())]
             for a, (p, x) in enumerate(items):
-                if inline:
-                    ((r1, a1),) = x
                 for q, y in items[a + 1 :]:
                     sums = pairs.get((p, q))
                     if sums is None:
                         sums = pairs[(p, q)] = {}
-                    if not inline:
-                        add(sums, x, y)
-                        continue
-                    ((r2, a2),) = y
-                    if r1 == r2:
-                        sums[1] = sums.get(1, 0) + a1 * a2 * r1
-                    else:
-                        g = math.gcd(r1, r2)
-                        radicand = (r1 // g) * (r2 // g)
-                        sums[radicand] = sums.get(radicand, 0) + a1 * a2 * g
+                    add(sums, x, y)
         if self._keyed:
             return {pair: _combined(sums) for pair, sums in pairs.items()}
         return pairs

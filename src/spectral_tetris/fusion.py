@@ -11,7 +11,7 @@ incidence puts in a common row, with the verifier's column check
 (construct.Sweep.columns_cancel, on integers). It squares nothing itself:
 it reads the column square sums of the matrix's one construct.Sweep, the
 kind of sweep the verifier reads, and compares them to the weights as
-ints, unsettled. maximal_chains and rff read the same incidence.
+ints, unsettled. rff reads the same incidence.
 
 When the round-robin order fails, weighted_fusion runs the readiness fill
 search (sequences._FillSearch) with one tag per subspace, each keeping the
@@ -143,9 +143,11 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
     """
     maps = column_maps(matrix)
     pool = sorted(set(columns))
-    incidence = Sweep(matrix).incidence
+    incidence: Dict[int, List[int]] = {}  # row -> the pool's columns in it
+    for col in pool:
+        for row in maps[col]:
+            incidence.setdefault(row, []).append(col)
     unvisited = set(pool)
-    expanded: Set[int] = set()  # a row's pool columns all join its first chain
     chains: List[Tuple[int, ...]] = []
     for start in pool:
         if start not in unvisited:
@@ -156,8 +158,7 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
         while stack:
             col = stack.pop()
             component.append(col)
-            for row in maps[col].keys() - expanded:
-                expanded.add(row)
+            for row in maps[col]:
                 for neighbour in incidence[row]:
                     if neighbour in unvisited:
                         unvisited.discard(neighbour)

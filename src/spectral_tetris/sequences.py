@@ -723,8 +723,9 @@ def _minimal_zero_sum_parts(
 ) -> Tuple[List[_Counts], int]:
     """Count vectors of the minimal zero-sum multisets whose lowest class is
     low, and the work after the walk: the given work plus, per node, one
-    unit for the node, one per subset sum it holds and one per class it
-    scans for a child, each weighted by the residues' _words.
+    unit for the node and one per subset sum it holds, each weighted by the
+    residues' _words, and, past one word, _words - 1 per class it scans for
+    a child, so word-sized residues count as they always have.
 
     Classes are residues ints[k]/modulus with at most counts[k] members. A
     multiset is minimal zero-sum exactly when dropping one member of its
@@ -742,7 +743,7 @@ def _minimal_zero_sum_parts(
     stack = [(start, low, ints[low], {ints[low]})]
     while stack:
         used, last, total, sums = stack.pop()
-        work += (1 + len(sums) + size - last) * weight
+        work += (1 + len(sums)) * weight + (size - last) * (weight - 1)
         if work > _MU_WORK_CAP:
             raise _MuWorkExceeded
         closing = class_of.get(-total % modulus)

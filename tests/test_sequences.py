@@ -506,15 +506,30 @@ def test_swept_block_count_equals_the_public_one_on_hostile_spectra():
 
 
 def test_part_enumeration_weighs_its_work_by_the_residue_words():
-    """The same classes scaled by 2^200 find the same parts; each node and
-    subset sum then counts its 4 machine words."""
+    """The same classes scaled by 2^200 find the same parts. Word-sized
+    residues count one unit per node and per subset sum, as they always
+    have; the 4-word residues count 4 for each, and 3 more for each class a
+    node scans for a child."""
     ints, counts, scale = [2, 3, 4, 6, 8, 9], (3, 2, 2, 2, 1, 2), 2**200
+    works, wide_works = [], []
     for low in range(len(ints)):
         found, work = _minimal_zero_sum_parts(low, ints, counts, 12, 0)
         wide = [a * scale for a in ints]
         found_wide, work_wide = _minimal_zero_sum_parts(low, wide, counts, 12 * scale, 0)
         assert found_wide == found
-        assert work_wide == 4 * work
+        works.append(work)
+        wide_works.append(work_wide)
+    assert works == [300, 72, 60, 18, 12, 5]
+    scans = [111, 41, 20, 7, 4, 2]  # classes scanned from each low
+    assert wide_works == [4 * work + 3 * scan for work, scan in zip(works, scans)]
+
+
+def test_many_small_classes_stay_exact_near_the_work_cap():
+    """2 + k/60 for k = 1..44: 44 classes mod 60 whose exact count works
+    close to _MU_WORK_CAP. Word-sized residues pay nothing for the classes
+    a node scans, so the count stays exact."""
+    result = maximal_block_number([2 + Fraction(k, 60) for k in range(1, 45)])
+    assert (result.mu, result.heuristic) == (16, False)
 
 
 def test_block_number_of_long_residues_stops_early(monkeypatch):
