@@ -30,10 +30,10 @@ columns incidence and one {radicand: int} accumulator per row pair that
 meets in a column, and decides a column pair's inner product on ints; no
 RadicalScalar product is formed. Each distinct sum becomes one exact value
 (a Fraction s/D^2, a RadicalScalar when irrational) only when a caller
-reads it, and each part is computed only when a caller reads it. A unit
-past _UNIT_BITS takes the keyed route, bounded-work safety for many coprime
-denominators that no bench or construction matrix reaches: products go in
-under (radicand, denominator) keys and each sum is added up once. numpy is
+reads it, and each part is computed only when a caller reads it. Past
+_UNIT_BITS, a bound on many coprime denominators that no bench or
+construction matrix reaches, each form keeps its terms' own Fractions
+instead, and the same code adds and settles them. numpy is
 imported only inside the numeric code (to_dense and the Naimark
 complement), so the exact routes never load it. The Naimark complement is
 numeric: its completion is read once, and each distinct float becomes one
@@ -71,6 +71,7 @@ from .exact_numeric import (
 from .sequences import (
     SfrCertificate,
     STReadyCertificate,
+    _lcm,
     as_norms_squared,
     as_spectrum,
     integer_units,
@@ -232,23 +233,22 @@ ExactSum = Union[Fraction, RadicalScalar]
 #: the sweep's unit D, or the term's own Fraction past _UNIT_BITS.
 Form = Tuple[Tuple[int, Union[int, Fraction]], ...]
 
-#: radicand -> coefficient over the sweep's scale (D^2, or 1 past
-#: _UNIT_BITS): the sum of coefficient/scale * sqrt(radicand) over the items.
+#: radicand -> coefficient over the sweep's scale (D^2, or 1 for Fraction
+#: coefficients): the sum of coefficient/scale * sqrt(radicand) over the items.
 Accumulator = Dict[int, Union[int, Fraction]]
 
 #: The most bits the common unit D may have. Many coprime denominators
-#: make D the product of them all, every int over D^2 twice that long and
-#: each distinct sum a gcd of that length to settle: one D over the
-#: 8,000 x 8,000 diagonal of 1/p for distinct primes p would be 112 kbit.
-#: Past the bound the sweep takes the keyed route (see Sweep), whose
+#: make D the product of them all and every int over D^2 twice that long:
+#: one D over the 8,000 x 8,000 diagonal of 1/p for distinct primes p would
+#: be 112 kbit. Past the bound the forms keep Fraction coefficients, whose
 #: denominators grow only with the terms that meet in one sum. On rows,
-#: diagonals and dense 40 x k blocks of 1/p over the first k primes, the
-#: sweep on ints over D was the faster one up to 417-bit units and the
-#: keyed route from 694 bits (rows, diagonals) and 990 bits (dense blocks)
-#: on (Python 3.11, 2-core x86-64 host). Every Spectral Tetris and bench
-#: matrix has a unit of at most 5 bits, the Naimark complement of a 1 x 160
-#: Parseval row one of 59.
-_UNIT_BITS = 512
+#: diagonals and dense 40 x k blocks of 1/p and sqrt(1/p) over the first k
+#: primes, ints over D were the faster up to 1.5 kbit on all three (by 1.2x
+#: to 1.8x at 1,500 bits), and Fractions from about 1.8 kbit on diagonals
+#: and 2.6 kbit on rows and dense blocks (Python 3.11, 2-core x86-64
+#: host). Every Spectral Tetris and bench matrix has a unit of at most 5
+#: bits, the Naimark complement of a 1 x 160 Parseval row one of 59.
+_UNIT_BITS = 1536
 
 
 def _entry_terms(value: MatrixEntry) -> Tuple[Tuple[int, Fraction], ...]:
@@ -269,31 +269,6 @@ def _add_product(sums: Accumulator, x: Form, y: Form) -> None:
                 g = math.gcd(r1, r2)
                 radicand = (r1 // g) * (r2 // g)
                 sums[radicand] = sums.get(radicand, 0) + a1 * a2 * g
-
-
-def _add_keyed_product(sums: Dict[Tuple[int, int], int], x: Form, y: Form) -> None:
-    """_add_product past _UNIT_BITS, where the forms keep Fraction
-    coefficients: each product goes in as an int numerator under its
-    (radicand, denominator) key, unreduced, so no sum pays a gcd on a
-    growing denominator (_combined adds them up once)."""
-    for r1, c1 in x:
-        for r2, c2 in y:
-            g = math.gcd(r1, r2)
-            key = ((r1 // g) * (r2 // g), c1.denominator * c2.denominator)
-            sums[key] = sums.get(key, 0) + c1.numerator * c2.numerator * g
-
-
-def _combined(sums: Dict[Tuple[int, int], int]) -> Accumulator:
-    """{radicand: Fraction} of a keyed accumulator: each radicand's numerators
-    and denominators summed on ints, and reduced once."""
-    ratios: Dict[int, Tuple[int, int]] = {}
-    for (radicand, denominator), numerator in sums.items():
-        if radicand in ratios:
-            total, common = ratios[radicand]
-            ratios[radicand] = (total * denominator + numerator * common, common * denominator)
-        else:
-            ratios[radicand] = (numerator, denominator)
-    return {radicand: Fraction(*ratio) for radicand, ratio in ratios.items()}
 
 
 def _vanishes(sums: Accumulator) -> bool:
@@ -328,10 +303,8 @@ class Sweep:
     the inner products of the row pairs that meet in a column and those of
     column pairs are ints, and each distinct sum becomes one exact value
     (_exact_sum) only when a caller reads it. Past _UNIT_BITS the forms keep
-    the terms' own Fractions, products go in under (radicand, denominator)
-    keys (_add_keyed_product) and each sum is combined once (_combined)
-    into the same {radicand: Fraction} accumulators, which the rest reads
-    as it reads ints, with scale 1.
+    the terms' own Fractions with scale 1, and every part runs the same
+    code on them.
 
     Each part is computed on first use and kept, so a caller pays only for
     what it reads: forms, the square sums (_squares, settled as row_sums
@@ -344,23 +317,21 @@ class Sweep:
     def __init__(self, matrix: SynthesisMatrix):
         self.matrix = matrix
         self.scale = 1
-        self._keyed = False
 
     @cached_property
     def forms(self) -> Dict[int, Form]:
-        """{id(entry): form} over the distinct entry objects; sets scale, and
-        _square, the square of each one-term form (an int over scale)."""
+        """{id(entry): form} over the distinct entry objects; sets scale to
+        D^2 and _square to the square of each one-term form (an int over
+        scale). Past _UNIT_BITS each form is its entry's own terms, scale
+        stays 1 and _square empty."""
         values = {id(value): value for value in self.matrix.entries.values()}
         terms = dict(zip(values, map(_entry_terms, values.values())))
-        unit = 1
-        for den in {c.denominator for parts in terms.values() for _, c in parts}:
-            unit = math.lcm(unit, den)
-            if unit.bit_length() > _UNIT_BITS:
-                self._keyed = True
-                return terms
+        self._square = square = {}
+        unit = _lcm(c.denominator for parts in terms.values() for _, c in parts)
+        if unit.bit_length() > _UNIT_BITS:
+            return terms
         self.scale = unit * unit
         forms: Dict[int, Form] = {}
-        self._square = square = {}
         for key, parts in terms.items():
             if len(parts) == 1:
                 ((radicand, c),) = parts
@@ -375,14 +346,13 @@ class Sweep:
     def _squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
         """Row and column square sums in one pass over the nonzeros: their
         rational parts as ints over scale, and the irrational parts, which
-        only multi-term entries have, as {row or column: accumulator}."""
+        only multi-term entries have, as {row or column: accumulator}. The
+        forms that have no square in _square yet are squared here."""
         matrix, forms = self.matrix, self.forms
-        if self._keyed:
-            return self._keyed_squares()
         rational = self._square
         irrational: Dict[int, Accumulator] = {}
         for key, form in forms.items():
-            if len(form) > 1:
+            if key not in rational:
                 sums: Accumulator = {}
                 _add_product(sums, form, form)
                 rational[key] = sums.pop(1, 0)
@@ -402,33 +372,9 @@ class Sweep:
                         target[radicand] = target.get(radicand, 0) + part
         return rows, cols, row_parts, col_parts
 
-    def _keyed_squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
-        """_squares past _UNIT_BITS, on (radicand, denominator) keys."""
-        matrix, forms = self.matrix, self.forms
-        rows: List[Dict[Tuple[int, int], int]] = [{} for _ in range(matrix.row_count)]
-        cols: List[Dict[Tuple[int, int], int]] = [{} for _ in range(matrix.col_count)]
-        for (i, j), value in matrix.entries.items():
-            form = forms[id(value)]
-            _add_keyed_product(rows[i], form, form)
-            _add_keyed_product(cols[j], form, form)
-        halves = []
-        for keyed in (rows, cols):
-            rational, parts = [], {}
-            for index, sums in enumerate(map(_combined, keyed)):
-                rational.append(sums.pop(1, 0))
-                if not _vanishes(sums):
-                    parts[index] = sums
-            halves.append((rational, parts))
-        (row_sums, row_parts), (col_sums, col_parts) = halves
-        return row_sums, col_sums, row_parts, col_parts
-
     def _settled(self, sums: list, parts: Dict[int, Accumulator]) -> List[ExactSum]:
         """The exact value of each square sum, each distinct one settled once,
-        so equal sums are one object. Past _UNIT_BITS the sums are Fractions
-        already, and each is wrapped as it stands: hashing them to find the
-        equal ones would cost more."""
-        if self._keyed:
-            return [_exact_sum({1: s, **parts.get(index, {})}, 1) for index, s in enumerate(sums)]
+        so equal sums are one object."""
         if not parts:
             settled = {s: _exact_sum({1: s}, self.scale) for s in dict.fromkeys(sums)}
             return list(map(settled.__getitem__, sums))
@@ -453,11 +399,12 @@ class Sweep:
         """The row square sums as sequences.integer_units gives them, (unit,
         each sum times unit), or None unless every one is a positive
         rational. Over D^2 no Fraction is formed: with g = gcd(D^2, sums),
-        the lcm of the reduced denominators is D^2/g and each sum is s/g."""
+        the lcm of the reduced denominators is D^2/g and each sum is s/g.
+        Sums over scale 1 go through integer_units itself."""
         rows, _, row_parts, _ = self._squares
         if any(s <= 0 for s in rows) or not all(map(_vanishes, row_parts.values())):
             return None
-        if self._keyed:
+        if self.scale == 1:
             return integer_units(rows)
         common = math.gcd(self.scale, *rows)
         return self.scale // common, [s // common for s in rows]
@@ -472,7 +419,6 @@ class Sweep:
         inner products. Row pairs that share no column are absent.
         """
         forms = self.forms
-        add = _add_keyed_product if self._keyed else _add_product
         pairs: Dict[Key, Accumulator] = {}
         for column in column_maps(self.matrix):
             if len(column) < 2:
@@ -483,9 +429,7 @@ class Sweep:
                     sums = pairs.get((p, q))
                     if sums is None:
                         sums = pairs[(p, q)] = {}
-                    add(sums, x, y)
-        if self._keyed:
-            return {pair: _combined(sums) for pair, sums in pairs.items()}
+                    _add_product(sums, x, y)
         return pairs
 
     def rows_orthogonal(self) -> bool:
@@ -523,11 +467,10 @@ class Sweep:
         shared = a.keys() & b.keys()
         if len(shared) == 1:
             return False
-        add = _add_keyed_product if self._keyed else _add_product
         sums: Accumulator = {}
         for row in shared:
-            add(sums, forms[id(a[row])], forms[id(b[row])])
-        return _vanishes(_combined(sums) if self._keyed else sums)
+            _add_product(sums, forms[id(a[row])], forms[id(b[row])])
+        return _vanishes(sums)
 
     def norms_equal(self, cols: Sequence[int], weight) -> bool:
         """Whether each of the given columns has squared norm weight, decided
@@ -537,11 +480,9 @@ class Sweep:
         _, sums, _, parts = self._squares
         if parts and not all(_vanishes(parts.get(col, {})) for col in cols):
             return False
-        if self._keyed:
-            target = weight
-        else:  # weight * scale, when it is an int; no int sum matches otherwise
-            quotient, rest = divmod(weight.numerator * self.scale, weight.denominator)
-            target = None if rest else quotient
+        # weight * scale, as an int when integral, so int sums compare as ints
+        quotient, rest = divmod(weight.numerator * self.scale, weight.denominator)
+        target = weight * self.scale if rest else quotient
         values = [sums[col] for col in cols]
         return values.count(target) == len(values)
 

@@ -23,7 +23,8 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Generator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Generator, Iterable, List, NamedTuple, Optional
+from typing import Sequence, Set, Tuple, Union
 
 from .blocks import block_a_hat_support
 from .errors import (
@@ -87,6 +88,17 @@ class STReadyCertificate:
     partition: Tuple[int, ...]
 
 
+def _lcm(denominators: Iterable[int]) -> int:
+    """The lcm of the denominators, each distinct one taken once. Up to eight
+    it is one math.lcm call; more are combined pairwise, level by level, so
+    k coprime ones cost a balanced tree of products instead of k products
+    against one ever longer lcm."""
+    level = list(set(denominators))
+    while len(level) > 8:
+        level = [math.lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
+    return math.lcm(*level)
+
+
 def integer_units(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
     """The unit, the lcm of all the values' denominators, followed by each
     group as integers in that unit: every value times the unit.
@@ -96,7 +108,7 @@ def integer_units(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
     same moves in the same order on the integers, at int speed; an integer
     k stands for Fraction(k, unit).
     """
-    unit = math.lcm(*(v.denominator for group in groups for v in group))
+    unit = _lcm(v.denominator for group in groups for v in group)
     scaled = (tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
     return (unit, *scaled)
 

@@ -187,11 +187,9 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
     settled 5,700 accumulators and built the column maps twice. The sweep
     lives in construct, so the counters wrap its handles: _entry_terms
     reads one entry, _exact_sum settles one sum, and column_maps is looked
-    up by both modules."""
-    matrix = construct_untf(200, 5500)
-    distinct = len({id(value) for value in matrix.entries.values()})
-    assert matrix.nonzero_count > 10 * distinct
-    counts = {"squared": 0, "settled": 0, "builds": 0}
+    up by both modules. The route past the unit bound (the bound at 0, each
+    form keeping its terms' own Fractions) is counted too."""
+    counts = {}
     squared, settle, maps = (
         construct_module._entry_terms,
         construct_module._exact_sum,
@@ -214,11 +212,17 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
     monkeypatch.setattr(construct_module, "_exact_sum", counting_settle)
     monkeypatch.setattr(construct_module, "column_maps", counting_maps)
     monkeypatch.setattr(verify_module, "column_maps", counting_maps)
-    report = verify_frame(matrix, [F(55, 2)] * 200, [F(1)] * 5500)
-    assert report.is_frame and report.spectrum_matches and report.norms_match
-    assert 0 < counts["squared"] <= distinct
-    assert 0 < counts["settled"] <= 8
-    assert counts["builds"] == 1
+    for bits in (construct_module._UNIT_BITS, 0):
+        monkeypatch.setattr(construct_module, "_UNIT_BITS", bits)
+        matrix = construct_untf(200, 5500)
+        distinct = len({id(value) for value in matrix.entries.values()})
+        assert matrix.nonzero_count > 10 * distinct
+        counts.update(squared=0, settled=0, builds=0)
+        report = verify_frame(matrix, [F(55, 2)] * 200, [F(1)] * 5500)
+        assert report.is_frame and report.spectrum_matches and report.norms_match
+        assert 0 < counts["squared"] <= distinct
+        assert 0 < counts["settled"] <= 8
+        assert counts["builds"] == 1
 
 
 def _settled_by(monkeypatch, call):

@@ -598,11 +598,17 @@ def test_irrational_square_sums_stay_exact():
 
 @contextlib.contextmanager
 def _keyed_route():
-    """construct._UNIT_BITS at 0: every nonempty matrix takes the sweep's
-    bounded-work route, on (radicand, denominator) keys."""
+    """construct._UNIT_BITS at 0: every matrix takes the sweep's route past
+    the unit bound, where each form keeps its terms' own Fractions."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(construct_module, "_UNIT_BITS", 0)
         yield
+
+
+def _coefficient_types(sweep):
+    """The route a sweep took: the types of its forms' coefficients, ints
+    over D below the unit bound and Fractions past it."""
+    return {type(c) for form in sweep.forms.values() for _, c in form}
 
 
 def _partition_flags(matrix, data):
@@ -630,8 +636,7 @@ def test_keyed_route_matches_the_oracles(matrix, data):
     """The oracle sweeps above, past the unit bound."""
     with _keyed_route():
         sweep = Sweep(matrix)
-        sweep.forms
-        assert sweep._keyed == bool(matrix.nonzero_count)
+        assert _coefficient_types(sweep) == ({Fraction} if matrix.nonzero_count else set())
         _check_against_the_parent(matrix)
         assert frame_operator(matrix).entries == row_gram_oracle(matrix)
         assert orthogonality_distance(matrix) == orthogonality_distance_oracle(matrix)
@@ -669,7 +674,7 @@ BOUND = construct_module._UNIT_BITS
 @pytest.mark.parametrize("exponent", [BOUND - 1, BOUND])
 def test_the_route_turns_at_the_unit_bound(exponent):
     """Entries 1/2^k and 1/3: the unit 3 * 2^k has k + 2 bits, so k = bound - 2
-    stays on ints over D and k = bound - 1 takes the keyed route; both
+    stays on ints over D and k = bound - 1 keeps Fraction coefficients; both
     reports equal the oracle's."""
     entries = {
         (0, 0): RadicalScalar.from_rational(Fraction(1, 2 ** (exponent - 1))),
@@ -678,8 +683,7 @@ def test_the_route_turns_at_the_unit_bound(exponent):
     }
     matrix = SynthesisMatrix(2, 2, entries)
     sweep = Sweep(matrix)
-    sweep.forms
-    assert sweep._keyed == (exponent == BOUND)
+    assert _coefficient_types(sweep) == {Fraction if exponent == BOUND else int}
     _check_against_the_parent(matrix)
 
 
