@@ -16,9 +16,8 @@ its 2x2 blocks are built from those ints by blocks._block_from_units.
 construct_untf_dft keeps its own J x J fill. The fill's entries are
 nonzero (a singleton is sqrt of a positive norm, and _place_block stores
 only nonzero block entries) and inside the shape (every row and column it
-writes it has just read from the eigenvalue and norm lists), so the
-wrappers build through SynthesisMatrix._unchecked; construct_untf_dft
-keeps the checking constructor.
+writes it has just read from the eigenvalue and norm lists), so both
+fills build through SynthesisMatrix._unchecked (see construct_untf_dft).
 
 This is also the only module that computes the exact checks' sums, in one
 Sweep per matrix that the verifier and the fusion layer read. It reads
@@ -94,16 +93,16 @@ class SynthesisMatrix:
     must not change after construction. meta carries construction
     by-products (swap logs, step traces, certificates), never serialized.
 
-    The constructor checks the shape and every entry. Producers whose
-    entries are valid by construction pass them to _unchecked with the
-    complex flag they know: the fill behind pnstc, pnstc_str and
-    construct_untf (so sfr, equal_norm_frame and the fusion generators
-    too; see the module docstring); scale, whose nonzero factor keeps each
-    entry nonzero at its key; the Naimark completion, which stores only the
-    nonzero floats of its (N - M) x N completion; fusion.extend_to_tight,
-    which reverses the rows of a generator already built; and
-    json_io.matrix_from_json, whose one pass makes each check once per
-    entry.
+    The constructor is the one complete check, raising ValueError unless
+    the shape and indices are integers, each index inside the shape, and
+    each entry a nonzero RadicalScalar or ComplexRadicalEntry of RadicalScalar
+    modulus. Producers whose entries are valid by construction pass them to
+    _unchecked with the complex flag they know: both fills (see the module
+    docstring); scale, whose nonzero factor keeps each entry nonzero at
+    its key; the Naimark completion, which stores only the nonzero floats
+    of its (N - M) x N completion; fusion.extend_to_tight, which reverses
+    the rows of a generator already built; and json_io.matrix_from_json,
+    whose one pass makes each check once per entry.
     """
 
     row_count: int
@@ -113,15 +112,31 @@ class SynthesisMatrix:
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.row_count < 0 or self.col_count < 0:
-            raise ValueError(f"negative dimension in shape {self.row_count}x{self.col_count}")
+        m, n = self.row_count, self.col_count
+        if not (hasattr(m, "__index__") and hasattr(n, "__index__")):
+            raise ValueError(f"shape {m!r}x{n!r} is not a pair of integers")
+        if m < 0 or n < 0:
+            raise ValueError(f"negative dimension in shape {m}x{n}")
         self._complex = False
-        for (i, j), value in self.entries.items():
-            if not (0 <= i < self.row_count and 0 <= j < self.col_count):
-                raise ValueError(f"entry index ({i}, {j}) outside {self.row_count}x{self.col_count}")
+        for key, value in self.entries.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ValueError(f"entry key {key!r} is not a (row, col) pair") from None
+            if not (hasattr(i, "__index__") and hasattr(j, "__index__")):
+                raise ValueError(f"entry index ({i!r}, {j!r}) is not a pair of integers")
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry index ({i}, {j}) outside {m}x{n}")
+            # an exact type test is the cheapest
+            modulus = value.modulus if type(value) is ComplexRadicalEntry else value
+            if not isinstance(modulus, RadicalScalar):
+                raise ValueError(
+                    f"entry ({i}, {j}) is neither a RadicalScalar nor a "
+                    f"ComplexRadicalEntry of RadicalScalar modulus: {value!r}"
+                )
             if not value:
                 raise ValueError(f"stored zero entry at ({i}, {j})")
-            if type(value) is ComplexRadicalEntry:  # an exact type test is the cheapest
+            if modulus is not value:
                 self._complex = True
         self._columns: Optional[List[Dict[int, MatrixEntry]]] = None
 
@@ -207,10 +222,7 @@ class SynthesisMatrix:
             scaled[key] = product
         meta = dict(self.meta)
         # keys and shape are this matrix's, and a nonzero factor times a
-        # nonzero entry is nonzero; only a hand-made ComplexRadicalEntry of
-        # modulus 0 scales to zero, and the constructor refuses it
-        if not all(products.values()):
-            return SynthesisMatrix(self.row_count, self.col_count, scaled, meta=meta)
+        # nonzero entry is nonzero
         is_complex = any(type(product) is ComplexRadicalEntry for product in products.values())
         return SynthesisMatrix._unchecked(self.row_count, self.col_count, scaled, is_complex, meta)
 
@@ -733,6 +745,11 @@ def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
     share of the rest. Singletons handle rows with remainder >= 2 or exactly
     1. Raises Underdetermined for count < dimension and DftPathStuck (with
     the step trace) when no block size fits.
+
+    The weight left in the rows is count - col (a J x J block takes rest +
+    (J-1)*trailing = J), so rows remain while columns do and J <= count -
+    col; rest > 0 and trailing > 0 make every entry nonzero. So the matrix
+    is built unchecked, complex exactly when some block has J >= 3.
     """
     if dimension < 1 or count < 1:
         raise ValueError("dimension and count must be positive")
@@ -746,12 +763,8 @@ def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
     steps: List[Tuple[str, ...]] = []
     col = 0
     row = 0
+    is_complex = False
     while col < count:
-        if row >= dimension:
-            raise DftPathStuck(
-                f"columns {col}..{count - 1} remain but every row is exhausted",
-                steps=tuple(steps),
-            )
         rest = remaining[row]
         if rest == 0:
             row += 1
@@ -762,32 +775,26 @@ def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
             steps.append(("singleton", f"row {row}", f"col {col}"))
             col += 1
             continue
-        placed = False
         for size in range(2, dimension - row + 1):
             trailing = (size - rest) / Fraction(size - 1)
             if all(trailing <= remaining[row + i] for i in range(1, size)):
-                block = dft_block(size, rest, trailing)
-                _place_block(entries, block, row, col)
-                for i in range(1, size):
-                    remaining[row + i] -= trailing
-                remaining[row] = 0
-                steps.append((f"block J={size}", f"rows {row}..{row + size - 1}", f"col {col}"))
-                col += size
-                row += 1
-                placed = True
                 break
-        if not placed:
+        else:
             raise DftPathStuck(
                 f"row {row} holds fractional weight {rest} but no block size "
                 f"J <= {dimension - row} fits the rows below",
                 steps=tuple(steps),
             )
-    return SynthesisMatrix(
-        dimension,
-        count,
-        entries,
-        meta={"algorithm": "untf_dft", "eigenvalue": eigenvalue, "steps": tuple(steps)},
-    )
+        _place_block(entries, dft_block(size, rest, trailing), row, col)
+        for i in range(1, size):
+            remaining[row + i] -= trailing
+        remaining[row] = 0
+        steps.append((f"block J={size}", f"rows {row}..{row + size - 1}", f"col {col}"))
+        is_complex = is_complex or size > 2
+        col += size
+        row += 1
+    meta = {"algorithm": "untf_dft", "eigenvalue": eigenvalue, "steps": tuple(steps)}
+    return SynthesisMatrix._unchecked(dimension, count, entries, is_complex, meta)
 
 
 def equal_norm_frame(

@@ -19,9 +19,7 @@ wraps the single squarefree term directly. The split is memoized in a
 bounded cache. The split and the pivot prime of inverse come from one
 trial-division routine, _prime_powers. The JSON decoder memoizes whole
 entries in a bounded cache keyed on their integer terms, so a document
-builds each distinct entry once; terms that are already canonical
-(radicands increasing, each squarefree by the cached split, coefficients
-nonzero) are wrapped directly instead of passing through the constructor.
+builds each distinct entry once, through the public constructor.
 
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
@@ -315,6 +313,9 @@ class ComplexRadicalEntry:
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.root_exponent, self.root_order))
+
+    def __bool__(self) -> bool:
+        return bool(self.modulus)
 
     def __complex__(self) -> complex:
         phase = 2.0 * math.pi * self.root_exponent / self.root_order

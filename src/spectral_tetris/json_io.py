@@ -21,11 +21,11 @@ of a 2x2 block. So the encoder reads each run of one entry object in
 each check once per entry: a plain entry (exact int row and col, one term
 of exact ints, no omega) is looked up in a per-document memo keyed on its
 (num, den, rad) once those types are tested; a miss, and every other
-entry, is read field by field and built once per distinct entry from a
-bounded memo keyed on its (num, den, rad) triples and omega pair. The
-matrix is then built unchecked, since the pass has made the constructor's
-checks. A document declaring m or n above MAX_DIMENSION is refused before
-any entry is read.
+entry, is read field by field and built once per distinct entry by the
+public RadicalScalar constructor, from a bounded memo keyed on its (num,
+den, rad) triples and omega pair. The matrix is then built unchecked,
+since the pass has made the constructor's checks. A document declaring m
+or n above MAX_DIMENSION is refused before any entry is read.
 
 Files and CLI reports are written as indented JSON by _render, whose text
 equals json.dumps(value, indent=2) for every value json.dumps accepts, and
@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .construct import SynthesisMatrix
 from .errors import SpectralTetrisError
-from .exact_numeric import ComplexRadicalEntry, MatrixEntry, RadicalScalar, _squarefree_split
+from .exact_numeric import ComplexRadicalEntry, MatrixEntry, RadicalScalar
 from .fusion import FusionFrame
 
 
@@ -86,18 +86,6 @@ def _json_form(value: MatrixEntry) -> Tuple[_Terms, Optional[Tuple[int, int]]]:
     return tuple([(c.numerator, c.denominator, r) for r, c in value.terms]), omega
 
 
-def _is_canonical(pairs: Tuple[Tuple[int, Fraction], ...]) -> bool:
-    """Whether (radicand, coefficient) pairs already satisfy RadicalScalar's
-    canonical-term invariant: radicands positive, strictly increasing and
-    squarefree, coefficients nonzero. The encoder writes only such terms."""
-    previous = 0
-    for radicand, coefficient in pairs:
-        if radicand <= previous or not coefficient or _squarefree_split(radicand)[0] != 1:
-            return False
-        previous = radicand
-    return True
-
-
 @functools.lru_cache(maxsize=4096)
 def _entry_value(terms: _Terms, omega: Optional[Tuple[int, int]]) -> MatrixEntry:
     """The entry that (num, den, rad) int triples and an optional int omega
@@ -109,11 +97,7 @@ def _entry_value(terms: _Terms, omega: Optional[Tuple[int, int]]) -> MatrixEntry
     or float key would find an int entry), and the values are immutable,
     so entries and documents may share them.
     """
-    pairs = tuple((rad, Fraction(num, den)) for num, den, rad in terms)
-    if _is_canonical(pairs):
-        modulus = RadicalScalar._canonical(pairs)
-    else:
-        modulus = RadicalScalar(pairs)
+    modulus = RadicalScalar((rad, Fraction(num, den)) for num, den, rad in terms)
     return modulus if omega is None else ComplexRadicalEntry.make(modulus, *omega)
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_tetris import (
+    ComplexRadicalEntry,
+    DftPathStuck,
     Infeasible,
     NotParseval,
     NotSTReady,
@@ -19,6 +21,7 @@ from spectral_tetris import (
     SpectralTetrisError,
     SynthesisMatrix,
     Underdetermined,
+    ZERO,
     construct_untf,
     construct_untf_dft,
     entry_abs_squared,
@@ -386,11 +389,25 @@ def test_untf_dft_covers_ratios_below_two(dim, count):
 def test_untf_dft_greedy_can_jam():
     # smallest-J greedy paints row 2 into a corner at (7, 9); the failure
     # carries the step trace instead of being masked
-    from spectral_tetris import DftPathStuck
-
     with pytest.raises(DftPathStuck) as failure:
         construct_untf_dft(7, 9)
     assert failure.value.steps
+
+
+def test_untf_dft_builds_only_what_the_constructor_accepts():
+    """The DFT fill builds unchecked; every fill that completes for
+    2 <= m <= 12 and m < n < 2m, real and complex shapes both, passes the
+    constructor's check with the same complex flag."""
+    flags = []
+    for dim in range(2, 13):
+        for count in range(dim + 1, 2 * dim):
+            try:
+                matrix = construct_untf_dft(dim, count)
+            except DftPathStuck:
+                continue
+            assert_constructor_accepts(matrix)
+            flags.append(matrix.is_complex)
+    assert len(flags) > 20 and set(flags) == {False, True}
 
 
 # -- Naimark complement -----------------------------------------------------------
@@ -459,6 +476,33 @@ def test_synthesis_matrix_rejects_stored_zeros_and_bad_indices():
         SynthesisMatrix(1, 1, {(0, 0): RadicalScalar()})
     with pytest.raises(ValueError):
         SynthesisMatrix(1, 1, {(0, 1): goldens.ONE})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): Fraction(1, 2)},
+        {(0, 0): 1},
+        {(0.0, 0): goldens.ONE},
+        {(0, 0): ComplexRadicalEntry(ZERO, 1, 3)},
+        {(0, 0): ComplexRadicalEntry(Fraction(1, 2), 1, 3)},
+    ],
+    ids=["fraction-entry", "int-entry", "float-index", "zero-modulus", "fraction-modulus"],
+)
+def test_synthesis_matrix_refuses_entries_the_checks_cannot_read(entries):
+    """Each of these was once built, and verify_frame or write_document
+    then failed on it, or wrote a document the decoder refuses."""
+    with pytest.raises(ValueError):
+        SynthesisMatrix(1, 1, entries)
+
+
+def test_synthesis_matrix_refuses_a_shape_or_key_that_is_not_integers():
+    with pytest.raises(ValueError, match=r"^shape 2\.0x2 is not a pair of integers$"):
+        SynthesisMatrix(2.0, 2, {})
+    with pytest.raises(ValueError, match=r"^entry key 0 is not a \(row, col\) pair$"):
+        SynthesisMatrix(1, 1, {0: goldens.ONE})
+    with pytest.raises(ValueError, match=r"^entry key \(0, 0, 0\) is not a \(row, col\) pair$"):
+        SynthesisMatrix(1, 1, {(0, 0, 0): goldens.ONE})
 
 
 def test_column_accessors():

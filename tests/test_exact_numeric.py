@@ -159,6 +159,11 @@ def test_complex_entry_real_phases_collapse():
     assert ComplexRadicalEntry.make(ZERO, 1, 3) == ZERO
 
 
+def test_complex_entry_is_nonzero_exactly_when_its_modulus_is():
+    assert ComplexRadicalEntry.make(ONE, 1, 3)
+    assert not ComplexRadicalEntry(ZERO, 1, 3)
+
+
 def test_complex_entry_rejects_bad_order():
     with pytest.raises(DomainError):
         ComplexRadicalEntry.make(ONE, 1, 0)

@@ -244,19 +244,25 @@ ROOT_2 = RadicalScalar.sqrt(2)
 @pytest.mark.parametrize(
     "matrix",
     [
-        SynthesisMatrix(2, 2, {(0, 0): ROOT_2, (1.0, 1): ROOT_2}),
         SynthesisMatrix(2, 2, {(True, False): ROOT_2}),
         SynthesisMatrix(2, 2, {(np.int64(1), 0): ROOT_2}),
         SynthesisMatrix(np.int64(2), 2, {(0, 0): ROOT_2}),
         SynthesisMatrix(1, 1, {(0, 0): RadicalScalar([(np.int64(3), 1)])}),
     ],
-    ids=["float-row", "bool-index", "numpy-row", "numpy-m", "numpy-radicand"],
+    ids=["bool-index", "numpy-row", "numpy-m", "numpy-radicand"],
 )
 def test_matrix_text_of_odd_fields_is_that_of_its_document(matrix):
     """Fields other than exact ints are written, or refused, as json.dumps
     writes or refuses them in the document."""
     expected = _outcome(lambda m: json.dumps(matrix_to_json(m), indent=2) + "\n", matrix)
     assert _outcome(json_io._matrix_text, matrix) == expected
+
+
+def test_a_float_row_is_refused_before_anything_is_written():
+    """A float index has no __index__, so no matrix holding one is built
+    and there is no text to write."""
+    with pytest.raises(ValueError, match=r"^entry index \(1\.0, 1\) is not a pair of integers$"):
+        SynthesisMatrix(2, 2, {(0, 0): ROOT_2, (1.0, 1): ROOT_2})
 
 
 # -- every CLI subcommand --------------------------------------------------------------

@@ -141,11 +141,11 @@ def test_scale_multiplies_each_distinct_entry_object_once(monkeypatch):
 
 def test_scale_of_hand_made_complex_entries_answers_as_the_constructor_does():
     """A ComplexRadicalEntry built directly may have modulus 0 or a real
-    phase. Scaled, the first becomes zero, which the constructor refuses,
-    and the second a RadicalScalar, so the flag is read off the products."""
-    zero_modulus = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar(), 1, 3)})
+    phase. The first is a zero, which the constructor refuses, so no matrix
+    holds it to be scaled; the second scales to a RadicalScalar, so the
+    flag is read off the products."""
     with pytest.raises(ValueError, match=r"^stored zero entry at \(0, 0\)$"):
-        zero_modulus.scale(RadicalScalar.from_rational(2))
+        SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar(), 1, 3)})
     one = RadicalScalar.from_rational(1)
     real_phase = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(one, 0, 1)})
     assert real_phase.is_complex

@@ -143,6 +143,28 @@ def test_sfr_feasible_matches_the_full_walk_exhaustively():
     assert infeasible > 50
 
 
+def test_sfr_feasible_and_unit_norm_readiness_are_one_decision():
+    """A unit-norm frame is buildable exactly when the unit norms are ready,
+    and both searches find the same order and partition."""
+    certificates = 0
+    for multiset in itertools.chain.from_iterable(map(_multisets, PALETTES)):
+        total = sum(multiset)
+        if total.denominator != 1:
+            continue
+        for spectrum in _orderings(multiset):
+            found = sfr_feasible(spectrum, total.numerator)
+            ready = st_ready_search([1] * total.numerator, spectrum, LARGE_BUDGET)
+            if found is None:
+                assert ready is None, spectrum
+            else:
+                certificates += 1
+                assert (found.eigenvalue_order, found.partition) == (
+                    ready.eigenvalue_order,
+                    ready.partition,
+                ), spectrum
+    assert certificates > 50
+
+
 def test_sfr_feasible_remembers_no_prefix_its_own_order_broke():
     # (3/2, 1/2) breaks the floor rule as a prefix, but (1/2, 3/2) with the
     # same values passes and completes with 2: the walk must not mark those
