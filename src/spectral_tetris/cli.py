@@ -6,6 +6,10 @@ codes: 0 on success, 2 when the instance is mathematically infeasible (the
 printed message names the violated criterion), 1 on I/O, parse, or usage
 problems. Output files are written atomically, so a failed run leaves no
 partial artifacts behind.
+
+A command line that starts with a command name is parsed once, by that
+command's own parser; help, usage errors and unknown commands keep the
+text and exit codes of the top-level parser.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from gettext import gettext
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .construct import (
@@ -104,13 +109,20 @@ def _printable(report: Union[VerificationReport, FusionReport]) -> Dict[str, obj
     return document
 
 
+def _complex_cell(value: complex) -> str:
+    return "%.17g%+.17gj" % (value.real, value.imag)
+
+
 def _matrix_csv(matrix: SynthesisMatrix) -> str:
-    dense = matrix.to_dense()
-    if matrix.is_complex:
-        lines = [",".join("%.17g%+.17gj" % (v.real, v.imag) for v in row) for row in dense]
-    else:
-        lines = [",".join("%.17g" % v for v in row) for row in dense]
-    return "\n".join(lines) + "\n"
+    """The dense matrix as CSV, floats to 17 significant digits. Only the
+    stored entries' cells are formatted; every other cell of to_dense is a
+    zero, of one text."""
+    values = matrix.to_dense().tolist()
+    zero, cell = ("0+0j", _complex_cell) if matrix.is_complex else ("0", "%.17g".__mod__)
+    lines = [[zero] * matrix.col_count for _ in range(matrix.row_count)]
+    for i, j in matrix.entries:
+        lines[i][j] = cell(values[i][j])
+    return "\n".join(map(",".join, lines)) + "\n"
 
 
 def _output_path(args: argparse.Namespace, extension: Optional[str] = None) -> str:
@@ -304,12 +316,15 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it
+    unchanged. Its command_parsers is the subparsers action's choices,
+    {command name: that command's parser}."""
     parser = argparse.ArgumentParser(
         prog="spectral-tetris",
         description="Spectral Tetris constructions for frames and fusion frames.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = commands.choices
 
     for name, text in (
         ("untf", "sparse unit-norm tight frame"),
@@ -391,9 +406,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The Namespace the top-level parse_args gives, parsing each token once.
+
+    A line that starts with a command name goes straight to that command's
+    parser, which the top-level parser would call on the same tokens after
+    classifying and converting each of them itself. Tokens left over get
+    the top-level error that parse_args gives them. Every other line (an
+    empty one, help, an unknown command, a leading option) goes through
+    parse_args itself.
+    """
+    parser = _build_parser()
+    command = parser.command_parsers.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as stop:
         return 0 if stop.code == 0 else 1
     try:

@@ -32,7 +32,8 @@ RadicalScalar product is formed. Each distinct sum becomes one exact value
 reads it, and each part is computed only when a caller reads it. Past
 _UNIT_BITS, a bound on many coprime denominators that no bench or
 construction matrix reaches, each form keeps its terms' own Fractions
-instead, and the same code adds and settles them. numpy is
+instead, and the same code adds and settles them, bar the square sums,
+whose Fractions are added in pairs. numpy is
 imported only inside the numeric code (to_dense and the Naimark
 complement), so the exact routes never load it. The Naimark complement is
 numeric: its completion is read once, and each distinct float becomes one
@@ -84,6 +85,22 @@ if TYPE_CHECKING:
 Key = Tuple[int, int]
 
 
+def _check_phase(i: int, j: int, value: ComplexRadicalEntry) -> None:
+    """Refuse a phase that ComplexRadicalEntry.make would not give: its
+    exponent and order must be ints, the order at least 3 (orders 1 and 2
+    are real) and the exponent in lowest terms. Any other phase would be
+    written to a document the decoder refuses, or one it reads back as a
+    different entry."""
+    exponent, order = value.root_exponent, value.root_order
+    if not (type(exponent) is int and type(order) is int):
+        raise ValueError(f"entry ({i}, {j}) has a phase of non-integer fields: {value!r}")
+    if order < 3 or math.gcd(exponent, order) != 1:
+        raise ValueError(
+            f"entry ({i}, {j}) has phase {exponent}/{order}, not a root of unity "
+            "of order at least 3 in lowest terms"
+        )
+
+
 @dataclass
 class SynthesisMatrix:
     """Sparse M x N synthesis matrix against the frame-operator eigenbasis.
@@ -96,8 +113,9 @@ class SynthesisMatrix:
     The constructor is the one complete check, raising ValueError unless
     the shape and indices are integers, each index inside the shape, and
     each entry a nonzero RadicalScalar or ComplexRadicalEntry of RadicalScalar
-    modulus. Producers whose entries are valid by construction pass them to
-    _unchecked with the complex flag they know: both fills (see the module
+    modulus and canonical phase (_check_phase). Producers whose entries are
+    valid by construction pass them to _unchecked with the complex flag
+    they know: both fills (see the module
     docstring); scale, whose nonzero factor keeps each entry nonzero at
     its key; the Naimark completion, which stores only the nonzero floats
     of its (N - M) x N completion; fusion.extend_to_tight, which reverses
@@ -137,6 +155,7 @@ class SynthesisMatrix:
             if not value:
                 raise ValueError(f"stored zero entry at ({i}, {j})")
             if modulus is not value:
+                _check_phase(i, j, value)
                 self._complex = True
         self._columns: Optional[List[Dict[int, MatrixEntry]]] = None
 
@@ -305,6 +324,17 @@ def _exact_sum(sums: Accumulator, scale: int) -> ExactSum:
     return RadicalScalar._canonical(tuple(terms))
 
 
+def _pairwise_sum(values: list) -> Union[int, Fraction]:
+    """The sum of the values (0 for none), added in pairs level by level as
+    sequences._lcm combines lcms: k Fractions over coprime denominators
+    cost a balanced tree of additions instead of k additions to one ever
+    longer sum."""
+    while len(values) > 1:
+        odd = values[-1:] if len(values) % 2 else []
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd
+    return values[0] if values else 0
+
+
 class Sweep:
     """The exact checks of one matrix, on ints over one common unit.
 
@@ -316,7 +346,7 @@ class Sweep:
     column pairs are ints, and each distinct sum becomes one exact value
     (_exact_sum) only when a caller reads it. Past _UNIT_BITS the forms keep
     the terms' own Fractions with scale 1, and every part runs the same
-    code on them.
+    code on them, bar the square sums (_pairwise_squares).
 
     Each part is computed on first use and kept, so a caller pays only for
     what it reads: forms, the square sums (_squares, settled as row_sums
@@ -329,6 +359,7 @@ class Sweep:
     def __init__(self, matrix: SynthesisMatrix):
         self.matrix = matrix
         self.scale = 1
+        self._past_cap = False
 
     @cached_property
     def forms(self) -> Dict[int, Form]:
@@ -341,6 +372,7 @@ class Sweep:
         self._square = square = {}
         unit = _lcm(c.denominator for parts in terms.values() for _, c in parts)
         if unit.bit_length() > _UNIT_BITS:
+            self._past_cap = True
             return terms
         self.scale = unit * unit
         forms: Dict[int, Form] = {}
@@ -359,7 +391,8 @@ class Sweep:
         """Row and column square sums in one pass over the nonzeros: their
         rational parts as ints over scale, and the irrational parts, which
         only multi-term entries have, as {row or column: accumulator}. The
-        forms that have no square in _square yet are squared here."""
+        forms that have no square in _square yet are squared here. Past
+        _UNIT_BITS the Fraction squares are added in pairs (_pairwise_squares)."""
         matrix, forms = self.matrix, self.forms
         rational = self._square
         irrational: Dict[int, Accumulator] = {}
@@ -370,6 +403,8 @@ class Sweep:
                 rational[key] = sums.pop(1, 0)
                 if not _vanishes(sums):
                     irrational[key] = sums
+        if self._past_cap:
+            return self._pairwise_squares(rational, irrational)
         rows, cols = [0] * matrix.row_count, [0] * matrix.col_count
         for (i, j), value in matrix.entries.items():
             square = rational[id(value)]
@@ -383,6 +418,35 @@ class Sweep:
                     for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
                         target[radicand] = target.get(radicand, 0) + part
         return rows, cols, row_parts, col_parts
+
+    def _pairwise_squares(
+        self, rational: Dict[int, Fraction], irrational: Dict[int, Accumulator]
+    ) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
+        """_squares past _UNIT_BITS: each row's and column's squares, and
+        each of their radicands' irrational parts, gathered and then added
+        by _pairwise_sum. The values, and the order of the radicands, are
+        those of adding them in turn."""
+        matrix = self.matrix
+        row_terms: List[list] = [[] for _ in range(matrix.row_count)]
+        col_terms: List[list] = [[] for _ in range(matrix.col_count)]
+        row_parts: Dict[int, Dict[int, list]] = {}
+        col_parts: Dict[int, Dict[int, list]] = {}
+        for (i, j), value in matrix.entries.items():
+            square = rational[id(value)]
+            row_terms[i].append(square)
+            col_terms[j].append(square)
+            for radicand, part in irrational.get(id(value), {}).items():
+                for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
+                    target.setdefault(radicand, []).append(part)
+
+        def settle(parts: Dict[int, Dict[int, list]]) -> Dict[int, Accumulator]:
+            return {
+                index: {radicand: _pairwise_sum(terms) for radicand, terms in sums.items()}
+                for index, sums in parts.items()
+            }
+
+        rows, cols = list(map(_pairwise_sum, row_terms)), list(map(_pairwise_sum, col_terms))
+        return rows, cols, settle(row_parts), settle(col_parts)
 
     def _settled(self, sums: list, parts: Dict[int, Accumulator]) -> List[ExactSum]:
         """The exact value of each square sum, each distinct one settled once,

@@ -659,6 +659,164 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert [code for code, _, _ in reused[: len(argvs)]] == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
 
 
+# -- command-line dispatch against the top-level parse_args ---------------------------
+
+
+def _top_level_run(argv):
+    """cli.run as it was when every command line went through the
+    top-level parser's parse_args, verbatim bar its name and the module
+    prefixes."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as stop:
+        return 0 if stop.code == 0 else 1
+    try:
+        return cli._HANDLERS[args.command](args)
+    except spectral_tetris.SpectralTetrisError as failure:
+        print(f"{type(failure).__name__}: {failure}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+
+
+_UNTF = ["untf", "--dim", "4", "--count", "11"]
+
+#: Every command, each kind of usage error, the token forms argparse treats
+#: specially, the lines that only the top-level parser can answer, and each
+#: command's help. The relative paths name files in the working directory
+#: (see _dispatch_outcome).
+_DISPATCH_ARGVS = [
+    _UNTF,
+    ["untf-dft", "--dim", "4", "--count", "5", "--output", "dft.json"],
+    ["sfr", "--spectrum", "5/2", "1", "5/2", "--count", "6", "--format", "csv"],
+    ["pnstc", "--norms-squared", "16", "1", "4", "3", "1", "2", "9", "4",
+     "--spectrum", "18", "6", "2", "10", "4"],
+    ["pnstc-str", "--norms-squared", "3", "4", "3", "1", "4", "2", "--spectrum", "9", "8",
+     "--output", "str.json"],
+    ["equal-norm", "--spectrum", "13/3", "10/3", "7/3", "--count", "10", "--budget", "1000"],
+    ["naimark", "--input", "parseval.json", "--output", "complement.json"],
+    ["sffr", "--spectrum", "13/3", "10/3", "7/3", "--subspaces", "5", "--subspace-dim", "2"],
+    ["rff", "--spectrum", "11/4", "11/4", "11/4", "11/4", "--count", "11", "--output", "rff.csv",
+     "--format", "csv"],
+    ["uff", "--spectrum", "2", "2", "2", "--dims", "2", "2", "2"],
+    ["weighted-fusion", "--weights-squared", "1", "1", "1", "1", "2", "2", "3", "3", "4",
+     "--dims", "2", "2", "2", "2", "2", "2", "2", "2", "2", "--spectrum", "7", "7", "7", "7", "8"],
+    ["extend-tight", "--input", "fusion.json", "--spectrum", "13/3", "10/3", "7/3"],
+    ["verify", "--input", "frame.json", "--spectrum", "11/4", "11/4", "11/4", "11/4"],
+    ["verify", "--input", "fusion.json", "--spectrum", "13/3", "10/3", "7/3"],
+    ["feasibility-grid", "--max-dim", "3", "--max-count", "5"],
+    # infeasible, the input order refused, a missing input file
+    ["sfr", "--spectrum", "1/2", "1/2", "1", "--count", "2", "--output", "no.json"],
+    ["pnstc", "--norms-squared", "3", "4", "3", "1", "4", "2", "--spectrum", "9", "8"],
+    ["equal-norm", "--spectrum", "5/2", "1", "5/2", "--count", "6"],
+    ["verify", "--input", "absent.json"],
+    # usage errors: missing required, bad int, bad rational, bad choice
+    ["untf", "--dim", "4"],
+    ["untf", "--dim", "four", "--count", "11"],
+    ["sfr", "--spectrum", "2.5", "1.5", "--count", "4"],
+    ["sfr", "--spectrum", "3/0", "--count", "4"],
+    _UNTF + ["--format", "xml"],
+    # unknown options and extra positionals, alone and together
+    _UNTF + ["--bogus"],
+    _UNTF + ["extra"],
+    _UNTF + ["extra", "--bogus=1", "more"],
+    ["verify", "--input", "frame.json", "stray", "--spectrum", "11/4"],
+    # a repeated option: the last one counts
+    ["untf", "--dim", "5", "--dim", "4", "--count", "11", "--output", "twice.json"],
+    # --x=y, abbreviations, an ambiguous abbreviation
+    ["untf", "--dim=4", "--count=11", "--output=eq.json", "--format=csv"],
+    ["pnstc", "--norms", "16", "1", "4", "3", "1", "2", "9", "4", "--spectrum", "18", "6", "2",
+     "10", "4", "--output", "ab.json"],
+    ["untf", "--di", "4", "--count", "11", "--output", "di.json"],
+    ["weighted-fusion", "--weights-squared", "1", "--di", "2", "--spectrum", "1", "1"],
+    ["sffr", "--sub", "2", "--spectrum", "2", "2"],
+    # "--", negative-looking and empty value lists
+    _UNTF + ["--", "extra"],
+    ["untf", "--", "--dim", "4", "--count", "11"],
+    ["sfr", "--spectrum", "-1/2", "--count", "4"],
+    ["sfr", "--spectrum", "2", "-1/2", "--count", "4"],
+    ["sfr", "--spectrum", "--count", "4"],
+    ["verify", "--input", "frame.json", "--spectrum", "--norms"],
+    ["verify", "--input", "frame.json", "--norms", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1"],
+    # help after a command, and with errors around it
+    ["untf", "-h"],
+    ["verify", "--input", "frame.json", "--help"],
+    ["untf", "--dim", "four", "-h"],
+    ["feasibility-grid", "--he"],
+    # the top-level parser's own lines
+    [],
+    ["--help"],
+    ["-h", "untf"],
+    ["no-such-command"],
+    ["no-such-command", "--dim", "4"],
+    ["--bogus"],
+    ["--bogus", "untf", "--dim", "4", "--count", "11"],
+    ["--", "untf", "--dim", "4", "--count", "11", "--output", "dash.json"],
+    ["untf-"],
+    ["UNTF", "--dim", "4", "--count", "11"],
+] + [[name, "--help"] for name in cli._HANDLERS]
+
+
+def _dispatch_outcome(run_line, argv, directory, capsys, monkeypatch):
+    """Exit code, stdout, stderr and every file's bytes after one command
+    line, run in a directory that holds a frame, a Parseval frame and a
+    fusion frame document."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    frame = construct_untf(4, 11)
+    write_document("frame.json", matrix_to_json(frame))
+    write_document("parseval.json", matrix_to_json(frame.scale(RadicalScalar.sqrt(Fraction(4, 11)))))
+    write_document("fusion.json", fusion_to_json(sffr(goldens.SFFR_SPECTRUM, 5, 2)))
+    capsys.readouterr()
+    code = run_line(list(argv))
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
+def test_every_command_line_answers_as_the_top_level_parse_does(
+    argv, tmp_path, capsys, monkeypatch
+):
+    """run gives the exit code, stdout, stderr and files of a run whose line
+    went through the top-level parse_args, on every command and every kind
+    of usage error."""
+    expected = _dispatch_outcome(_top_level_run, argv, tmp_path / "top", capsys, monkeypatch)
+    assert _dispatch_outcome(run, argv, tmp_path / "run", capsys, monkeypatch) == expected
+
+
+def test_the_dispatch_table_runs_every_command():
+    ran = {argv[0] for argv in _DISPATCH_ARGVS if argv and argv[1:] != ["--help"]}
+    assert ran >= set(cli._HANDLERS)
+
+
+def test_a_command_line_skips_the_top_level_parse(tmp_path, capsys, monkeypatch):
+    """A line that starts with a command name is parsed by that command's
+    parser alone: the top-level parser's parse_known_args is not called. A
+    line it must answer itself still goes through it."""
+    parser = cli._build_parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    output = str(tmp_path / "u.json")
+    assert run(_UNTF + ["--output", output]) == 0
+    assert run(["verify", "--input", output]) == 0
+    assert run(["untf", "--dim", "four", "--count", "11"]) == 1
+    assert calls == []
+    assert run(_UNTF + ["extra"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.endswith("spectral-tetris: error: unrecognized arguments: extra\n")
+    assert run(["--help"]) == 0
+    assert run(["no-such-command"]) == 1
+    assert len(calls) == 2
+
+
 def test_verify_rejects_a_matrix_of_negative_dimension(tmp_path, capsys):
     """The m = -1 document once verified as a frame and exited 0."""
     source = tmp_path / "negative.json"

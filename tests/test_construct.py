@@ -26,6 +26,8 @@ from spectral_tetris import (
     construct_untf_dft,
     entry_abs_squared,
     equal_norm_frame,
+    matrix_from_json,
+    matrix_to_json,
     naimark_complement,
     pnstc,
     pnstc_str,
@@ -494,6 +496,48 @@ def test_synthesis_matrix_refuses_entries_the_checks_cannot_read(entries):
     then failed on it, or wrote a document the decoder refuses."""
     with pytest.raises(ValueError):
         SynthesisMatrix(1, 1, entries)
+
+
+@pytest.mark.parametrize(
+    "exponent, order",
+    [(1.0, 3), (1, 3.0), (1, True)],
+    ids=["float-exponent", "float-order", "bool-order"],
+)
+def test_synthesis_matrix_refuses_a_phase_of_non_integer_fields(exponent, order):
+    """A float exponent was once built, verified as a frame and written as
+    "omega_num": 1.0, which the decoder refuses."""
+    entry = ComplexRadicalEntry(goldens.ONE, exponent, order)
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) has a phase of non-integer fields: "):
+        SynthesisMatrix(1, 1, {(0, 0): entry})
+
+
+@pytest.mark.parametrize(
+    "exponent, order",
+    [(2, 6), (3, 9), (0, 3), (0, 1), (1, 2), (3, 4 * 3)],
+    ids=["2/6", "3/9", "0/3", "0/1", "1/2", "3/12"],
+)
+def test_synthesis_matrix_refuses_a_phase_that_is_not_canonical(exponent, order):
+    """Only the phases ComplexRadicalEntry.make gives are stored: any other
+    would be read back from its document as a different entry."""
+    entry = ComplexRadicalEntry(goldens.ONE, exponent, order)
+    assert entry != ComplexRadicalEntry.make(goldens.ONE, exponent, order)
+    with pytest.raises(
+        ValueError,
+        match=rf"^entry \(0, 0\) has phase {exponent}/{order}, not a root of unity of order "
+        r"at least 3 in lowest terms$",
+    ):
+        SynthesisMatrix(1, 1, {(0, 0): entry})
+
+
+def test_synthesis_matrix_keeps_every_canonical_phase_through_json():
+    """Every phase the constructor accepts round-trips to an equal entry."""
+    for order in range(3, 13):
+        for exponent in range(order):
+            entry = ComplexRadicalEntry.make(goldens.ONE, exponent, order)
+            if not isinstance(entry, ComplexRadicalEntry):
+                continue
+            matrix = SynthesisMatrix(1, 1, {(0, 0): entry})
+            assert matrix_from_json(matrix_to_json(matrix)).entries == {(0, 0): entry}
 
 
 def test_synthesis_matrix_refuses_a_shape_or_key_that_is_not_integers():

@@ -132,6 +132,26 @@ def test_dense_form_and_csv_equal_the_parent(name):
         assert cli._matrix_csv(matrix) == matrix_csv_oracle(matrix)
 
 
+@given(sparse_exact_matrices())
+@settings(max_examples=150, deadline=None)
+def test_csv_equals_the_parent_on_sparse_exact_matrices(matrix):
+    """The CSV writer formats only the stored cells; every cell's text is
+    still the parent's, entries that round to a zero float included."""
+    assert cli._matrix_csv(matrix) == matrix_csv_oracle(matrix)
+
+
+@given(matrices_with_complex_columns())
+@settings(max_examples=100, deadline=None)
+def test_csv_equals_the_parent_with_complex_columns(matrix):
+    assert cli._matrix_csv(matrix) == matrix_csv_oracle(matrix)
+
+
+@pytest.mark.parametrize("value", [F(1, 10**400), F(-1, 10**400), F(-3, 7)])
+def test_csv_of_a_tiny_or_negative_entry_equals_the_parent(value):
+    matrix = SynthesisMatrix(2, 3, {(0, 1): RadicalScalar.from_rational(value)})
+    assert cli._matrix_csv(matrix) == matrix_csv_oracle(matrix)
+
+
 # -- the stored views ---------------------------------------------------------------
 
 

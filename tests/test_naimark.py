@@ -141,13 +141,16 @@ def test_scale_multiplies_each_distinct_entry_object_once(monkeypatch):
 
 def test_scale_of_hand_made_complex_entries_answers_as_the_constructor_does():
     """A ComplexRadicalEntry built directly may have modulus 0 or a real
-    phase. The first is a zero, which the constructor refuses, so no matrix
-    holds it to be scaled; the second scales to a RadicalScalar, so the
-    flag is read off the products."""
+    phase. The constructor refuses both, so no checked matrix holds one to
+    be scaled; a real phase wrapped unchecked scales to a RadicalScalar,
+    so the flag is read off the products."""
     with pytest.raises(ValueError, match=r"^stored zero entry at \(0, 0\)$"):
         SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(RadicalScalar(), 1, 3)})
     one = RadicalScalar.from_rational(1)
-    real_phase = SynthesisMatrix(1, 1, {(0, 0): ComplexRadicalEntry(one, 0, 1)})
+    entries = {(0, 0): ComplexRadicalEntry(one, 0, 1)}
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) has phase 0/1, not a root of unity"):
+        SynthesisMatrix(1, 1, entries)
+    real_phase = SynthesisMatrix._unchecked(1, 1, entries, True, {})
     assert real_phase.is_complex
     scaled = real_phase.scale(RadicalScalar.from_rational(2))
     assert_constructor_accepts(scaled)

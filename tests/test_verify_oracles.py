@@ -668,6 +668,40 @@ def test_keyed_route_fusion_reports_equal_the_parent(matrix, data):
             assert_same_report(report, oracle)
 
 
+@given(sparse_exact_matrices(min_cols=1))
+@settings(max_examples=200, deadline=None)
+def test_keyed_route_square_sums_are_those_added_in_turn(matrix):
+    """Past the unit bound each row's and column's squares are added in
+    pairs; the sums, their types and the radicands' order are those of
+    adding each entry's square in turn."""
+    with _keyed_route():
+        sweep = Sweep(matrix)
+        forms = sweep.forms
+        rows, cols = [0] * matrix.row_count, [0] * matrix.col_count
+        row_parts, col_parts = {}, {}
+        for (i, j), value in matrix.entries.items():
+            sums = {}
+            construct_module._add_product(sums, forms[id(value)], forms[id(value)])
+            square = sums.pop(1, 0)
+            rows[i] += square
+            cols[j] += square
+            for radicand, part in sums.items() if any(sums.values()) else ():
+                for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
+                    target[radicand] = target.get(radicand, 0) + part
+        got = sweep._squares
+        assert got == (rows, cols, row_parts, col_parts)
+        assert [list(parts) for parts in got[2].values()] == [list(p) for p in row_parts.values()]
+        assert list(map(type, got[0])) == list(map(type, rows))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 9, 64, 101])
+def test_pairwise_sum_is_the_sum(count):
+    values = [Fraction(1, p * p) for p in range(2, count + 2)]
+    total = construct_module._pairwise_sum(list(values))
+    assert total == sum(values, 0)
+    assert type(total) is type(sum(values, 0))
+
+
 BOUND = construct_module._UNIT_BITS
 
 
