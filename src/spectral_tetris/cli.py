@@ -96,15 +96,38 @@ def rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def _decimal(number: int) -> str:
+    """str(number) at any length. A number too long for str() under the
+    interpreter's int-to-str digit limit is split by a power of ten and its
+    two halves are printed in turn; the limit itself is left as it is."""
+    try:
+        return str(number)
+    except ValueError:
+        if number < 0:
+            return "-" + _decimal(-number)
+        # about half its decimal digits: log10(2) is just over 3/10
+        half = number.bit_length() * 3 // 20
+        high, low = divmod(number, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _fraction_text(value: Fraction) -> str:
+    """str(value) for a Fraction of any size."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
 def _printable(report: Union[VerificationReport, FusionReport]) -> Dict[str, object]:
     """A report's fields in order, as JSON values: Fractions become "p/q"
-    text and tuples lists. No report nests a dataclass or a tuple in a tuple."""
+    text, at any length, and tuples lists. No report nests a dataclass or a
+    tuple in a tuple."""
     document: Dict[str, object] = {}
     for name, value in vars(report).items():
         if isinstance(value, tuple):
-            value = [str(item) if isinstance(item, Fraction) else item for item in value]
+            value = [_fraction_text(item) if isinstance(item, Fraction) else item for item in value]
         elif isinstance(value, Fraction):
-            value = str(value)
+            value = _fraction_text(value)
         document[name] = value
     return document
 

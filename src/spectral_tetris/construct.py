@@ -211,9 +211,15 @@ class SynthesisMatrix:
 
         convert, dtype = (entry_to_complex, np.complex128) if self._complex else (to_float, float)
         dense = np.zeros((self.row_count, self.col_count), dtype=dtype)
+        # entries are immutable, so each distinct entry object is converted
+        # once, at its first position
+        numbers: Dict[int, object] = {}
         try:
             for (i, j), value in self.entries.items():
-                dense[i, j] = convert(value)
+                number = numbers.get(id(value))
+                if number is None:
+                    number = numbers[id(value)] = convert(value)
+                dense[i, j] = number
         except OverflowError:
             raise ValueError(f"entry ({i}, {j}) is outside the float range") from None
         if not np.isfinite(dense).all():  # a sum of terms can overflow without raising

@@ -3,14 +3,17 @@
 Everything here works on exact rationals (eigenvalues, squared norms), so
 every predicate is decided exactly. Construction itself lives elsewhere;
 this module answers "can the greedy construction possibly work, and in
-which order" before any matrix entry is computed. One fill search,
-_FillSearch, answers both ordering questions: st_ready_search feeds it one
-tag per distinct squared norm, and fusion.weighted_fusion one tag per
-subspace with the rows its columns use; failed states are memoized in both.
-A readiness search over one squared norm has a forced move at every state
-and runs as one int loop, with the states, cuts and certificates of the
-stack walk. Readiness needs only sums and comparisons, never a square
-root, so the search first scales its values to integers in one common unit
+which order" before any matrix entry is computed. One order walk,
+_distinct_value_orders, offers the distinct eigenvalue orders to every
+readiness search. With one squared norm a, the fill on eigenvalues l is
+the unit-norm fill on l / a, so sfr_feasible and a single-norm
+st_ready_search are one decision: the floor rule, which the walk tests on
+each eigenvalue prefix as it enters it. With several norms, st_ready_search
+runs one fill search, _FillSearch, per order the walk yields, with one tag
+per distinct squared norm; fusion.weighted_fusion runs it with one tag per
+subspace and the rows its columns use. Failed fill states are memoized.
+Readiness needs only sums and comparisons, never a square root, so each
+search first scales its values to integers in one common unit
 (integer_units) and runs every state on Python ints. The maximal block
 number runs on the same integers, mod the unit.
 """
@@ -24,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Generator, Iterable, List, NamedTuple, Optional
-from typing import Sequence, Set, Tuple, Union
+from typing import Sequence, Set, Tuple
 
 from .blocks import block_a_hat_support
 from .errors import (
@@ -175,7 +178,8 @@ def st_ready_check(
 
 
 def _distinct_value_orders(
-    values: Sequence, dead: Optional[set] = None, budget: Optional[int] = None
+    values: Sequence, unit: int = 0, budget: Optional[int] = None, cut: str = "",
+    reach: bool = False,
 ):
     """Every distinct value order once, with its smallest index permutation.
 
@@ -187,16 +191,25 @@ def _distinct_value_orders(
     depth-first walk with an explicit stack offers, at each position, only
     the lowest unused index of each value, so no two branches give the same
     value order and the walk from one yield to the next costs O(M^2) steps.
-
     A depth d sent in after an order skips every remaining order that
     shares its first d values; the orders not skipped come in the same
-    order. With a set `dead`, the walk records the used-value counts of
-    each inner node whose children all ran out without a skip at that node,
-    and skips every node whose counts are recorded. That is sound only for
-    a caller whose skips reject the node at the sent depth by a rule that,
-    given a passing shorter prefix, depends on the values used alone (as
-    sfr_feasible's floor cuts do). Entering more than `budget` nodes raises
-    SearchBudgetExceeded.
+    order.
+
+    With a unit, the walk decides the floor rule of sfr_feasible (and so
+    readiness with one squared norm) on int values in that unit, and yields
+    at most one order: the first whose every prefix passes. Each prefix is
+    tested as the walk enters it: its cut, prefix // unit, must exceed the
+    cut before it, by at least 2 when the prefix before it was fractional
+    (prefix % unit != 0). So the value that extends a prefix with remainder
+    r must be at least unit if r is 0, else 2 * unit - r; the first value
+    is free. A prefix that fails is left with every order through it, as a
+    sent depth would leave it. Past a passing prefix the rule depends only
+    on the prefix sum and the values left, that is on the used-value
+    counts, so a passing prefix whose children all ran out is remembered
+    dead and any prefix with its counts is left on entering.
+    Entering more than `budget` prefixes raises SearchBudgetExceeded(cut)
+    with states and budget set to budget and, when `reach` is true, reach
+    set to the deepest index tested.
     """
     m_count = len(values)
     ids: Dict[object, int] = {}
@@ -208,38 +221,52 @@ def _distinct_value_orders(
     for pool in pools:
         pool.append(m_count)
     taken = [0] * len(pools)
+    dead: Set[Tuple[int, ...]] = set()
     perm: List[int] = []
-    index = 0
-    nodes = 0
+    index = nodes = deepest = total = 0
     while True:
         # the lowest index >= index that is the lowest unused one of its value
         while index < m_count and pools[value_ids[index]][taken[value_ids[index]]] != index:
             index += 1
         if index == m_count:
             # every child of the node at the end of perm is done
-            if dead is not None and perm:
+            if unit and perm:
                 dead.add(tuple(taken))
         else:
-            perm.append(index)
-            taken[value_ids[index]] += 1
             nodes += 1
             if budget is not None and nodes > budget:
                 raise SearchBudgetExceeded(
-                    f"eigenvalue order walk exceeded {budget} states", states=budget, budget=budget
+                    cut, states=budget, budget=budget, reach=deepest if reach else None
                 )
-            if len(perm) == m_count:
+            value = values[index]
+            if unit:
+                deepest = max(deepest, len(perm))
+                rest = total % unit
+                if perm and value < (2 * unit - rest if rest else unit):
+                    # the floor rule fails on this prefix: on to its next sibling
+                    index += 1
+                    continue
+            perm.append(index)
+            taken[value_ids[index]] += 1
+            total += value
+            # a prefix whose used values are dead is left below
+            if not (unit and tuple(taken) in dead):
+                if len(perm) < m_count:
+                    index = 0
+                    continue
                 depth = yield tuple(perm), tuple(values[i] for i in perm)
+                if unit:
+                    return
                 if depth is not None:
                     for i in perm[depth:]:
                         taken[value_ids[i]] -= 1
+                        total -= values[i]
                     del perm[depth:]
-            elif dead is None or tuple(taken) not in dead:
-                index = 0
-                continue
         if not perm:
             return
         last = perm.pop()
         taken[value_ids[last]] -= 1
+        total -= values[last]
         index = last + 1
 
 
@@ -266,12 +293,14 @@ def drive(root: Generator) -> object:
 class _FillSearch:
     """Depth-first search over the order in which tagged columns feed the fill.
 
-    st_ready_search feeds one tag per distinct squared norm, weighted_fusion
-    one tag per subspace. Tag t has units[t], its squared norm as an int in
-    the unit of eigs (see integer_units), left[t] columns still to feed and,
-    when rows is given, rows[t], the rows of its fed columns; a column joins
-    its tag only when its rows avoid the tag's (the fusion module says why
-    that is exact). A state is (row, weight left in the row, tags). A
+    st_ready_search with several squared norms feeds one tag per distinct
+    norm, weighted_fusion one tag per subspace (one tag and no row sets is
+    the floor rule, which _distinct_value_orders decides without a fill).
+    Tag t has units[t], its squared norm as an int in the unit of eigs (see
+    integer_units), left[t] columns still to feed and, when rows is given,
+    rows[t], the rows of its fed columns; a column joins its tag only when
+    its rows avoid the tag's (the fusion module says why that is exact). A
+    state is (row, weight left in the row, tags). A
     singleton feeds a column of unit <= weight; a 2x2 block feeds one above
     the weight with a partner at least the weight, spilling the excess into
     the next row. With bridge_empty_rows false no block leaves a row that
@@ -281,10 +310,7 @@ class _FillSearch:
     more than limit states raises SearchBudgetExceeded(cut), with states and
     budget set to budget (the caller's whole cap, default limit) and the
     reach at the cut. Visits are generators run by drive(), one stack entry
-    per column; a search with one tag and no row sets (readiness with one
-    squared norm) has one move per state and runs as the int loop _forced
-    instead, entering and cutting on the same states with the same reach
-    and order.
+    per column.
 
     Failed states are memoized on (row, weight, sorted multiset of (unit,
     left, row in rows) over the tags with columns left): rows below `row`
@@ -319,64 +345,12 @@ class _FillSearch:
         self.order: List[int] = []
 
     def run(self) -> bool:
-        if self.rows is None and len(self.units) == 1:
-            return self._forced()
         return drive(self._fill(0, self.eigs[0]))
 
     def _cut(self) -> SearchBudgetExceeded:
         return SearchBudgetExceeded(
             self.cut, states=self.budget, budget=self.budget, reach=self.reach
         )
-
-    def _forced(self) -> bool:
-        """_fill's walk for one tag and no row sets, as one int loop.
-
-        With one tag a state has at most one move: a singleton when the unit
-        fits the weight, else a block of two columns. So the walk is a path
-        that visits each state once and needs no memo. Each step places the
-        whole run of singletons that fit and counts their states; a run that
-        would pass the limit stops on the state the walk cuts on. A failed
-        path leaves order and left as they were, like the walk's undos.
-        """
-        eigs, a, order, limit = self.eigs, self.units[0], self.order, self.limit
-        left, last = self.left[0], len(eigs) - 1
-        row, weight, states = 0, eigs[0], 1
-        while states <= limit:
-            if weight == 0:
-                if row == last:
-                    break
-                row += 1
-                self.reach = row
-                weight = eigs[row]
-                states += 1
-            elif a <= weight and left:
-                run = min(left, weight // a, limit + 1 - states)
-                left -= run
-                weight -= run * a
-                order += [0] * run
-                states += run
-            elif (left < 2 or row == last
-                  or not (self.bridge_empty_rows or row == 0 or weight != eigs[row])):
-                break
-            else:
-                self.reach = row + 1
-                spill = 2 * a - weight
-                if spill > eigs[row + 1]:
-                    break
-                row += 1
-                weight = eigs[row] - spill
-                left -= 2
-                order += (0, 0)
-                states += 1
-        self.states = states
-        if states > limit:
-            self.left[0] = left
-            raise self._cut()
-        if weight == 0 and row == last and not left:
-            self.left[0] = 0
-            return True
-        order.clear()
-        return False
 
     def _tags(self) -> List[int]:
         if not self.merge:
@@ -471,13 +445,20 @@ def st_ready_search(
     Returns a certificate (index permutations plus partition), or None when
     no ordering works, including when the totals differ. Raises
     SearchBudgetExceeded when the state cap is hit before the question is
-    settled, which is deliberately distinct from None. Each distinct
-    eigenvalue order gets one feed search; when one fails, the walk skips
-    every order sharing the eigenvalue prefix that search read, so those
-    orders spend no states and the first certificate found is unchanged.
-    The walk and the feed searches run on integer_units of the inputs. The
-    feed searches share the budget: one that finds none left cuts on its
-    first state, so a walk that ends with the budget spent answers None.
+    settled, which is deliberately distinct from None. Both walks below run
+    on integer_units of the inputs and find the first ready order of
+    _distinct_value_orders' sequence.
+
+    With one distinct squared norm a the fill on the eigenvalues is the
+    unit-norm fill on eigenvalues / a, so readiness is sfr_feasible's floor
+    rule in the unit a: the order walk tests each eigenvalue prefix as it
+    enters it, and each prefix it enters is one state of the budget. The
+    norm order is the identity and the partition the floors. With several
+    norms each distinct eigenvalue order gets one feed search; when one
+    fails, the walk skips every order sharing the eigenvalue prefix that
+    search read, so those orders spend no states. The feed searches share
+    the budget: one that finds none left cuts on its first state, so a walk
+    that ends with the budget spent answers None.
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
@@ -490,6 +471,14 @@ def st_ready_search(
         counts[v] = counts.get(v, 0) + 1
     values = tuple(counts)
     cut = f"readiness search exceeded {cap} states"
+    if len(values) == 1:
+        for perm, permuted in _distinct_value_orders(eig_units, values[0], cap, cut, reach=True):
+            return STReadyCertificate(
+                norm_order=tuple(range(len(units))),
+                eigenvalue_order=perm,
+                partition=_floors(permuted, values[0]),
+            )
+        return None
     states_used = 0
     walk = _distinct_value_orders(eig_units)
     skip = None
@@ -511,6 +500,12 @@ def st_ready_search(
             )
         states_used += search.states
         skip = search.reach + 1
+
+
+def _floors(eigs: Sequence[int], unit: int) -> Tuple[int, ...]:
+    """The floors of the prefix sums of eigenvalues in the given unit: the
+    partition of an order that passes the floor rule."""
+    return tuple(prefix // unit for prefix in itertools.accumulate(eigs))
 
 
 def _feed_partition(eigs: Sequence[int], feed: Sequence[int]) -> Tuple[int, ...]:
@@ -855,54 +850,23 @@ def sfr_feasible(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
     whenever the prefix sum is fractional. Eigenvalues not summing to the
     vector count raises SumMismatch; no qualifying permutation returns None.
 
-    The distinct orders are walked in st_ready_search's sequence and the
-    first qualifying one is returned. A failed order skips every order
-    sharing the prefix that broke the rule, and used values that admit no
-    completion are remembered and skipped: past a passing prefix the rule
-    depends only on the prefix sum and the values left. Walking more than
-    search_budget() states raises SearchBudgetExceeded, never None. The walk
-    and the cuts run on integer_units of the eigenvalues.
+    The floor rule is decided by _distinct_value_orders on integer_units of
+    the eigenvalues: it walks the distinct orders in st_ready_search's
+    sequence, tests each prefix as it enters it, leaves a failing prefix
+    with every order through it, and leaves used values already found to
+    admit no completion; the first order whose every prefix passes is
+    returned. Each prefix entered is one state: entering more than
+    search_budget() raises SearchBudgetExceeded, never None.
     """
     eigs = as_spectrum(spectrum)
     unit, eig_units = integer_units(eigs)
     if sum(eig_units) != count * unit:
         raise SumMismatch(f"eigenvalues sum to {sum(eigs)}, need {count}")
-    walk = _distinct_value_orders(eig_units, set(), search_budget())
-    skip = None
-    while True:
-        try:
-            perm, permuted = walk.send(skip)
-        except StopIteration:
-            return None
-        skip = _floor_partition(permuted, count, unit)
-        if not isinstance(skip, int):
-            return SfrCertificate(partition=skip, eigenvalue_order=perm)
-
-
-def _floor_partition(eigs: Sequence[int], count: int, unit: int) -> Union[Tuple[int, ...], int]:
-    """The floors of the prefix sums, ending at count, if they form a partition.
-
-    The eigenvalues are integers in the given unit, so each cut is the
-    quotient of the prefix by the unit and the prefix sum is fractional
-    when the remainder is not zero. One running prefix: each cut must
-    exceed the previous one, by at least 2 when the previous prefix sum was
-    fractional. Otherwise returns the length of the shortest prefix whose
-    cut breaks that (M for the last cut, count).
-    """
-    partition: List[int] = []
-    prefix = 0
-    gap = 1
-    for value in eigs[:-1]:
-        prefix += value
-        cut, fraction = divmod(prefix, unit)
-        if partition and cut - partition[-1] < gap:
-            return len(partition) + 1
-        partition.append(cut)
-        gap = 2 if fraction else 1
-    if partition and count - partition[-1] < gap:
-        return len(eigs)
-    partition.append(count)
-    return tuple(partition)
+    cap = search_budget()
+    cut = f"eigenvalue order walk exceeded {cap} states"
+    for perm, permuted in _distinct_value_orders(eig_units, unit, cap, cut):
+        return SfrCertificate(partition=_floors(permuted, unit), eigenvalue_order=perm)
+    return None
 
 
 def pnstc_sufficient(norms_squared: Sequence, spectrum: Sequence) -> bool:

@@ -2,7 +2,8 @@
 
 These are deliberately written from the definitions alone, with no shared
 code or shortcuts from the package: readiness enumerates every ordering and
-every partition, the block number enumerates every permutation (or, for
+every partition (with one squared norm, every permutation with its one
+possible partition), the block number enumerates every permutation (or, for
 somewhat larger M, every sub-multiset), the distinct eigenvalue orders come
 from walking every index permutation, and the verification oracles form
 every row and column inner product of the dense matrix (they use the
@@ -17,11 +18,14 @@ that compared columns by exact inner products, the pruned readiness search
 whose states held Fractions, the Spectral Tetris fill that compared and
 subtracted Fractions, the JSON encoder, dense conversion and CSV writer
 that worked entry by entry, and the Naimark complement that converted every
-completion entry through two Fractions.
+completion entry through two Fractions. floor_walk_oracle is a model of
+the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
 
@@ -216,6 +220,75 @@ def distinct_value_orders_oracle(values):
             seen.add(key)
             out.append((perm, key))
     return out
+
+
+def first_ready_order_oracle(norm, count, spectrum):
+    """(index permutation, partition) of the first index permutation, in
+    lexicographic order, on which `count` columns of squared norm `norm` are
+    ready, or None; walks every permutation.
+
+    With one norm a, prefix_a(n) = n * a, so prefix_a(n_k) <= prefix_l(k) <
+    prefix_a(n_k + 1) leaves one partition, n_k = floor(prefix_l(k) / a);
+    the rest of the partition condition is checked as st_ready_oracle
+    checks it.
+    """
+    a = Fraction(norm)
+    eigs = tuple(Fraction(v) for v in spectrum)
+    if sum(eigs) != count * a:
+        return None
+    m_count = len(eigs)
+    for perm in itertools.permutations(range(m_count)):
+        l_prefix = list(itertools.accumulate(eigs[i] for i in perm))
+        part = tuple(math.floor(total / a) for total in l_prefix[:-1]) + (count,)
+        ok = all(part[k] < part[k + 1] for k in range(m_count - 1))
+        for k in range(m_count - 1):
+            gap = l_prefix[k] - part[k] * a
+            if gap and (part[k + 1] - part[k] < 2 or a < gap):
+                ok = False
+        if ok:
+            return perm, part
+    return None
+
+
+def floor_walk_oracle(spectrum, norm):
+    """The floor-rule order walk of one squared norm, as a recursion over
+    Fractions: (the first index permutation whose every prefix passes, or
+    None, and the depth, 0-based, of each prefix the walk entered, in turn).
+
+    At each position the walk offers the lowest unused index of each value,
+    ascending, and each offer enters one prefix. A prefix passes when the
+    floor of its sum over the norm exceeds that of the prefix before it, by
+    at least 2 when that one was fractional. A passing prefix whose every
+    child failed marks its multiset of used values dead, and a later prefix
+    with a dead multiset is entered and left.
+    """
+    eigs = [Fraction(v) / Fraction(norm) for v in spectrum]
+    unused = list(range(len(eigs)))
+    perm: List[int] = []
+    depths: List[int] = []
+    dead = set()
+
+    def walk(prefix):
+        offers = sorted({eigs[i]: i for i in reversed(unused)}.values())
+        for i in offers:
+            depths.append(len(perm))
+            total = prefix + eigs[i]
+            gap = 1 if prefix.denominator == 1 else 2
+            if perm and math.floor(total) - math.floor(prefix) < gap:
+                continue
+            perm.append(i)
+            unused.remove(i)
+            used = tuple(sorted(Counter(eigs[j] for j in perm).items()))
+            if used not in dead:
+                if not unused or walk(total):
+                    return True
+                dead.add(used)
+            perm.pop()
+            unused.append(i)
+            unused.sort()
+        return False
+
+    return (tuple(perm) if walk(Fraction(0)) else None), depths
 
 
 # -- verification: all row pairs and all column pairs of the dense matrix --------

@@ -349,6 +349,58 @@ def test_verify_checks_norms_when_given(tmp_path, capsys):
     assert json.loads(captured.out)["report"]["norms_match"] is True
 
 
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_verify_prints_exact_sums_past_the_int_to_str_limit(tmp_path, capsys):
+    """The square sum of a 1 x 1,000 row of 1/p over the first 1,000 primes
+    has a denominator of about 7,900 digits, past the interpreter's default
+    int-to-str limit of 4,300. The report prints it, byte for byte, as
+    str() does with the limit lifted, and leaves the limit as it was."""
+    primes = _primes(1000)
+    row = SynthesisMatrix(
+        1, 1000, {(0, j): RadicalScalar.from_rational(Fraction(1, p)) for j, p in enumerate(primes)}
+    )
+    target = tmp_path / "row.json"
+    write_document(str(target), matrix_to_json(row))
+    limit = sys.get_int_max_str_digits()
+    code, captured = run_json(capsys, ["verify", "--input", str(target)])
+    assert (code, captured.err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    report = spectral_tetris.verify_frame(row)
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = {
+            name: [str(v) for v in value] if isinstance(value, tuple)
+            else str(value) if isinstance(value, Fraction) else value
+            for name, value in vars(report).items()
+        }
+        digits = len(str(report.row_square_sums[0].denominator))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert digits > 4300
+    assert captured.out == json.dumps({"report": printed}, indent=2) + "\n"
+
+
+def test_decimal_text_is_str_at_any_length():
+    numbers = [0, 7, -7, 10**4299, 10**4300, -(10**4300) + 1, 3**40_000, -(7**20_000), 10**9000]
+    limit = sys.get_int_max_str_digits()
+    found = [cli._decimal(n) for n in numbers]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert found == [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- exit codes --------------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from spectral_tetris import (
     sfr,
     untf_feasible,
 )
+from spectral_tetris import construct
 
 import goldens
 from goldens import assert_matches
@@ -587,6 +588,29 @@ def test_to_dense_names_an_entry_outside_the_float_range():
         _huge(RadicalScalar([(1, 10**308), (2, 10**308)])).to_dense()
     with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
         _huge(RadicalScalar.from_rational(Fraction(1, 10**400)).inverse()).to_dense()
+
+
+def test_to_dense_converts_each_distinct_entry_once(monkeypatch):
+    # a shared entry object is converted at its first position only, and a
+    # shared entry outside the float range is named at its first position
+    calls = []
+    convert = construct.to_float
+
+    def counted(value):
+        calls.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(construct, "to_float", counted)
+    half = RadicalScalar.from_rational(Fraction(1, 2))
+    root = RadicalScalar.sqrt(Fraction(1, 2))
+    matrix = SynthesisMatrix(2, 3, {(0, 0): half, (0, 1): root, (1, 1): half, (1, 2): root})
+    dense = matrix.to_dense()
+    assert dense.tolist() == [[0.5, float(root), 0.0], [0.0, 0.5, float(root)]]
+    assert sorted(map(id, calls)) == sorted((id(half), id(root)))
+    huge = RadicalScalar.from_rational(10**400)
+    shared = SynthesisMatrix(2, 2, {(0, 1): goldens.ONE, (1, 0): huge, (1, 1): huge})
+    with pytest.raises(ValueError, match=r"^entry \(1, 0\) is outside the float range$"):
+        shared.to_dense()
 
 
 def test_naimark_complement_refuses_an_entry_outside_the_float_range():

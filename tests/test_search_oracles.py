@@ -9,8 +9,12 @@ st_ready_search must never spend more feed-search states than they did.
 Nor may running the feed search on integers in one common unit: on random
 norms and spectra over mixed denominators, st_ready_search must give the
 certificate, states and cut of the search whose states held Fractions.
-Nor may running a single-norm search as one int loop: it must leave what
-the generator walk leaves, at every budget.
+Nor may deciding readiness with one squared norm by the floor rule: it
+must give the certificate or None of the generator walk, and both it and
+sfr_feasible the first ready order and partition of a walk over every
+index permutation. That walk charges one state per prefix it enters
+(floor_walk_oracle counts them), and at every budget below what a walk
+needs the answer is a cut, never None.
 """
 
 import itertools
@@ -31,9 +35,16 @@ from spectral_tetris import (
     st_ready_search,
 )
 from spectral_tetris import sequences
+from spectral_tetris.sequences import STReadyCertificate, as_norms_squared, as_spectrum
 
 import _oracles
-from _oracles import fraction_st_ready_search_oracle, sfr_feasible_oracle, st_ready_search_oracle
+from _oracles import (
+    first_ready_order_oracle,
+    floor_walk_oracle,
+    fraction_st_ready_search_oracle,
+    sfr_feasible_oracle,
+    st_ready_search_oracle,
+)
 
 PALETTES = (
     (F(1, 2), F(5, 4), F(3, 2), F(2)),
@@ -221,7 +232,21 @@ def _assert_as_the_fraction_search(norms, spectrum, budget):
         fractions = _StateCount(patch, _oracles.FractionFeedSearchOracle)
         found = _answer(st_ready_search, norms, spectrum, budget)
         expected = _answer(fraction_st_ready_search_oracle, norms, spectrum, budget)
-    if isinstance(expected, str) and found is None:
+    if len(set(norms)) == 1:
+        # one squared norm: the floor-rule walk runs no feed search and
+        # charges one state per eigenvalue prefix it enters
+        order, depths = floor_walk_oracle(spectrum, norms[0])
+        assert ints.states == 0
+        if budget < len(depths):
+            assert found == f"readiness search exceeded {budget} states"
+        elif order is None:
+            assert found is None
+        else:
+            assert found.eigenvalue_order == order
+            assert found.norm_order == tuple(range(len(norms)))
+        if not isinstance(expected, str) and not isinstance(found, str):
+            assert found == expected
+    elif isinstance(expected, str) and found is None:
         # the one change: a walk that ended on the budget's last state was
         # reported as a cut
         assert fractions.states == ints.states == budget
@@ -237,68 +262,174 @@ def _assert_as_the_fraction_search(norms, spectrum, budget):
 # norms of the single-norm sweep, and a third palette over thirds, sixths,
 # quarters and fifths
 SINGLE_NORMS = (F(1), F(1, 2), F(2, 3), F(3, 2))
-FORCED_PALETTES = PALETTES + ((F(2, 3), F(5, 6), F(7, 4), F(9, 5)),)
+MIXED_PALETTES = PALETTES + ((F(2, 3), F(5, 6), F(7, 4), F(9, 5)),)
 
 
-def _walked(search, forced):
-    """run(), or the generator walk of the same search: its answer or its
-    cut's message and attributes, then states, reach, order and left."""
-    try:
-        if forced:
-            search._fill = None  # run() may not enter the generator walk
-            found = search.run()
-        else:
-            found = sequences.drive(search._fill(0, search.eigs[0]))
-    except SearchBudgetExceeded as cut:
-        found = (str(cut), cut.states, cut.budget, cut.reach)
-    return found, search.states, search.reach, search.order, search.left
-
-
-def test_the_forced_fill_is_the_generator_walk():
-    """A search with one tag and no row sets runs as one int loop. On every
-    multiset of up to six eigenvalues over mixed-denominator palettes, in
-    three orders, with squared norms 1, 1/2, 2/3 and 3/2, the column counts
-    next to total/norm, either bridging rule, and every budget from 0 to one
-    past the states the walk needs, run() must leave what the generator walk
-    leaves. The same inputs with an integer count must give st_ready_search
-    the certificate, states and cut of the Fraction search."""
-    compared = cuts = found = 0
-    for palette in FORCED_PALETTES:
+def _single_norm_cases():
+    """(spectrum, norm, column count) over every multiset of up to six
+    eigenvalues of MIXED_PALETTES, in three orders, and each of
+    SINGLE_NORMS that divides the total a whole number of times."""
+    for palette in MIXED_PALETTES:
         for spectrum in itertools.chain.from_iterable(map(_orderings, _multisets(palette))):
             if len(spectrum) > 6:
                 continue
             for norm in SINGLE_NORMS:
-                _, units, eigs = sequences.integer_units((norm,), spectrum)
                 count = sum(spectrum) / norm
-                for left, bridge in itertools.product(
-                    {math.floor(count), math.ceil(count)} - {0}, (False, True)
-                ):
-                    def search(budget):
-                        return sequences._FillSearch(
-                            eigs, units, [left], None, budget, f"cut at {budget}",
-                            bridge_empty_rows=bridge,
-                        )
-
-                    needed = search(LARGE_BUDGET)
-                    found += sequences.drive(needed._fill(0, eigs[0]))
-                    for budget in range(needed.states + 2):
-                        walked = _walked(search(budget), forced=False)
-                        assert _walked(search(budget), forced=True) == walked, (
-                            spectrum, norm, left, bridge, budget,
-                        )
-                        compared += 1
-                        cuts += isinstance(walked[0], tuple)
                 if count.denominator == 1:
-                    for budget in (1, 3, SMALL_BUDGET):
-                        _assert_as_the_fraction_search([norm] * count.numerator, spectrum, budget)
-    assert compared > 10_000 and cuts > 5_000 and found > 500, (compared, cuts, found)
+                    yield spectrum, norm, count.numerator
+
+
+def _generator_walk(norms, spectrum):
+    """Multi-norm st_ready_search's route run on these norms whatever their
+    number: each distinct eigenvalue order gets a _FillSearch run by drive(),
+    and a failed one skips the orders sharing the prefix it read."""
+    _, units, eigs = sequences.integer_units(as_norms_squared(norms), as_spectrum(spectrum))
+    values = tuple(dict.fromkeys(units))
+    walk = sequences._distinct_value_orders(eigs)
+    skip = None
+    while True:
+        try:
+            perm, permuted = walk.send(skip)
+        except StopIteration:
+            return None
+        search = sequences._FillSearch(
+            permuted, values, [units.count(v) for v in values], None, LARGE_BUDGET, "cut",
+            bridge_empty_rows=False,
+        )
+        if sequences.drive(search._fill(0, permuted[0])):
+            feed = [values[tag] for tag in search.order]
+            return STReadyCertificate(
+                norm_order=sequences._assign_indices(units, feed),
+                eigenvalue_order=perm,
+                partition=sequences._feed_partition(permuted, feed),
+            )
+        skip = search.reach + 1
+
+
+def test_single_norm_readiness_is_the_generator_walk():
+    """With one squared norm st_ready_search decides readiness by the floor
+    rule. On every multiset of up to six eigenvalues over mixed-denominator
+    palettes, in three orders, with squared norms 1, 1/2, 2/3 and 3/2, it
+    must give the certificate or None of the generic fill search walked by
+    drive(), and at budgets 1, 3 and 2,000 the answer or cut the walk's
+    charge implies, with the Fraction search's certificate where that
+    search settles."""
+    compared = found = 0
+    for spectrum, norm, count in _single_norm_cases():
+        norms = [norm] * count
+        expected = _generator_walk(norms, spectrum)
+        assert st_ready_search(norms, spectrum, LARGE_BUDGET) == expected, (spectrum, norm)
+        compared += 1
+        found += expected is not None
+        for budget in (1, 3, SMALL_BUDGET):
+            _assert_as_the_fraction_search(norms, spectrum, budget)
+    assert compared > 300 and found > 100, (compared, found)
+
+
+def test_single_norm_searches_return_the_first_ready_permutation():
+    """sfr_feasible, and st_ready_search with one squared norm, return the
+    order and partition of the first index permutation, in lexicographic
+    order, on which the columns are ready."""
+    compared = found = 0
+    for spectrum, norm, count in _single_norm_cases():
+        expected = first_ready_order_oracle(norm, count, spectrum)
+        certificate = st_ready_search([norm] * count, spectrum, LARGE_BUDGET)
+        if expected is None:
+            assert certificate is None, (spectrum, norm)
+        else:
+            assert (certificate.eigenvalue_order, certificate.partition) == expected
+            found += 1
+        if norm == 1:
+            unit_norm = sfr_feasible(spectrum, count)
+            if expected is None:
+                assert unit_norm is None, spectrum
+            else:
+                assert (unit_norm.eigenvalue_order, unit_norm.partition) == expected
+        compared += 1
+    assert compared > 300 and found > 100, (compared, found)
+
+
+def _cut_or_answer(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded as cut:
+        return cut
+
+
+def test_every_budget_below_what_a_walk_needs_cuts(monkeypatch):
+    """At every budget below the states a walk needs the answer is a cut
+    quoting that budget, never None, and at that many states the walk
+    answers. The floor-rule walks need the prefixes floor_walk_oracle
+    enters, and a single-norm cut reaches the deepest index tested; the
+    multi-norm walk needs the states its feed searches spend."""
+    walks = 0
+    for spectrum, norm, count in _single_norm_cases():
+        _, depths = floor_walk_oracle(spectrum, norm)
+        needed = len(depths)
+        norms = [norm] * count
+        answer = st_ready_search(norms, spectrum, needed)
+        for budget in range(needed):
+            cut = _cut_or_answer(st_ready_search, norms, spectrum, budget)
+            assert isinstance(cut, SearchBudgetExceeded), (spectrum, norm, budget)
+            assert str(cut) == f"readiness search exceeded {budget} states"
+            assert (cut.states, cut.budget, cut.reach) == (
+                budget, budget, max(depths[:budget], default=0)
+            )
+        if norm == 1:
+            for budget in range(needed + 1):
+                monkeypatch.setenv(sequences.SEARCH_BUDGET_ENV, str(budget))
+                found = _cut_or_answer(sfr_feasible, spectrum, count)
+                if budget < needed:
+                    assert isinstance(found, SearchBudgetExceeded), (spectrum, budget)
+                    assert str(found) == f"eigenvalue order walk exceeded {budget} states"
+                    assert (found.states, found.budget, found.reach) == (budget, budget, None)
+                else:
+                    assert (found is None) == (answer is None), spectrum
+            monkeypatch.delenv(sequences.SEARCH_BUDGET_ENV)
+        walks += 1
+    for spectrum in itertools.chain.from_iterable(map(_multisets, PALETTES[:1])):
+        norms = _mixed_norms(sum(spectrum))
+        if norms is None or len(spectrum) > 5:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _StateCount(patch, sequences._FillSearch)
+            answer = st_ready_search(norms, spectrum, LARGE_BUDGET)
+        for budget in range(spent.states):
+            cut = _cut_or_answer(st_ready_search, norms, spectrum, budget)
+            assert isinstance(cut, SearchBudgetExceeded), (spectrum, budget)
+            assert (str(cut), cut.states, cut.budget) == (
+                f"readiness search exceeded {budget} states", budget, budget
+            )
+        assert st_ready_search(norms, spectrum, spent.states) == answer
+        walks += 1
+    assert walks > 400, walks
 
 
 def test_the_mixed_denominator_equal_norm_case_spends_its_states(monkeypatch):
-    """The equal-norm case CI runs: 25,072 feed-search states in Fractions
-    and in integer units alike, ending Infeasible."""
+    """The equal-norm case CI runs: its squared norm is 1, so the floor-rule
+    walk decides it, Infeasible, on 901 states (the fill searches spent
+    25,072), and no feed search runs."""
     ints = _StateCount(monkeypatch, sequences._FillSearch)
     spectrum = [F(v) for v in "13/7 1824/1001 23/13 19/11 12/7 11/7 17/11 20/13 16/11".split()]
+    assert len(floor_walk_oracle(spectrum, 1)[1]) == 901
     with pytest.raises(Infeasible):
-        equal_norm_frame(spectrum, 15)
-    assert ints.states == 25_072
+        equal_norm_frame(spectrum, 15, budget=901)
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 900 states$"):
+        equal_norm_frame(spectrum, 15, budget=900)
+    assert ints.states == 0
+
+
+def test_the_hostile_sfr_spectrum_is_infeasible_as_an_equal_norm_frame():
+    """The CI's hostile sfr spectrum, sorted descending, as an equal-norm
+    frame of 22 columns: the fill searches ran out of 10^7 states on it;
+    the floor-rule walk settles it Infeasible on 6,184."""
+    spectrum = sorted(
+        (F(v) for v in "1271/970 7/3 1087/970 489/194 197/97 294/97 592/485 3 196/97 "
+         "195/97 4079/2910".split()),
+        reverse=True,
+    )
+    assert len(floor_walk_oracle(spectrum, 1)[1]) == 6_184
+    with pytest.raises(Infeasible):
+        equal_norm_frame(spectrum, 22, budget=6_184)
+    with pytest.raises(SearchBudgetExceeded):
+        equal_norm_frame(spectrum, 22, budget=6_183)

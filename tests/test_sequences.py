@@ -216,22 +216,40 @@ def _feed_search_states(monkeypatch):
 
 
 def test_a_cut_on_a_later_order_quotes_the_callers_budget(monkeypatch):
-    # two orders fail at 2 states each, so the third runs on the 1 state
-    # left; the cut used to quote that remainder ("exceeded 1 states")
+    # with two squared norms each eigenvalue order gets a feed search: two
+    # orders fail at 6 states each, so the third runs on the 2 states left;
+    # the cut used to quote that remainder ("exceeded 2 states")
     states = _feed_search_states(monkeypatch)
     spectrum = [Fraction(v) for v in ("7/5", "6/5", "13/10", "11/10", "5/4", "3/4")]
+    norms = [Fraction(3, 2), Fraction(1, 2)] + [1] * 5
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 14 states$") as cut:
+        st_ready_search(norms, spectrum, budget=14)
+    assert states == [6, 6, 3]
+    # states and budget are the caller's, reach that of the order that cut
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (14, 14, 1)
+    # with one squared norm the floor-rule walk runs no feed search: it
+    # enters 7/5, then fails four prefixes of two eigenvalues in turn, and
+    # cuts on entering the fifth
+    states.clear()
     with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 5 states$") as cut:
         st_ready_search([1] * 7, spectrum, budget=5)
-    assert states == [2, 2, 2]
-    # states and budget are the caller's, reach that of the order that cut
-    assert (cut.value.states, cut.value.budget, cut.value.reach) == (5, 5, 0)
+    assert states == []
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (5, 5, 1)
 
 
 def test_a_cut_says_what_it_spent_against_which_budget():
-    # one squared norm, so the forced loop cuts, here on entering row 1
-    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 3 states$") as cut:
-        st_ready_search([1] * 4, [2, 2], budget=3)
-    assert (cut.value.states, cut.value.budget, cut.value.reach) == (3, 3, 1)
+    # one squared norm, so the floor-rule walk cuts: one state per prefix
+    # it enters, reach the deepest eigenvalue index it tested. (1/2) and
+    # (1/2, 2) are tested, and the walk cuts on entering (1/2, 2, 1/2)
+    spectrum = (Fraction(1, 2), 2, Fraction(1, 2))
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 2 states$") as cut:
+        st_ready_search([1] * 3, spectrum, budget=2)
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (2, 2, 1)
+    # the flat order of (2, 2) is ready on its second prefix
+    with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 1 states$") as cut:
+        st_ready_search([1] * 4, [2, 2], budget=1)
+    assert (cut.value.states, cut.value.budget, cut.value.reach) == (1, 1, 0)
+    assert st_ready_search([1] * 4, [2, 2], budget=2).partition == (2, 4)
     # two squared norms, so the generator walk cuts
     norms = [Fraction(3, 2), Fraction(1, 2), 1, 1, 1]
     with pytest.raises(SearchBudgetExceeded, match=r"^readiness search exceeded 4 states$") as cut:
@@ -242,22 +260,22 @@ def test_a_cut_says_what_it_spent_against_which_budget():
 
 def test_a_walk_that_ends_on_its_budget_answers(monkeypatch):
     states = _feed_search_states(monkeypatch)
-    # a flat spectrum has one order, and its feed search fails on its
-    # second state: the walk is over, so spending the whole budget is no cut
+    # a flat spectrum has one order, and the floor rule fails on its second
+    # prefix: the walk is over, so spending the whole budget is no cut
     assert st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=2) is None
-    assert states == [2]
     with pytest.raises(SearchBudgetExceeded, match=r"exceeded 1 states$"):
         st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=1)
-    # the first of two orders spends the whole budget: the second is still
-    # to try, so its feed search cuts on its first state
-    states.clear()
+    # (1/2, 2, 1/2) takes six prefixes: (1/2), (1/2, 2), two failing
+    # prefixes of three, then (2) and the failing (2, 1/2); at any budget
+    # below six a prefix is still to try, so the walk cuts
     spectrum = (Fraction(1, 2), 2, Fraction(1, 2))
-    with pytest.raises(SearchBudgetExceeded, match=r"exceeded 2 states$"):
-        st_ready_search([1] * 3, spectrum, budget=2)
-    assert states == [2, 1]
-    states.clear()
+    for budget in range(6):
+        with pytest.raises(SearchBudgetExceeded, match=rf"exceeded {budget} states$"):
+            st_ready_search([1] * 3, spectrum, budget=budget)
+    assert st_ready_search([1] * 3, spectrum, budget=6) is None
     assert st_ready_search([1] * 3, spectrum, budget=7) is None
-    assert states == [2, 1, 4]
+    # one squared norm runs no feed search
+    assert states == []
 
 
 def test_search_budget_resolution(monkeypatch):
@@ -281,16 +299,24 @@ def test_distinct_orders_match_the_permutation_walk():
 
 def test_flat_search_spends_one_order_not_m_factorial(monkeypatch):
     # a flat spectrum has one value order; walking all 10! index orders to
-    # find it took 55 s at budget 1000
+    # find it took 55 s at budget 1000. With one squared norm the floor-rule
+    # walk tests two prefixes of it and yields no order
+    assert st_ready_search([1] * 13, [Fraction(13, 10)] * 10, budget=2) is None
+    with pytest.raises(SearchBudgetExceeded):
+        st_ready_search([1] * 13, [Fraction(13, 10)] * 10, budget=1)
     yielded = []
 
-    def counting(values):
-        for item in _distinct_value_orders(values):
+    def counting(*args, **kwargs):
+        for item in _distinct_value_orders(*args, **kwargs):
             yielded.append(item)
             yield item
 
     monkeypatch.setattr(sequences, "_distinct_value_orders", counting)
     assert st_ready_search([1] * 13, [Fraction(13, 10)] * 10, budget=1000) is None
+    assert yielded == []
+    # with two squared norms the one order gets one feed search
+    norms = [Fraction(3, 2), Fraction(1, 2)] + [1] * 11
+    assert st_ready_search(norms, [Fraction(13, 10)] * 10, budget=1000) is None
     assert len(yielded) == 1
 
 
