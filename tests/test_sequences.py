@@ -265,9 +265,9 @@ def test_a_walk_that_ends_on_its_budget_answers(monkeypatch):
     assert st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=2) is None
     with pytest.raises(SearchBudgetExceeded, match=r"exceeded 1 states$"):
         st_ready_search([Fraction(3, 2)] * 4, [2] * 3, budget=1)
-    # (1/2, 2, 1/2) takes six prefixes: (1/2), (1/2, 2), two failing
-    # prefixes of three, then (2) and the failing (2, 1/2); at any budget
-    # below six a prefix is still to try, so the walk cuts
+    # (1/2, 2, 1/2) takes six prefixes: (1/2), (1/2, 2), the failing
+    # (1/2, 2, 1/2) and (1/2, 1/2), then (2) and the failing (2, 1/2); at
+    # any budget below six a prefix is still to try, so the walk cuts
     spectrum = (Fraction(1, 2), 2, Fraction(1, 2))
     for budget in range(6):
         with pytest.raises(SearchBudgetExceeded, match=rf"exceeded {budget} states$"):
