@@ -210,10 +210,7 @@ def _realized_order(matrix: SynthesisMatrix, spectrum: Sequence) -> List[Fractio
     order (the multiset is unchanged); the verification report should not
     flag that as a mismatch.
     """
-    order = matrix.meta.get("eigenvalue_order")
-    if order is None:
-        return list(spectrum)
-    return [spectrum[i] for i in order]
+    return [spectrum[i] for i in matrix.meta["eigenvalue_order"]]
 
 
 def _cmd_sfr(args: argparse.Namespace) -> int:

@@ -72,6 +72,7 @@ from .sequences import (
     SfrCertificate,
     STReadyCertificate,
     _lcm,
+    _positive_int,
     as_norms_squared,
     as_spectrum,
     integer_units,
@@ -760,8 +761,7 @@ def sfr(spectrum: Sequence, count: int) -> SynthesisMatrix:
     admits the construction.
     """
     eigs = as_spectrum(spectrum)
-    if count < 1:
-        raise ValueError(f"frame size {count} must be positive")
+    count = _positive_int(count, "count")
     certificate = sfr_feasible(eigs, count)
     if certificate is None:
         raise Infeasible(
@@ -779,8 +779,8 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
     rest. Raises Underdetermined for count < dimension and Infeasible (citing
     the failed eigenvalue criterion) when the fill cannot complete.
     """
-    if dimension < 1 or count < 1:
-        raise ValueError("dimension and count must be positive")
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
     if count < dimension:
         raise Underdetermined(
             f"{count} vectors cannot span a space of dimension {dimension}"
@@ -821,8 +821,8 @@ def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
     col; rest > 0 and trailing > 0 make every entry nonzero. So the matrix
     is built unchecked, complex exactly when some block has J >= 3.
     """
-    if dimension < 1 or count < 1:
-        raise ValueError("dimension and count must be positive")
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
     if count < dimension:
         raise Underdetermined(
             f"{count} vectors cannot span a space of dimension {dimension}"
@@ -881,8 +881,7 @@ def equal_norm_frame(
     eigs = as_spectrum(spectrum)
     if any(eigs[i] < eigs[i + 1] for i in range(len(eigs) - 1)):
         raise ValueError("spectrum must be non-increasing")
-    if count < 1:
-        raise ValueError(f"frame size {count} must be positive")
+    count = _positive_int(count, "count")
     norm_squared = sum(eigs) / count
     norms = (norm_squared,) * count
     certificate = st_ready_search(norms, eigs, budget)

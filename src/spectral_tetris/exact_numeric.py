@@ -35,8 +35,6 @@ from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 

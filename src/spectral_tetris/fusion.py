@@ -47,7 +47,9 @@ from .errors import (
     SpectralTetrisError,
 )
 from .exact_numeric import MatrixEntry
-from .sequences import _FillSearch, as_spectrum, integer_units, majorizes, search_budget
+from .sequences import (
+    _FillSearch, _positive_int, _rationals, as_spectrum, integer_units, majorizes, search_budget,
+)
 
 
 @dataclass
@@ -76,7 +78,7 @@ class FusionFrame:
             )
         seen: Set[int] = set()
         for group, dim in zip(self.partition, self.dims):
-            if len(group) != dim or dim < 1:
+            if len(group) != _positive_int(dim, "dims entry"):
                 raise ValueError(f"group {group} does not match declared dimension {dim}")
             for col in group:
                 if col in seen:
@@ -179,8 +181,8 @@ def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFr
     spans the right subspaces without the groups being orthogonal bases.
     """
     eigs = as_spectrum(spectrum)
-    if subspace_count < 1 or subspace_dim < 1:
-        raise ValueError("subspace count and dimension must be positive")
+    subspace_count = _positive_int(subspace_count, "subspace_count")
+    subspace_dim = _positive_int(subspace_dim, "subspace_dim")
     if any(eigs[i] < eigs[i + 1] for i in range(len(eigs) - 1)):
         raise Infeasible("eigenvalues must be non-increasing")
     if eigs[0] > subspace_count:
@@ -231,8 +233,7 @@ def rff(spectrum: Sequence, count: int) -> FusionFrame:
     Construction errors propagate.
     """
     eigs = as_spectrum(spectrum)
-    if count < 1:
-        raise ValueError(f"frame size {count} must be positive")
+    count = _positive_int(count, "count")
     generator = pnstc((Fraction(1),) * count, eigs)
     columns = column_maps(generator)
     bucket_count = max(map(len, Sweep(generator).incidence.values()))
@@ -261,11 +262,9 @@ def rff(spectrum: Sequence, count: int) -> FusionFrame:
 
 
 def _validate_dims(dims: Sequence[int]) -> Tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_positive_int(d, "dims entry") for d in dims)
     if not out:
         raise ValueError("dimension sequence must be nonempty")
-    if any(d < 1 for d in out):
-        raise ValueError("dimensions must be positive integers")
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
         raise ValueError("dimension sequence must be non-increasing")
     return out
@@ -364,8 +363,8 @@ def tight_uff_feasible(dimension: int, count: int, dims: Sequence[int]) -> bool:
     (the characterization assumes redundancy at least 2) and ValueError when
     the dimensions do not sum to count.
     """
-    if dimension < 1 or count < 1:
-        raise ValueError("dimension and count must be positive")
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
     if count < 2 * dimension:
         raise OutOfRange(
             f"the characterization needs count >= 2*dimension; got {count} < {2 * dimension}"
@@ -416,10 +415,8 @@ def weighted_fusion(
     SearchBudgetExceeded when the search hits its budget before settling it.
     """
     eigs = as_spectrum(spectrum)
-    dims_t = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims_t):
-        raise ValueError("dimensions must be positive integers")
-    weights = tuple(Fraction(w) for w in weights_squared)
+    dims_t = tuple(_positive_int(d, "dims entry") for d in dims)
+    weights = _rationals(weights_squared, "squared weight")
     if len(weights) != len(dims_t):
         raise ValueError("weights and dimensions must align")
     if any(w <= 0 for w in weights):

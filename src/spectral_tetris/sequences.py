@@ -14,12 +14,17 @@ per distinct squared norm; fusion.weighted_fusion runs it with one tag per
 subspace and the rows its columns use. Failed fill states are memoized.
 Readiness needs only sums and comparisons, never a square root, so each
 search first scales its values to integers in one common unit
-(integer_units) and runs every state on Python ints. The maximal block
-number runs on the same integers, mod the unit.
+(integer_units) and runs every state on Python ints. A certificate's
+partition is read by its definition, off prefix sums: n_k is the largest n
+whose first n fed norms sum to at most the first k eigenvalues
+(_feed_partition bisects the feed's prefix sums), and _floors is its closed
+form for one norm. The maximal block number runs on the same integers, mod
+the unit.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -46,36 +51,64 @@ SEARCH_BUDGET_ENV = "SPECTRAL_TETRIS_SEARCH_BUDGET"
 
 
 def search_budget(budget: Optional[int] = None) -> int:
-    """Resolve the permutation-search state cap (argument, then env, then default)."""
+    """Resolve the permutation-search state cap (argument, then env, then
+    default); ValueError for an argument without __index__."""
     if budget is not None:
-        return budget
+        if not hasattr(budget, "__index__"):
+            raise ValueError(f"search budget {budget!r} is not an integer")
+        return operator.index(budget)
     raw = os.environ.get(SEARCH_BUDGET_ENV)
     if raw:
         return int(raw)
     return DEFAULT_SEARCH_BUDGET
 
 
-def _positive_rationals(values: Sequence, empty: str, nonpositive: str) -> Tuple[Fraction, ...]:
-    # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
-    # Fraction passes as it is, and every other value converts as before
-    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+def _positive_int(value, name: str) -> int:
+    """A count or dimension as an int, read through __index__; ValueError
+    naming it unless it is a positive integer."""
+    number = operator.index(value) if hasattr(value, "__index__") else 0
+    if number < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
+def _rationals(values: Iterable, what: str) -> Tuple[Fraction, ...]:
+    """The values as Fractions; ValueError names the position of one that is
+    not a finite number (Fraction raises TypeError for None, OverflowError
+    for an infinity)."""
+    values = tuple(values)
+    try:
+        # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
+        # Fraction passes as it is, and every other value converts as before
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    except (TypeError, ValueError, ArithmeticError):
+        # only a failed conversion walks the values again, to name the culprit
+        for position, value in enumerate(values):
+            try:
+                Fraction(value)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                message = f"{what} {value!r} at position {position} is not a finite number"
+                raise ValueError(message) from failure
+        raise
+
+
+def _positive_rationals(values: Sequence, what: str, empty: str) -> Tuple[Fraction, ...]:
+    out = _rationals(values, what)
     if not out:
         raise ValueError(empty)
     if any(v.numerator <= 0 for v in out):
-        raise ValueError(nonpositive)
+        raise ValueError(f"{what}s must be positive")
     return out
 
 
 def as_spectrum(values: Sequence) -> Spectrum:
     """Validate and normalize a sequence of eigenvalues (positive rationals)."""
-    return _positive_rationals(values, "spectrum must be nonempty", "eigenvalues must be positive")
+    return _positive_rationals(values, "eigenvalue", "spectrum must be nonempty")
 
 
 def as_norms_squared(values: Sequence) -> NormSequence:
     """Validate and normalize a sequence of squared vector norms (positive rationals)."""
-    return _positive_rationals(
-        values, "norm sequence must be nonempty", "squared norms must be positive"
-    )
+    return _positive_rationals(values, "squared norm", "norm sequence must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -454,7 +487,8 @@ def st_ready_search(
     rule in the unit a: the order walk tests each eigenvalue prefix as it
     enters it, and each prefix it enters is one state of the budget. The
     norm order is the identity and the partition the floors. With several
-    norms each distinct eigenvalue order gets one feed search; when one
+    norms each distinct eigenvalue order gets one feed search, whose feed
+    gives the norm order and, off its prefix sums, the partition; when one
     fails, the walk skips every order sharing the eigenvalue prefix that
     search read, so those orders spend no states. The feed searches share
     the budget: one that finds none left cuts on its first state, so a walk
@@ -509,25 +543,11 @@ def _floors(eigs: Sequence[int], unit: int) -> Tuple[int, ...]:
 
 
 def _feed_partition(eigs: Sequence[int], feed: Sequence[int]) -> Tuple[int, ...]:
-    """The partition of a complete feed: replaying the fill, the number of
-    columns fed before each row's cut, a block's two columns after it."""
-    partition: List[int] = []
-    row, weight, fed = 0, eigs[0], 0
-    while True:
-        if weight == 0:
-            partition.append(fed)
-            row += 1
-            if row == len(eigs):
-                return tuple(partition)
-            weight = eigs[row]
-        elif feed[fed] <= weight:
-            weight -= feed[fed]
-            fed += 1
-        else:
-            partition.append(fed)
-            row += 1
-            weight = eigs[row] - (feed[fed] + feed[fed + 1] - weight)
-            fed += 2
+    """The partition of a complete feed, by its definition: n_k is the
+    largest n whose first n fed norms sum to at most the first k
+    eigenvalues. _floors is its closed form for one norm."""
+    fed = list(itertools.accumulate(feed, initial=0))
+    return tuple(bisect.bisect_right(fed, prefix) - 1 for prefix in itertools.accumulate(eigs))
 
 
 def _assign_indices(original: Sequence, feed: Sequence) -> Tuple[int, ...]:
@@ -806,8 +826,8 @@ def untf_feasible(dimension: int, count: int) -> bool:
     The reduced ratio count/dimension must be at least 2 or of the form
     (2L-1)/L. Fewer vectors than dimensions raises Underdetermined.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension {dimension} must be positive")
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
     if count < dimension:
         raise Underdetermined(f"{count} vectors cannot span dimension {dimension}")
     ratio = Fraction(count, dimension)
@@ -823,6 +843,8 @@ def untf_floor_condition(dimension: int, count: int) -> bool:
     not an integer; outside the open band (M, 2M) the hypothesis fails and
     OutOfRange is raised.
     """
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
     if not dimension < count < 2 * dimension:
         raise OutOfRange(
             f"floor condition requires {dimension} < count < {2 * dimension}, got {count}"
@@ -859,6 +881,7 @@ def sfr_feasible(spectrum: Sequence, count: int) -> Optional[SfrCertificate]:
     search_budget() raises SearchBudgetExceeded, never None.
     """
     eigs = as_spectrum(spectrum)
+    count = _positive_int(count, "count")
     unit, eig_units = integer_units(eigs)
     if sum(eig_units) != count * unit:
         raise SumMismatch(f"eigenvalues sum to {sum(eigs)}, need {count}")
@@ -900,8 +923,7 @@ def tight_sufficient(norms_squared: Sequence, dimension: int) -> bool:
     Fewer than two vectors is vacuously fine.
     """
     norms = as_norms_squared(norms_squared)
-    if dimension < 1:
-        raise ValueError(f"dimension {dimension} must be positive")
+    dimension = _positive_int(dimension, "dimension")
     if list(norms) != sorted(norms, reverse=True):
         raise ValueError("sequences must be non-increasing")
     if len(norms) < 2:

@@ -5,7 +5,8 @@ complex entries drop the checks to floating point (1e-12 for frames, 1e-10
 for fusion operators) and flag the report exact=False. Neither report
 raises on a mathematical failure: every discrepancy is a field.
 
-Each property has one check: _rows_orthogonal, _matches (exact, in order),
+Each property has one check: Sweep.rows_orthogonal (the row Gram of the
+dense form with complex entries), _matches (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
 All the integer work lives in construct.Sweep, one per matrix and call,
 and this module only reads it; each part is computed on first read, so a
@@ -83,16 +84,6 @@ def _off_diagonal(gram: np.ndarray) -> float:
     import numpy as np
 
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
-
-
-def _rows_orthogonal(sweep: Sweep, tolerance: float) -> bool:
-    """Whether every pair of distinct rows is orthogonal: exactly on the real
-    path (Sweep.rows_orthogonal), within tolerance with complex entries."""
-    matrix = sweep.matrix
-    if not matrix.is_complex:
-        return sweep.rows_orthogonal()
-    dense = matrix.to_dense()
-    return _off_diagonal(dense @ dense.conj().T) <= tolerance
 
 
 def _exact_expectation(expected: Sequence) -> List[ExactSum]:
@@ -219,13 +210,18 @@ def orthogonality_distance(matrix: SynthesisMatrix) -> int:
     only for candidate pairs sharing two or more rows.
     """
     if matrix.is_complex:
-        import numpy as np
-
-        dense = matrix.to_dense()
-        gram = np.abs(dense.conj().T @ dense)
-        first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
-        return int(np.max(last - first)) + 1 if first.size else 0
+        return _dense_distance(matrix.to_dense())
     return _real_distance(Sweep(matrix))
+
+
+def _dense_distance(dense: np.ndarray) -> int:
+    """orthogonality_distance of a dense complex matrix, from its column
+    Gram within COMPLEX_TOLERANCE."""
+    import numpy as np
+
+    gram = np.abs(dense.conj().T @ dense)
+    first, last = np.nonzero(np.triu(gram > COMPLEX_TOLERANCE))
+    return int(np.max(last - first)) + 1 if first.size else 0
 
 
 def _real_distance(sweep: Sweep) -> int:
@@ -306,7 +302,11 @@ def verify_frame(
     exact = not matrix.is_complex
     sweep = Sweep(matrix)
     row_sums, col_norms = sweep.row_sums, sweep.col_sums
-    rows_orthogonal = _rows_orthogonal(sweep, COMPLEX_TOLERANCE)
+    if exact:
+        rows_orthogonal = sweep.rows_orthogonal()
+    else:  # the dense form serves every complex check
+        dense = matrix.to_dense()
+        rows_orthogonal = _off_diagonal(dense @ dense.conj().T) <= COMPLEX_TOLERANCE
 
     # equal sums are mostly one object, which needs no comparison
     first = row_sums[0] if m else None
@@ -322,7 +322,7 @@ def verify_frame(
     else:
         import numpy as np
 
-        is_frame = int(np.linalg.matrix_rank(matrix.to_dense())) == m
+        is_frame = int(np.linalg.matrix_rank(dense)) == m
 
     return VerificationReport(
         is_frame=is_frame,
@@ -333,7 +333,7 @@ def verify_frame(
         tight_bound=tight_bound,
         nonzero_count=matrix.nonzero_count,
         optimal_sparsity_bound=_sparsity_bound(sweep),
-        orthogonality_distance=_real_distance(sweep) if exact else orthogonality_distance(matrix),
+        orthogonality_distance=_real_distance(sweep) if exact else _dense_distance(dense),
         exact=exact,
         spectrum_matches=_matches(row_sums, expected_spectrum),
         norms_match=_matches(col_norms, expected_norms),

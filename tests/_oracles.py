@@ -17,8 +17,9 @@ JSON entry decoder that re-split every radicand, the tagged fusion search
 that compared columns by exact inner products, the pruned readiness search
 whose states held Fractions, the Spectral Tetris fill that compared and
 subtracted Fractions, the JSON encoder, dense conversion and CSV writer
-that worked entry by entry, and the Naimark complement that converted every
-completion entry through two Fractions. floor_walk_oracle is a model of
+that worked entry by entry, the Naimark complement that converted every
+completion entry through two Fractions, and the certificate partition that
+replayed the fill's moves over a feed. floor_walk_oracle is a model of
 the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
@@ -1482,3 +1483,29 @@ def naimark_complement_oracle(parseval: SynthesisMatrix) -> SynthesisMatrix:
     return SynthesisMatrix(
         n - m, n, entries, meta={"algorithm": "naimark", "exact": False}
     )
+
+
+# -- the certificate partition that replayed the fill ------------------------------
+# The package's former sequences._feed_partition, verbatim bar its name and
+# docstring: the number of columns fed before each row's cut, a 2x2 block's
+# two columns counted after it.
+
+
+def feed_partition_replay_oracle(eigs: Sequence[int], feed: Sequence[int]) -> Tuple[int, ...]:
+    partition: List[int] = []
+    row, weight, fed = 0, eigs[0], 0
+    while True:
+        if weight == 0:
+            partition.append(fed)
+            row += 1
+            if row == len(eigs):
+                return tuple(partition)
+            weight = eigs[row]
+        elif feed[fed] <= weight:
+            weight -= feed[fed]
+            fed += 1
+        else:
+            partition.append(fed)
+            row += 1
+            weight = eigs[row] - (feed[fed] + feed[fed + 1] - weight)
+            fed += 2

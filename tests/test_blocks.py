@@ -165,6 +165,15 @@ def test_block_a_hat_existence_conditions():
         block_a_hat(Fraction(-1, 2), 1, 1)
 
 
+def test_block_a_hat_names_each_refusal():
+    with pytest.raises(NoSuchBlock, match=r"^squared norms 1, 1 sum below row weight 3$"):
+        block_a_hat(3, 1, 1)
+    with pytest.raises(NoSuchBlock, match=r"^squared norms 1, 3 straddle the row weight 2$"):
+        block_a_hat(2, 1, 3)
+    with pytest.raises(NoSuchBlock, match=r"^row weight 0 must be positive$"):
+        block_a_hat(0, 1, 1)
+
+
 @given(
     st.fractions(min_value="1/4", max_value=3, max_denominator=8),
     st.fractions(min_value=0, max_value=4, max_denominator=8),

@@ -86,6 +86,37 @@ def test_untf_underdetermined_and_bad_input():
         construct_untf(0, 1)
 
 
+def test_counts_and_dimensions_must_be_integers():
+    spectrum = (Fraction(5, 2),) * 2
+    for call, name, value in (
+        (lambda: construct_untf(2.0, 5), "dimension", "2.0"),
+        (lambda: construct_untf_dft(4, 5.0), "count", "5.0"),
+        (lambda: sfr(spectrum, 5.0), "count", "5.0"),
+        (lambda: equal_norm_frame(spectrum, 3.0), "count", "3.0"),
+        (lambda: construct_untf_dft(0, 1), "dimension", "0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value}$"):
+            call()
+    with pytest.raises(ValueError, match=r"^search budget '9' is not an integer$"):
+        equal_norm_frame(spectrum, 5, "9")
+    assert construct_untf(np.int64(4), np.int64(11)).col_count == 11
+
+
+def test_spectra_and_norms_refuse_non_numbers_and_infinities():
+    inf = float("inf")
+    with pytest.raises(ValueError, match=r"^eigenvalue inf at position 0 is not a finite number$"):
+        sfr([inf], 1)
+    with pytest.raises(ValueError, match=r"^squared norm inf at position 0 is not a finite number$"):
+        pnstc([inf], [1])
+    with pytest.raises(ValueError, match=r"^eigenvalue None at position 0 is not a finite number$"):
+        sfr([None], 1)
+
+
+def test_untf_dft_underdetermined():
+    with pytest.raises(Underdetermined, match=r"^3 vectors cannot span a space of dimension 5$"):
+        construct_untf_dft(5, 3)
+
+
 def test_untf_matches_pnstc_on_unit_norms():
     # same greedy, reached through the general prescribed-norms entry point
     flat = (Fraction(11, 4),) * 4

@@ -288,6 +288,36 @@ def test_weighted_fusion_input_validation():
         weighted_fusion((1, 1), (1, 1), (3,))
 
 
+def test_counts_and_dims_must_be_integers():
+    """Dims, counts and dimensions are read through __index__; 2.9 was
+    truncated to a dimension of 2."""
+    flat = (Fraction(11, 4),) * 4
+    for call, name, value in (
+        (lambda: weighted_fusion((1, 1), (2.9, 2.9), (2, 2)), "dims entry", "2.9"),
+        (lambda: uff(flat, (3, 3, 2, 1, 1, 1.5)), "dims entry", "1.5"),
+        (lambda: tight_uff_feasible(4, 11, (3, 3.0, 2, 1, 1, 1)), "dims entry", "3.0"),
+        (lambda: tight_uff_feasible(4.0, 11, (3, 3, 2, 1, 1, 1)), "dimension", "4.0"),
+        (lambda: sffr((Fraction(3, 2),) * 2, 3.0, 1), "subspace_count", "3.0"),
+        (lambda: sffr((Fraction(3, 2),) * 2, 3, 0), "subspace_dim", "0"),
+        (lambda: rff(flat, 11.0), "count", "11.0"),
+        (lambda: FusionFrame(2, (1, 1), (1, 1.0), construct_untf(2, 2), ((0,), (1,))),
+         "dims entry", "1.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value}$"):
+            call()
+    with pytest.raises(ValueError, match="^dimension sequence must be nonempty$"):
+        uff(flat, [])
+
+
+def test_weights_refuse_non_numbers_and_infinities():
+    with pytest.raises(ValueError, match=r"^squared weight None at position 0 is not a finite number$"):
+        weighted_fusion((None, 1), (1, 1), (2,))
+    with pytest.raises(ValueError, match=r"^squared weight inf at position 1 is not a finite number$"):
+        weighted_fusion((1, float("inf")), (1, 1), (2,))
+    with pytest.raises(ValueError, match="^squared weights must be positive$"):
+        weighted_fusion((1, -1), (1, 1), (2,))
+
+
 def test_weighted_fusion_no_ordering_works():
     # norms 4 and 9 against (6, 7): 4 alone strands a weight of 2 and the
     # pair (9, 4) straddles every row weight, so both orders dead-end

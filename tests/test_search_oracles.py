@@ -14,7 +14,9 @@ must give the certificate or None of the generator walk, and both it and
 sfr_feasible the first ready order and partition of a walk over every
 index permutation. That walk charges one state per prefix it enters
 (floor_walk_oracle counts them), and at every budget below what a walk
-needs the answer is a cut, never None.
+needs the answer is a cut, never None. Nor may reading a multi-norm
+certificate's partition off prefix sums: it must equal the replay of the
+fill's moves over the feed that it replaced.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from spectral_tetris import (
     SumMismatch,
     equal_norm_frame,
     sfr_feasible,
+    st_ready_check,
     st_ready_search,
 )
 from spectral_tetris import sequences
@@ -39,6 +42,7 @@ from spectral_tetris.sequences import STReadyCertificate, as_norms_squared, as_s
 
 import _oracles
 from _oracles import (
+    feed_partition_replay_oracle,
     first_ready_order_oracle,
     floor_walk_oracle,
     fraction_st_ready_search_oracle,
@@ -433,3 +437,51 @@ def test_the_hostile_sfr_spectrum_is_infeasible_as_an_equal_norm_frame():
         equal_norm_frame(spectrum, 22, budget=6_184)
     with pytest.raises(SearchBudgetExceeded):
         equal_norm_frame(spectrum, 22, budget=6_183)
+
+
+def _consecutive_sum_case(rng):
+    """Norms over 1 to 3 denominators in 2..12 and a spectrum of the same
+    total: sums of consecutive norms in a shuffled feed, and in two cases of
+    three a rational moved between two eigenvalues, so that rows end inside
+    a column and the fill needs blocks. The spectrum comes shuffled."""
+    denominators = [rng.randint(2, 12) for _ in range(rng.randint(1, 3))]
+    norms = [F(rng.randint(1, 3 * d), d) for d in rng.choices(denominators, k=rng.randint(2, 9))]
+    fed = rng.sample(norms, len(norms))
+    bounds = [0] + sorted(rng.sample(range(1, len(fed)), rng.randint(0, len(fed) - 1))) + [len(fed)]
+    spectrum = [sum(fed[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if len(spectrum) > 1 and rng.random() < 2 / 3:
+        giver, taker = rng.sample(range(len(spectrum)), 2)
+        shift = F(rng.randint(1, 12), rng.randint(2, 12))
+        if shift < spectrum[giver]:
+            spectrum[giver] -= shift
+            spectrum[taker] += shift
+    return norms, rng.sample(spectrum, len(spectrum))
+
+
+def test_multi_norm_partitions_equal_the_replayed_fill():
+    """A multi-norm certificate's partition is read off prefix sums: n_k is
+    the most fed columns whose squared norms sum to at most the first k
+    eigenvalues. On 1,000 seeded certificates of two or more distinct
+    squared norms it must equal the former replay of the fill's moves, and
+    st_ready_check must accept it; the sweep must reach rows that end
+    inside a column, where the replay counts a block after the cut."""
+    rng = random.Random(20141)
+    certificates = inside = 0
+    for _ in range(4_000):
+        norms, spectrum = _consecutive_sum_case(rng)
+        if len(set(norms)) < 2:
+            continue
+        certificate = _outcome(st_ready_search, norms, spectrum, SMALL_BUDGET)
+        if certificate is None or certificate is SearchBudgetExceeded:
+            continue
+        eigs = [spectrum[i] for i in certificate.eigenvalue_order]
+        feed = [norms[i] for i in certificate.norm_order]
+        assert certificate.partition == feed_partition_replay_oracle(eigs, feed), (norms, spectrum)
+        assert st_ready_check(feed, eigs, certificate.partition), (norms, spectrum)
+        fed = list(itertools.accumulate(feed, initial=0))
+        rows = itertools.accumulate(eigs)
+        inside += any(fed[n] != prefix for n, prefix in zip(certificate.partition, rows))
+        certificates += 1
+        if certificates == 1_000:
+            break
+    assert certificates == 1_000 and inside > 200, (certificates, inside)

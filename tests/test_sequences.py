@@ -133,6 +133,13 @@ def test_st_ready_check_single_row_reduces_to_totals():
     assert not st_ready_check((1, 1), (3,), (2,))
 
 
+def test_st_ready_check_rejects_a_gap_larger_than_the_next_norm():
+    # row 0 (weight 3/2) ends half a unit past the first norm, so the block
+    # bridging it needs the norm after next to be at least 1/2
+    assert st_ready_check((1, 1, Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2),) * 2, (1, 4))
+    assert not st_ready_check((1, 1, Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 2),) * 2, (1, 4))
+
+
 def test_st_ready_check_partition_validation():
     with pytest.raises(InvalidPartition):
         st_ready_check((1, 1), (1, 1), (1, 1))  # not strictly increasing
@@ -748,6 +755,57 @@ def test_untf_feasible_input_errors():
         untf_feasible(3, 2)
     with pytest.raises(ValueError):
         untf_feasible(0, 1)
+
+
+def test_counts_and_dimensions_must_be_integers():
+    """A count or dimension is read through __index__: a float or a
+    Fraction is refused with a ValueError naming the argument."""
+    spectrum = (Fraction(5, 2),) * 2
+    for call, name in (
+        (lambda: untf_feasible(2.0, 5), "dimension"),
+        (lambda: untf_feasible(Fraction(2), 4), "dimension"),
+        (lambda: untf_floor_condition(3, 4.0), "count"),
+        (lambda: sfr_feasible(spectrum, 5.0), "count"),
+        (lambda: tight_sufficient((2, 1), 1.0), "dimension"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+            call()
+    with pytest.raises(ValueError, match=r"^count must be a positive integer, got 0$"):
+        sfr_feasible(spectrum, 0)
+    import numpy as np
+
+    assert untf_feasible(np.int64(2), np.int64(5))
+    assert sfr_feasible(spectrum, np.int64(5)) is not None
+
+
+def test_a_search_budget_must_be_an_integer():
+    assert search_budget(True) == 1
+    with pytest.raises(ValueError, match=r"^search budget '9' is not an integer$"):
+        search_budget("9")
+    with pytest.raises(ValueError, match=r"^search budget 9\.0 is not an integer$"):
+        st_ready_search((1, 2), (3,), 9.0)
+
+
+def test_spectra_and_norms_refuse_non_numbers_and_infinities():
+    """None, an infinity and a NaN end in ValueError naming the position,
+    not in the TypeError or OverflowError of Fraction."""
+    inf, nan = float("inf"), float("nan")
+    with pytest.raises(ValueError, match=r"^eigenvalue inf at position 0 is not a finite number$"):
+        sfr_feasible([inf], 1)
+    with pytest.raises(ValueError, match=r"^eigenvalue None at position 1 is not a finite number$"):
+        as_spectrum([1, None])
+    with pytest.raises(ValueError, match=r"^eigenvalue nan at position 0 is not a finite number$"):
+        maximal_block_number([nan])
+    with pytest.raises(ValueError, match=r"^squared norm -inf at position 2 is not a finite number$"):
+        as_norms_squared([1, 2, -inf])
+    with pytest.raises(ValueError, match=r"^eigenvalue None at position 0 is not a finite number$"):
+        st_ready_search([1], [None])
+    with pytest.raises(ValueError, match=r"^squared norm 'x' at position 0 is not a finite number$"):
+        st_ready_check(["x"], [1], [1])
+    # a generator is read once, whether its values convert or not
+    assert as_spectrum(Fraction(k, 2) for k in (1, 3)) == (Fraction(1, 2), Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"^eigenvalue None at position 1 is not a finite number$"):
+        as_spectrum(v for v in (1, None))
 
 
 def test_floor_condition_band_and_values():

@@ -159,6 +159,40 @@ def test_frame_operator_complex_path_is_numeric():
     assert all(abs(value - 1.25) < NUMERIC_TOLERANCE for value in diagonal)
 
 
+def _oblique_complex():
+    """Rows (1, i) and (1, 1): complex, with row inner product 1 + i."""
+    i = ComplexRadicalEntry.make(ONE, 1, 4)
+    return SynthesisMatrix(2, 2, {(0, 0): ONE, (0, 1): i, (1, 0): ONE, (1, 1): ONE})
+
+
+def test_frame_operator_complex_off_diagonal_reports_none():
+    operator = frame_operator(_oblique_complex())
+    assert not operator.exact
+    assert not operator.is_diagonal()
+    assert operator.diagonal() is None
+    assert abs(operator.entries[0][1] - (1 + 1j)) < NUMERIC_TOLERANCE
+
+
+def test_verify_frame_reads_one_dense_form_of_a_complex_matrix(monkeypatch):
+    """Row Gram, rank and column distance all come from one to_dense()."""
+    calls = []
+    to_dense = SynthesisMatrix.to_dense
+
+    def counted(matrix):
+        calls.append(matrix)
+        return to_dense(matrix)
+
+    monkeypatch.setattr(SynthesisMatrix, "to_dense", counted)
+    report = verify_frame(_oblique_complex())
+    assert len(calls) == 1
+    assert not report.exact and not report.rows_orthogonal and not report.is_tight
+    assert report.is_frame  # rank 2 by numpy
+    assert report.orthogonality_distance == 2  # columns (1, 1) and (i, 1) meet
+    calls.clear()
+    assert verify_frame(construct_untf_dft(4, 5)).is_tight
+    assert len(calls) == 1
+
+
 # -- orthogonality distance ----------------------------------------------------------
 
 
