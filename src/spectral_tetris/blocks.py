@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .errors import BlockDomain, NoSuchBlock
@@ -25,6 +24,7 @@ from .exact_numeric import (
     MatrixEntry,
     RadicalScalar,
     RationalLike,
+    _rationals,
     _sqrt_ratio,
 )
 
@@ -58,7 +58,7 @@ def block_a(x: RationalLike) -> Block:
     extended to the endpoints: x = 0 gives a zero upper row, x = 2 a zero
     lower row.
     """
-    x = Fraction(x)
+    (x,) = _rationals((x,), "block parameter")
     if not 0 <= x <= 2:
         raise BlockDomain(f"block parameter {x} outside [0, 2]")
     unit = x.denominator
@@ -88,9 +88,8 @@ def block_a_hat(x: RationalLike, a1_squared: RationalLike, a2_squared: RationalL
     The three values are scaled to integers over the lcm of their
     denominators and built by _block_from_units.
     """
-    x = Fraction(x)
-    a1 = Fraction(a1_squared)
-    a2 = Fraction(a2_squared)
+    (x,) = _rationals((x,), "row weight")
+    a1, a2 = _rationals((a1_squared, a2_squared), "squared norm")
     _require_block(x, a1, a2)
     unit = math.lcm(x.denominator, a1.denominator, a2.denominator)
     return _block_from_units(
@@ -172,8 +171,7 @@ def dft_block(
     """
     if size < 1:
         raise BlockDomain(f"block size {size} must be positive")
-    first = Fraction(first_row_weight)
-    trailing = Fraction(trailing_row_weight)
+    first, trailing = _rationals((first_row_weight, trailing_row_weight), "row weight")
     if first < 0 or (size > 1 and trailing < 0):
         raise BlockDomain("row weights must be nonnegative")
     if first + (size - 1) * trailing != size:

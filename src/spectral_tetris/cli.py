@@ -276,11 +276,12 @@ def _cmd_extend_tight(args: argparse.Namespace) -> int:
     frame = fusion_from_json(read_document(args.input))
     _requested(len(args.spectrum), frame.generator.col_count)
     bound, total, complement = extend_to_tight(frame, args.spectrum)
-    document: Dict[str, object] = {"tight_bound": bound, "extended_count": total}
-    if complement is not None:
-        document["output"] = _write_output(args, complement)
-        document["report"] = _printable(verify_fusion(complement))
-    return _emit(document)
+    return _emit({
+        "tight_bound": bound,
+        "extended_count": total,
+        "output": _write_output(args, complement),
+        "report": _printable(verify_fusion(complement)),
+    })
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -64,6 +64,7 @@ from .exact_numeric import (
     ONE,
     RadicalScalar,
     ZERO,
+    _positive_int,
     entry_abs_squared,
     entry_to_complex,
     to_float,
@@ -72,7 +73,7 @@ from .sequences import (
     SfrCertificate,
     STReadyCertificate,
     _lcm,
-    _positive_int,
+    _pairwise,
     as_norms_squared,
     as_spectrum,
     integer_units,
@@ -331,15 +332,10 @@ def _exact_sum(sums: Accumulator, scale: int) -> ExactSum:
     return RadicalScalar._canonical(tuple(terms))
 
 
-def _pairwise_sum(values: list) -> Union[int, Fraction]:
-    """The sum of the values (0 for none), added in pairs level by level as
-    sequences._lcm combines lcms: k Fractions over coprime denominators
-    cost a balanced tree of additions instead of k additions to one ever
-    longer sum."""
-    while len(values) > 1:
-        odd = values[-1:] if len(values) % 2 else []
-        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd
-    return values[0] if values else 0
+def _sum(*values: Union[int, Fraction]) -> Union[int, Fraction]:
+    """The sum of the values (0 for none), the combine of _pairwise for
+    square sums."""
+    return sum(values)
 
 
 class Sweep:
@@ -431,8 +427,8 @@ class Sweep:
     ) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
         """_squares past _UNIT_BITS: each row's and column's squares, and
         each of their radicands' irrational parts, gathered and then added
-        by _pairwise_sum. The values, and the order of the radicands, are
-        those of adding them in turn."""
+        in pairs (sequences._pairwise). The values, and the order of the
+        radicands, are those of adding them in turn."""
         matrix = self.matrix
         row_terms: List[list] = [[] for _ in range(matrix.row_count)]
         col_terms: List[list] = [[] for _ in range(matrix.col_count)]
@@ -448,11 +444,12 @@ class Sweep:
 
         def settle(parts: Dict[int, Dict[int, list]]) -> Dict[int, Accumulator]:
             return {
-                index: {radicand: _pairwise_sum(terms) for radicand, terms in sums.items()}
+                index: {radicand: _pairwise(_sum, terms) for radicand, terms in sums.items()}
                 for index, sums in parts.items()
             }
 
-        rows, cols = list(map(_pairwise_sum, row_terms)), list(map(_pairwise_sum, col_terms))
+        rows = [_pairwise(_sum, terms) for terms in row_terms]
+        cols = [_pairwise(_sum, terms) for terms in col_terms]
         return rows, cols, settle(row_parts), settle(col_parts)
 
     def _settled(self, sums: list, parts: Dict[int, Accumulator]) -> List[ExactSum]:

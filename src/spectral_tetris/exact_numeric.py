@@ -24,18 +24,52 @@ builds each distinct entry once, through the public constructor.
 Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
 arithmetic is attempted beyond phase canonicalization.
+
+The two argument conversions every layer shares live here, below blocks:
+_rationals (values as Fractions, ValueError naming the position of a
+non-number) and _positive_int (a count or dimension through __index__).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
 
 RationalLike = Union[int, Fraction]
+
+
+def _positive_int(value, name: str) -> int:
+    """A count or dimension as an int, read through __index__; ValueError
+    naming it unless it is a positive integer."""
+    number = operator.index(value) if hasattr(value, "__index__") else 0
+    if number < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
+def _rationals(values: Iterable, what: str) -> Tuple[Fraction, ...]:
+    """The values as Fractions; ValueError names the position of one that is
+    not a finite number (Fraction raises TypeError for None, OverflowError
+    for an infinity)."""
+    values = tuple(values)
+    try:
+        # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
+        # Fraction passes as it is, and every other value converts as before
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    except (TypeError, ValueError, ArithmeticError):
+        # only a failed conversion walks the values again, to name the culprit
+        for position, value in enumerate(values):
+            try:
+                Fraction(value)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                message = f"{what} {value!r} at position {position} is not a finite number"
+                raise ValueError(message) from failure
+        raise
 
 
 def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:

@@ -46,9 +46,9 @@ from .errors import (
     OutOfRange,
     SpectralTetrisError,
 )
-from .exact_numeric import MatrixEntry
+from .exact_numeric import MatrixEntry, _positive_int, _rationals
 from .sequences import (
-    _FillSearch, _positive_int, _rationals, as_spectrum, integer_units, majorizes, search_budget,
+    _FillSearch, as_spectrum, integer_units, majorizes, search_budget,
 )
 
 
@@ -421,6 +421,7 @@ def weighted_fusion(
         raise ValueError("weights and dimensions must align")
     if any(w <= 0 for w in weights):
         raise ValueError("squared weights must be positive")
+    cap = search_budget(budget)
     total = sum(w * d for w, d in zip(weights, dims_t))
     if total != sum(eigs):
         raise Infeasible(
@@ -434,7 +435,6 @@ def weighted_fusion(
     outcome = _tagged_pnstc(tuple(round_robin), eigs)
     source = "round-robin"
     if outcome is None:
-        cap = search_budget(budget)
         _, units, eig_units = integer_units(weights, eigs)
         search = _FillSearch(
             eig_units, units, list(dims_t), [set() for _ in dims_t], cap,
@@ -464,18 +464,18 @@ def weighted_fusion(
 _EXTENSION_SCAN_CAP = 10_000
 
 
-def extend_to_tight(
-    ff: FusionFrame, spectrum: Sequence
-) -> Tuple[int, int, Optional[FusionFrame]]:
+def extend_to_tight(ff: FusionFrame, spectrum: Sequence) -> Tuple[int, int, FusionFrame]:
     """Extend an equal-dimensional fusion frame to a tight one.
 
     Scans for the smallest integer A with lambda_1 + 2 <= A, A*M divisible
     into an integer total N0 = A*M/k, and A <= lambda_M + N0 - (D+3); the
-    complement is the round-robin fusion frame on the reflected residual
-    spectrum (A - lambda_m), with generator rows mapped back so row m carries
-    weight A - lambda_m. Raises ValueError when the subspace dimension is not
-    a common value below the ambient dimension, NoExtension when the scan cap
-    is hit.
+    complement is the round-robin fusion frame of N0 - D subspaces on the
+    reflected residual spectrum (A - lambda_m), with generator rows mapped
+    back so row m carries weight A - lambda_m. Since A >= lambda_1 + 2 >=
+    lambda_M + 2, the scan's bound gives N0 >= D + 5, so the complement has
+    at least five subspaces. Raises ValueError when the subspace dimension
+    is not a common value below the ambient dimension, NoExtension when the
+    scan cap is hit.
     """
     eigs = as_spectrum(spectrum)
     ambient = ff.m
@@ -507,11 +507,8 @@ def extend_to_tight(
         raise NoExtension(
             f"no qualifying tight bound in [{start}, {start + _EXTENSION_SCAN_CAP})"
         )
-    extra = total - subspaces
-    if extra == 0:
-        return bound, total, None
     residual = tuple(bound - value for value in reversed(eigs))
-    complement = sffr(residual, extra, k)
+    complement = sffr(residual, total - subspaces, k)
     flipped: Dict[Tuple[int, int], MatrixEntry] = {}
     for (row, col), value in complement.generator.entries.items():
         flipped[(ambient - 1 - row, col)] = value
@@ -544,8 +541,7 @@ def spatial_complement_bounds(
     stays strictly below the total squared weight; its optimal bounds are the
     reflections (total - upper, total - lower).
     """
-    lower = Fraction(lower)
-    upper = Fraction(upper)
+    lower, upper = _rationals((lower, upper), "fusion bound")
     total = sum(ff.weights_squared)
     return upper < total, total - upper, total - lower
 

@@ -34,9 +34,9 @@ serialize, ValueError for a circular container). Up to CPython 3.12,
 json.dumps with an indent runs the stdlib's pure-Python encoder, one
 generator step per token; _render walks only the nonempty lists, tuples
 and dicts and builds each one's text with one join. It writes None, bools,
-exact ints and exact strs itself; json (its C encoder, with no indent)
-writes every other leaf and every key that is not an exact str, or raises
-its own exception for it. A matrix or fusion frame handed to
+exact ints and the exact strs in containers itself; json (its C encoder,
+with no indent) writes every other leaf and every key that is not an exact
+str, or raises its own exception for it. A matrix or fusion frame handed to
 write_document is written straight from the object, with no document
 dicts: each run of one entry object has its terms and omega text rendered
 once, and each entry is one format string around its row, column and that
@@ -293,8 +293,6 @@ def _text(value, newline: str, path: Set[int]) -> str:
     if value is False:
         return "false"
     kind = type(value)
-    if kind is str:
-        return _quote(value)
     if kind is int:
         return int.__repr__(value)
     is_list = isinstance(value, (list, tuple))
@@ -342,9 +340,9 @@ def _render(value, newline: str = "\n") -> str:
     a container that holds itself.
 
     Only the layout of nonempty containers is made here. Every leaf other
-    than None, a bool, an exact int or an exact str, every empty container
-    and every key other than an exact str is json.dumps's own text without
-    an indent, or json.dumps's own exception.
+    than None, a bool, an exact int or an exact str in a container, every
+    empty container and every key other than an exact str is json.dumps's
+    own text without an indent, or json.dumps's own exception.
     """
     return _text(value, newline, set())
 

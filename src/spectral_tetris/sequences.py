@@ -18,8 +18,13 @@ search first scales its values to integers in one common unit
 partition is read by its definition, off prefix sums: n_k is the largest n
 whose first n fed norms sum to at most the first k eigenvalues
 (_feed_partition bisects the feed's prefix sums), and _floors is its closed
-form for one norm. The maximal block number runs on the same integers, mod
-the unit.
+form for one norm; st_ready_check requires a given partition to be that
+one and then checks the strict-gap rule. The maximal block number runs on
+the same integers, mod the unit. Both depth-first searches, the fill
+search and the block number's residue DP, run their states as generator
+visits on one explicit stack, drive(), so neither depends on the
+recursion limit. _pairwise is the one balanced fold, for the lcm of many
+denominators here and for the square sums of construct.Sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Generator, Iterable, List, NamedTuple, Optional
+from typing import Callable, Dict, FrozenSet, Generator, Iterable, List, NamedTuple, Optional
 from typing import Sequence, Set, Tuple
 
 from .blocks import block_a_hat_support
@@ -42,6 +47,7 @@ from .errors import (
     SumMismatch,
     Underdetermined,
 )
+from .exact_numeric import _positive_int, _rationals
 
 Spectrum = Tuple[Fraction, ...]
 NormSequence = Tuple[Fraction, ...]
@@ -52,44 +58,24 @@ SEARCH_BUDGET_ENV = "SPECTRAL_TETRIS_SEARCH_BUDGET"
 
 def search_budget(budget: Optional[int] = None) -> int:
     """Resolve the permutation-search state cap (argument, then env, then
-    default); ValueError for an argument without __index__."""
+    default). ValueError for an argument without __index__, an environment
+    value that is not an integer, or a negative cap; 0 is a cap that cuts
+    on the first state."""
     if budget is not None:
         if not hasattr(budget, "__index__"):
             raise ValueError(f"search budget {budget!r} is not an integer")
-        return operator.index(budget)
-    raw = os.environ.get(SEARCH_BUDGET_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_SEARCH_BUDGET
-
-
-def _positive_int(value, name: str) -> int:
-    """A count or dimension as an int, read through __index__; ValueError
-    naming it unless it is a positive integer."""
-    number = operator.index(value) if hasattr(value, "__index__") else 0
-    if number < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return number
-
-
-def _rationals(values: Iterable, what: str) -> Tuple[Fraction, ...]:
-    """The values as Fractions; ValueError names the position of one that is
-    not a finite number (Fraction raises TypeError for None, OverflowError
-    for an infinity)."""
-    values = tuple(values)
-    try:
-        # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
-        # Fraction passes as it is, and every other value converts as before
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    except (TypeError, ValueError, ArithmeticError):
-        # only a failed conversion walks the values again, to name the culprit
-        for position, value in enumerate(values):
-            try:
-                Fraction(value)
-            except (TypeError, ValueError, ArithmeticError) as failure:
-                message = f"{what} {value!r} at position {position} is not a finite number"
-                raise ValueError(message) from failure
-        raise
+        cap, name = operator.index(budget), "search budget"
+    else:
+        raw = os.environ.get(SEARCH_BUDGET_ENV)
+        if not raw:
+            return DEFAULT_SEARCH_BUDGET
+        try:
+            cap, name = int(raw), SEARCH_BUDGET_ENV
+        except ValueError:
+            raise ValueError(f"{SEARCH_BUDGET_ENV}={raw!r} is not an integer") from None
+    if cap < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {cap}")
+    return cap
 
 
 def _positive_rationals(values: Sequence, what: str, empty: str) -> Tuple[Fraction, ...]:
@@ -124,15 +110,21 @@ class STReadyCertificate:
     partition: Tuple[int, ...]
 
 
-def _lcm(denominators: Iterable[int]) -> int:
-    """The lcm of the denominators, each distinct one taken once. Up to eight
-    it is one math.lcm call; more are combined pairwise, level by level, so
-    k coprime ones cost a balanced tree of products instead of k products
-    against one ever longer lcm."""
-    level = list(set(denominators))
+def _pairwise(combine: Callable[..., object], values: Iterable) -> object:
+    """combine(*values), for an associative and commutative combine that
+    takes any number of values (math.lcm, a sum). Up to eight values it is
+    one call; more are combined in pairs, level by level, so k coprime
+    denominators cost a balanced tree of lcms or sums instead of k against
+    one ever longer result."""
+    level = list(values)
     while len(level) > 8:
-        level = [math.lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
-    return math.lcm(*level)
+        level = [combine(*level[i : i + 2]) for i in range(0, len(level), 2)]
+    return combine(*level)
+
+
+def _lcm(denominators: Iterable[int]) -> int:
+    """The lcm of the denominators, each distinct one taken once."""
+    return _pairwise(math.lcm, set(denominators))
 
 
 def integer_units(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
@@ -155,8 +147,8 @@ def majorizes(dominant: Sequence, dominated: Sequence) -> bool:
     Sequences are sorted non-increasing internally and the shorter one is
     zero-padded, so the check is permutation-invariant.
     """
-    a = sorted((Fraction(v) for v in dominant), reverse=True)
-    b = sorted((Fraction(v) for v in dominated), reverse=True)
+    a = sorted(_rationals(dominant, "dominant value"), reverse=True)
+    b = sorted(_rationals(dominated, "dominated value"), reverse=True)
     size = max(len(a), len(b))
     a += [Fraction(0)] * (size - len(a))
     b += [Fraction(0)] * (size - len(b))
@@ -175,10 +167,11 @@ def st_ready_check(
     """Decide whether the given orderings satisfy the readiness conditions.
 
     The partition must be integers 0 <= n_1 < n_2 < ... < n_M = N; anything
-    else raises InvalidPartition. The conditions checked, for k < M:
-    prefix_a(n_k) <= prefix_l(k) < prefix_a(n_k + 1), and when the left
-    inequality is strict, n_{k+1} - n_k >= 2 and the (n_k+2)-nd squared norm
-    is at least the strict gap.
+    else raises InvalidPartition. It must then be the readiness partition
+    of the orderings, by its definition (_feed_partition): n_k is the
+    largest n with prefix_a(n) <= prefix_l(k). And for k < M, when that
+    inequality is strict, n_{k+1} - n_k >= 2 and the (n_k+2)-nd squared
+    norm is at least the strict gap.
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
@@ -191,22 +184,14 @@ def st_ready_check(
     if part[0] < 0 or part[-1] != n_count:
         raise InvalidPartition(f"partition {part} must lie in [0, {n_count}] and end at {n_count}")
 
-    if sum(norms) != sum(eigs):
+    if sum(norms) != sum(eigs) or part != _feed_partition(eigs, norms):
         return False
-    prefix_a = [Fraction(0)]
-    for v in norms:
-        prefix_a.append(prefix_a[-1] + v)
-    prefix_l = Fraction(0)
-    for k in range(m_count - 1):
-        prefix_l += eigs[k]
+    fed = list(itertools.accumulate(norms, initial=0))
+    for k, prefix in enumerate(itertools.accumulate(eigs[:-1])):
         n_k = part[k]
-        if not (prefix_a[n_k] <= prefix_l < prefix_a[n_k + 1]):
+        gap = prefix - fed[n_k]
+        if gap and (part[k + 1] - n_k < 2 or norms[n_k + 1] < gap):
             return False
-        if prefix_a[n_k] < prefix_l:
-            if part[k + 1] - n_k < 2:
-                return False
-            if norms[n_k + 1] < prefix_l - prefix_a[n_k]:
-                return False
     return True
 
 
@@ -229,11 +214,12 @@ def _distinct_value_orders(
     order.
 
     With a unit, the walk decides the floor rule of sfr_feasible (and so
-    readiness with one squared norm) on int values in that unit, and yields
-    at most one order: the first whose every prefix passes. Each prefix is
-    tested as the walk enters it: its cut, prefix // unit, must exceed the
-    cut before it, by at least 2 when the prefix before it was fractional
-    (prefix % unit != 0). So the value that extends a prefix with remainder
+    readiness with one squared norm) on int values in that unit; its
+    callers take only the first order it yields, the first whose every
+    prefix passes, and so close it there. Each prefix is tested as the walk
+    enters it: its cut, prefix // unit, must exceed the cut before it, by at
+    least 2 when the prefix before it was fractional (prefix % unit != 0).
+    So the value that extends a prefix with remainder
     r must be at least unit if r is 0, else 2 * unit - r; the first value
     is free. A prefix that fails is left with every order through it, as a
     sent depth would leave it. Past a passing prefix the rule depends only
@@ -288,8 +274,6 @@ def _distinct_value_orders(
                     index = 0
                     continue
                 depth = yield tuple(perm), tuple(values[i] for i in perm)
-                if unit:
-                    return
                 if depth is not None:
                     for i in perm[depth:]:
                         taken[value_ids[i]] -= 1
@@ -496,10 +480,10 @@ def st_ready_search(
     """
     norms = as_norms_squared(norms_squared)
     eigs = as_spectrum(spectrum)
+    cap = search_budget(budget)
     _, units, eig_units = integer_units(norms, eigs)
     if sum(units) != sum(eig_units):
         return None
-    cap = search_budget(budget)
     counts: Dict[int, int] = {}
     for v in units:
         counts[v] = counts.get(v, 0) + 1
@@ -689,59 +673,50 @@ def _residue_dp(
     Classes are the residues ints[k] mod modulus, ascending and nonzero. A
     part of None with a next state leaves one member of the lowest class
     over. A state with a single nonempty class closes all its parts at
-    once, as one run of whole parts, and has no next state. Raises
-    _MuWorkExceeded past _MU_WORK_CAP.
+    once, as one run of whole parts, and has no next state. Each state is
+    one visit run by drive(): it charges its work, tries leaving one member
+    first and then each candidate part, visits each child not yet in best,
+    and keeps the first move of the highest value. Raises _MuWorkExceeded
+    past _MU_WORK_CAP.
     """
     width = len(ints)
     weight = _words(modulus)
     work = 0
     parts_through: Dict[int, List[_Counts]] = {}
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
-    moves_of: Dict[_Counts, List[Tuple[Optional[_Counts], _Counts]]] = {}
-    stack = [counts]
-    while stack:
-        state = stack[-1]
-        if state in best:
-            stack.pop()
-            continue
-        moves = moves_of.get(state)
-        if moves is None:
-            low = 0
-            while low < width and not state[low]:
-                low += 1
-            if low == width or not any(state[low + 1 :]):
-                size = modulus // math.gcd(ints[low], modulus) if low < width else 0
-                parts = state[low] // size if size else 0
-                run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
-                best[state] = (parts, run, None)
-                stack.pop()
-                continue
-            if low not in parts_through:
-                parts_through[low], work = _minimal_zero_sum_parts(
-                    low, ints, counts, modulus, work
-                )
-            candidates = parts_through[low]
-            work += (1 + len(candidates)) * weight
-            if work > _MU_WORK_CAP:
-                raise _MuWorkExceeded
-            moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
-            for part in candidates:
-                child = tuple(map(operator.sub, state, part))
-                if min(child) >= 0:
-                    moves.append((part, child))
-            moves_of[state] = moves
-            missing = [child for _, child in moves if child not in best]
-            if missing:
-                stack.extend(missing)
-                continue
+
+    def visit(state: _Counts) -> Generator:
+        nonlocal work
+        low = 0
+        while low < width and not state[low]:
+            low += 1
+        if low == width or not any(state[low + 1 :]):
+            size = modulus // math.gcd(ints[low], modulus) if low < width else 0
+            parts = state[low] // size if size else 0
+            run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
+            best[state] = (parts, run, None)
+            return
+        if low not in parts_through:
+            parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
+        candidates = parts_through[low]
+        work += (1 + len(candidates)) * weight
+        if work > _MU_WORK_CAP:
+            raise _MuWorkExceeded
+        moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
+        for part in candidates:
+            child = tuple(map(operator.sub, state, part))
+            if min(child) >= 0:
+                moves.append((part, child))
         top = None
         for part, child in moves:
+            if child not in best:
+                yield visit(child)
             value = best[child][0] + (part is not None)
             if top is None or value > top[0]:
                 top = (value, part, child)
-        del moves_of[state]
         best[state] = top
-        stack.pop()
+
+    drive(visit(counts))
     return best
 
 

@@ -19,13 +19,16 @@ whose states held Fractions, the Spectral Tetris fill that compared and
 subtracted Fractions, the JSON encoder, dense conversion and CSV writer
 that worked entry by entry, the Naimark complement that converted every
 completion entry through two Fractions, and the certificate partition that
-replayed the fill's moves over a feed. floor_walk_oracle is a model of
+replayed the fill's moves over a feed, st_ready_check as it tested the
+prefix inequalities itself, and the maximal block number's residue DP as a
+stack machine of its own. floor_walk_oracle is a model of
 the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Set, Tuple
@@ -36,6 +39,7 @@ from spectral_tetris import (
     Block,
     BlockDomain,
     FusionFrame,
+    InvalidPartition,
     NoSuchBlock,
     NotSTReady,
     RadicalScalar,
@@ -61,10 +65,15 @@ from spectral_tetris.sequences import (
     SfrCertificate,
     Spectrum,
     STReadyCertificate,
+    _Counts,
     _MU_GREEDY_COMBINATIONS,
     _MU_GREEDY_PART_SIZE,
+    _MU_WORK_CAP,
+    _MuWorkExceeded,
     _assign_indices,
     _distinct_value_orders,
+    _minimal_zero_sum_parts,
+    _words,
     as_norms_squared,
     as_spectrum,
     drive,
@@ -1509,3 +1518,108 @@ def feed_partition_replay_oracle(eigs: Sequence[int], feed: Sequence[int]) -> Tu
             row += 1
             weight = eigs[row] - (feed[fed] + feed[fed + 1] - weight)
             fed += 2
+
+
+def st_ready_check_oracle(
+    norms_squared: Sequence, spectrum: Sequence, partition: Sequence[int]
+) -> bool:
+    """Decide whether the given orderings satisfy the readiness conditions.
+
+    The partition must be integers 0 <= n_1 < n_2 < ... < n_M = N; anything
+    else raises InvalidPartition. The conditions checked, for k < M:
+    prefix_a(n_k) <= prefix_l(k) < prefix_a(n_k + 1), and when the left
+    inequality is strict, n_{k+1} - n_k >= 2 and the (n_k+2)-nd squared norm
+    is at least the strict gap.
+    """
+    norms = as_norms_squared(norms_squared)
+    eigs = as_spectrum(spectrum)
+    n_count, m_count = len(norms), len(eigs)
+    part = tuple(partition)
+    if len(part) != m_count or any(not isinstance(p, int) for p in part):
+        raise InvalidPartition(f"partition {part} must be {m_count} integers")
+    if any(part[i] >= part[i + 1] for i in range(m_count - 1)):
+        raise InvalidPartition(f"partition {part} is not strictly increasing")
+    if part[0] < 0 or part[-1] != n_count:
+        raise InvalidPartition(f"partition {part} must lie in [0, {n_count}] and end at {n_count}")
+
+    if sum(norms) != sum(eigs):
+        return False
+    prefix_a = [Fraction(0)]
+    for v in norms:
+        prefix_a.append(prefix_a[-1] + v)
+    prefix_l = Fraction(0)
+    for k in range(m_count - 1):
+        prefix_l += eigs[k]
+        n_k = part[k]
+        if not (prefix_a[n_k] <= prefix_l < prefix_a[n_k + 1]):
+            return False
+        if prefix_a[n_k] < prefix_l:
+            if part[k + 1] - n_k < 2:
+                return False
+            if norms[n_k + 1] < prefix_l - prefix_a[n_k]:
+                return False
+    return True
+
+
+def residue_dp_stack_oracle(
+    ints: List[int], counts: _Counts, modulus: int
+) -> Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]]:
+    """best[state] = (parts, part closed here or None, next state) per reached state.
+
+    Classes are the residues ints[k] mod modulus, ascending and nonzero. A
+    part of None with a next state leaves one member of the lowest class
+    over. A state with a single nonempty class closes all its parts at
+    once, as one run of whole parts, and has no next state. Raises
+    _MuWorkExceeded past _MU_WORK_CAP.
+    """
+    width = len(ints)
+    weight = _words(modulus)
+    work = 0
+    parts_through: Dict[int, List[_Counts]] = {}
+    best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
+    moves_of: Dict[_Counts, List[Tuple[Optional[_Counts], _Counts]]] = {}
+    stack = [counts]
+    while stack:
+        state = stack[-1]
+        if state in best:
+            stack.pop()
+            continue
+        moves = moves_of.get(state)
+        if moves is None:
+            low = 0
+            while low < width and not state[low]:
+                low += 1
+            if low == width or not any(state[low + 1 :]):
+                size = modulus // math.gcd(ints[low], modulus) if low < width else 0
+                parts = state[low] // size if size else 0
+                run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
+                best[state] = (parts, run, None)
+                stack.pop()
+                continue
+            if low not in parts_through:
+                parts_through[low], work = _minimal_zero_sum_parts(
+                    low, ints, counts, modulus, work
+                )
+            candidates = parts_through[low]
+            work += (1 + len(candidates)) * weight
+            if work > _MU_WORK_CAP:
+                raise _MuWorkExceeded
+            moves = [(None, state[:low] + (state[low] - 1,) + state[low + 1 :])]
+            for part in candidates:
+                child = tuple(map(operator.sub, state, part))
+                if min(child) >= 0:
+                    moves.append((part, child))
+            moves_of[state] = moves
+            missing = [child for _, child in moves if child not in best]
+            if missing:
+                stack.extend(missing)
+                continue
+        top = None
+        for part, child in moves:
+            value = best[child][0] + (part is not None)
+            if top is None or value > top[0]:
+                top = (value, part, child)
+        del moves_of[state]
+        best[state] = top
+        stack.pop()
+    return best

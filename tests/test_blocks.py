@@ -258,3 +258,27 @@ def test_dft_block_rows_orthogonal_numerically(size, first):
     assert np.max(np.abs(gram - expected)) < NUMERIC_TOLERANCE
     col_norms = np.sum(np.abs(dense) ** 2, axis=0)
     assert np.max(np.abs(col_norms - 1.0)) < NUMERIC_TOLERANCE
+
+
+def test_block_arguments_refuse_non_numbers_and_infinities():
+    """None and an infinity end in ValueError naming the argument, not in
+    Fraction's TypeError or OverflowError; finite values out of range keep
+    their BlockDomain and NoSuchBlock messages."""
+    with pytest.raises(ValueError, match=r"^block parameter None at position 0 is not a finite number$"):
+        block_a(None)
+    with pytest.raises(ValueError, match=r"^block parameter inf at position 0 is not a finite number$"):
+        block_a(math.inf)
+    with pytest.raises(ValueError, match=r"^squared norm None at position 0 is not a finite number$"):
+        block_a_hat(1, None, 1)
+    with pytest.raises(ValueError, match=r"^row weight None at position 0 is not a finite number$"):
+        block_a_hat(None, 1, 1)
+    with pytest.raises(ValueError, match=r"^row weight None at position 0 is not a finite number$"):
+        dft_block(3, None, 1)
+    with pytest.raises(ValueError, match=r"^row weight inf at position 1 is not a finite number$"):
+        dft_block(3, 1, math.inf)
+    with pytest.raises(BlockDomain, match=r"^block parameter 3 outside \[0, 2\]$"):
+        block_a(3)
+    with pytest.raises(NoSuchBlock, match=r"^row weight 0 must be positive$"):
+        block_a_hat(0, 1, 1)
+    with pytest.raises(BlockDomain, match=r"^row weights must be nonnegative$"):
+        dft_block(3, -1, 2)

@@ -572,6 +572,21 @@ def test_search_budget_env_is_honored(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_a_negative_budget_is_one_error_line_and_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPECTRAL_TETRIS_SEARCH_BUDGET", raising=False)
+    target = tmp_path / "frame.json"
+    argv = ["equal-norm", "--spectrum", "3", "2", "--count", "5", "--output", str(target)]
+    assert run(argv + ["--budget", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: search budget must be a nonnegative integer, got -5\n"
+    assert not target.exists()
+    monkeypatch.setenv("SPECTRAL_TETRIS_SEARCH_BUDGET", "abc")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: SPECTRAL_TETRIS_SEARCH_BUDGET='abc' is not an integer\n"
+    assert not target.exists()
+
+
 def test_weighted_fusion_budget_cut_exits_2(tmp_path, capsys):
     argv = [
         "weighted-fusion",

@@ -15,6 +15,7 @@ from spectral_tetris import (
     ChainPartition,
     FusionFrame,
     Infeasible,
+    NoExtension,
     NotApplicable,
     NotSTReady,
     OutOfRange,
@@ -23,6 +24,7 @@ from spectral_tetris import (
     SpectralTetrisError,
     SynthesisMatrix,
     construct_untf,
+    construct_untf_dft,
     entry_abs_squared,
     extend_to_tight,
     maximal_chains,
@@ -532,3 +534,43 @@ def test_verify_fusion_numeric_route_refuses_an_entry_outside_the_float_range():
 def test_naimark_complement_fusion_refuses_an_entry_outside_the_float_range():
     with pytest.raises(ValueError, match=r"entry \(0, 0\) is outside the float range"):
         naimark_complement_fusion(_huge_fusion(Fraction(1, 2)))
+
+
+def test_extend_to_tight_raises_at_the_scan_cap(monkeypatch):
+    """The golden's bound is 12, five steps past the scan's start of 7, so
+    a cap of one candidate ends the scan before it."""
+    frame = sffr(goldens.SFFR_SPECTRUM, 5, 2)
+    monkeypatch.setattr(fusion_module, "_EXTENSION_SCAN_CAP", 1)
+    with pytest.raises(NoExtension, match=r"^no qualifying tight bound in \[7, 8\)$"):
+        extend_to_tight(frame, goldens.SFFR_SPECTRUM)
+
+
+def test_naimark_complement_fusion_refuses_a_complex_generator():
+    """A DFT frame scaled to Parseval passes the Gram check, and is then
+    refused as complex by the completion step."""
+    generator = construct_untf_dft(4, 5).scale(RadicalScalar.sqrt(Fraction(4, 5)))
+    assert generator.is_complex
+    partition = tuple((j,) for j in range(5))
+    frame = FusionFrame(4, (Fraction(1, 2),) * 5, (1,) * 5, generator, partition)
+    with pytest.raises(ValueError, match="real") as refused:
+        naimark_complement_fusion(frame)
+    assert type(refused.value) is ValueError
+
+
+def test_verify_fusion_compares_float_weights_to_the_column_sums():
+    """Float squared weights are compared to the exact column square sums
+    as they are, not on the sweep's ints."""
+    flat = construct_untf(2, 4)
+    partition = tuple((j,) for j in range(4))
+    consistent = verify_fusion(FusionFrame(2, (1.0,) * 4, (1,) * 4, flat, partition))
+    assert consistent.weights_consistent
+    off = verify_fusion(FusionFrame(2, (1.5,) * 4, (1,) * 4, flat, partition))
+    assert not off.weights_consistent
+
+
+def test_spatial_complement_bounds_refuse_non_numbers():
+    frame = sffr(goldens.SFFR_SPECTRUM, 5, 2)
+    with pytest.raises(ValueError, match=r"^fusion bound None at position 0 is not a finite number$"):
+        spatial_complement_bounds(frame, None, 1)
+    with pytest.raises(ValueError, match=r"^fusion bound inf at position 1 is not a finite number$"):
+        spatial_complement_bounds(frame, 1, float("inf"))

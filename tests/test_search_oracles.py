@@ -16,7 +16,10 @@ index permutation. That walk charges one state per prefix it enters
 (floor_walk_oracle counts them), and at every budget below what a walk
 needs the answer is a cut, never None. Nor may reading a multi-norm
 certificate's partition off prefix sums: it must equal the replay of the
-fill's moves over the feed that it replaced.
+fill's moves over the feed that it replaced. Nor may st_ready_check reading
+the partition by that definition, nor the maximal block number's residue
+DP running its states as drive() visits: each must answer as its former
+version, kept verbatim in _oracles.
 """
 
 import itertools
@@ -30,9 +33,11 @@ from hypothesis import strategies as st
 
 from spectral_tetris import (
     Infeasible,
+    InvalidPartition,
     SearchBudgetExceeded,
     SumMismatch,
     equal_norm_frame,
+    maximal_block_number,
     sfr_feasible,
     st_ready_check,
     st_ready_search,
@@ -485,3 +490,136 @@ def test_multi_norm_partitions_equal_the_replayed_fill():
         if certificates == 1_000:
             break
     assert certificates == 1_000 and inside > 200, (certificates, inside)
+
+
+def _check_outcome(check, norms, spectrum, partition):
+    try:
+        return check(norms, spectrum, partition)
+    except InvalidPartition as refusal:
+        return InvalidPartition, str(refusal)
+
+
+def _partitions(rng, norms, eigs):
+    """The readiness partition by its definition (the largest n whose first
+    n norms sum to at most the first k eigenvalues, found by scanning), one
+    entry of it moved by one, a random strictly increasing one ending at N
+    and a malformed one."""
+    fed = list(itertools.accumulate(norms, initial=0))
+    defined = [
+        max(n for n, total in enumerate(fed) if total <= prefix)
+        for prefix in itertools.accumulate(eigs)
+    ]
+    yield tuple(defined)
+    k = rng.randrange(len(defined))
+    yield tuple(defined[:k] + [defined[k] + rng.choice((-1, 1))] + defined[k + 1 :])
+    yield (*sorted(rng.sample(range(len(norms)), len(eigs) - 1)), len(norms))
+    yield rng.choice((
+        tuple(reversed(defined)),
+        (*defined, len(norms)),
+        (*defined[:-1], len(norms) + 1),
+        (-1, *defined[1:]),
+        tuple(map(float, defined)),
+    ))
+
+
+def test_st_ready_check_equals_the_prefix_inequalities():
+    """st_ready_check requires the partition by its definition and then the
+    strict-gap rule. On 2,000 and more seeded (norms, spectrum, partition)
+    triples, in the orders a certificate gives and in shuffled ones, it
+    must answer as the former check that tested the prefix inequalities
+    itself, and refuse the same malformed partitions with the same
+    message; the sweep must accept partitions with and without a strict
+    gap, and reject off-by-one ones."""
+    rng = random.Random(28)
+    triples = accepted = gapped = off_by_one = refused = 0
+    for _ in range(700):
+        norms, spectrum = _consecutive_sum_case(rng)
+        orders = [(norms, spectrum)]
+        certificate = _outcome(st_ready_search, norms, spectrum, SMALL_BUDGET)
+        if certificate is not None and certificate is not SearchBudgetExceeded:
+            orders.append((
+                [norms[i] for i in certificate.norm_order],
+                [spectrum[i] for i in certificate.eigenvalue_order],
+            ))
+        for feed, eigs in orders:
+            for index, partition in enumerate(_partitions(rng, feed, eigs)):
+                got = _check_outcome(st_ready_check, feed, eigs, partition)
+                want = _check_outcome(_oracles.st_ready_check_oracle, feed, eigs, partition)
+                assert got == want, (feed, eigs, partition)
+                triples += 1
+                refused += type(got) is tuple
+                off_by_one += index == 1 and got is False
+                if got is True:
+                    accepted += 1
+                    rows = itertools.accumulate(eigs[:-1])
+                    fed = list(itertools.accumulate(feed, initial=0))
+                    gapped += any(fed[n] != prefix for n, prefix in zip(partition, rows))
+    assert triples >= 2_000 and refused > 200 and off_by_one > 200, (triples, refused, off_by_one)
+    assert accepted > 300 and 100 < gapped < accepted, (accepted, gapped)
+
+
+def _residue_dp_outcome(dp, ints, counts, modulus):
+    try:
+        return dp(list(ints), counts, modulus)
+    except sequences._MuWorkExceeded:
+        return sequences._MuWorkExceeded
+
+
+def _residue_inputs(monkeypatch, spectrum):
+    """The (classes, counts, modulus) that maximal_block_number hands its
+    residue DP for the spectrum."""
+    seen = []
+    original = sequences._residue_dp
+
+    def spy(ints, counts, modulus):
+        seen.append((tuple(ints), counts, modulus))
+        return original(ints, counts, modulus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_residue_dp", spy)
+        maximal_block_number(spectrum)
+    return seen
+
+
+def test_residue_dp_equals_the_stack_machine(monkeypatch):
+    """The residue DP of the maximal block number runs its states as visits
+    of drive(). On 1,000 seeded inputs, those maximal_block_number hands it
+    for random spectra and random class counts mod small moduli, with the
+    work cap as it is and cut to 400 units, it must give the best table of
+    the former DP, which kept its own stack, or raise _MuWorkExceeded as
+    it did; likewise on the CI's three hostile spectra, on 44 eigenvalues
+    2 + k/60 and on a DP some 3,000 states deep."""
+    rng = random.Random(1428)
+    cases = []
+    while len(cases) < 500:
+        denominators = rng.sample(range(2, 16), rng.randint(1, 3))
+        size = rng.randint(2, 14)
+        spectrum = [F(rng.randint(1, 5 * d), d) for d in rng.choices(denominators, k=size)]
+        cases += _residue_inputs(monkeypatch, spectrum)
+    while len(cases) < 1_000:
+        modulus = rng.randint(2, 30)
+        ints = tuple(sorted(rng.sample(range(1, modulus), rng.randint(1, min(4, modulus - 1)))))
+        cases.append((ints, tuple(rng.randint(1, 6) for _ in ints), modulus))
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    named = [
+        [2 + F(1, p) for p in primes],
+        [2 + F(k, 97) for k in range(1, 49)],
+        [2 + F(k, 101) for k in range(1, 41)],
+        [2 + F(k, 60) for k in range(1, 45)],
+        [2 + F(1, 7)] * 3_000 + [2 + F(2, 7)],
+    ]
+    for spectrum in named:
+        cases += _residue_inputs(monkeypatch, spectrum)
+    assert len(cases) >= 1_000 + len(named)
+    tally = {}
+    for index, (ints, counts, modulus) in enumerate(cases):
+        cap = 400 if index % 3 == 2 and index < 1_000 else sequences._MU_WORK_CAP
+        with monkeypatch.context() as patch:
+            patch.setattr(sequences, "_MU_WORK_CAP", cap)
+            patch.setattr(_oracles, "_MU_WORK_CAP", cap)
+            got = _residue_dp_outcome(sequences._residue_dp, ints, counts, modulus)
+            want = _residue_dp_outcome(_oracles.residue_dp_stack_oracle, ints, counts, modulus)
+        assert got == want, (ints, counts, modulus, cap)
+        outcome = "cut" if got is sequences._MuWorkExceeded else "exact"
+        tally[outcome] = tally.get(outcome, 0) + 1
+    assert tally["cut"] > 50 and tally["exact"] > 600, tally

@@ -925,3 +925,74 @@ def test_tight_sufficient():
         tight_sufficient((1, 2), 2)
     with pytest.raises(ValueError):
         tight_sufficient((2, 1), 0)
+
+
+def test_a_negative_search_budget_is_refused(monkeypatch):
+    monkeypatch.delenv(SEARCH_BUDGET_ENV, raising=False)
+    with pytest.raises(ValueError, match=r"^search budget must be a nonnegative integer, got -5$"):
+        st_ready_search([1, 2], [3], -5)
+    with pytest.raises(ValueError, match=r"^search budget must be a nonnegative integer, got -1$"):
+        search_budget(-1)
+    # 0 stays a budget: the search cuts on its first state
+    assert search_budget(0) == 0
+    with pytest.raises(SearchBudgetExceeded):
+        st_ready_search([1, 2], [3], 0)
+
+
+def test_a_negative_search_budget_in_the_environment_is_refused(monkeypatch):
+    monkeypatch.setenv(SEARCH_BUDGET_ENV, "-5")
+    message = rf"^{SEARCH_BUDGET_ENV} must be a nonnegative integer, got -5$"
+    with pytest.raises(ValueError, match=message):
+        search_budget()
+    with pytest.raises(ValueError, match=message):
+        sfr_feasible([Fraction(5, 2), Fraction(5, 2)], 5)
+    monkeypatch.setenv(SEARCH_BUDGET_ENV, "0")
+    assert search_budget() == 0
+
+
+def test_a_search_budget_in_the_environment_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv(SEARCH_BUDGET_ENV, "abc")
+    message = rf"^{SEARCH_BUDGET_ENV}='abc' is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        search_budget()
+    with pytest.raises(ValueError, match=message):
+        st_ready_search([1, 2], [3])
+    # an argument overrides the environment, as it always has
+    assert search_budget(4) == 4
+
+
+def test_majorizes_refuses_non_numbers_and_infinities():
+    with pytest.raises(ValueError, match=r"^dominant value None at position 0 is not a finite number$"):
+        majorizes([None], [1])
+    with pytest.raises(ValueError, match=r"^dominant value inf at position 1 is not a finite number$"):
+        majorizes([1, float("inf")], [1])
+    with pytest.raises(ValueError, match=r"^dominated value 'x' at position 0 is not a finite number$"):
+        majorizes([1], ["x"])
+    assert majorizes([2, 0.5], [Fraction(5, 4), Fraction(5, 4)])
+
+
+def test_block_number_dp_deeper_than_the_recursion_limit():
+    """3,000 eigenvalues 2 + 1/7 and one 2 + 2/7 leave two residue classes
+    that do not pair off, so the DP runs about 3,000 states deep, past the
+    interpreter's recursion limit; the answer stays exact."""
+    spectrum = [2 + Fraction(1, 7)] * 3000 + [2 + Fraction(2, 7)]
+    result = maximal_block_number(spectrum)
+    assert (result.mu, result.heuristic) == (428, False)
+    assert _integer_prefixes(spectrum, result.permutation) == 428
+
+
+def test_block_number_dp_states_pass_the_work_cap_before_the_parts(monkeypatch):
+    """25 copies each of 2 + k/13, k = 1..4: the minimal parts through every
+    class cost far below the cap, yet the DP's 26^4 states pass it, so the
+    cap is reached by the DP's own charge and the count turns heuristic."""
+    spent = []
+
+    def parts(*args):
+        found, work = _minimal_zero_sum_parts(*args)
+        spent.append(work)
+        return found, work
+
+    monkeypatch.setattr(sequences, "_minimal_zero_sum_parts", parts)
+    spectrum = [2 + Fraction(k, 13) for k in range(1, 5) for _ in range(25)]
+    assert maximal_block_number(spectrum).heuristic
+    assert spent and max(spent) < sequences._MU_WORK_CAP // 100

@@ -8,6 +8,7 @@ columns and empty rows, and count how many exact products it forms.
 
 import contextlib
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from spectral_tetris import (
 )
 from spectral_tetris.construct import Sweep
 from spectral_tetris.fusion import group_flags
+from spectral_tetris.sequences import _lcm, _pairwise
 
 import goldens
 from _oracles import (
@@ -697,9 +699,17 @@ def test_keyed_route_square_sums_are_those_added_in_turn(matrix):
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 9, 64, 101])
 def test_pairwise_sum_is_the_sum(count):
     values = [Fraction(1, p * p) for p in range(2, count + 2)]
-    total = construct_module._pairwise_sum(list(values))
+    total = _pairwise(construct_module._sum, values)
     assert total == sum(values, 0)
     assert type(total) is type(sum(values, 0))
+    assert _pairwise(construct_module._sum, range(count)) == sum(range(count))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 9, 64, 101])
+def test_pairwise_lcm_is_the_lcm(count):
+    values = [p * p for p in range(2, count + 2)]
+    assert _pairwise(math.lcm, values) == math.lcm(*values)
+    assert _lcm(values + values[::-1]) == math.lcm(*values)
 
 
 BOUND = construct_module._UNIT_BITS
