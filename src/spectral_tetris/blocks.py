@@ -15,6 +15,7 @@ comparisons alone, for searches that need only a block's shape.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -167,8 +168,12 @@ def dft_block(
     (i, j) entry carries phase omega_J^(i*j). Unit columns force
     first_row_weight + (J-1)*trailing_row_weight = J; anything else raises
     BlockDomain. Order-2 phases collapse to signed real entries, so J = 2
-    blocks are real.
+    blocks are real. The size is read through __index__: ValueError names
+    one that is not an integer.
     """
+    if not hasattr(size, "__index__"):
+        raise ValueError(f"block size {size!r} is not an integer")
+    size = operator.index(size)
     if size < 1:
         raise BlockDomain(f"block size {size} must be positive")
     first, trailing = _rationals((first_row_weight, trailing_row_weight), "row weight")

@@ -10,9 +10,12 @@ pnstc, pnstc_str and construct_untf are thin wrappers over one Spectral
 Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
 constructions reach it through pnstc. The fill decides its moves by sums
 and comparisons alone, so each wrapper scales the norms and eigenvalues
-once to integers in a common unit (sequences.integer_units) and the fill
-runs on ints; square roots are taken only for the entries it places, and
-its 2x2 blocks are built from those ints by blocks._block_from_units.
+once to integers in a common unit (sequences.integer_units, or the closed
+form of the flat spectrum for construct_untf) and the fill runs on those
+ints alone: every entry it places is a square root taken from them (a
+singleton by exact_numeric._sqrt_ratio, a 2x2 block by
+blocks._block_from_units), and every fact it quotes when stuck is one of
+them over the unit.
 construct_untf_dft keeps its own J x J fill. The fill's entries are
 nonzero (a singleton is sqrt of a positive norm, and _place_block stores
 only nonzero block entries) and inside the shape (every row and column it
@@ -65,6 +68,7 @@ from .exact_numeric import (
     RadicalScalar,
     ZERO,
     _positive_int,
+    _sqrt_ratio,
     entry_abs_squared,
     entry_to_complex,
     to_float,
@@ -597,11 +601,7 @@ class _Stuck(Exception):
 
 
 def _greedy_fill(
-    norms: Sequence[Fraction],
-    units: Sequence[int],
-    eig_units: Sequence[int],
-    unit: int,
-    swap_on_straddle: bool,
+    units: Sequence[int], eig_units: Sequence[int], unit: int, swap_on_straddle: bool
 ) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
     """The Spectral Tetris fill behind pnstc, pnstc_str and construct_untf.
 
@@ -612,13 +612,14 @@ def _greedy_fill(
 
     units and eig_units are the norms and eigenvalues times unit
     (sequences.integer_units), so every move is decided on ints and is the
-    move a Fraction fill would make. Singletons take sqrt of the caller's
-    norms; blocks are built from the same ints (blocks._block_from_units),
-    because the comparisons that chose a block have shown that it exists;
-    the facts of a _Stuck get Fraction(k, unit) back.
+    move a Fraction fill would make. Every entry and every stuck fact comes
+    from those ints too: a singleton is sqrt(a/unit) (_sqrt_ratio, taken
+    once per run of equal norms), a block is built by
+    blocks._block_from_units, because the comparisons that chose it have
+    shown that it exists, and the facts of a _Stuck are Fraction(k, unit).
 
-    Callers check sum(norms) == sum(eigs) first. Then before every step
-    sum(remaining[row:]) == sum(norms[col:]) and no remaining weight is
+    Callers check sum(units) == sum(eig_units) first. Then before every
+    step sum(remaining[row:]) == sum(units[col:]) and no remaining weight is
     negative: a singleton takes a from both sides, a block takes a + b from
     both (w from its row, the spill a + b - w from the next), and the
     overshoot check keeps the next row nonnegative. So while a row has
@@ -627,7 +628,6 @@ def _greedy_fill(
     row is empty. No bounds check is needed: the fill can only stop for
     want of a partner, on a straddle or on an overshoot.
     """
-    norms = list(norms)
     units = list(units)
     remaining = list(eig_units)
     entries: Dict[Key, MatrixEntry] = {}
@@ -640,24 +640,25 @@ def _greedy_fill(
             a = units[col]
             if weight >= a:
                 if a != last:
-                    last, root = a, RadicalScalar.sqrt(norms[col])
+                    last, root = a, _sqrt_ratio(a, unit)
                 entries[(row, col)] = root
                 weight -= a
                 col += 1
                 step += 1
                 continue
             if col + 1 == len(units):
-                facts = dict(norm=norms[col], weight=Fraction(weight, unit), row=row)
+                facts = dict(norm=Fraction(a, unit), weight=Fraction(weight, unit), row=row)
                 raise _Stuck("partner", step, facts)
             b = units[col + 1]
             if weight > b:
                 if not swap_on_straddle:
                     facts = dict(
-                        norm=norms[col], partner=norms[col + 1], weight=Fraction(weight, unit)
+                        norm=Fraction(a, unit),
+                        partner=Fraction(b, unit),
+                        weight=Fraction(weight, unit),
                     )
                     raise _Stuck("straddle", step, facts)
                 units[col], units[col + 1] = b, a
-                norms[col], norms[col + 1] = norms[col + 1], norms[col]
                 swaps.append((col, col + 1))
                 continue
             spill = a + b - weight
@@ -695,7 +696,7 @@ def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
             f"total squared norm {sum(norms)} differs from spectrum total {sum(eigs)}"
         )
     try:
-        entries, steps, _ = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=False)
+        entries, steps, _ = _greedy_fill(units, eig_units, unit, swap_on_straddle=False)
     except _Stuck as stuck:
         kind, step, facts = stuck.args
         raise NotSTReady(_FILL_WORDING[kind].format(**facts), step=step) from None
@@ -724,7 +725,7 @@ def pnstc_str(
             f"re-ordering preserves the total squared norm, but {sum(norms)} != {sum(eigs)}"
         )
     try:
-        entries, _, swaps = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=True)
+        entries, _, swaps = _greedy_fill(units, eig_units, unit, swap_on_straddle=True)
     except _Stuck as stuck:
         kind, _, facts = stuck.args
         raise ReorderFailed(_REORDER_WORDING[kind].format(**facts)) from None
@@ -783,16 +784,16 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
             f"{count} vectors cannot span a space of dimension {dimension}"
         )
     eigenvalue = Fraction(count, dimension)
-    norms = (Fraction(1),) * count
-    unit, units, eig_units = integer_units(norms, (eigenvalue,) * dimension)
-
-    # unit norms always have a partner and never straddle, so the only way
-    # the fill can stop is a spill overshooting the next row
+    # in the unit of the reduced N/M every norm is that unit and every row
+    # its numerator, as integer_units would give them. Unit norms always
+    # have a partner and never straddle, so the only way the fill can stop
+    # is a spill overshooting the next row
+    unit, row = eigenvalue.denominator, eigenvalue.numerator
     try:
-        entries, _, _ = _greedy_fill(norms, units, eig_units, unit, swap_on_straddle=False)
+        entries, _, _ = _greedy_fill([unit] * count, [row] * dimension, unit, swap_on_straddle=False)
     except _Stuck as stuck:
         kind, _, facts = stuck.args
-        reduced = f"{eigenvalue.numerator}/{eigenvalue.denominator}"
+        reduced = f"{row}/{unit}"
         label = reduced if reduced == f"{count}/{dimension}" else f"{count}/{dimension} = {reduced}"
         raise Infeasible(
             f"no sparse unit-norm tight frame of {count} vectors in dimension "

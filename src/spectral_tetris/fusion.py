@@ -141,32 +141,30 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
 
     Two columns are linked when their supports share a row; chains are the
     connected components of that graph, each sorted ascending, listed by
-    their smallest member.
+    their smallest member. They are joined by a union over rows: each row
+    remembers the first pool column met in it, and each later one is united
+    with it, the larger root under the smaller (with path halving), so every
+    root is its chain's smallest member.
     """
     maps = column_maps(matrix)
     pool = sorted(set(columns))
-    incidence: Dict[int, List[int]] = {}  # row -> the pool's columns in it
+    parent = {col: col for col in pool}
+
+    def root(col: int) -> int:
+        while parent[col] != col:
+            parent[col] = col = parent[parent[col]]
+        return col
+
+    first: Dict[int, int] = {}  # row -> the first pool column met in it
     for col in pool:
         for row in maps[col]:
-            incidence.setdefault(row, []).append(col)
-    unvisited = set(pool)
-    chains: List[Tuple[int, ...]] = []
-    for start in pool:
-        if start not in unvisited:
-            continue
-        component = []
-        stack = [start]
-        unvisited.discard(start)
-        while stack:
-            col = stack.pop()
-            component.append(col)
-            for row in maps[col]:
-                for neighbour in incidence[row]:
-                    if neighbour in unvisited:
-                        unvisited.discard(neighbour)
-                        stack.append(neighbour)
-        chains.append(tuple(sorted(component)))
-    return ChainPartition(chains=tuple(chains))
+            a, b = root(first.setdefault(row, col)), root(col)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    chains: Dict[int, List[int]] = {}
+    for col in pool:
+        chains.setdefault(root(col), []).append(col)
+    return ChainPartition(chains=tuple(map(tuple, chains.values())))
 
 
 def sffr(spectrum: Sequence, subspace_count: int, subspace_dim: int) -> FusionFrame:

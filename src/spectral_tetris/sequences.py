@@ -672,12 +672,14 @@ def _residue_dp(
 
     Classes are the residues ints[k] mod modulus, ascending and nonzero. A
     part of None with a next state leaves one member of the lowest class
-    over. A state with a single nonempty class closes all its parts at
-    once, as one run of whole parts, and has no next state. Each state is
-    one visit run by drive(): it charges its work, tries leaving one member
-    first and then each candidate part, visits each child not yet in best,
-    and keeps the first move of the highest value. Raises _MuWorkExceeded
-    past _MU_WORK_CAP.
+    over. A final state, one with at most one nonempty class, closes all
+    its parts at once, as one run of whole parts, and has no next state;
+    its entry is recorded where the state is first met, so it costs no
+    visit and a final root runs no drive(). Every other state is one visit
+    run by drive(): it charges its work, tries leaving one member first and
+    then each candidate part, visits each child not yet in best, and keeps
+    the first move of the highest value. Raises _MuWorkExceeded past
+    _MU_WORK_CAP.
     """
     width = len(ints)
     weight = _words(modulus)
@@ -685,17 +687,22 @@ def _residue_dp(
     parts_through: Dict[int, List[_Counts]] = {}
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
 
-    def visit(state: _Counts) -> Generator:
-        nonlocal work
+    def lowest(state: _Counts) -> Optional[int]:
+        """The state's lowest nonempty class, or None once a final state's
+        entry is recorded."""
         low = 0
         while low < width and not state[low]:
             low += 1
-        if low == width or not any(state[low + 1 :]):
-            size = modulus // math.gcd(ints[low], modulus) if low < width else 0
-            parts = state[low] // size if size else 0
-            run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
-            best[state] = (parts, run, None)
-            return
+        if low < width and any(state[low + 1 :]):
+            return low
+        size = modulus // math.gcd(ints[low], modulus) if low < width else 0
+        parts = state[low] // size if size else 0
+        run = state[:low] + (parts * size,) + state[low + 1 :] if parts else None
+        best[state] = (parts, run, None)
+        return None
+
+    def visit(state: _Counts, low: int) -> Generator:
+        nonlocal work
         if low not in parts_through:
             parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
         candidates = parts_through[low]
@@ -710,13 +717,17 @@ def _residue_dp(
         top = None
         for part, child in moves:
             if child not in best:
-                yield visit(child)
+                child_low = lowest(child)
+                if child_low is not None:
+                    yield visit(child, child_low)
             value = best[child][0] + (part is not None)
             if top is None or value > top[0]:
                 top = (value, part, child)
         best[state] = top
 
-    drive(visit(counts))
+    low = lowest(counts)
+    if low is not None:
+        drive(visit(counts, low))
     return best
 
 

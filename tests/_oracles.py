@@ -20,8 +20,11 @@ subtracted Fractions, the JSON encoder, dense conversion and CSV writer
 that worked entry by entry, the Naimark complement that converted every
 completion entry through two Fractions, and the certificate partition that
 replayed the fill's moves over a feed, st_ready_check as it tested the
-prefix inequalities itself, and the maximal block number's residue DP as a
-stack machine of its own. floor_walk_oracle is a model of
+prefix inequalities itself, the maximal block number's residue DP as a
+stack machine of its own, the integer fill that took singleton roots and
+stuck facts from the caller's Fraction norms with the construct_untf that
+fed it N unit norms, and the chain partition that walked a pool incidence
+of its own. floor_walk_oracle is a model of
 the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
@@ -38,6 +41,7 @@ import numpy as np
 from spectral_tetris import (
     Block,
     BlockDomain,
+    ChainPartition,
     FusionFrame,
     InvalidPartition,
     NoSuchBlock,
@@ -49,13 +53,21 @@ from spectral_tetris import (
     SynthesisMatrix,
     pnstc,
 )
-from spectral_tetris.construct import _Stuck, column_maps
-from spectral_tetris.errors import NotParseval, SpectralTetrisError, SpectrumMismatch
+from spectral_tetris.blocks import _block_from_units
+from spectral_tetris.construct import _FILL_WORDING, _Stuck, column_maps
+from spectral_tetris.errors import (
+    Infeasible,
+    NotParseval,
+    SpectralTetrisError,
+    SpectrumMismatch,
+    Underdetermined,
+)
 from spectral_tetris.exact_numeric import (
     ZERO,
     ComplexRadicalEntry,
     MatrixEntry,
     RationalLike,
+    _positive_int,
     entry_abs_squared,
     entry_to_complex,
     to_float,
@@ -77,6 +89,7 @@ from spectral_tetris.sequences import (
     as_norms_squared,
     as_spectrum,
     drive,
+    integer_units,
     maximal_block_number,
     search_budget,
 )
@@ -1623,3 +1636,130 @@ def residue_dp_stack_oracle(
         best[state] = top
         stack.pop()
     return best
+
+
+# -- the integer fill that carried the caller's norms ---------------------------------
+# construct._greedy_fill and construct_untf as they were when the fill took
+# each singleton's root and quoted each stuck fact from a parallel list of the
+# caller's Fraction norms, and construct_untf scaled a tuple of N unit norms
+# to feed it, verbatim bar their names and docstrings; _place_block is the
+# copy above, the rest is the package's.
+
+
+def greedy_fill_norms_oracle(
+    norms: Sequence[Fraction],
+    units: Sequence[int],
+    eig_units: Sequence[int],
+    unit: int,
+    swap_on_straddle: bool,
+) -> Tuple[Dict[Key, MatrixEntry], int, Tuple[Tuple[int, int], ...]]:
+    norms = list(norms)
+    units = list(units)
+    remaining = list(eig_units)
+    entries: Dict[Key, MatrixEntry] = {}
+    swaps: List[Tuple[int, int]] = []
+    last = root = None
+    col = step = 0
+    for row in range(len(remaining)):
+        weight = remaining[row]
+        while weight > 0:
+            a = units[col]
+            if weight >= a:
+                if a != last:
+                    last, root = a, RadicalScalar.sqrt(norms[col])
+                entries[(row, col)] = root
+                weight -= a
+                col += 1
+                step += 1
+                continue
+            if col + 1 == len(units):
+                facts = dict(norm=norms[col], weight=Fraction(weight, unit), row=row)
+                raise _Stuck("partner", step, facts)
+            b = units[col + 1]
+            if weight > b:
+                if not swap_on_straddle:
+                    facts = dict(
+                        norm=norms[col], partner=norms[col + 1], weight=Fraction(weight, unit)
+                    )
+                    raise _Stuck("straddle", step, facts)
+                units[col], units[col + 1] = b, a
+                norms[col], norms[col + 1] = norms[col + 1], norms[col]
+                swaps.append((col, col + 1))
+                continue
+            spill = a + b - weight
+            if spill > remaining[row + 1]:
+                facts = dict(
+                    spill=Fraction(spill, unit),
+                    next_row=row + 1,
+                    room=Fraction(remaining[row + 1], unit),
+                )
+                raise _Stuck("overshoot", step, facts)
+            _place_block(entries, _block_from_units(weight, a, b, unit), row, col)
+            remaining[row + 1] -= spill
+            weight = 0
+            col += 2
+            step += 1
+    return entries, step, tuple(swaps)
+
+
+def construct_untf_oracle(dimension: int, count: int) -> SynthesisMatrix:
+    dimension = _positive_int(dimension, "dimension")
+    count = _positive_int(count, "count")
+    if count < dimension:
+        raise Underdetermined(
+            f"{count} vectors cannot span a space of dimension {dimension}"
+        )
+    eigenvalue = Fraction(count, dimension)
+    norms = (Fraction(1),) * count
+    unit, units, eig_units = integer_units(norms, (eigenvalue,) * dimension)
+
+    # unit norms always have a partner and never straddle, so the only way
+    # the fill can stop is a spill overshooting the next row
+    try:
+        entries, _, _ = greedy_fill_norms_oracle(
+            norms, units, eig_units, unit, swap_on_straddle=False
+        )
+    except _Stuck as stuck:
+        kind, _, facts = stuck.args
+        reduced = f"{eigenvalue.numerator}/{eigenvalue.denominator}"
+        label = reduced if reduced == f"{count}/{dimension}" else f"{count}/{dimension} = {reduced}"
+        raise Infeasible(
+            f"no sparse unit-norm tight frame of {count} vectors in dimension "
+            f"{dimension}: eigenvalue {label} is neither an integer "
+            f">= 2 nor of the form (2L-1)/L ({_FILL_WORDING[kind].format(**facts)})"
+        ) from None
+    meta = {"algorithm": "untf", "eigenvalue": eigenvalue}
+    return SynthesisMatrix._unchecked(dimension, count, entries, False, meta)
+
+
+# -- the chain partition that kept its own pool incidence ------------------------------
+# fusion.maximal_chains as it was when it mapped each row to the pool's columns
+# in it and walked each component with a stack, verbatim bar its name and
+# docstring; column_maps and ChainPartition are the package's.
+
+
+def maximal_chains_oracle(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPartition:
+    maps = column_maps(matrix)
+    pool = sorted(set(columns))
+    incidence: Dict[int, List[int]] = {}  # row -> the pool's columns in it
+    for col in pool:
+        for row in maps[col]:
+            incidence.setdefault(row, []).append(col)
+    unvisited = set(pool)
+    chains: List[Tuple[int, ...]] = []
+    for start in pool:
+        if start not in unvisited:
+            continue
+        component = []
+        stack = [start]
+        unvisited.discard(start)
+        while stack:
+            col = stack.pop()
+            component.append(col)
+            for row in maps[col]:
+                for neighbour in incidence[row]:
+                    if neighbour in unvisited:
+                        unvisited.discard(neighbour)
+                        stack.append(neighbour)
+        chains.append(tuple(sorted(component)))
+    return ChainPartition(chains=tuple(chains))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,21 @@ def test_dft_block_weight_consistency_enforced():
         dft_block(2, -1, 3)
     with pytest.raises(BlockDomain):
         dft_block(0, 1, 1)
+
+
+def test_dft_block_reads_its_size_through_index():
+    """A size that is not an integer ends in ValueError naming it, not in
+    the TypeError of a comparison or of range; an integer size below one
+    keeps its BlockDomain, and any __index__ integer is its int."""
+    for size in (None, "3", 2.5):
+        with pytest.raises(ValueError, match=rf"^block size {re.escape(repr(size))} is not an integer$"):
+            dft_block(size, 1, 1)
+    for size in (0, -1):
+        with pytest.raises(BlockDomain, match=rf"^block size {size} must be positive$"):
+            dft_block(size, 1, 1)
+    assert dft_block(np.int64(3), Fraction(1, 2), Fraction(5, 4)) == dft_block(
+        3, Fraction(1, 2), Fraction(5, 4)
+    )
 
 
 @pytest.mark.parametrize("size,first", [(2, Fraction(1, 2)), (3, Fraction(3, 4)), (4, Fraction(5, 3)), (5, 1)])

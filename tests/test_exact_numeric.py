@@ -185,6 +185,22 @@ def test_complex_entry_abs_squared_is_exact():
     assert entry_abs_squared(-RadicalScalar.sqrt(3)) == 3
 
 
+def test_zero_reprs_as_zero():
+    assert repr(RadicalScalar()) == "RadicalScalar(0)"
+    assert repr(ZERO) == "RadicalScalar(0)"
+
+
+def test_equal_complex_entries_hash_equal():
+    """Exponents equal mod the order give equal entries, distinct objects
+    of one hash."""
+    root_two = RadicalScalar.sqrt(2)
+    first = ComplexRadicalEntry.make(root_two, 1, 3)
+    second = ComplexRadicalEntry.make(root_two, 4, 3)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
 def test_to_float_refuses_complex_entries():
     entry = ComplexRadicalEntry.make(ONE, 1, 3)
     with pytest.raises(DomainError):

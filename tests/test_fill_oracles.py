@@ -6,7 +6,9 @@ which compared and subtracted Fractions. Scaling by a positive integer keeps
 every comparison, so the two must agree on everything: the entries, the
 steps and the swaps of a fill that completes, and the kind, step and quoted
 facts of one that stops. The wrappers must raise the same classes and
-messages as the verbatim former constructions.
+messages as the verbatim former constructions. construct_untf, which feeds
+the fill the flat spectrum's units in closed form, must give what it gave
+when it scaled N unit norms and the fill carried them beside their units.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     assert_constructor_accepts,
+    construct_untf_oracle,
     fraction_greedy_fill_oracle,
     pnstc_oracle,
     pnstc_str_oracle,
@@ -57,7 +60,7 @@ def fill_inputs(draw):
 
 def integer_fill(norms, spectrum, swap_on_straddle):
     unit, units, eig_units = integer_units(norms, spectrum)
-    return _greedy_fill(norms, units, eig_units, unit, swap_on_straddle)
+    return _greedy_fill(units, eig_units, unit, swap_on_straddle)
 
 
 def fill_outcome(fill, norms, spectrum, swap_on_straddle):
@@ -148,3 +151,15 @@ def untf_expected(dimension, count):
 def test_untf_equals_the_fraction_fill(dimension, extra):
     count = dimension + extra
     assert outcome(construct_untf, dimension, count) == untf_expected(dimension, count)
+
+
+def test_untf_equals_the_fill_that_carried_the_norms():
+    """Every 1 <= M <= 30 and M <= N <= 4M: the same entries and meta as
+    the former construct_untf, or the same Infeasible text."""
+    kinds = set()
+    for dimension in range(1, 31):
+        for count in range(dimension, 4 * dimension + 1):
+            got = outcome(construct_untf, dimension, count)
+            assert got == outcome(construct_untf_oracle, dimension, count), (dimension, count)
+            kinds.add(got[0] if got[0] is Infeasible else "frame")
+    assert kinds == {Infeasible, "frame"}

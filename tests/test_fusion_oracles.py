@@ -14,7 +14,9 @@ repeated over mixed denominators. A seeded sweep of random fusion profiles
 must settle within 20,000 states each, which the search without the memo
 did not. The rest bounds the exact work the fusion layer does, by counting
 calls: inner products, blocks built, radical products and square sums
-settled.
+settled. maximal_chains, which joins pool columns by a union over rows,
+must give the chains of the walk over a pool incidence of its own that it
+replaced (verbatim in _oracles).
 """
 
 import itertools
@@ -31,8 +33,11 @@ import spectral_tetris.fusion as fusion_module
 import spectral_tetris.sequences as sequences_module
 from spectral_tetris import (
     Infeasible,
+    NotSTReady,
     RadicalScalar,
     construct_untf,
+    maximal_chains,
+    pnstc,
     sffr,
     verify_fusion,
     weighted_fusion,
@@ -41,7 +46,7 @@ from spectral_tetris.errors import SearchBudgetExceeded
 from spectral_tetris.sequences import _FillSearch, integer_units
 
 import goldens
-from _oracles import TaggedSearchOracle
+from _oracles import TaggedSearchOracle, maximal_chains_oracle
 
 WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(5, 2))
 SMALL_BUDGET = 100
@@ -433,3 +438,60 @@ def test_group_flags_refuse_columns_that_share_one_row_without_products(monkeypa
     flags, products, _, _ = _count_group_work(monkeypatch, block, [(2, 3)], F(1))
     assert flags == [(False, True)]
     assert products == 2
+
+
+def _chain_matrix(rng):
+    """A random construct_untf, pnstc or sffr matrix (its generator), or
+    None when the drawn input has none."""
+    kind = rng.randrange(3)
+    try:
+        if kind == 0:
+            dimension = rng.randint(1, 12)
+            return construct_untf(dimension, rng.randint(dimension, 4 * dimension))
+        if kind == 1:
+            size = rng.randint(1, 16)
+            norms = [F(rng.randint(1, 12), rng.choice((1, 2, 3, 4))) for _ in range(size)]
+            cuts = sorted(rng.sample(range(1, 60), rng.randint(0, 6)))
+            total, edges = sum(norms), [0, *cuts, 60]
+            spectrum = [total * F(high - low, 60) for low, high in zip(edges, edges[1:])]
+            return pnstc(norms, spectrum)
+        subspaces = rng.randint(1, 4)
+        dim = rng.randint(1, 3)
+        count = subspaces * dim
+        dimension = rng.randint(1, count)
+        spectrum = [F(count, dimension)] * dimension
+        return sffr(spectrum, subspaces, dim).generator
+    except (Infeasible, NotSTReady):
+        return None
+
+
+def test_maximal_chains_equal_the_incidence_walk():
+    """On 1,500 seeded (matrix, pool) pairs over construct_untf, pnstc and
+    sffr matrices, the union over rows gives the ChainPartition of the walk
+    it replaced. The pools are empty, full, or random subsets given
+    unsorted and with repeats; some chains link through three or more rows."""
+    rng = random.Random(2929)
+    tally = {"empty": 0, "full": 0, "three rows": 0, "untf": 0, "pnstc": 0, "sfr": 0}
+    pairs = 0
+    while pairs < 1_500:
+        matrix = _chain_matrix(rng)
+        if matrix is None:
+            continue
+        n = matrix.col_count
+        shape = rng.randrange(4)
+        if shape == 0:
+            pool = []
+        elif shape == 1:
+            pool = list(range(n))
+        else:
+            pool = rng.sample(range(n), rng.randint(1, n))
+            pool += rng.choices(pool, k=rng.randint(0, 3))
+        got = maximal_chains(matrix, pool)
+        assert got == maximal_chains_oracle(matrix, pool), (matrix.entries, pool)
+        pairs += 1
+        tally[matrix.meta["algorithm"]] += 1
+        tally["empty"] += not pool
+        tally["full"] += len(set(pool)) == n
+        rows_of = [{i for i, j in matrix.entries if j in chain} for chain in got.chains]
+        tally["three rows"] += any(len(rows) >= 3 for rows in rows_of)
+    assert min(tally.values()) > 100, tally

@@ -1,5 +1,6 @@
 """JSON serialization: exact round trips and strict loader validation."""
 
+import enum
 import json
 import os
 from fractions import Fraction
@@ -285,6 +286,39 @@ def test_fusion_loader_rejects_bad_partitions():
     document["partition"][0][0] = document["partition"][1][0]
     with pytest.raises(ValueError, match="invalid fusion frame"):
         fusion_from_json(document)
+
+
+def test_fusion_loader_rejects_a_bare_number_weight():
+    document = fusion_to_json(sffr((3, 3), 3, 2))
+    document["weights_sq"][0] = 1
+    with pytest.raises(ValueError, match=r"^weights_sq entry must be a num/den object, got 1$"):
+        fusion_from_json(document)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def test_integer_enum_fields_decode_as_their_ints():
+    """Term fields and omega fields that are IntEnum members, ints but not
+    exactly int, pass the field checks and decode to the entry of the
+    equal ints."""
+    term = {"num": _Small.ONE, "den": _Small.THREE, "rad": _Small.TWO}
+    phase = {"omega_num": _Small.ONE, "omega_den": _Small.THREE}
+    for fields, complex_flag in (({}, False), (phase, True)):
+        enum_entry = {"row": 0, "col": 0, "terms": [term], **fields}
+        int_entry = json.loads(json.dumps(enum_entry))
+        assert type(int_entry["terms"][0]["num"]) is int
+        decoded = [
+            matrix_from_json({"m": 1, "n": 1, "complex": complex_flag, "entries": [entry]})
+            for entry in (enum_entry, int_entry)
+        ]
+        assert decoded[0].entries == decoded[1].entries
+    assert decoded[0].entries == {
+        (0, 0): ComplexRadicalEntry.make(RadicalScalar.sqrt(Fraction(2, 9)), 1, 3)
+    }
 
 
 def test_single_entry_matrix_survives_the_round_trip():

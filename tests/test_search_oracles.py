@@ -623,3 +623,25 @@ def test_residue_dp_equals_the_stack_machine(monkeypatch):
         outcome = "cut" if got is sequences._MuWorkExceeded else "exact"
         tally[outcome] = tally.get(outcome, 0) + 1
     assert tally["cut"] > 50 and tally["exact"] > 600, tally
+
+
+def test_a_final_residue_dp_runs_no_drive(monkeypatch):
+    """A final state, one with at most one nonempty class, is recorded
+    where it is met: a final root runs no drive() and no visit, and a root
+    with two classes runs drive() once, its table still the stack
+    machine's."""
+    calls = []
+    original = sequences.drive
+
+    def counting(root):
+        calls.append(root)
+        return original(root)
+
+    monkeypatch.setattr(sequences, "drive", counting)
+    assert sequences._residue_dp([1, 2], (3, 0), 7) == {(3, 0): (0, None, None)}
+    assert sequences._residue_dp([2], (7,), 7) == {(7,): (1, (7,), None)}
+    assert sequences._residue_dp([1, 2], (0, 0), 7) == {(0, 0): (0, None, None)}
+    assert calls == []
+    got = sequences._residue_dp([1, 2], (3, 2), 7)
+    assert len(calls) == 1
+    assert got == _oracles.residue_dp_stack_oracle([1, 2], (3, 2), 7)
