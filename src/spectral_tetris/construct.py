@@ -30,9 +30,14 @@ product of two forms is then an int over D^2 per radicand, so in one pass
 each the Sweep yields the row and column square sums as ints, the row ->
 columns incidence and one {radicand: int} accumulator per row pair that
 meets in a column, and decides a column pair's inner product on ints; no
-RadicalScalar product is formed. Each distinct sum becomes one exact value
-(a Fraction s/D^2, a RadicalScalar when irrational) only when a caller
-reads it, and each part is computed only when a caller reads it. Past
+RadicalScalar product is formed. A Spectral Tetris column meets at most
+two rows, so the row-pair walk takes a two-row column as one pair, put in
+row order by one comparison, and sorts only wider columns. Each distinct
+sum becomes one exact value (a Fraction s/D^2, a RadicalScalar when
+irrational; a rational sum is one Fraction, with no term list) only when
+a caller reads it, and each part is computed only when a caller reads
+it; an expected value meets the rational sums on the ints, scaled once
+to D^2, with nothing settled for it. Past
 _UNIT_BITS, a bound on many coprime denominators that no bench or
 construction matrix reaches, each form keeps its terms' own Fractions
 instead, and the same code adds and settles them, bar the square sums,
@@ -47,8 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -296,7 +301,7 @@ _UNIT_BITS = 1536
 
 def _entry_terms(value: MatrixEntry) -> Tuple[Tuple[int, Fraction], ...]:
     """The canonical terms of a real entry, or of a complex entry's modulus."""
-    return (value.modulus if isinstance(value, ComplexRadicalEntry) else value).terms
+    return (value.modulus if type(value) is ComplexRadicalEntry else value)._terms
 
 
 def _add_product(sums: Accumulator, x: Form, y: Form) -> None:
@@ -322,7 +327,12 @@ def _vanishes(sums: Accumulator) -> bool:
 
 
 def _exact_sum(sums: Accumulator, scale: int) -> ExactSum:
-    """The exact value of an accumulator: one Fraction per nonzero radicand."""
+    """The exact value of an accumulator: one Fraction per nonzero radicand.
+    A rational sum {1: s}, every square sum of single-term entries, is the
+    one Fraction s/scale."""
+    if len(sums) == 1 and 1 in sums:
+        value = sums[1]
+        return value if type(value) is Fraction else Fraction(value, scale)
     terms = sorted(
         (radicand, value if type(value) is Fraction else Fraction(value, scale))
         for radicand, value in sums.items()
@@ -342,6 +352,26 @@ def _sum(*values: Union[int, Fraction]) -> Union[int, Fraction]:
     return sum(values)
 
 
+class _part:
+    """A Sweep part: computed on first read and stored on the sweep, like
+    functools.cached_property but without its lock, which Python 3.11 takes
+    on every first read (about 1 us, seven times in one verify_frame). A
+    sweep belongs to one call, so no other thread reads it."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sweep: Optional[Sweep], owner: Optional[type] = None):
+        if sweep is None:
+            return self
+        value = sweep.__dict__[self.name] = self.compute(sweep)
+        return value
+
+
 class Sweep:
     """The exact checks of one matrix, on ints over one common unit.
 
@@ -358,7 +388,9 @@ class Sweep:
     Each part is computed on first use and kept, so a caller pays only for
     what it reads: forms, the square sums (_squares, settled as row_sums
     and col_sums), row_units for the block count, pairs (the row pairs'
-    accumulators), incidence (row -> columns) and columns_cancel. The
+    accumulators), incidence (row -> columns) and columns_cancel.
+    rational_sums and scaled compare the square sums with expected values
+    on the ints, unsettled (verify's expectations, norms_equal). The
     matrix keeps every entry alive, so the ids stay valid; a complex
     entry's form is its modulus's, which serves the square sums only.
     """
@@ -368,12 +400,13 @@ class Sweep:
         self.scale = 1
         self._past_cap = False
 
-    @cached_property
+    @_part
     def forms(self) -> Dict[int, Form]:
         """{id(entry): form} over the distinct entry objects; sets scale to
         D^2 and _square to the square of each one-term form (an int over
-        scale). Past _UNIT_BITS each form is its entry's own terms, scale
-        stays 1 and _square empty."""
+        scale). Each entry's canonical terms are read once (_entry_terms)
+        and a one-term form's coefficient in one call. Past _UNIT_BITS each
+        form is its entry's own terms, scale stays 1 and _square empty."""
         values = {id(value): value for value in self.matrix.entries.values()}
         terms = dict(zip(values, map(_entry_terms, values.values())))
         self._square = square = {}
@@ -386,14 +419,15 @@ class Sweep:
         for key, parts in terms.items():
             if len(parts) == 1:
                 ((radicand, c),) = parts
-                a = c.numerator * (unit // c.denominator)
+                numerator, denominator = c.as_integer_ratio()
+                a = numerator * (unit // denominator)
                 forms[key] = ((radicand, a),)
                 square[key] = a * a * radicand
             else:
                 forms[key] = tuple((r, c.numerator * (unit // c.denominator)) for r, c in parts)
         return forms
 
-    @cached_property
+    @_part
     def _squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
         """Row and column square sums in one pass over the nonzeros: their
         rational parts as ints over scale, and the irrational parts, which
@@ -466,54 +500,67 @@ class Sweep:
         exact = {key: _exact_sum(dict(key), self.scale) for key in dict.fromkeys(keys)}
         return list(map(exact.__getitem__, keys))
 
-    @cached_property
+    @_part
     def row_sums(self) -> List[ExactSum]:
         """The exact row square sums, in row order."""
         rows, _, row_parts, _ = self._squares
         return self._settled(rows, row_parts)
 
-    @cached_property
+    @_part
     def col_sums(self) -> List[ExactSum]:
         """The exact column square sums, in column order."""
         _, cols, _, col_parts = self._squares
         return self._settled(cols, col_parts)
 
-    @cached_property
+    def rational_sums(self, columns: bool) -> Optional[list]:
+        """The column (else row) square sums over scale, unsettled, or None
+        when one of them is irrational."""
+        rows, cols, row_parts, col_parts = self._squares
+        sums, parts = (cols, col_parts) if columns else (rows, row_parts)
+        return sums if all(map(_vanishes, parts.values())) else None
+
+    @_part
     def row_units(self) -> Optional[Tuple[int, List[int]]]:
         """The row square sums as sequences.integer_units gives them, (unit,
         each sum times unit), or None unless every one is a positive
         rational. Over D^2 no Fraction is formed: with g = gcd(D^2, sums),
         the lcm of the reduced denominators is D^2/g and each sum is s/g.
         Sums over scale 1 go through integer_units itself."""
-        rows, _, row_parts, _ = self._squares
-        if any(s <= 0 for s in rows) or not all(map(_vanishes, row_parts.values())):
+        rows = self.rational_sums(False)
+        if rows is None or any(s <= 0 for s in rows):
             return None
         if self.scale == 1:
             return integer_units(rows)
         common = math.gcd(self.scale, *rows)
         return self.scale // common, [s // common for s in rows]
 
-    @cached_property
+    @_part
     def pairs(self) -> Dict[Key, Accumulator]:
         """{(p, q): the accumulator of rows p and q's inner product} for every
         pair of rows p < q that meet in a column of a real matrix.
 
         Rows p and q only meet in the columns whose support holds both, so
         this takes sum |supp|^2 products over the columns instead of M^2 row
-        inner products. Row pairs that share no column are absent.
+        inner products. Row pairs that share no column are absent. A column
+        of two rows, the widest a Spectral Tetris frame has, is one pair, put
+        in row order by one comparison; a wider column's rows are sorted.
         """
         forms = self.forms
         pairs: Dict[Key, Accumulator] = {}
         for column in column_maps(self.matrix):
             if len(column) < 2:
                 continue  # a single row meets no other row here
-            items = [(row, forms[id(value)]) for row, value in sorted(column.items())]
-            for a, (p, x) in enumerate(items):
-                for q, y in items[a + 1 :]:
-                    sums = pairs.get((p, q))
-                    if sums is None:
-                        sums = pairs[(p, q)] = {}
-                    _add_product(sums, x, y)
+            if len(column) == 2:  # half of a 2x2 block: one pair, in row order
+                (p, x), (q, y) = column.items()
+                meets = ((p, x, q, y),) if p < q else ((q, y, p, x),)
+            else:
+                rows = sorted(column.items())
+                meets = [(p, x, q, y) for (p, x), (q, y) in combinations(rows, 2)]
+            for p, x, q, y in meets:
+                sums = pairs.get((p, q))
+                if sums is None:
+                    sums = pairs[(p, q)] = {}
+                _add_product(sums, forms[id(x)], forms[id(y)])
         return pairs
 
     def rows_orthogonal(self) -> bool:
@@ -527,7 +574,7 @@ class Sweep:
         exact = {key: _exact_sum(dict(key), self.scale) for key in dict.fromkeys(keys.values())}
         return {pair: exact[key] for pair, key in keys.items()}
 
-    @cached_property
+    @_part
     def incidence(self) -> Dict[int, List[int]]:
         """{row: the columns with a nonzero in that row, in increasing order}."""
         rows: Dict[int, List[int]] = {}
@@ -556,6 +603,14 @@ class Sweep:
             _add_product(sums, forms[id(a[row])], forms[id(b[row])])
         return _vanishes(sums)
 
+    def scaled(self, value: Union[int, Fraction]) -> Union[int, Fraction]:
+        """What a square sum over scale must be to equal value: value * scale
+        when that is an int, else value itself, which no int equals and a
+        Fraction sum past _UNIT_BITS (scale 1) meets as it is."""
+        numerator, denominator = value.as_integer_ratio()
+        quotient, rest = divmod(numerator * self.scale, denominator)
+        return value if rest else quotient
+
     def norms_equal(self, cols: Sequence[int], weight) -> bool:
         """Whether each of the given columns has squared norm weight, decided
         on the ints over scale for an int or Fraction weight."""
@@ -564,9 +619,7 @@ class Sweep:
         _, sums, _, parts = self._squares
         if parts and not all(_vanishes(parts.get(col, {})) for col in cols):
             return False
-        # weight * scale, as an int when integral, so int sums compare as ints
-        quotient, rest = divmod(weight.numerator * self.scale, weight.denominator)
-        target = weight * self.scale if rest else quotient
+        target = self.scaled(weight)
         values = [sums[col] for col in cols]
         return values.count(target) == len(values)
 

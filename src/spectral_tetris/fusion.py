@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -144,10 +145,18 @@ def maximal_chains(matrix: SynthesisMatrix, columns: Sequence[int]) -> ChainPart
     their smallest member. They are joined by a union over rows: each row
     remembers the first pool column met in it, and each later one is united
     with it, the larger root under the smaller (with path halving), so every
-    root is its chain's smallest member.
+    root is its chain's smallest member. Each column is read through
+    __index__; ValueError names one that is not an integer in [0, N).
     """
     maps = column_maps(matrix)
-    pool = sorted(set(columns))
+    count = matrix.col_count
+    pool = set()
+    for col in columns:
+        index = operator.index(col) if hasattr(col, "__index__") else None
+        if index is None or not 0 <= index < count:
+            raise ValueError(f"column {col!r} is not an integer in [0, {count})")
+        pool.add(index)
+    pool = sorted(pool)
     parent = {col: col for col in pool}
 
     def root(col: int) -> int:

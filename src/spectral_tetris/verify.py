@@ -6,7 +6,7 @@ for fusion operators) and flag the report exact=False. Neither report
 raises on a mathematical failure: every discrepancy is a field.
 
 Each property has one check: Sweep.rows_orthogonal (the row Gram of the
-dense form with complex entries), _matches (exact, in order),
+dense form with complex entries), _sums_match (exact, in order),
 fusion.group_flags (shared with the fusion constructions) and _sparsity_bound.
 All the integer work lives in construct.Sweep, one per matrix and call,
 and this module only reads it; each part is computed on first read, so a
@@ -31,14 +31,22 @@ caller pays only for what it reads:
 
 The exact checks multiply only entries that share a column or a row, so
 they cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs.
-Each distinct (sum, expectation) pair is compared once. Off the exact route
-each fusion group takes one SVD; numpy is imported there, and on the
-complex path, only.
+
+An expected spectrum or norm sequence is read once into exact numbers,
+each distinct object converted once (a RadicalScalar stays as it is, the
+rest become Fractions). Against rational square sums each distinct
+Fraction is scaled once to the sweep's scale D^2 (Sweep.scaled), and the
+sums are compared as the sweep's ints, position by position, with no sum
+settled for it. An irrational sum or a RadicalScalar expectation compares
+the settled sums instead, each distinct (sum, expectation) pair once
+(_matches). Off the exact route each fusion group takes one SVD; numpy is
+imported there, and on the complex path, only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -88,29 +96,53 @@ def _off_diagonal(gram: np.ndarray) -> float:
 
 def _exact_expectation(expected: Sequence) -> List[ExactSum]:
     """Expected values as exact numbers (RadicalScalars as they stand, the
-    rest as Fractions); ValueError names the position of a non-number."""
+    rest as Fractions, each distinct object converted once); ValueError
+    names the first position of a non-number."""
     exact = list(expected)
     if set(map(type, exact)) <= {Fraction, RadicalScalar}:
         return exact
-    for position, want in enumerate(exact):
+    keys = list(map(id, exact))
+    converted = {}
+    for key, want in dict(zip(keys, exact)).items():
         if not isinstance(want, (Fraction, RadicalScalar)):
             try:
-                exact[position] = Fraction(want)
+                converted[key] = Fraction(want)
             except (TypeError, ValueError, ArithmeticError) as failure:
+                position = keys.index(key)
                 message = f"expected value {want!r} at position {position} is not a number"
                 raise ValueError(message) from failure
-    return exact
+    return list(map(converted.get, keys, exact))
 
 
-def _matches(actual: Sequence[ExactSum], expected: Optional[Sequence]) -> Optional[bool]:
-    """None without an expectation, else whether actual equals it exactly,
-    entry by entry in order and with the same length."""
-    if expected is None:
-        return None
-    expected = _exact_expectation(expected)
+def _matches(actual: Sequence[ExactSum], expected: Sequence[ExactSum]) -> bool:
+    """Whether actual equals the exact expectation, entry by entry in order
+    and with the same length."""
     # both lists hold their objects, so each distinct pair is compared once
     pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
     return len(expected) == len(actual) and all(value == want for value, want in pairs.values())
+
+
+def _sums_match(sweep: Sweep, columns: bool, expected: Optional[Sequence]) -> Optional[bool]:
+    """None without an expectation, else whether the sweep's column (else
+    row) square sums equal it exactly, entry by entry in order and with the
+    same length. Rational sums meet Fractions on the sweep's ints, each
+    distinct expected object scaled once (Sweep.scaled); an irrational sum
+    or a RadicalScalar expectation sends the comparison to the settled sums
+    (_matches)."""
+    if expected is None:
+        return None
+    expected = _exact_expectation(expected)
+    sums = sweep.rational_sums(columns)
+    if sums is not None and len(sums) == len(expected):
+        keys = list(map(id, expected))
+        targets = {}
+        for key, want in dict(zip(keys, expected)).items():
+            if isinstance(want, RadicalScalar):
+                break
+            targets[key] = sweep.scaled(want)
+        else:
+            return all(map(operator.eq, sums, map(targets.__getitem__, keys)))
+    return _matches(sweep.col_sums if columns else sweep.row_sums, expected)
 
 
 def _exact_rank(vectors: Sequence[SparseVector], length: int) -> int:
@@ -335,8 +367,8 @@ def verify_frame(
         optimal_sparsity_bound=_sparsity_bound(sweep),
         orthogonality_distance=_real_distance(sweep) if exact else _dense_distance(dense),
         exact=exact,
-        spectrum_matches=_matches(row_sums, expected_spectrum),
-        norms_match=_matches(col_norms, expected_norms),
+        spectrum_matches=_sums_match(sweep, False, expected_spectrum),
+        norms_match=_sums_match(sweep, True, expected_norms),
     )
 
 
@@ -416,7 +448,7 @@ def verify_fusion(
         is_frame = all(value > 0 for value in spectrum)
         lower, upper = (min(spectrum), max(spectrum)) if spectrum else (None, None)
         dims = reference.dims
-        spectrum_matches = _matches(spectrum, expected_spectrum)
+        spectrum_matches = _sums_match(sweep, False, expected_spectrum)
     else:
         import numpy as np
 

@@ -23,8 +23,10 @@ replayed the fill's moves over a feed, st_ready_check as it tested the
 prefix inequalities itself, the maximal block number's residue DP as a
 stack machine of its own, the integer fill that took singleton roots and
 stuck facts from the caller's Fraction norms with the construct_untf that
-fed it N unit norms, and the chain partition that walked a pool incidence
-of its own. floor_walk_oracle is a model of
+fed it N unit norms, the chain partition that walked a pool incidence
+of its own, and the sweep parts that sorted every column's rows, settled
+every sum through a sorted term list and compared every expectation as a
+settled value. floor_walk_oracle is a model of
 the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
@@ -54,7 +56,17 @@ from spectral_tetris import (
     pnstc,
 )
 from spectral_tetris.blocks import _block_from_units
-from spectral_tetris.construct import _FILL_WORDING, _Stuck, column_maps
+import spectral_tetris.construct as construct_module
+from spectral_tetris.construct import (
+    _FILL_WORDING,
+    Accumulator,
+    ExactSum,
+    Form,
+    _Stuck,
+    _add_product,
+    _vanishes,
+    column_maps,
+)
 from spectral_tetris.errors import (
     Infeasible,
     NotParseval,
@@ -84,6 +96,7 @@ from spectral_tetris.sequences import (
     _MuWorkExceeded,
     _assign_indices,
     _distinct_value_orders,
+    _lcm,
     _minimal_zero_sum_parts,
     _words,
     as_norms_squared,
@@ -1763,3 +1776,106 @@ def maximal_chains_oracle(matrix: SynthesisMatrix, columns: Sequence[int]) -> Ch
                         stack.append(neighbour)
         chains.append(tuple(sorted(component)))
     return ChainPartition(chains=tuple(chains))
+
+
+# -- the sweep parts that sorted, settled and compared everything ----------------------
+# construct.Sweep.forms, pairs and norms_equal, construct._entry_terms and
+# _exact_sum, and verify._exact_expectation and _matches as they were when
+# every column's rows were sorted and sliced, every sum was settled through
+# a sorted term list and every expectation was converted at each position
+# and compared settled; verbatim bar their names, docstrings and the module
+# prefix on _UNIT_BITS, which tests patch. The Sweep methods take the sweep
+# as self, so a test can set them on construct.Sweep.
+
+
+def entry_terms_oracle(value: MatrixEntry) -> Tuple[Tuple[int, Fraction], ...]:
+    return (value.modulus if isinstance(value, ComplexRadicalEntry) else value).terms
+
+
+def sweep_forms_oracle(self) -> Dict[int, Form]:
+    values = {id(value): value for value in self.matrix.entries.values()}
+    terms = dict(zip(values, map(entry_terms_oracle, values.values())))
+    self._square = square = {}
+    unit = _lcm(c.denominator for parts in terms.values() for _, c in parts)
+    if unit.bit_length() > construct_module._UNIT_BITS:
+        self._past_cap = True
+        return terms
+    self.scale = unit * unit
+    forms: Dict[int, Form] = {}
+    for key, parts in terms.items():
+        if len(parts) == 1:
+            ((radicand, c),) = parts
+            a = c.numerator * (unit // c.denominator)
+            forms[key] = ((radicand, a),)
+            square[key] = a * a * radicand
+        else:
+            forms[key] = tuple((r, c.numerator * (unit // c.denominator)) for r, c in parts)
+    return forms
+
+
+def sweep_pairs_oracle(self) -> Dict[Key, Accumulator]:
+    forms = self.forms
+    pairs: Dict[Key, Accumulator] = {}
+    for column in column_maps(self.matrix):
+        if len(column) < 2:
+            continue  # a single row meets no other row here
+        items = [(row, forms[id(value)]) for row, value in sorted(column.items())]
+        for a, (p, x) in enumerate(items):
+            for q, y in items[a + 1 :]:
+                sums = pairs.get((p, q))
+                if sums is None:
+                    sums = pairs[(p, q)] = {}
+                _add_product(sums, x, y)
+    return pairs
+
+
+def sweep_norms_equal_oracle(self, cols: Sequence[int], weight) -> bool:
+    if not isinstance(weight, (int, Fraction)):
+        return all(self.col_sums[col] == weight for col in cols)
+    _, sums, _, parts = self._squares
+    if parts and not all(_vanishes(parts.get(col, {})) for col in cols):
+        return False
+    # weight * scale, as an int when integral, so int sums compare as ints
+    quotient, rest = divmod(weight.numerator * self.scale, weight.denominator)
+    target = weight * self.scale if rest else quotient
+    values = [sums[col] for col in cols]
+    return values.count(target) == len(values)
+
+
+def exact_sum_oracle(sums: Accumulator, scale: int) -> ExactSum:
+    terms = sorted(
+        (radicand, value if type(value) is Fraction else Fraction(value, scale))
+        for radicand, value in sums.items()
+        if value
+    )
+    if not terms:
+        return Fraction(0)
+    if terms[-1][0] == 1:
+        return terms[0][1]
+    # the radicands come from canonical values, so they are squarefree already
+    return RadicalScalar._canonical(tuple(terms))
+
+
+def exact_expectation_oracle(expected: Sequence) -> List[ExactSum]:
+    exact = list(expected)
+    if set(map(type, exact)) <= {Fraction, RadicalScalar}:
+        return exact
+    for position, want in enumerate(exact):
+        if not isinstance(want, (Fraction, RadicalScalar)):
+            try:
+                exact[position] = Fraction(want)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                message = f"expected value {want!r} at position {position} is not a number"
+                raise ValueError(message) from failure
+    return exact
+
+
+def matches_settled_oracle(
+    actual: Sequence[ExactSum], expected: Optional[Sequence]
+) -> Optional[bool]:
+    if expected is None:
+        return None
+    expected = exact_expectation_oracle(expected)
+    # both lists hold their objects, so each distinct pair is compared once
+    pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
+    return len(expected) == len(actual) and all(value == want for value, want in pairs.values())

@@ -1,6 +1,7 @@
 """Fusion-frame constructions: bucketing, swap balancing, weights, complements."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +106,24 @@ def test_maximal_chains_mixed_selection():
     # columns 0,2,3,4 connect through rows 0 and 1; column 7 sits alone in row 2
     chains = maximal_chains(construct_untf(4, 11), (0, 2, 3, 4, 7))
     assert chains.chains == ((0, 2, 3, 4), (7,))
+
+
+@pytest.mark.parametrize(
+    "pool, culprit",
+    [([-1, 10], "-1"), ([11], "11"), ([None], "None"), ([0, 2.0], "2.0"), (["3"], "'3'")],
+)
+def test_maximal_chains_refuse_a_column_outside_the_matrix(pool, culprit):
+    """Column -1 once passed as a second name of column 10, 11 raised
+    IndexError and None TypeError; each is now a ValueError naming it."""
+    message = rf"column {re.escape(culprit)} is not an integer in \[0, 11\)"
+    with pytest.raises(ValueError, match=message):
+        maximal_chains(construct_untf(4, 11), pool)
+
+
+def test_maximal_chains_read_columns_through_index():
+    chains = maximal_chains(construct_untf(4, 11), [True, 2, np.int64(3), 10])
+    assert chains.chains == ((1, 2, 3), (10,))
+    assert all(type(col) is int for chain in chains.chains for col in chain)
 
 
 # -- sffr -----------------------------------------------------------------------

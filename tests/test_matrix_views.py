@@ -8,6 +8,7 @@ entry-by-entry versions gave.
 """
 
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -379,6 +380,55 @@ def test_non_number_expectations_raise_value_error_naming_their_position(expecte
     for frame in (exact, numeric, _dft_fusion()):
         with pytest.raises(ValueError, match=message):
             verify_fusion(frame, expected)
+
+
+class _CountedInt(int):
+    """An int that counts the reads of its numerator; Fraction(value) reads it once."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        _CountedInt.reads += 1
+        return int(self)
+
+
+def test_expectation_objects_convert_once_and_meet_the_sweeps_ints(monkeypatch):
+    """untf(8, 400) against eight copies of one int 50 and 400 of one int 1:
+    each distinct object becomes one Fraction, not one per position, and the
+    converted expectations meet the sweep's ints, so no settled sum is
+    compared (verify._matches is never reached)."""
+    matrix = construct_untf(8, 400)
+    fifty, one = _CountedInt(50), _CountedInt(1)
+    settled = []
+    matches = verify_module._matches
+
+    def counting(actual, expected):
+        settled.append(expected)
+        return matches(actual, expected)
+
+    monkeypatch.setattr(verify_module, "_matches", counting)
+    _CountedInt.reads = 0
+    report = verify_frame(matrix, [fifty] * 8, [one] * 400)
+    assert report.spectrum_matches is True and report.norms_match is True
+    assert _CountedInt.reads == 2
+    wrong = verify_frame(matrix, [fifty] * 7 + [49], [one] * 399 + [F(1, 2)])
+    assert wrong.spectrum_matches is False and wrong.norms_match is False
+    assert verify_frame(matrix, range(50, 58)).spectrum_matches is False
+    assert not settled
+    # an irrational expectation compares the settled sums
+    assert verify_frame(matrix, [50] * 7 + [ROOT_2]).spectrum_matches is False
+    assert len(settled) == 1
+
+
+@pytest.mark.parametrize(
+    "expected, position",
+    [([1, 2, "x", None, "x"], 2), ([F(11, 4), "x", 3, "x"], 1), ([1] * 3 + [None] * 2, 3)],
+)
+def test_a_repeated_non_number_is_named_at_its_first_position(expected, position):
+    message = f"expected value {expected[position]!r} at position {position} is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_frame(construct_untf(4, 11), expected)
 
 
 def test_fusion_routes_accept_radical_expectations():

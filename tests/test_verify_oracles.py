@@ -8,6 +8,7 @@ columns and empty rows, and count how many exact products it forms.
 
 import contextlib
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_tetris.construct as construct_module
+import spectral_tetris.verify as verify_module
 from spectral_tetris import (
     DftPathStuck,
     FusionFrame,
@@ -30,8 +32,10 @@ from spectral_tetris import (
     frame_operator,
     orthogonality_distance,
     pnstc,
+    pnstc_str,
     rff,
     sffr,
+    sfr,
     sparsity_report,
     uff,
     verify_frame,
@@ -45,12 +49,18 @@ from spectral_tetris.sequences import _lcm, _pairwise
 import goldens
 from _oracles import (
     complex_orthogonality_distance_oracle,
+    entry_terms_oracle,
     exact_rank_oracle,
+    exact_sum_oracle,
     fusion_group_flags_oracle,
+    matches_settled_oracle,
     orthogonality_distance_oracle,
     row_gram_oracle,
     rows_orthogonal_oracle,
     sparsity_report_oracle,
+    sweep_forms_oracle,
+    sweep_norms_equal_oracle,
+    sweep_pairs_oracle,
     verify_frame_oracle,
     verify_fusion_oracle,
 )
@@ -751,3 +761,210 @@ def test_a_row_of_reciprocal_primes_equals_the_parent():
     report = verify_frame(matrix)
     assert report.is_frame and report.rows_orthogonal
     assert_same_report(report, verify_frame_oracle(matrix))
+
+
+# -- the sweep against its former pair walk, settle and matching ---------------------
+
+
+@contextlib.contextmanager
+def _former_sweep():
+    """The sweep parts as they were (tests/_oracles.py): every column's rows
+    sorted and sliced, every sum settled through a sorted term list, every
+    expectation converted at each position and compared as a settled value."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, compute in (("forms", sweep_forms_oracle), ("pairs", sweep_pairs_oracle)):
+            part = functools.cached_property(compute)
+            part.__set_name__(Sweep, name)
+            patch.setattr(Sweep, name, part)
+        patch.setattr(Sweep, "norms_equal", sweep_norms_equal_oracle)
+        patch.setattr(construct_module, "_entry_terms", entry_terms_oracle)
+        patch.setattr(construct_module, "_exact_sum", exact_sum_oracle)
+
+        def settled(sweep, columns, expected):
+            return matches_settled_oracle(sweep.col_sums if columns else sweep.row_sums, expected)
+
+        patch.setattr(verify_module, "_sums_match", settled)
+        yield
+
+
+def _shuffled(matrix, rng):
+    """The same matrix with its entries stored in a random order, so a
+    column's two rows come first-row-first in some columns and not in others."""
+    items = list(matrix.entries.items())
+    rng.shuffle(items)
+    return SynthesisMatrix(matrix.row_count, matrix.col_count, dict(items))
+
+
+def _planted_block(higher_first):
+    """Rows 0 and 1 meet in the 2x2 block [[x, y], [y, -x]] of columns 0 and
+    1, whose products cancel only when both land on the pair (0, 1), and in
+    column 2, a two-row column that does not cancel (when present). Column
+    1 stores row 1 first."""
+    x, y = RadicalScalar.sqrt(Fraction(2, 3)), RadicalScalar.sqrt(3) + 1
+    entries = {(0, 0): x, (1, 0): y, (1, 1): -x, (0, 1): y}
+    if higher_first:
+        entries.update({(1, 2): RadicalScalar.sqrt(Fraction(1, 2)), (0, 2): y})
+    entries[(2, 3)] = RadicalScalar.from_rational(Fraction(5, 7))
+    return SynthesisMatrix(3, 4, entries)
+
+
+def _random_sparse(rng):
+    """A sparse matrix over VALUES (multi-term and irrational entries among
+    them) with up to two planted cancelling 2x2 pairs."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 10)
+    entries = {}
+    for j in range(cols):
+        for i in rng.sample(range(rows), rng.randint(0, min(3, rows))):
+            entries[(i, j)] = rng.choice(VALUES)
+    for _ in range(rng.randint(0, 2) if rows >= 2 and cols >= 2 else 0):
+        p, q = rng.sample(range(rows), 2)
+        j, k = rng.sample(range(cols), 2)
+        x, y, t = rng.choice(VALUES), rng.choice(VALUES), rng.choice(VALUES)
+        entries = {key: value for key, value in entries.items() if key[1] not in (j, k)}
+        entries.update({(p, j): x, (q, j): y, (p, k): y * t, (q, k): -(x * t)})
+    return SynthesisMatrix(rows, cols, entries)
+
+
+def _constructed(rng):
+    """Spectral Tetris outputs over seeded inputs, and the same with shuffled storage."""
+    palette = (F(1, 2), F(2, 3), F(5, 6), F(4, 3), F(3, 2), F(5, 3), F(7, 6))
+    built = []
+    for _ in range(3):
+        m = rng.randint(2, 7)
+        built.append(construct_untf(m, rng.randint(2 * m, 5 * m)))
+        spectrum = sorted((rng.choice((2, F(5, 2), 3, F(10, 3), 4)) for _ in range(m)))[::-1]
+        norms = []
+        while sum(norms) < sum(spectrum) - 2:
+            norms.append(rng.choice(palette))
+        norms.append(sum(spectrum) - sum(norms))
+        whole = sorted((rng.choice((2, F(5, 2), 3, F(7, 2))) for _ in range(m)), reverse=True)
+        whole[0] += sum(whole) % 1  # a whole total, so sfr's unit norms can fill it
+        for build in (
+            lambda: pnstc(norms, spectrum),
+            lambda: pnstc_str(norms, spectrum)[0],
+            lambda: sfr(whole, int(sum(whole))),
+            lambda: equal_norm_frame(spectrum, int(sum(spectrum)) + rng.randint(0, 3)),
+        ):
+            try:
+                built.append(build())
+            except SpectralTetrisError:
+                pass
+    return built + [_shuffled(matrix, rng) for matrix in built]
+
+
+def _expectation_cases(exact, rng):
+    """Factories of expectations for exact sums: None, the exact values as
+    fresh Fractions, as ints where integral, as strings, as RadicalScalars
+    (one of them off by sqrt 2), as a generator, one short, one long, one
+    wrong value and one non-number."""
+    fresh = [F(v.numerator, v.denominator) if isinstance(v, F) else v for v in exact]
+    ints = [int(v) if isinstance(v, F) and v.denominator == 1 else v for v in fresh]
+    radicals = [RadicalScalar.from_rational(v) if isinstance(v, F) else v for v in fresh]
+    position = rng.randrange(len(fresh)) if fresh else 0
+    wrong, irrational = list(ints), list(radicals)
+    if wrong:
+        wrong[position] = wrong[position] + rng.choice((1, F(1, 7)))
+        irrational[position] = irrational[position] + RadicalScalar.sqrt(2)
+    cases = [
+        lambda: None,
+        lambda: fresh,
+        lambda: ints,
+        lambda: [str(v) if isinstance(v, F) else v for v in fresh],
+        lambda: radicals,
+        lambda: irrational,
+        lambda: (v for v in fresh),
+        lambda: fresh[:-1],
+        lambda: fresh + [F(1)],
+        lambda: wrong,
+        lambda: ints[:position] + [None] + ints[position + 1 :],
+    ]
+    if fresh and len(set(map(repr, fresh))) == 1:
+        cases.append(lambda: [ints[0]] * len(ints))  # one shared object
+    return cases
+
+
+def _both_verifiers(call):
+    """call() as the package answers it, and as the former sweep answers it."""
+    ours = _outcome(call)
+    with _former_sweep():
+        former = _outcome(call)
+    if isinstance(former, tuple):
+        assert ours == former
+    else:
+        assert_same_report(ours, former)
+
+
+def _sweep_frames(matrices, rng):
+    for matrix in matrices:
+        sweep = Sweep(matrix)
+        rows = _expectation_cases(sweep.row_sums, rng)
+        cols = _expectation_cases(sweep.col_sums, rng)
+        pairs = [(s, cols[0]) for s in rows] + [(rows[0], n) for n in cols[1:]]
+        pairs += [(rows[1], cols[2]), (rows[2], cols[1]), (rows[4], cols[4])]
+        for spectrum, norms in pairs:
+            _both_verifiers(lambda: verify_frame(matrix, spectrum(), norms()))
+        gram = frame_operator(matrix)
+        with _former_sweep():
+            assert frame_operator(matrix) == gram
+
+
+def _sweep_fusion(frames, rng):
+    for frame in frames:
+        spectrum = list(Sweep(frame.generator).row_sums)
+        for case in [frame] + [_dealt(frame, rng.randrange(100))]:
+            for expected in _expectation_cases(spectrum, rng):
+                _both_verifiers(lambda: verify_fusion(case, expected()))
+
+
+def _seeded_fusion_frames(rng):
+    """Fixed fusion frames on both routes and seeded flat rff and uff frames."""
+    m = rng.randint(3, 6)
+    count = rng.randint(2 * m + 1, 4 * m)
+    flat = (F(count, m),) * m
+    dims = (m,) * (count // m) + ((count % m,) if count % m else ())
+    frames = [
+        sffr((4, 3, 3, 2), 6, 2),
+        sffr((F(19, 2), 4, 4, F(5, 2)), 10, 2),
+        weighted_fusion((1,) * 6, goldens.UFF_DIMS, (F(11, 4),) * 4),
+        weighted_fusion((F(1, 2),) * 3, (4, 4, 4), (F(3, 2),) * 4),
+    ]
+    for build in (lambda: rff(flat, count), lambda: uff(flat, dims)):
+        try:
+            frames.append(build())
+        except SpectralTetrisError:
+            pass
+    return frames
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("bits", [construct_module._UNIT_BITS, 0], ids=["ints", "past-bound"])
+def test_frame_reports_equal_the_former_sweep(monkeypatch, seed, bits):
+    """verify_frame and frame_operator on seeded Spectral Tetris outputs,
+    random sparse matrices with multi-term and irrational entries and planted
+    cancelling pairs, and the planted 2x2 block whose second column stores
+    its lower row first; against every kind of expectation, on both routes
+    of the sweep (bits 0 sends every matrix past the unit bound)."""
+    monkeypatch.setattr(construct_module, "_UNIT_BITS", bits)
+    rng = random.Random(seed)
+    matrices = [_planted_block(False), _planted_block(True)] + _constructed(rng)
+    matrices += [_random_sparse(rng) for _ in range(8)]
+    _sweep_frames(matrices, rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("bits", [construct_module._UNIT_BITS, 0], ids=["ints", "past-bound"])
+def test_fusion_reports_equal_the_former_sweep(monkeypatch, seed, bits):
+    monkeypatch.setattr(construct_module, "_UNIT_BITS", bits)
+    rng = random.Random(seed)
+    _sweep_fusion(_seeded_fusion_frames(rng), rng)
+
+
+def test_the_planted_block_needs_its_rows_in_order():
+    """Column 1 stores row 1 first: only a walk that puts each two-row
+    column in row order adds both products to the pair (0, 1), where they
+    cancel; column 2, stored the same way, does not cancel."""
+    orthogonal, crossed = verify_frame(_planted_block(False)), verify_frame(_planted_block(True))
+    assert orthogonal.rows_orthogonal and orthogonal.is_frame
+    assert not crossed.rows_orthogonal and crossed.is_frame
+    assert list(Sweep(_planted_block(True)).pairs) == [(0, 1)]
+    assert frame_operator(_planted_block(False)).entries == row_gram_oracle(_planted_block(False))
