@@ -543,7 +543,8 @@ class Sweep:
         this takes sum |supp|^2 products over the columns instead of M^2 row
         inner products. Row pairs that share no column are absent. A column
         of two rows, the widest a Spectral Tetris frame has, is one pair, put
-        in row order by one comparison; a wider column's rows are sorted.
+        in row order by one comparison; a wider column reads each row's form
+        once into a list sorted by row and pairs that list.
         """
         forms = self.forms
         pairs: Dict[Key, Accumulator] = {}
@@ -552,15 +553,16 @@ class Sweep:
                 continue  # a single row meets no other row here
             if len(column) == 2:  # half of a 2x2 block: one pair, in row order
                 (p, x), (q, y) = column.items()
-                meets = ((p, x, q, y),) if p < q else ((q, y, p, x),)
+                x, y = forms[id(x)], forms[id(y)]
+                meets = (((p, x), (q, y)),) if p < q else (((q, y), (p, x)),)
             else:
-                rows = sorted(column.items())
-                meets = [(p, x, q, y) for (p, x), (q, y) in combinations(rows, 2)]
-            for p, x, q, y in meets:
+                rows = sorted([(row, forms[id(value)]) for row, value in column.items()])
+                meets = combinations(rows, 2)
+            for (p, x), (q, y) in meets:
                 sums = pairs.get((p, q))
                 if sums is None:
                     sums = pairs[(p, q)] = {}
-                _add_product(sums, forms[id(x)], forms[id(y)])
+                _add_product(sums, x, y)
         return pairs
 
     def rows_orthogonal(self) -> bool:

@@ -25,9 +25,19 @@ Complex entries only arise on the DFT path and are kept as a
 nonnegative modulus together with a root of unity; no cyclotomic
 arithmetic is attempted beyond phase canonicalization.
 
-The two argument conversions every layer shares live here, below blocks:
-_rationals (values as Fractions, ValueError naming the position of a
-non-number) and _positive_int (a count or dimension through __index__).
+The argument readers every layer shares live here, below blocks. _read
+reads a value sequence with one conversion per run of one object (a run
+continues while a value `is` the one before it), and names the first
+position of a value its converter refuses in a ValueError. Inputs repeat
+in runs: a unit norm frame feeds N copies of one norm, its flat spectrum M
+copies of N/M, and the CLI parses equal tokens to one object. _rationals
+(values as Fractions) reads through it, and so do the positivity check of
+spectra and norms, sequences.integer_units and verify's expectations.
+Matrix entries keep their identity-keyed memos (construct.Sweep.forms,
+SynthesisMatrix.to_dense and scale), since a value's copies in a matrix
+are spread over its rows. _positive_int reads a count or dimension
+through __index__. A RadicalScalar radicand is read through __index__ as
+well, and a coefficient that is not a finite number is a ValueError.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
 
@@ -52,24 +62,38 @@ def _positive_int(value, name: str) -> int:
     return number
 
 
-def _rationals(values: Iterable, what: str) -> Tuple[Fraction, ...]:
-    """The values as Fractions; ValueError names the position of one that is
-    not a finite number (Fraction raises TypeError for None, OverflowError
-    for an infinity)."""
-    values = tuple(values)
-    try:
-        # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
-        # Fraction passes as it is, and every other value converts as before
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    except (TypeError, ValueError, ArithmeticError):
-        # only a failed conversion walks the values again, to name the culprit
-        for position, value in enumerate(values):
+def _read(values: Iterable, convert: Callable, refusal: str) -> list:
+    """[convert(value) for value in values], with convert called once per run
+    of one object: a run continues while a value `is` the one before it, and
+    its positions share the run's one result. The previous value is held,
+    so no fresh object can take its place. The first value that convert
+    refuses (TypeError, ValueError, ArithmeticError) raises ValueError with
+    refusal, a format string that may name the value and its first position
+    as {value!r} and {position}."""
+    out: list = []
+    append = out.append
+    previous = result = out  # no value is the list being built
+    for value in values:
+        if value is not previous:
             try:
-                Fraction(value)
+                result = convert(value)
             except (TypeError, ValueError, ArithmeticError) as failure:
-                message = f"{what} {value!r} at position {position} is not a finite number"
-                raise ValueError(message) from failure
-        raise
+                raise ValueError(refusal.format(value=value, position=len(out))) from failure
+            previous = value
+        append(result)
+    return out
+
+
+def _rationals(values: Iterable, what: str) -> Tuple[Fraction, ...]:
+    """The values as Fractions, each run converted once (_read); ValueError
+    names the position of one that is not a finite number (Fraction raises
+    TypeError for None, OverflowError for an infinity). Exact Fractions
+    pass as they are."""
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
+    refusal = what + " {value!r} at position {position} is not a finite number"
+    return tuple(_read(values, Fraction, refusal))
 
 
 def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
@@ -120,12 +144,13 @@ class RadicalScalar:
     def __init__(self, terms: Iterable[Tuple[int, RationalLike]] = ()):
         combined: dict[int, Fraction] = {}
         for radicand, coeff in terms:
-            coeff = Fraction(coeff)
+            (coeff,) = _read((coeff,), Fraction, "coefficient {value!r} is not a finite number")
             if coeff == 0:
                 continue
-            if radicand < 1:
-                raise DomainError(f"radicand {radicand} is not a positive integer")
-            s, r = _squarefree_split(radicand)
+            number = operator.index(radicand) if hasattr(radicand, "__index__") else 0
+            if number < 1:
+                raise DomainError(f"radicand {radicand!r} is not a positive integer")
+            s, r = _squarefree_split(number)
             c = combined.get(r, Fraction(0)) + coeff * s
             if c:
                 combined[r] = c
@@ -148,7 +173,7 @@ class RadicalScalar:
     @classmethod
     def sqrt(cls, value: RationalLike) -> "RadicalScalar":
         """Exact square root of a nonnegative rational."""
-        value = Fraction(value)
+        (value,) = _read((value,), Fraction, "square root of {value!r} is not a finite number")
         if value < 0:
             raise DomainError(f"square root of negative rational {value}")
         return _sqrt_ratio(value.numerator, value.denominator)

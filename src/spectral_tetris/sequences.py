@@ -47,7 +47,7 @@ from .errors import (
     SumMismatch,
     Underdetermined,
 )
-from .exact_numeric import _positive_int, _rationals
+from .exact_numeric import _positive_int, _rationals, _read
 
 Spectrum = Tuple[Fraction, ...]
 NormSequence = Tuple[Fraction, ...]
@@ -82,7 +82,7 @@ def _positive_rationals(values: Sequence, what: str, empty: str) -> Tuple[Fracti
     out = _rationals(values, what)
     if not out:
         raise ValueError(empty)
-    if any(v.numerator <= 0 for v in out):
+    if min(_read(out, operator.attrgetter("numerator"), "")) <= 0:  # each run once
         raise ValueError(f"{what}s must be positive")
     return out
 
@@ -134,11 +134,14 @@ def integer_units(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
     Scaling by a positive integer keeps every <, <= and == between sums of
     the values, so a search or fill decided by such comparisons makes the
     same moves in the same order on the integers, at int speed; an integer
-    k stands for Fraction(k, unit).
+    k stands for Fraction(k, unit). Each group is read once, and each run of
+    one object (exact_numeric._read) has its denominator read and its value
+    scaled once.
     """
-    unit = _lcm(v.denominator for group in groups for v in group)
-    scaled = (tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
-    return (unit, *scaled)
+    ratio = operator.attrgetter("denominator", "numerator")  # the denominator read first
+    ratios = [_read(group, ratio, "{value!r} is not a rational") for group in groups]
+    unit = _lcm(map(operator.itemgetter(0), itertools.chain.from_iterable(ratios)))
+    return (unit, *(tuple(_read(group, lambda r: r[1] * (unit // r[0]), "")) for group in ratios))
 
 
 def majorizes(dominant: Sequence, dominated: Sequence) -> bool:

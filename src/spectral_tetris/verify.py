@@ -32,19 +32,23 @@ caller pays only for what it reads:
 The exact checks multiply only entries that share a column or a row, so
 they cost the sum of |supp|^2 over the columns, not M^2 or N^2/2 pairs.
 
-An expected spectrum or norm sequence is read once into exact numbers,
-each distinct object converted once (a RadicalScalar stays as it is, the
-rest become Fractions). Against rational square sums each distinct
-Fraction is scaled once to the sweep's scale D^2 (Sweep.scaled), and the
-sums are compared as the sweep's ints, position by position, with no sum
-settled for it. An irrational sum or a RadicalScalar expectation compares
-the settled sums instead, each distinct (sum, expectation) pair once
-(_matches). Off the exact route each fusion group takes one SVD; numpy is
-imported there, and on the complex path, only.
+An expected spectrum or norm sequence is read once into exact numbers by
+exact_numeric._read, each run of one object converted once (a
+RadicalScalar stays as it is, the rest become Fractions). Against
+rational square sums each run's Fraction is scaled once to the sweep's
+scale D^2 (Sweep.scaled, through the same reader), and the sums are
+compared as the sweep's ints, position by position, with no sum settled
+for it. An irrational sum or a RadicalScalar expectation compares the
+settled sums instead, once per run of one (sum, expectation) pair of
+objects (_matches). Values leave for floats through the same reader,
+which names the position of one outside the float range. Off the exact
+route each fusion group takes one SVD; numpy is imported there, and on
+the complex path, only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,7 +57,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .construct import ExactSum, Sweep, SynthesisMatrix, column_maps
 from .errors import SpectrumMismatch
-from .exact_numeric import MatrixEntry, RadicalScalar, ZERO
+from .exact_numeric import MatrixEntry, RadicalScalar, ZERO, _read
 from .fusion import FusionFrame, group_flags
 from .sequences import _block_count, as_spectrum
 
@@ -70,21 +74,21 @@ SquareSum = Union[Fraction, float]
 SparseVector = Dict[int, MatrixEntry]
 
 
-def _to_float(value, label: str) -> float:
-    """float(value); ValueError names label when it is outside the float range."""
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+def _to_float(value) -> float:
+    """float(value); OverflowError when it is outside the float range."""
+    number = float(value)
     if math.isinf(number):  # a sum of terms can overflow without raising
-        raise ValueError(f"{label} is outside the float range")
+        raise OverflowError(number)
     return number
+
+
+_OUTSIDE = " is outside the float range"
 
 
 def _report_values(values: Sequence[ExactSum], label: str = "row") -> Tuple[SquareSum, ...]:
     if set(map(type, values)) <= {Fraction}:
         return tuple(values)
-    return tuple(_to_float(v, f"{label} {p} square sum") for p, v in enumerate(values))
+    return tuple(_read(values, _to_float, label + " {position} square sum" + _OUTSIDE))
 
 
 def _off_diagonal(gram: np.ndarray) -> float:
@@ -94,54 +98,47 @@ def _off_diagonal(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.diag(np.diag(gram))), initial=0.0))
 
 
+def _exact(want) -> ExactSum:
+    """An expected value as an exact number: a Fraction or RadicalScalar as it
+    stands, anything else as a Fraction."""
+    return want if isinstance(want, (Fraction, RadicalScalar)) else Fraction(want)
+
+
 def _exact_expectation(expected: Sequence) -> List[ExactSum]:
-    """Expected values as exact numbers (RadicalScalars as they stand, the
-    rest as Fractions, each distinct object converted once); ValueError
-    names the first position of a non-number."""
+    """Expected values as exact numbers (_exact), each run of one object
+    converted once (exact_numeric._read); ValueError names the first
+    position of a non-number."""
     exact = list(expected)
     if set(map(type, exact)) <= {Fraction, RadicalScalar}:
         return exact
-    keys = list(map(id, exact))
-    converted = {}
-    for key, want in dict(zip(keys, exact)).items():
-        if not isinstance(want, (Fraction, RadicalScalar)):
-            try:
-                converted[key] = Fraction(want)
-            except (TypeError, ValueError, ArithmeticError) as failure:
-                position = keys.index(key)
-                message = f"expected value {want!r} at position {position} is not a number"
-                raise ValueError(message) from failure
-    return list(map(converted.get, keys, exact))
+    return _read(exact, _exact, "expected value {value!r} at position {position} is not a number")
 
 
 def _matches(actual: Sequence[ExactSum], expected: Sequence[ExactSum]) -> bool:
     """Whether actual equals the exact expectation, entry by entry in order
-    and with the same length."""
-    # both lists hold their objects, so each distinct pair is compared once
-    pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
-    return len(expected) == len(actual) and all(value == want for value, want in pairs.values())
+    and with the same length. The run rule of exact_numeric._read, over the
+    two lists: a (sum, expectation) pair is compared only where either list
+    holds another object than at the position before."""
+    changed = map(operator.is_not, actual[1:], actual), map(operator.is_not, expected[1:], expected)
+    starts = itertools.chain((True,), map(operator.or_, *changed))
+    pairs = itertools.compress(zip(actual, expected), starts)
+    return len(expected) == len(actual) and all(value == want for value, want in pairs)
 
 
 def _sums_match(sweep: Sweep, columns: bool, expected: Optional[Sequence]) -> Optional[bool]:
     """None without an expectation, else whether the sweep's column (else
     row) square sums equal it exactly, entry by entry in order and with the
-    same length. Rational sums meet Fractions on the sweep's ints, each
-    distinct expected object scaled once (Sweep.scaled); an irrational sum
-    or a RadicalScalar expectation sends the comparison to the settled sums
-    (_matches)."""
+    same length. Rational sums meet Fractions on the sweep's ints, each run
+    of one expected object scaled once (Sweep.scaled through
+    exact_numeric._read); an irrational sum or a RadicalScalar expectation
+    sends the comparison to the settled sums (_matches)."""
     if expected is None:
         return None
     expected = _exact_expectation(expected)
     sums = sweep.rational_sums(columns)
     if sums is not None and len(sums) == len(expected):
-        keys = list(map(id, expected))
-        targets = {}
-        for key, want in dict(zip(keys, expected)).items():
-            if isinstance(want, RadicalScalar):
-                break
-            targets[key] = sweep.scaled(want)
-        else:
-            return all(map(operator.eq, sums, map(targets.__getitem__, keys)))
+        if not any(issubclass(kind, RadicalScalar) for kind in set(map(type, expected))):
+            return sums == _read(expected, sweep.scaled, "")
     return _matches(sweep.col_sums if columns else sweep.row_sums, expected)
 
 
@@ -459,7 +456,7 @@ def verify_fusion(
             zip(reference.partition, reference.weights_squared)
         ):
             block = dense[:, list(group)]
-            weight = _to_float(weight_squared, f"squared weight {index}")
+            (weight,) = _read((weight_squared,), _to_float, f"squared weight {index}" + _OUTSIDE)
             if not real:
                 gram = block.conj().T @ block
                 groups_orthogonal &= _off_diagonal(gram) <= FUSION_TOLERANCE
@@ -476,13 +473,9 @@ def verify_fusion(
         dims = tuple(numeric_dims)
         spectrum_matches = None
         if expected_spectrum is not None:
-            expected = sorted(
-                (
-                    _to_float(want, f"expected value at position {position}")
-                    for position, want in enumerate(_exact_expectation(expected_spectrum))
-                ),
-                reverse=True,
-            )
+            wants = _exact_expectation(expected_spectrum)
+            refusal = "expected value at position {position}" + _OUTSIDE
+            expected = sorted(_read(wants, _to_float, refusal), reverse=True)
             spectrum_matches = len(expected) == len(spectrum) and all(
                 abs(want - value) <= FUSION_TOLERANCE for want, value in zip(expected, spectrum)
             )

@@ -26,7 +26,9 @@ stuck facts from the caller's Fraction norms with the construct_untf that
 fed it N unit norms, the chain partition that walked a pool incidence
 of its own, and the sweep parts that sorted every column's rows, settled
 every sum through a sorted term list and compared every expectation as a
-settled value. floor_walk_oracle is a model of
+settled value, and the value readers that kept a repeat memo of their own
+(a second walk to name a non-number, two passes over each group, dicts
+keyed by object id) before the run-aware reader. floor_walk_oracle is a model of
 the floor-rule order walk as a recursion, for the states it charges.
 Slow on purpose; tests keep the sizes small.
 """
@@ -1879,3 +1881,84 @@ def matches_settled_oracle(
     # both lists hold their objects, so each distinct pair is compared once
     pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
     return len(expected) == len(actual) and all(value == want for value, want in pairs.values())
+
+
+# -- the per-layer repeat memos before the run-aware reader ----------------------------
+# exact_numeric._rationals (a second walk to name a non-number), the
+# sequences._positive_rationals around it, sequences.integer_units (two
+# passes over each group, one step per position) and verify's
+# _exact_expectation, _matches and _sums_match (each distinct object keyed
+# by its id), as they were before exact_numeric._read; verbatim bar their
+# names and the oracle names they call.
+
+
+def rationals_oracle(values: Sequence, what: str) -> Tuple[Fraction, ...]:
+    values = tuple(values)
+    try:
+        # Fraction(v) of a Fraction pays an ABC isinstance check; an exact
+        # Fraction passes as it is, and every other value converts as before
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    except (TypeError, ValueError, ArithmeticError):
+        # only a failed conversion walks the values again, to name the culprit
+        for position, value in enumerate(values):
+            try:
+                Fraction(value)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                message = f"{what} {value!r} at position {position} is not a finite number"
+                raise ValueError(message) from failure
+        raise
+
+
+def positive_rationals_oracle(values: Sequence, what: str, empty: str) -> Tuple[Fraction, ...]:
+    out = rationals_oracle(values, what)
+    if not out:
+        raise ValueError(empty)
+    if any(v.numerator <= 0 for v in out):
+        raise ValueError(f"{what}s must be positive")
+    return out
+
+
+def integer_units_oracle(*groups: Sequence[Fraction]) -> Tuple[object, ...]:
+    unit = _lcm(v.denominator for group in groups for v in group)
+    scaled = (tuple(v.numerator * (unit // v.denominator) for v in group) for group in groups)
+    return (unit, *scaled)
+
+
+def exact_expectation_by_id_oracle(expected: Sequence) -> List[ExactSum]:
+    exact = list(expected)
+    if set(map(type, exact)) <= {Fraction, RadicalScalar}:
+        return exact
+    keys = list(map(id, exact))
+    converted = {}
+    for key, want in dict(zip(keys, exact)).items():
+        if not isinstance(want, (Fraction, RadicalScalar)):
+            try:
+                converted[key] = Fraction(want)
+            except (TypeError, ValueError, ArithmeticError) as failure:
+                position = keys.index(key)
+                message = f"expected value {want!r} at position {position} is not a number"
+                raise ValueError(message) from failure
+    return list(map(converted.get, keys, exact))
+
+
+def matches_by_id_oracle(actual: Sequence[ExactSum], expected: Sequence[ExactSum]) -> bool:
+    # both lists hold their objects, so each distinct pair is compared once
+    pairs = dict(zip(zip(map(id, actual), map(id, expected)), zip(actual, expected)))
+    return len(expected) == len(actual) and all(value == want for value, want in pairs.values())
+
+
+def sums_match_by_id_oracle(sweep, columns: bool, expected: Optional[Sequence]) -> Optional[bool]:
+    if expected is None:
+        return None
+    expected = exact_expectation_by_id_oracle(expected)
+    sums = sweep.rational_sums(columns)
+    if sums is not None and len(sums) == len(expected):
+        keys = list(map(id, expected))
+        targets = {}
+        for key, want in dict(zip(keys, expected)).items():
+            if isinstance(want, RadicalScalar):
+                break
+            targets[key] = sweep.scaled(want)
+        else:
+            return all(map(operator.eq, sums, map(targets.__getitem__, keys)))
+    return matches_by_id_oracle(sweep.col_sums if columns else sweep.row_sums, expected)

@@ -538,6 +538,15 @@ def test_a_repeated_token_parses_once_and_a_bad_one_fails_every_time(capsys):
     assert errors[0].endswith(f"argument --spectrum: {expected[1]}\n")
 
 
+def test_equal_value_tokens_parse_to_one_object():
+    """rational is memoized per token text, so a value list parses equal
+    tokens to one Fraction object: the verifier reads their run once."""
+    args = cli._parse(["verify", "--input", "frame.json", "--norms", "1", "1", "1", "--spectrum", "5/2"])
+    assert args.norms == [Fraction(1)] * 3
+    assert args.norms[0] is args.norms[1] is args.norms[2]
+    assert args.spectrum == [Fraction(5, 2)]
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = run(["verify", "--input", str(tmp_path / "absent.json")])
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,40 @@ def test_constructor_rejects_nonpositive_radicand():
         RadicalScalar([(0, Fraction(1))])
     with pytest.raises(DomainError):
         RadicalScalar([(-3, Fraction(1))])
+
+
+@pytest.mark.parametrize("radicand", [2.5, 2.0, "3", None, Fraction(3), 0, -1])
+def test_a_radicand_that_is_not_a_positive_integer_is_named(radicand):
+    """Radicands are read through __index__: a float, string, None or
+    Fraction would break the squarefree-integer invariant (2.5 used to be
+    stored as 1.0*sqrt(2.5))."""
+    message = f"radicand {radicand!r} is not a positive integer"
+    with pytest.raises(DomainError) as caught:
+        RadicalScalar([(radicand, 1)])
+    assert str(caught.value) == message
+
+
+def test_radicands_with_index_are_read_as_ints():
+    assert RadicalScalar([(True, 2)]) == RadicalScalar.from_rational(2)
+    assert RadicalScalar([(np.int64(8), 1)]).terms == ((2, Fraction(2)),)
+    # a zero coefficient is dropped before its radicand is looked at, as before
+    assert RadicalScalar([(-1, 0), ("x", 0)]) == ZERO
+
+
+@pytest.mark.parametrize("coefficient", [float("inf"), float("-inf"), float("nan"), None, "x", 1j])
+def test_a_coefficient_that_is_not_a_finite_number_raises_value_error(coefficient):
+    with pytest.raises(ValueError) as caught:
+        RadicalScalar([(2, coefficient)])
+    assert str(caught.value) == f"coefficient {coefficient!r} is not a finite number"
+    assert not isinstance(caught.value, DomainError)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), None, "x"])
+def test_sqrt_of_a_non_number_raises_value_error(value):
+    with pytest.raises(ValueError) as caught:
+        RadicalScalar.sqrt(value)
+    assert str(caught.value) == f"square root of {value!r} is not a finite number"
+    assert RadicalScalar.sqrt("9/4") == RadicalScalar.from_rational(Fraction(3, 2))
 
 
 def test_constructor_merges_equivalent_radicands():

@@ -8,6 +8,7 @@ entry-by-entry versions gave.
 """
 
 import json
+import random
 import re
 from fractions import Fraction as F
 
@@ -43,7 +44,13 @@ from spectral_tetris.construct import column_maps
 from spectral_tetris.exact_numeric import ZERO, entry_abs_squared
 
 import goldens
-from _oracles import matrix_csv_oracle, matrix_to_json_oracle, row_gram_oracle, to_dense_oracle
+from _oracles import (
+    matrix_csv_oracle,
+    matrix_to_json_oracle,
+    row_gram_oracle,
+    sweep_pairs_oracle,
+    to_dense_oracle,
+)
 from test_verify_oracles import matrices_with_complex_columns, sparse_exact_matrices
 
 ROOT_2 = RadicalScalar.sqrt(2)
@@ -244,6 +251,44 @@ def test_verify_squares_each_distinct_entry_once_and_builds_the_maps_once(monkey
         assert 0 < counts["squared"] <= distinct
         assert 0 < counts["settled"] <= 8
         assert counts["builds"] == 1
+
+
+class _CountedForms(dict):
+    """Sweep.forms that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_dense_column_reads_each_rows_form_once():
+    """The Naimark complement of a 1 x 12 Parseval row, whose every column
+    meets all 11 rows, and a random matrix with columns of one to four
+    rows: Sweep.pairs reads a row's form once per column it shares with
+    another row, |supp| reads, not one per row pair (|supp|^2 - |supp|),
+    and its accumulators equal those of every pair formed in turn."""
+    parseval = construct_untf(1, 12).scale(RadicalScalar.sqrt(F(1, 12)))
+    rng = random.Random(7)
+    values = (ROOT_2, MULTI_TERM, RadicalScalar.from_rational(F(-2, 3)), RadicalScalar.sqrt(F(5, 6)))
+    mixed = SynthesisMatrix(
+        6,
+        30,
+        {
+            (row, col): rng.choice(values)
+            for col in range(30)
+            for row in rng.sample(range(6), col % 4 + 1)
+        },
+    )
+    for matrix in (naimark_complement(parseval), mixed):
+        sweep = construct_module.Sweep(matrix)
+        forms = sweep.forms = _CountedForms(sweep.forms)
+        pairs = sweep.pairs
+        sizes = [len(column) for column in column_maps(matrix)]
+        assert forms.reads == sum(size for size in sizes if size > 1)
+        assert pairs == sweep_pairs_oracle(construct_module.Sweep(matrix))
+    assert sizes.count(1) and sizes.count(2) and sizes.count(4)
 
 
 def _settled_by(monkeypatch, call):
