@@ -8,7 +8,11 @@ route mixes in complex roots of unity.
 
 pnstc, pnstc_str and construct_untf are thin wrappers over one Spectral
 Tetris fill, _greedy_fill; sfr, equal_norm_frame and the fusion
-constructions reach it through pnstc. The fill decides its moves by sums
+constructions reach it through pnstc. pnstc and pnstc_str read their
+arguments through one prologue (_fill_units), each with its own error
+class and wording for totals that differ; construct_untf and
+construct_untf_dft read their shape through one reader (_flat_shape).
+The fill decides its moves by sums
 and comparisons alone, so each wrapper scales the norms and eigenvalues
 once to integers in a common unit (sequences.integer_units, or the closed
 form of the flat spectrum for construct_untf) and the fill runs on those
@@ -40,8 +44,8 @@ it; an expected value meets the rational sums on the ints, scaled once
 to D^2, with nothing settled for it. Past
 _UNIT_BITS, a bound on many coprime denominators that no bench or
 construction matrix reaches, each form keeps its terms' own Fractions
-instead, and the same code adds and settles them, bar the square sums,
-whose Fractions are added in pairs. numpy is
+instead, and the same code adds and settles them, bar the rational
+square sums, whose Fractions are added in pairs. numpy is
 imported only inside the numeric code (to_dense and the Naimark
 complement), so the exact routes never load it. The Naimark complement is
 numeric: its completion is read once, and each distinct float becomes one
@@ -217,7 +221,8 @@ class SynthesisMatrix:
         return len(self.entries)
 
     def to_dense(self) -> np.ndarray:
-        """The matrix in floating point; ValueError names an entry too large for it."""
+        """The matrix in floating point; ValueError names an entry too large
+        for it (the first whose conversion raises OverflowError)."""
         import numpy as np
 
         convert, dtype = (entry_to_complex, np.complex128) if self._complex else (to_float, float)
@@ -233,13 +238,13 @@ class SynthesisMatrix:
                 dense[i, j] = number
         except OverflowError:
             raise ValueError(f"entry ({i}, {j}) is outside the float range") from None
-        if not np.isfinite(dense).all():  # a sum of terms can overflow without raising
-            i, j = np.argwhere(~np.isfinite(dense))[0]
-            raise ValueError(f"entry ({i}, {j}) is outside the float range")
         return dense
 
     def scale(self, factor: RadicalScalar) -> "SynthesisMatrix":
-        """Multiply every entry by an exact nonnegative scalar."""
+        """Multiply every entry by an exact nonnegative scalar; ValueError
+        for a factor that is not a RadicalScalar, int or Fraction, or zero."""
+        if not isinstance(factor, (RadicalScalar, int, Fraction)):
+            raise ValueError(f"scale factor {factor!r} is not an exact real")
         if not factor:
             raise ValueError("scaling by zero would empty the matrix")
         # entries are immutable, so each distinct entry object is multiplied once
@@ -383,7 +388,7 @@ class Sweep:
     column pairs are ints, and each distinct sum becomes one exact value
     (_exact_sum) only when a caller reads it. Past _UNIT_BITS the forms keep
     the terms' own Fractions with scale 1, and every part runs the same
-    code on them, bar the square sums (_pairwise_squares).
+    code on them, bar the rational square sums, added in pairs (_squares).
 
     Each part is computed on first use and kept, so a caller pays only for
     what it reads: forms, the square sums (_squares, settled as row_sums
@@ -431,11 +436,13 @@ class Sweep:
     def _squares(self) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
         """Row and column square sums in one pass over the nonzeros: their
         rational parts as ints over scale, and the irrational parts, which
-        only multi-term entries have, as {row or column: accumulator}. The
-        forms that have no square in _square yet are squared here. Past
-        _UNIT_BITS the Fraction squares are added in pairs (_pairwise_squares)."""
+        only multi-term entries have, as {row or column: accumulator}, each
+        radicand's parts added in turn. The forms that have no square in
+        _square yet are squared here. Past _UNIT_BITS the rational squares
+        are Fractions, gathered per row and column and added in pairs
+        (sequences._pairwise), whose values are those of adding them in turn."""
         matrix, forms = self.matrix, self.forms
-        rational = self._square
+        rational, m, n = self._square, matrix.row_count, matrix.col_count
         irrational: Dict[int, Accumulator] = {}
         for key, form in forms.items():
             if key not in rational:
@@ -444,51 +451,27 @@ class Sweep:
                 rational[key] = sums.pop(1, 0)
                 if not _vanishes(sums):
                     irrational[key] = sums
+        entries = matrix.entries.items()
         if self._past_cap:
-            return self._pairwise_squares(rational, irrational)
-        rows, cols = [0] * matrix.row_count, [0] * matrix.col_count
-        for (i, j), value in matrix.entries.items():
-            square = rational[id(value)]
-            rows[i] += square
-            cols[j] += square
+            rows, cols = [[] for _ in range(m)], [[] for _ in range(n)]
+            for (i, j), value in entries:
+                rows[i].append(rational[id(value)])
+                cols[j].append(rational[id(value)])
+            rows, cols = [[_pairwise(_sum, terms) for terms in sums] for sums in (rows, cols)]
+        else:
+            rows, cols = [0] * m, [0] * n
+            for (i, j), value in entries:
+                square = rational[id(value)]
+                rows[i] += square
+                cols[j] += square
         row_parts: Dict[int, Accumulator] = {}
         col_parts: Dict[int, Accumulator] = {}
         if irrational:
-            for (i, j), value in matrix.entries.items():
+            for (i, j), value in entries:
                 for radicand, part in irrational.get(id(value), {}).items():
                     for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
                         target[radicand] = target.get(radicand, 0) + part
         return rows, cols, row_parts, col_parts
-
-    def _pairwise_squares(
-        self, rational: Dict[int, Fraction], irrational: Dict[int, Accumulator]
-    ) -> Tuple[list, list, Dict[int, Accumulator], Dict[int, Accumulator]]:
-        """_squares past _UNIT_BITS: each row's and column's squares, and
-        each of their radicands' irrational parts, gathered and then added
-        in pairs (sequences._pairwise). The values, and the order of the
-        radicands, are those of adding them in turn."""
-        matrix = self.matrix
-        row_terms: List[list] = [[] for _ in range(matrix.row_count)]
-        col_terms: List[list] = [[] for _ in range(matrix.col_count)]
-        row_parts: Dict[int, Dict[int, list]] = {}
-        col_parts: Dict[int, Dict[int, list]] = {}
-        for (i, j), value in matrix.entries.items():
-            square = rational[id(value)]
-            row_terms[i].append(square)
-            col_terms[j].append(square)
-            for radicand, part in irrational.get(id(value), {}).items():
-                for target in (row_parts.setdefault(i, {}), col_parts.setdefault(j, {})):
-                    target.setdefault(radicand, []).append(part)
-
-        def settle(parts: Dict[int, Dict[int, list]]) -> Dict[int, Accumulator]:
-            return {
-                index: {radicand: _pairwise(_sum, terms) for radicand, terms in sums.items()}
-                for index, sums in parts.items()
-            }
-
-        rows = [_pairwise(_sum, terms) for terms in row_terms]
-        cols = [_pairwise(_sum, terms) for terms in col_terms]
-        return rows, cols, settle(row_parts), settle(col_parts)
 
     def _settled(self, sums: list, parts: Dict[int, Accumulator]) -> List[ExactSum]:
         """The exact value of each square sum, each distinct one settled once,
@@ -732,6 +715,19 @@ def _greedy_fill(
     return entries, step, tuple(swaps)
 
 
+def _fill_units(
+    norms_squared: Sequence, spectrum: Sequence, refusal: Callable[[str], Exception], wording: str
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """The norms and spectrum read and scaled to integer_units, (unit, norm
+    units, eigenvalue units), for pnstc and pnstc_str. Totals that differ
+    raise refusal(wording), with the two totals formatted into wording."""
+    norms, eigs = as_norms_squared(norms_squared), as_spectrum(spectrum)
+    unit, units, eig_units = integer_units(norms, eigs)
+    if sum(units) != sum(eig_units):
+        raise refusal(wording.format(sum(norms), sum(eigs)))
+    return unit, units, eig_units
+
+
 def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
     """Prescribed-norms greedy construction over a fixed feeding order.
 
@@ -743,20 +739,15 @@ def pnstc(norms_squared: Sequence, spectrum: Sequence) -> SynthesisMatrix:
     NotSTReady (with the failing step index) when the given order does not
     admit the construction.
     """
-    norms = as_norms_squared(norms_squared)
-    eigs = as_spectrum(spectrum)
-    unit, units, eig_units = integer_units(norms, eigs)
-    if sum(units) != sum(eig_units):
-        raise NotSTReady(
-            f"total squared norm {sum(norms)} differs from spectrum total {sum(eigs)}"
-        )
+    wording = "total squared norm {} differs from spectrum total {}"
+    unit, units, eig_units = _fill_units(norms_squared, spectrum, NotSTReady, wording)
     try:
         entries, steps, _ = _greedy_fill(units, eig_units, unit, swap_on_straddle=False)
     except _Stuck as stuck:
         kind, step, facts = stuck.args
         raise NotSTReady(_FILL_WORDING[kind].format(**facts), step=step) from None
     meta = {"algorithm": "pnstc", "steps": steps}
-    return SynthesisMatrix._unchecked(len(eigs), len(norms), entries, False, meta)
+    return SynthesisMatrix._unchecked(len(eig_units), len(units), entries, False, meta)
 
 
 def pnstc_str(
@@ -772,20 +763,15 @@ def pnstc_str(
     ordering on which plain pnstc reproduces the matrix. Raises
     ReorderFailed when swapping cannot unblock the construction.
     """
-    norms = as_norms_squared(norms_squared)
-    eigs = as_spectrum(spectrum)
-    unit, units, eig_units = integer_units(norms, eigs)
-    if sum(units) != sum(eig_units):
-        raise ReorderFailed(
-            f"re-ordering preserves the total squared norm, but {sum(norms)} != {sum(eigs)}"
-        )
+    wording = "re-ordering preserves the total squared norm, but {} != {}"
+    unit, units, eig_units = _fill_units(norms_squared, spectrum, ReorderFailed, wording)
     try:
         entries, _, swaps = _greedy_fill(units, eig_units, unit, swap_on_straddle=True)
     except _Stuck as stuck:
         kind, _, facts = stuck.args
         raise ReorderFailed(_REORDER_WORDING[kind].format(**facts)) from None
     meta = {"algorithm": "pnstc_str", "swaps": swaps}
-    return SynthesisMatrix._unchecked(len(eigs), len(norms), entries, False, meta), swaps
+    return SynthesisMatrix._unchecked(len(eig_units), len(units), entries, False, meta), swaps
 
 
 def _certified_pnstc(
@@ -824,6 +810,16 @@ def sfr(spectrum: Sequence, count: int) -> SynthesisMatrix:
     return _certified_pnstc((Fraction(1),) * count, eigs, certificate, "sfr")
 
 
+def _flat_shape(m: int, n: int) -> Tuple[int, int, Fraction]:
+    """The dimension M and count N of a unit-norm tight frame, and its flat
+    eigenvalue: (M, N, N/M), with ValueError unless M and N are positive
+    integers and Underdetermined when N < M."""
+    m, n = _positive_int(m, "dimension"), _positive_int(n, "count")
+    if n < m:
+        raise Underdetermined(f"{n} vectors cannot span a space of dimension {m}")
+    return m, n, Fraction(n, m)
+
+
 def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
     """Sparse unit-norm tight frame of count vectors in dimension dims.
 
@@ -832,13 +828,7 @@ def construct_untf(dimension: int, count: int) -> SynthesisMatrix:
     rest. Raises Underdetermined for count < dimension and Infeasible (citing
     the failed eigenvalue criterion) when the fill cannot complete.
     """
-    dimension = _positive_int(dimension, "dimension")
-    count = _positive_int(count, "count")
-    if count < dimension:
-        raise Underdetermined(
-            f"{count} vectors cannot span a space of dimension {dimension}"
-        )
-    eigenvalue = Fraction(count, dimension)
+    dimension, count, eigenvalue = _flat_shape(dimension, count)
     # in the unit of the reduced N/M every norm is that unit and every row
     # its numerator, as integer_units would give them. Unit norms always
     # have a partner and never straddle, so the only way the fill can stop
@@ -874,13 +864,7 @@ def construct_untf_dft(dimension: int, count: int) -> SynthesisMatrix:
     col; rest > 0 and trailing > 0 make every entry nonzero. So the matrix
     is built unchecked, complex exactly when some block has J >= 3.
     """
-    dimension = _positive_int(dimension, "dimension")
-    count = _positive_int(count, "count")
-    if count < dimension:
-        raise Underdetermined(
-            f"{count} vectors cannot span a space of dimension {dimension}"
-        )
-    eigenvalue = Fraction(count, dimension)
+    dimension, count, eigenvalue = _flat_shape(dimension, count)
     entries: Dict[Key, MatrixEntry] = {}
     remaining: List[Fraction] = [eigenvalue] * dimension
     steps: List[Tuple[str, ...]] = []

@@ -37,7 +37,19 @@ Matrix entries keep their identity-keyed memos (construct.Sweep.forms,
 SynthesisMatrix.to_dense and scale), since a value's copies in a matrix
 are spread over its rows. _positive_int reads a count or dimension
 through __index__. A RadicalScalar radicand is read through __index__ as
-well, and a coefficient that is not a finite number is a ValueError.
+well, and a coefficient or from_rational value that is not a finite
+number is a ValueError. ComplexRadicalEntry.make reads a phase's
+exponent and order through __index__ too; the constructor keeps the
+fields it is given (SynthesisMatrix refuses a phase of non-integer
+fields), and both refuse with ValueError a phase whose fields are not
+numbers at all.
+
+The float range is decided here alone. float() of a RadicalScalar raises
+OverflowError outside it, as float() of a Fraction does, also when every
+term fits a float and only their sum does not; to_float, entry_to_complex
+and complex() of an entry inherit that, and the readers that name a
+position or an entry (_read, SynthesisMatrix.to_dense) turn it into
+their ValueError.
 """
 
 from __future__ import annotations
@@ -167,8 +179,13 @@ class RadicalScalar:
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "RadicalScalar":
-        value = Fraction(value)
-        return cls._canonical(((1, value),) if value else ())
+        """The rational value as a RadicalScalar; ValueError names a value
+        that is not a finite number."""
+        try:
+            rational = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"value {value!r} is not a finite number") from None
+        return cls._canonical(((1, rational),) if rational else ())
 
     @classmethod
     def sqrt(cls, value: RationalLike) -> "RadicalScalar":
@@ -278,7 +295,13 @@ class RadicalScalar:
         return self._coerce(other) * self.inverse()
 
     def __float__(self) -> float:
-        return sum((float(c) * math.sqrt(r) for r, c in self._terms), 0.0)
+        """The nearest float; OverflowError when the value is outside the
+        float range, as for a Fraction, also when only the sum of the terms
+        is."""
+        number = sum((float(c) * math.sqrt(r) for r, c in self._terms), 0.0)
+        if not math.isfinite(number):
+            raise OverflowError("the sum of the terms is outside the float range")
+        return number
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -336,23 +359,30 @@ class ComplexRadicalEntry:
     __slots__ = ("modulus", "root_exponent", "root_order")
 
     def __init__(self, modulus: RadicalScalar, root_exponent: int, root_order: int):
-        if root_order < 1:
-            raise DomainError(f"root order {root_order} must be positive")
-        self.modulus = modulus
-        self.root_exponent = root_exponent % root_order
-        self.root_order = root_order
+        try:
+            if root_order < 1:
+                raise DomainError(f"root order {root_order} must be positive")
+            self.root_exponent = root_exponent % root_order
+        except TypeError:
+            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not numeric") from None
+        self.modulus, self.root_order = modulus, root_order
 
     @staticmethod
     def make(modulus: RadicalScalar, root_exponent: int, root_order: int):
-        """Canonical entry: a RadicalScalar when the phase is real, else complex."""
-        if root_order < 1:
+        """Canonical entry: a RadicalScalar when the phase is real, else
+        complex. The exponent and order are read through __index__: a
+        ValueError names a phase whose fields lack it, and an order below 1
+        is a DomainError."""
+        try:
+            exponent, order = operator.index(root_exponent), operator.index(root_order)
+        except TypeError:
+            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not a pair of integers")
+        if order < 1:
             raise DomainError(f"root order {root_order} must be positive")
         if not modulus:
             return ZERO
-        exponent = root_exponent % root_order
-        g = math.gcd(exponent, root_order) if exponent else root_order
-        exponent //= g
-        order = root_order // g
+        g = math.gcd(exponent, order)  # the order itself for exponent 0
+        exponent, order = exponent % order // g, order // g
         if order == 1:
             return modulus
         if order == 2:

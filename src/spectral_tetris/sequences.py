@@ -30,6 +30,7 @@ denominators here and for the square sums of construct.Sweep.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import operator
@@ -487,9 +488,7 @@ def st_ready_search(
     _, units, eig_units = integer_units(norms, eigs)
     if sum(units) != sum(eig_units):
         return None
-    counts: Dict[int, int] = {}
-    for v in units:
-        counts[v] = counts.get(v, 0) + 1
+    counts = collections.Counter(units)
     values = tuple(counts)
     cut = f"readiness search exceeded {cap} states"
     if len(values) == 1:

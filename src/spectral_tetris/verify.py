@@ -40,8 +40,9 @@ scale D^2 (Sweep.scaled, through the same reader), and the sums are
 compared as the sweep's ints, position by position, with no sum settled
 for it. An irrational sum or a RadicalScalar expectation compares the
 settled sums instead, once per run of one (sum, expectation) pair of
-objects (_matches). Values leave for floats through the same reader,
-which names the position of one outside the float range. Off the exact
+objects (_matches). Values leave for floats through the same reader:
+float() refuses a value outside the float range (exact_numeric owns that
+rule), and the reader names its position. Off the exact
 route each fusion group takes one SVD; numpy is imported there, and on
 the complex path, only.
 """
@@ -49,7 +50,6 @@ the complex path, only.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,21 +74,13 @@ SquareSum = Union[Fraction, float]
 SparseVector = Dict[int, MatrixEntry]
 
 
-def _to_float(value) -> float:
-    """float(value); OverflowError when it is outside the float range."""
-    number = float(value)
-    if math.isinf(number):  # a sum of terms can overflow without raising
-        raise OverflowError(number)
-    return number
-
-
 _OUTSIDE = " is outside the float range"
 
 
 def _report_values(values: Sequence[ExactSum], label: str = "row") -> Tuple[SquareSum, ...]:
     if set(map(type, values)) <= {Fraction}:
         return tuple(values)
-    return tuple(_read(values, _to_float, label + " {position} square sum" + _OUTSIDE))
+    return tuple(_read(values, float, label + " {position} square sum" + _OUTSIDE))
 
 
 def _off_diagonal(gram: np.ndarray) -> float:
@@ -456,7 +448,7 @@ def verify_fusion(
             zip(reference.partition, reference.weights_squared)
         ):
             block = dense[:, list(group)]
-            (weight,) = _read((weight_squared,), _to_float, f"squared weight {index}" + _OUTSIDE)
+            (weight,) = _read((weight_squared,), float, f"squared weight {index}" + _OUTSIDE)
             if not real:
                 gram = block.conj().T @ block
                 groups_orthogonal &= _off_diagonal(gram) <= FUSION_TOLERANCE
@@ -475,7 +467,7 @@ def verify_fusion(
         if expected_spectrum is not None:
             wants = _exact_expectation(expected_spectrum)
             refusal = "expected value at position {position}" + _OUTSIDE
-            expected = sorted(_read(wants, _to_float, refusal), reverse=True)
+            expected = sorted(_read(wants, float, refusal), reverse=True)
             spectrum_matches = len(expected) == len(spectrum) and all(
                 abs(want - value) <= FUSION_TOLERANCE for want, value in zip(expected, spectrum)
             )

@@ -598,6 +598,20 @@ def test_scale_rejects_zero_and_rescales_complex_entries():
     assert scaled.column_norm_squared(0) == 4
 
 
+@pytest.mark.parametrize("factor", [0.5, "x", None, 1j, [2]])
+def test_scale_refuses_a_factor_that_is_not_an_exact_real(factor):
+    matrix = construct_untf(3, 7)
+    with pytest.raises(ValueError) as caught:
+        matrix.scale(factor)
+    assert str(caught.value) == f"scale factor {factor!r} is not an exact real"
+    # ints and Fractions scale as their RadicalScalars do; zero keeps its message
+    assert matrix.scale(2).entries == matrix.scale(RadicalScalar.from_rational(2)).entries
+    half = matrix.scale(Fraction(1, 2)).entries
+    assert half == matrix.scale(RadicalScalar.from_rational(Fraction(1, 2))).entries
+    with pytest.raises(ValueError, match="^scaling by zero would empty the matrix$"):
+        matrix.scale(0)
+
+
 def test_synthesis_matrix_rejects_negative_dimensions():
     for rows, cols in ((-1, 0), (2, -3), (-1, -1)):
         with pytest.raises(ValueError, match="negative dimension"):

@@ -13,6 +13,7 @@ from spectral_tetris import (
     DomainError,
     ONE,
     RadicalScalar,
+    SynthesisMatrix,
     ZERO,
     entry_abs_squared,
     entry_to_complex,
@@ -242,6 +243,54 @@ def test_to_float_refuses_complex_entries():
         to_float(entry)
     assert to_float(RadicalScalar.sqrt(2)) == pytest.approx(math.sqrt(2))
     assert entry_to_complex(RadicalScalar.sqrt(2)) == complex(math.sqrt(2), 0.0)
+
+
+def test_a_sum_of_terms_outside_the_float_range_raises_overflow_error():
+    """Each term fits a float but their sum does not: float() raises, as it
+    does for a Fraction outside the range, and so does every conversion
+    built on it, where an infinity (or an infinite complex) came back before."""
+    huge = RadicalScalar([(1, 10**308), (2, 10**308)])
+    opposed = RadicalScalar([(2, 15 * 10**307), (3, -15 * 10**307)])  # inf - inf
+    for value in (huge, opposed):
+        for convert in (float, to_float, entry_to_complex):
+            with pytest.raises(OverflowError):
+                convert(value)
+        with pytest.raises(OverflowError):
+            complex(ComplexRadicalEntry.make(value, 1, 3))
+    inside = RadicalScalar([(1, 10**308), (2, -(10**307))])
+    assert float(inside) == 1e308 - 1e307 * math.sqrt(2)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), None, "x", 1j])
+def test_from_rational_of_a_non_number_raises_value_error(value):
+    with pytest.raises(ValueError) as caught:
+        RadicalScalar.from_rational(value)
+    assert str(caught.value) == f"value {value!r} is not a finite number"
+    assert not isinstance(caught.value, DomainError)
+    assert RadicalScalar.from_rational("3/4") == RadicalScalar([(1, Fraction(3, 4))])
+
+
+@pytest.mark.parametrize(
+    "exponent, order", [(1.5, 4), (1, 4.0), (None, 4), (1, None), ("1", 3), (1, Fraction(3))]
+)
+def test_make_reads_the_phase_through_index(exponent, order):
+    with pytest.raises(ValueError) as caught:
+        ComplexRadicalEntry.make(ONE, exponent, order)
+    assert str(caught.value) == f"phase {exponent!r}/{order!r} is not a pair of integers"
+    assert not isinstance(caught.value, DomainError)
+    # fields with __index__ are read as ints, which a checked matrix accepts
+    entry = ComplexRadicalEntry.make(ONE, np.int64(4), np.int64(6))
+    assert (type(entry.root_exponent), type(entry.root_order)) == (int, int)
+    assert entry == ComplexRadicalEntry.make(ONE, 2, 3)
+    assert SynthesisMatrix(1, 1, {(0, 0): entry}).is_complex
+
+
+@pytest.mark.parametrize("exponent, order", [(None, 4), (1, None), ("x", 3)])
+def test_the_constructor_refuses_a_phase_that_is_not_numeric(exponent, order):
+    with pytest.raises(ValueError) as caught:
+        ComplexRadicalEntry(ONE, exponent, order)
+    assert str(caught.value) == f"phase {exponent!r}/{order!r} is not numeric"
+    assert not isinstance(caught.value, DomainError)
 
 
 def assert_canonical(value):
