@@ -38,11 +38,9 @@ SynthesisMatrix.to_dense and scale), since a value's copies in a matrix
 are spread over its rows. _positive_int reads a count or dimension
 through __index__. A RadicalScalar radicand is read through __index__ as
 well, and a coefficient or from_rational value that is not a finite
-number is a ValueError. ComplexRadicalEntry.make reads a phase's
-exponent and order through __index__ too; the constructor keeps the
-fields it is given (SynthesisMatrix refuses a phase of non-integer
-fields), and both refuse with ValueError a phase whose fields are not
-numbers at all.
+number is a ValueError. ComplexRadicalEntry and its make read a phase's
+exponent and order through __index__ too, and refuse with ValueError a
+phase whose fields lack it.
 
 The float range is decided here alone. float() of a RadicalScalar raises
 OverflowError outside it, as float() of a Fraction does, also when every
@@ -58,6 +56,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from numbers import Number
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
@@ -359,13 +358,18 @@ class ComplexRadicalEntry:
     __slots__ = ("modulus", "root_exponent", "root_order")
 
     def __init__(self, modulus: RadicalScalar, root_exponent: int, root_order: int):
+        """The exponent and order are read through __index__, as make reads
+        them: a ValueError names a phase whose fields lack it, and an order
+        below 1 is a DomainError."""
         try:
-            if root_order < 1:
-                raise DomainError(f"root order {root_order} must be positive")
-            self.root_exponent = root_exponent % root_order
+            exponent, order = operator.index(root_exponent), operator.index(root_order)
         except TypeError:
-            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not numeric") from None
-        self.modulus, self.root_order = modulus, root_order
+            fields = (root_exponent, root_order)
+            kind = "a pair of integers" if all(isinstance(f, Number) for f in fields) else "numeric"
+            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not {kind}") from None
+        if order < 1:
+            raise DomainError(f"root order {root_order} must be positive")
+        self.modulus, self.root_exponent, self.root_order = modulus, exponent % order, order
 
     @staticmethod
     def make(modulus: RadicalScalar, root_exponent: int, root_order: int):

@@ -37,6 +37,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, Generator, Iterable, List, NamedTuple, Optional
 from typing import Sequence, Set, Tuple
 
@@ -550,10 +551,12 @@ class BlockCount(NamedTuple):
     heuristic: bool
 
 
-# Cap on the work of the exact maximal block number: DP states times the
-# part candidates tried at each, plus the nodes and subset sums of the part
-# enumeration, each unit weighted by the machine words of the residues
-# (_words). Past it the bounded greedy answers, flagged heuristic.
+# Cap on the work of the exact maximal block number: the nodes and subset
+# sums of the part enumeration, then DP states times the part candidates
+# tried at each, each unit weighted by the machine words of the residues
+# (_words). The residue-sum bound and the class-count greedy settle most
+# counts before the DP; past the cap the bounded index greedy answers,
+# flagged heuristic.
 _MU_WORK_CAP = 1_000_000
 # The greedy fallback tries parts of at most this many eigenvalues and at
 # most _MU_GREEDY_COMBINATIONS candidate parts in all, each weighted by
@@ -579,14 +582,17 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
     {a, b} splits off and the count grows; if one is left over, {a, b}
     replaces the part of the other; both left over would add a part. So
     some optimal packing holds the pair, and pairing off complementary
-    classes greedily is exact. What remains is exact for any M by dynamic
-    programming over how many eigenvalues of each residue remain (see
-    _mu_residue). Only a remainder whose DP would exceed a fixed work cap,
-    which takes many distinct fractional parts, falls back to a greedy
-    extraction of smallest integer-sum parts, bounded in the combinations it
-    tries; that result is flagged heuristic. Greedy is not exact in general:
-    it can merge elements of two genuine parts with a stray element and
-    destroy both.
+    classes greedily is exact. Every part of what remains has at least three
+    members and a residue sum of at least one unit, which bounds its count;
+    a bound of 0 settles it, and a greedy over the class counts of the
+    minimal integer-sum parts that reaches the bound proves it. Otherwise
+    it is exact for any M by dynamic programming over how many eigenvalues
+    of each residue remain (see _mu_residue). Only a remainder whose parts
+    and DP would exceed a fixed work cap, which takes many distinct
+    fractional parts, falls back to a greedy extraction of smallest
+    integer-sum parts, bounded in the combinations it tries; that result is
+    flagged heuristic. Greedy is not exact in general: it can merge elements
+    of two genuine parts with a stray element and destroy both.
     """
     return _block_count(*integer_units(as_spectrum(spectrum)))
 
@@ -626,15 +632,10 @@ def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple
     off first: r with unit - r as long as both have members, and unit/2
     with itself. By the exchange argument of maximal_block_number some
     optimal packing holds every such pair, so this is exact. Afterwards no
-    class has a partner left, every remaining minimal part has three or
-    more members, and _residue_dp works on the smaller counts. A state there
-    is the vector of how many members of each class remain. A state with
-    one nonempty class r holds floor(count/q) parts, q = unit/gcd(r, unit).
-    Otherwise take the lowest nonempty class: in an optimal choice one of
-    its members is either left over, or lies in a part that can be taken
-    minimal (a part with a proper integer-sum subpart splits into two). So
-    the state's value is the best of leaving one member and closing one
-    minimal zero-sum part through it.
+    class has a partner left, and every remaining minimal part has three or
+    more members and a residue sum of at least one unit, so _zero_sum_packing
+    packs at most room = min(residue sum // unit, members // 3) parts; see
+    there for how it meets or finds the count.
     """
     classes: Dict[int, List[int]] = {}
     for index, residue in enumerate(residues):
@@ -651,42 +652,103 @@ def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple
     kept = sorted(residue for residue, group in classes.items() if group)
     members = [classes[residue] for residue in kept]
     counts = tuple(map(len, members))
+    room = min(sum(map(operator.mul, kept, counts)) // unit, sum(counts) // 3)
     try:
-        best = _residue_dp(kept, counts, unit)
+        packed, parts = _zero_sum_packing(kept, counts, unit, room)
     except _MuWorkExceeded:
         return None
     taken = [0] * len(counts)
-    state: Optional[_Counts] = counts
-    while state is not None:
-        _, part, state = best[state]
-        for k, size in enumerate(part or ()):
+    for part in parts:
+        for k, size in enumerate(part):
             order.extend(members[k][taken[k]:taken[k] + size])
             taken[k] += size
     placed = set(order)
     order.extend(i for i in range(len(residues)) if i not in placed)
-    return mu + best[counts][0], tuple(order)
+    return mu + packed, tuple(order)
+
+
+def _zero_sum_packing(
+    ints: List[int], counts: _Counts, modulus: int, room: int
+) -> Tuple[int, List[_Counts]]:
+    """The most disjoint zero-sum parts of the classes, given room, an upper
+    bound on their number: (that number, count vectors to take in turn).
+
+    Classes are the residues ints[k] mod modulus, ascending and nonzero,
+    with counts[k] members. A room of 0 is settled with no part walk.
+    Otherwise the minimal zero-sum parts are listed once: those through each
+    class but the highest by _minimal_zero_sum_parts (the ones the DP
+    reads), and the highest class's own part, q = modulus/gcd(r, modulus)
+    members of residue r. The greedy over class counts, fewest members
+    first, each part as often as it fits, takes them; if it reaches room,
+    or there is one class (whose only minimal part is its own), it is
+    optimal. Otherwise _residue_dp decides, on those parts and the work
+    they cost. Raises _MuWorkExceeded once the work passes _MU_WORK_CAP.
+    """
+    if not room:
+        return 0, []
+    parts_through: Dict[int, List[_Counts]] = {}
+    work = 0
+    for low in range(len(ints) - 1):
+        parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
+    top = (0,) * (len(ints) - 1) + (modulus // math.gcd(ints[-1], modulus),)
+    chosen = _class_greedy(itertools.chain(*parts_through.values(), [top]), counts, room)
+    if len(chosen) == room or len(ints) == 1:
+        return len(chosen), chosen
+    best = _residue_dp(ints, counts, modulus, parts_through, work)
+    chosen = []
+    state: Optional[_Counts] = counts
+    while state is not None:
+        _, part, state = best[state]
+        if part is not None:
+            chosen.append(part)
+    return best[counts][0], chosen
+
+
+def _class_greedy(parts: Iterable[_Counts], counts: _Counts, room: int) -> List[_Counts]:
+    """Parts taken greedily, fewest members first and each as often as the
+    counts left allow, until room of them are taken or none is left."""
+    chosen: List[_Counts] = []
+    left = counts
+    for part in sorted(parts, key=sum):
+        times = min(have // need for have, need in zip(left, part) if need)
+        if times:
+            chosen += [part] * times
+            left = tuple(have - times * need for have, need in zip(left, part))
+            if len(chosen) == room:
+                break
+    return chosen
 
 
 def _residue_dp(
-    ints: List[int], counts: _Counts, modulus: int
+    ints: List[int],
+    counts: _Counts,
+    modulus: int,
+    parts_through: Optional[Dict[int, List[_Counts]]] = None,
+    work: int = 0,
 ) -> Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]]:
     """best[state] = (parts, part closed here or None, next state) per reached state.
 
     Classes are the residues ints[k] mod modulus, ascending and nonzero. A
-    part of None with a next state leaves one member of the lowest class
-    over. A final state, one with at most one nonempty class, closes all
-    its parts at once, as one run of whole parts, and has no next state;
-    its entry is recorded where the state is first met, so it costs no
-    visit and a final root runs no drive(). Every other state is one visit
-    run by drive(): it charges its work, tries leaving one member first and
-    then each candidate part, visits each child not yet in best, and keeps
-    the first move of the highest value. Raises _MuWorkExceeded past
-    _MU_WORK_CAP.
+    state with one nonempty class r holds floor(count/q) parts, q =
+    modulus/gcd(r, modulus). Otherwise take the lowest nonempty class: in
+    an optimal choice one of its members is either left over, or lies in a
+    part that can be taken minimal (a part with a proper integer-sum subpart
+    splits into two). So the state's value is the best of leaving one member
+    and closing one minimal zero-sum part through it. parts_through[low]
+    holds those parts per lowest class, listed here when missing, and work
+    is what their listing has cost so far. A part of None with a next state
+    leaves one member of the lowest class over. A final state, one with at
+    most one nonempty class, closes all its parts at once, as one run of
+    whole parts, and has no next state; its entry is recorded where the
+    state is first met, so it costs no visit and a final root runs no
+    drive(). Every other state is one visit run by drive(): it charges its
+    work, tries leaving one member first and then each candidate part,
+    visits each child not yet in best, and keeps the first move of the
+    highest value. Raises _MuWorkExceeded past _MU_WORK_CAP.
     """
     width = len(ints)
     weight = _words(modulus)
-    work = 0
-    parts_through: Dict[int, List[_Counts]] = {}
+    parts_through = {} if parts_through is None else parts_through
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
 
     def lowest(state: _Counts) -> Optional[int]:
@@ -794,7 +856,7 @@ def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]
         part = None
         sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
         combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
-        for combo in itertools.islice(combos, budget - tries):
+        for combo in islice(combos, budget - tries):
             tries += 1
             if not sum(map(residues.__getitem__, combo)) % unit:
                 part = combo

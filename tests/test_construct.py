@@ -537,8 +537,11 @@ def test_synthesis_matrix_refuses_entries_the_checks_cannot_read(entries):
 )
 def test_synthesis_matrix_refuses_a_phase_of_non_integer_fields(exponent, order):
     """A float exponent was once built, verified as a frame and written as
-    "omega_num": 1.0, which the decoder refuses."""
-    entry = ComplexRadicalEntry(goldens.ONE, exponent, order)
+    "omega_num": 1.0, which the decoder refuses. The constructor now reads
+    its fields through __index__, so such an entry is made by setting the
+    fields of a canonical one."""
+    entry = ComplexRadicalEntry(goldens.ONE, 1, 3)
+    entry.root_exponent, entry.root_order = exponent, order
     with pytest.raises(ValueError, match=r"^entry \(0, 0\) has a phase of non-integer fields: "):
         SynthesisMatrix(1, 1, {(0, 0): entry})
 

@@ -293,6 +293,21 @@ def test_the_constructor_refuses_a_phase_that_is_not_numeric(exponent, order):
     assert not isinstance(caught.value, DomainError)
 
 
+@pytest.mark.parametrize("exponent, order", [(1.5, 4), (1, 4.0), (1.0, 3), (1, Fraction(3))])
+def test_the_constructor_reads_the_phase_through_index(exponent, order):
+    """An integral float was once stored as given: (ONE, 1, 4.0) as 1/4.0."""
+    with pytest.raises(ValueError) as caught:
+        ComplexRadicalEntry(ONE, exponent, order)
+    assert str(caught.value) == f"phase {exponent!r}/{order!r} is not a pair of integers"
+    assert not isinstance(caught.value, DomainError)
+    entry = ComplexRadicalEntry(ONE, True, np.int64(3))
+    assert (entry.root_exponent, entry.root_order) == (1, 3)
+    assert (type(entry.root_exponent), type(entry.root_order)) == (int, int)
+    assert entry == ComplexRadicalEntry.make(ONE, 1, 3)
+    with pytest.raises(DomainError, match=r"^root order 0 must be positive$"):
+        ComplexRadicalEntry(ONE, 1, 0)
+
+
 def assert_canonical(value):
     radicands = [r for r, _ in value.terms]
     assert radicands == sorted(set(radicands))

@@ -567,26 +567,27 @@ def _residue_dp_outcome(dp, ints, counts, modulus):
 
 def _residue_inputs(monkeypatch, spectrum):
     """The (classes, counts, modulus) that maximal_block_number hands its
-    residue DP for the spectrum."""
+    residue packing, and so its residue DP should the bound and the class
+    greedy leave it undecided, for the spectrum."""
     seen = []
-    original = sequences._residue_dp
+    original = sequences._zero_sum_packing
 
-    def spy(ints, counts, modulus):
+    def spy(ints, counts, modulus, room):
         seen.append((tuple(ints), counts, modulus))
-        return original(ints, counts, modulus)
+        return original(ints, counts, modulus, room)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sequences, "_residue_dp", spy)
+        patch.setattr(sequences, "_zero_sum_packing", spy)
         maximal_block_number(spectrum)
     return seen
 
 
 def test_residue_dp_equals_the_stack_machine(monkeypatch):
     """The residue DP of the maximal block number runs its states as visits
-    of drive(). On 1,000 seeded inputs, those maximal_block_number hands it
-    for random spectra and random class counts mod small moduli, with the
-    work cap as it is and cut to 400 units, it must give the best table of
-    the former DP, which kept its own stack, or raise _MuWorkExceeded as
+    of drive(). On 1,000 seeded inputs, those maximal_block_number hands
+    its residue packing for random spectra and random class counts mod
+    small moduli, with the work cap as it is and cut to 400 units, it must
+    give the best table of the former DP, which kept its own stack, or raise _MuWorkExceeded as
     it did; likewise on the CI's three hostile spectra, on 44 eigenvalues
     2 + k/60 and on a DP some 3,000 states deep."""
     rng = random.Random(1428)

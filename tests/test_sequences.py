@@ -565,11 +565,26 @@ def test_many_small_classes_stay_exact_near_the_work_cap():
     assert (result.mu, result.heuristic) == (16, False)
 
 
+def _counting_greedy_tries(monkeypatch):
+    """Count the bounded index greedy's tries through sequences.islice, a
+    name no other module reads."""
+    tried = []
+
+    def counting(iterable, stop):
+        for item in itertools.islice(iterable, stop):
+            tried.append(item)
+            yield item
+
+    monkeypatch.setattr(sequences, "islice", counting)
+    return tried
+
+
 def test_block_number_of_long_residues_stops_early(monkeypatch):
     """1/p^2 over the first 1,000 primes: one 22.5-kbit unit. Counted per
-    unit, the exact walk held sets of such residues until 10^6 units (2 s)
-    and the greedy then tried 50,000 parts; weighted by the residues' 353
-    machine words, the greedy tries at most 141."""
+    unit, the exact walk once held sets of such residues until 10^6 units
+    (2 s) and the greedy then tried 50,000 parts. The residues sum to less
+    than one unit, so the residue-sum bound settles mu = 0 exactly, with no
+    part walk and no greedy try."""
     primes = []
     n = 2
     while len(primes) < 1000:
@@ -577,23 +592,30 @@ def test_block_number_of_long_residues_stops_early(monkeypatch):
             primes.append(n)
         n += 1
     spectrum = [Fraction(1, p * p) for p in primes]
-    unit = math.lcm(*(p * p for p in primes))
-    tried = 0
-    islice = itertools.islice
-
-    def counting(iterable, stop):
-        nonlocal tried
-        for item in islice(iterable, stop):
-            tried += 1
-            yield item
-
-    monkeypatch.setattr(sequences.itertools, "islice", counting)
+    tried = _counting_greedy_tries(monkeypatch)
+    walks = []
+    monkeypatch.setattr(sequences, "_minimal_zero_sum_parts", lambda *args: walks.append(args))
     start = time.perf_counter()
     result = maximal_block_number(spectrum)
     assert time.perf_counter() - start < WALL_BOUND_S
-    assert result.mu == 0 and result.heuristic
+    assert result.mu == 0 and not result.heuristic
     assert sorted(result.permutation) == list(range(1000))
-    assert 0 < tried <= sequences._MU_GREEDY_COMBINATIONS // sequences._words(unit)
+    assert tried == [] and walks == []
+
+
+def test_block_number_greedy_budget_is_weighted_by_the_residue_words(monkeypatch):
+    """2 + k/97 for k = 1..48 and one 2 + 1/(2^127 - 1): a 134-bit unit,
+    three machine words. The residue-sum bound (12) is not met before the
+    part walk passes the cap, so the bounded greedy answers, and it tries at
+    most a third of its 50,000 parts."""
+    spectrum = [2 + Fraction(k, 97) for k in range(1, 49)] + [2 + Fraction(1, 2**127 - 1)]
+    unit, _scaled = integer_units(as_spectrum(spectrum))
+    assert sequences._words(unit) == 3
+    tried = _counting_greedy_tries(monkeypatch)
+    result = maximal_block_number(spectrum)
+    assert result.heuristic
+    assert sorted(result.permutation) == list(range(49))
+    assert 0 < len(tried) <= sequences._MU_GREEDY_COMBINATIONS // 3
 
 
 def test_minimal_zero_sum_parts_are_exactly_the_minimal_ones():
@@ -971,20 +993,37 @@ def test_majorizes_refuses_non_numbers_and_infinities():
     assert majorizes([2, 0.5], [Fraction(5, 4), Fraction(5, 4)])
 
 
-def test_block_number_dp_deeper_than_the_recursion_limit():
-    """3,000 eigenvalues 2 + 1/7 and one 2 + 2/7 leave two residue classes
-    that do not pair off, so the DP runs about 3,000 states deep, past the
-    interpreter's recursion limit; the answer stays exact."""
+def test_block_number_dp_deeper_than_the_recursion_limit(monkeypatch):
+    """3,000 eigenvalues 2 + 2/7 and one 2 + 4/7 leave two residue classes
+    that do not pair off. The class greedy finds 428 parts, short of the
+    residue-sum bound 857, so the DP runs about 3,000 states deep, past the
+    interpreter's recursion limit; the answer stays exact. 3,000 of 2 + 1/7
+    and one 2 + 2/7 meet their bound (428) by the greedy alone."""
+    calls = []
+    original = sequences._residue_dp
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(sequences, "_residue_dp", counting)
+    spectrum = [2 + Fraction(2, 7)] * 3000 + [2 + Fraction(4, 7)]
+    result = maximal_block_number(spectrum)
+    assert (result.mu, result.heuristic) == (428, False)
+    assert _integer_prefixes(spectrum, result.permutation) == 428
+    assert calls == [(3000, 1)]
     spectrum = [2 + Fraction(1, 7)] * 3000 + [2 + Fraction(2, 7)]
     result = maximal_block_number(spectrum)
     assert (result.mu, result.heuristic) == (428, False)
     assert _integer_prefixes(spectrum, result.permutation) == 428
+    assert calls == [(3000, 1)]
 
 
 def test_block_number_dp_states_pass_the_work_cap_before_the_parts(monkeypatch):
     """25 copies each of 2 + k/13, k = 1..4: the minimal parts through every
-    class cost far below the cap, yet the DP's 26^4 states pass it, so the
-    cap is reached by the DP's own charge and the count turns heuristic."""
+    class cost far below the cap, and the DP's 26^4 states would pass it.
+    The residues sum to 250 units of 1/13, so mu <= 19, and the class
+    greedy takes 19 parts: mu = 19, exact, with no DP."""
     spent = []
 
     def parts(*args):
@@ -992,7 +1031,94 @@ def test_block_number_dp_states_pass_the_work_cap_before_the_parts(monkeypatch):
         spent.append(work)
         return found, work
 
+    def no_dp(*args):
+        raise AssertionError("the residue DP ran")
+
     monkeypatch.setattr(sequences, "_minimal_zero_sum_parts", parts)
+    monkeypatch.setattr(sequences, "_residue_dp", no_dp)
     spectrum = [2 + Fraction(k, 13) for k in range(1, 5) for _ in range(25)]
-    assert maximal_block_number(spectrum).heuristic
+    start = time.perf_counter()
+    result = maximal_block_number(spectrum)
+    assert time.perf_counter() - start < 0.5
+    assert (result.mu, result.heuristic) == (19, False)
+    assert _integer_prefixes(spectrum, result.permutation) == 19
     assert spent and max(spent) < sequences._MU_WORK_CAP // 100
+
+
+def test_block_number_dp_passes_the_work_cap_when_the_greedy_falls_short(monkeypatch):
+    """20 copies each of 2 + k/13, k = 7..10: the part walk is cheap and the
+    class greedy takes 21 parts, short of the bound 26, so the DP runs and
+    its own states pass the cap; the bounded index greedy answers."""
+    cut = []
+    original = sequences._residue_dp
+
+    def watching(*args):
+        try:
+            return original(*args)
+        except sequences._MuWorkExceeded:
+            cut.append(args[4])
+            raise
+
+    monkeypatch.setattr(sequences, "_residue_dp", watching)
+    spectrum = [2 + Fraction(k, 13) for k in range(7, 11) for _ in range(20)]
+    result = maximal_block_number(spectrum)
+    assert result.heuristic
+    assert (result.mu, result.permutation) == mu_greedy_oracle(spectrum)
+    assert len(cut) == 1 and 0 < cut[0] < sequences._MU_WORK_CAP // 100
+
+
+def test_bench_shaped_row_sums_settle_without_the_dp(monkeypatch):
+    """Row sums in twelfths with residues 0 x3, 3 x5, 4 x4, 6 and 11 (M =
+    14): three integer rows, no complementary pair, and the residue-sum
+    bound min(48 // 12, 11 // 3) = 3 is met by the class greedy's {3, 3, 6},
+    {4, 4, 4} and {3, 3, 3, 4, 11}. So mu = 6 with no residue DP."""
+    calls = []
+    monkeypatch.setattr(sequences, "_residue_dp", lambda *args: calls.append(args))
+    residues = [0] * 3 + [3] * 5 + [4] * 4 + [6, 11]
+    scaled = [24 + r for r in residues]
+    result = sequences._block_count(12, scaled)
+    assert (result.mu, result.heuristic) == (6, False)
+    assert calls == []
+    spectrum = [Fraction(value, 12) for value in scaled]
+    assert _integer_prefixes(spectrum, result.permutation) == 6
+
+
+@st.composite
+def _unpaired_spectra(draw):
+    """Up to 10 eigenvalues whose fractional parts come from one denominator,
+    so that several unpaired classes remain for the bound and the greedy."""
+    q = draw(st.sampled_from([5, 7, 8, 9, 11, 12, 13]))
+    numerators = st.integers(0, q - 1)
+    terms = draw(st.lists(st.tuples(st.integers(1, 3), numerators), min_size=3, max_size=10))
+    return [whole + Fraction(k, q) for whole, k in terms]
+
+
+@given(_unpaired_spectra())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_class_greedy_and_residue_bound_enclose_the_block_number(spectrum):
+    """greedy <= mu <= bound on what is left after the integers and pairs,
+    and mu equals the subset DP oracle."""
+    seen = []
+    packing, greedy = sequences._zero_sum_packing, sequences._class_greedy
+
+    def packing_spy(ints, counts, modulus, room):
+        packed, parts = packing(ints, counts, modulus, room)
+        seen.append(("packed", packed, room))
+        return packed, parts
+
+    def greedy_spy(parts, counts, room):
+        chosen = greedy(parts, counts, room)
+        seen.append(("greedy", len(chosen), room))
+        return chosen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_zero_sum_packing", packing_spy)
+        patch.setattr(sequences, "_class_greedy", greedy_spy)
+        result = maximal_block_number(spectrum)
+    assert not result.heuristic
+    assert result.mu == mu_subset_dp_oracle(spectrum)[0]
+    assert _integer_prefixes(spectrum, result.permutation) == result.mu
+    (_, packed, room) = seen[-1]
+    assert packed <= room
+    for kind, taken, bound in seen[:-1]:
+        assert kind == "greedy" and taken <= packed and bound == room
