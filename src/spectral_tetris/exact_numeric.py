@@ -38,9 +38,9 @@ SynthesisMatrix.to_dense and scale), since a value's copies in a matrix
 are spread over its rows. _positive_int reads a count or dimension
 through __index__. A RadicalScalar radicand is read through __index__ as
 well, and a coefficient or from_rational value that is not a finite
-number is a ValueError. ComplexRadicalEntry and its make read a phase's
-exponent and order through __index__ too, and refuse with ValueError a
-phase whose fields lack it.
+number is a ValueError. The ComplexRadicalEntry constructor, on which
+make relies, reads a phase's exponent and order through __index__ too,
+and refuses with ValueError a phase whose fields lack it.
 
 The float range is decided here alone. float() of a RadicalScalar raises
 OverflowError outside it, as float() of a Fraction does, also when every
@@ -56,7 +56,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from numbers import Number
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 from .errors import DomainError
@@ -358,15 +357,14 @@ class ComplexRadicalEntry:
     __slots__ = ("modulus", "root_exponent", "root_order")
 
     def __init__(self, modulus: RadicalScalar, root_exponent: int, root_order: int):
-        """The exponent and order are read through __index__, as make reads
-        them: a ValueError names a phase whose fields lack it, and an order
-        below 1 is a DomainError."""
+        """The exponent and order are read through __index__: a ValueError
+        names a phase whose fields lack it, and an order below 1 is a
+        DomainError."""
         try:
             exponent, order = operator.index(root_exponent), operator.index(root_order)
         except TypeError:
-            fields = (root_exponent, root_order)
-            kind = "a pair of integers" if all(isinstance(f, Number) for f in fields) else "numeric"
-            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not {kind}") from None
+            phase = f"{root_exponent!r}/{root_order!r}"
+            raise ValueError(f"phase {phase} is not a pair of integers") from None
         if order < 1:
             raise DomainError(f"root order {root_order} must be positive")
         self.modulus, self.root_exponent, self.root_order = modulus, exponent % order, order
@@ -374,24 +372,19 @@ class ComplexRadicalEntry:
     @staticmethod
     def make(modulus: RadicalScalar, root_exponent: int, root_order: int):
         """Canonical entry: a RadicalScalar when the phase is real, else
-        complex. The exponent and order are read through __index__: a
-        ValueError names a phase whose fields lack it, and an order below 1
-        is a DomainError."""
-        try:
-            exponent, order = operator.index(root_exponent), operator.index(root_order)
-        except TypeError:
-            raise ValueError(f"phase {root_exponent!r}/{root_order!r} is not a pair of integers")
-        if order < 1:
-            raise DomainError(f"root order {root_order} must be positive")
+        complex, its phase in lowest terms. The constructor reads and
+        refuses the phase."""
+        entry = ComplexRadicalEntry(modulus, root_exponent, root_order)
         if not modulus:
             return ZERO
-        g = math.gcd(exponent, order)  # the order itself for exponent 0
-        exponent, order = exponent % order // g, order // g
-        if order == 1:
+        g = math.gcd(entry.root_exponent, entry.root_order)  # the order itself for exponent 0
+        entry.root_exponent //= g
+        entry.root_order //= g
+        if entry.root_order == 1:
             return modulus
-        if order == 2:
+        if entry.root_order == 2:
             return -modulus
-        return ComplexRadicalEntry(modulus, exponent, order)
+        return entry
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ComplexRadicalEntry):

@@ -556,7 +556,7 @@ class BlockCount(NamedTuple):
 # tried at each, each unit weighted by the machine words of the residues
 # (_words). The residue-sum bound and the class-count greedy settle most
 # counts before the DP; past the cap the bounded index greedy answers,
-# flagged heuristic.
+# flagged heuristic, unless the class greedy found more parts.
 _MU_WORK_CAP = 1_000_000
 # The greedy fallback tries parts of at most this many eigenvalues and at
 # most _MU_GREEDY_COMBINATIONS candidate parts in all, each weighted by
@@ -590,9 +590,10 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
     of each residue remain (see _mu_residue). Only a remainder whose parts
     and DP would exceed a fixed work cap, which takes many distinct
     fractional parts, falls back to a greedy extraction of smallest
-    integer-sum parts, bounded in the combinations it tries; that result is
-    flagged heuristic. Greedy is not exact in general: it can merge elements
-    of two genuine parts with a stray element and destroy both.
+    integer-sum parts, bounded in the combinations it tries, or to the class
+    greedy's parts where those are more; that result is flagged heuristic.
+    Greedy is not exact in general: it can merge elements of two genuine
+    parts with a stray element and destroy both.
     """
     return _block_count(*integer_units(as_spectrum(spectrum)))
 
@@ -603,11 +604,12 @@ def _block_count(unit: int, scaled: Sequence[int]) -> BlockCount:
     The verifier passes its integer row sums here, so they are neither
     validated nor scaled a second time."""
     residues = [value % unit for value in scaled]
-    exact = _mu_residue(residues, unit)
-    if exact is not None:
-        return BlockCount(mu=exact[0], permutation=exact[1], heuristic=False)
-    mu, order = _mu_greedy(residues, unit)
-    return BlockCount(mu=mu, permutation=order, heuristic=True)
+    count = _mu_residue(residues, unit)
+    if count is None or count.heuristic:
+        mu, order = _mu_greedy(residues, unit)
+        if count is None or mu >= count.mu:
+            count = BlockCount(mu=mu, permutation=order, heuristic=True)
+    return count
 
 
 def _words(modulus: int) -> int:
@@ -624,8 +626,10 @@ class _MuWorkExceeded(Exception):
 _Counts = Tuple[int, ...]
 
 
-def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Exact (mu, permutation) from residues mod unit; None past the cap.
+def _mu_residue(residues: Sequence[int], unit: int) -> Optional[BlockCount]:
+    """The block count from residues mod unit; None once the part walk
+    passes the cap, and flagged heuristic, holding the class greedy's
+    parts, once the DP passes it.
 
     Each residue-0 (integer) eigenvalue is a part of its own. The others are
     grouped into classes by residue, and complementary classes are paired
@@ -654,7 +658,7 @@ def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple
     counts = tuple(map(len, members))
     room = min(sum(map(operator.mul, kept, counts)) // unit, sum(counts) // 3)
     try:
-        packed, parts = _zero_sum_packing(kept, counts, unit, room)
+        packed, parts, exact = _zero_sum_packing(kept, counts, unit, room)
     except _MuWorkExceeded:
         return None
     taken = [0] * len(counts)
@@ -664,14 +668,15 @@ def _mu_residue(residues: Sequence[int], unit: int) -> Optional[Tuple[int, Tuple
             taken[k] += size
     placed = set(order)
     order.extend(i for i in range(len(residues)) if i not in placed)
-    return mu + packed, tuple(order)
+    return BlockCount(mu=mu + packed, permutation=tuple(order), heuristic=not exact)
 
 
 def _zero_sum_packing(
     ints: List[int], counts: _Counts, modulus: int, room: int
-) -> Tuple[int, List[_Counts]]:
+) -> Tuple[int, List[_Counts], bool]:
     """The most disjoint zero-sum parts of the classes, given room, an upper
-    bound on their number: (that number, count vectors to take in turn).
+    bound on their number: (that number, count vectors to take in turn,
+    whether it is proven).
 
     Classes are the residues ints[k] mod modulus, ascending and nonzero,
     with counts[k] members. A room of 0 is settled with no part walk.
@@ -682,10 +687,11 @@ def _zero_sum_packing(
     first, each part as often as it fits, takes them; if it reaches room,
     or there is one class (whose only minimal part is its own), it is
     optimal. Otherwise _residue_dp decides, on those parts and the work
-    they cost. Raises _MuWorkExceeded once the work passes _MU_WORK_CAP.
+    they cost; should it pass _MU_WORK_CAP, the greedy's parts stand,
+    unproven. Raises _MuWorkExceeded once the part walk passes the cap.
     """
     if not room:
-        return 0, []
+        return 0, [], True
     parts_through: Dict[int, List[_Counts]] = {}
     work = 0
     for low in range(len(ints) - 1):
@@ -693,15 +699,18 @@ def _zero_sum_packing(
     top = (0,) * (len(ints) - 1) + (modulus // math.gcd(ints[-1], modulus),)
     chosen = _class_greedy(itertools.chain(*parts_through.values(), [top]), counts, room)
     if len(chosen) == room or len(ints) == 1:
-        return len(chosen), chosen
-    best = _residue_dp(ints, counts, modulus, parts_through, work)
+        return len(chosen), chosen, True
+    try:
+        best = _residue_dp(ints, counts, modulus, parts_through, work)
+    except _MuWorkExceeded:
+        return len(chosen), chosen, False
     chosen = []
     state: Optional[_Counts] = counts
     while state is not None:
         _, part, state = best[state]
         if part is not None:
             chosen.append(part)
-    return best[counts][0], chosen
+    return best[counts][0], chosen, True
 
 
 def _class_greedy(parts: Iterable[_Counts], counts: _Counts, room: int) -> List[_Counts]:
@@ -723,8 +732,8 @@ def _residue_dp(
     ints: List[int],
     counts: _Counts,
     modulus: int,
-    parts_through: Optional[Dict[int, List[_Counts]]] = None,
-    work: int = 0,
+    parts_through: Dict[int, List[_Counts]],
+    work: int,
 ) -> Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]]:
     """best[state] = (parts, part closed here or None, next state) per reached state.
 
@@ -735,20 +744,19 @@ def _residue_dp(
     part that can be taken minimal (a part with a proper integer-sum subpart
     splits into two). So the state's value is the best of leaving one member
     and closing one minimal zero-sum part through it. parts_through[low]
-    holds those parts per lowest class, listed here when missing, and work
-    is what their listing has cost so far. A part of None with a next state
-    leaves one member of the lowest class over. A final state, one with at
-    most one nonempty class, closes all its parts at once, as one run of
-    whole parts, and has no next state; its entry is recorded where the
-    state is first met, so it costs no visit and a final root runs no
-    drive(). Every other state is one visit run by drive(): it charges its
-    work, tries leaving one member first and then each candidate part,
-    visits each child not yet in best, and keeps the first move of the
-    highest value. Raises _MuWorkExceeded past _MU_WORK_CAP.
+    holds those parts for every lowest class but the highest, and work is
+    what their listing cost. A part of None with a next state leaves one
+    member of the lowest class over. A final state, one with at most one
+    nonempty class, closes all its parts at once, as one run of whole
+    parts, and has no next state; its entry is recorded where the state is
+    first met, so it costs no visit and a final root runs no drive(). Every
+    other state is one visit run by drive(): it charges its work, tries
+    leaving one member first and then each candidate part, visits each
+    child not yet in best, and keeps the first move of the highest value.
+    Raises _MuWorkExceeded past _MU_WORK_CAP.
     """
     width = len(ints)
     weight = _words(modulus)
-    parts_through = {} if parts_through is None else parts_through
     best: Dict[_Counts, Tuple[int, Optional[_Counts], Optional[_Counts]]] = {}
 
     def lowest(state: _Counts) -> Optional[int]:
@@ -767,8 +775,6 @@ def _residue_dp(
 
     def visit(state: _Counts, low: int) -> Generator:
         nonlocal work
-        if low not in parts_through:
-            parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
         candidates = parts_through[low]
         work += (1 + len(candidates)) * weight
         if work > _MU_WORK_CAP:

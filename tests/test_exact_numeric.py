@@ -289,7 +289,7 @@ def test_make_reads_the_phase_through_index(exponent, order):
 def test_the_constructor_refuses_a_phase_that_is_not_numeric(exponent, order):
     with pytest.raises(ValueError) as caught:
         ComplexRadicalEntry(ONE, exponent, order)
-    assert str(caught.value) == f"phase {exponent!r}/{order!r} is not numeric"
+    assert str(caught.value) == f"phase {exponent!r}/{order!r} is not a pair of integers"
     assert not isinstance(caught.value, DomainError)
 
 

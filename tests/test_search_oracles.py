@@ -558,6 +558,17 @@ def test_st_ready_check_equals_the_prefix_inequalities():
     assert accepted > 300 and 100 < gapped < accepted, (accepted, gapped)
 
 
+def _listed_residue_dp(ints, counts, modulus):
+    """sequences._residue_dp on the minimal zero-sum parts through every
+    class but the highest, listed first as _zero_sum_packing lists them."""
+    parts_through, work = {}, 0
+    for low in range(len(ints) - 1):
+        parts_through[low], work = sequences._minimal_zero_sum_parts(
+            low, ints, counts, modulus, work
+        )
+    return sequences._residue_dp(ints, counts, modulus, parts_through, work)
+
+
 def _residue_dp_outcome(dp, ints, counts, modulus):
     try:
         return dp(list(ints), counts, modulus)
@@ -618,7 +629,7 @@ def test_residue_dp_equals_the_stack_machine(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sequences, "_MU_WORK_CAP", cap)
             patch.setattr(_oracles, "_MU_WORK_CAP", cap)
-            got = _residue_dp_outcome(sequences._residue_dp, ints, counts, modulus)
+            got = _residue_dp_outcome(_listed_residue_dp, ints, counts, modulus)
             want = _residue_dp_outcome(_oracles.residue_dp_stack_oracle, ints, counts, modulus)
         assert got == want, (ints, counts, modulus, cap)
         outcome = "cut" if got is sequences._MuWorkExceeded else "exact"
@@ -639,10 +650,10 @@ def test_a_final_residue_dp_runs_no_drive(monkeypatch):
         return original(root)
 
     monkeypatch.setattr(sequences, "drive", counting)
-    assert sequences._residue_dp([1, 2], (3, 0), 7) == {(3, 0): (0, None, None)}
-    assert sequences._residue_dp([2], (7,), 7) == {(7,): (1, (7,), None)}
-    assert sequences._residue_dp([1, 2], (0, 0), 7) == {(0, 0): (0, None, None)}
+    assert _listed_residue_dp([1, 2], (3, 0), 7) == {(3, 0): (0, None, None)}
+    assert _listed_residue_dp([2], (7,), 7) == {(7,): (1, (7,), None)}
+    assert _listed_residue_dp([1, 2], (0, 0), 7) == {(0, 0): (0, None, None)}
     assert calls == []
-    got = sequences._residue_dp([1, 2], (3, 2), 7)
+    got = _listed_residue_dp([1, 2], (3, 2), 7)
     assert len(calls) == 1
     assert got == _oracles.residue_dp_stack_oracle([1, 2], (3, 2), 7)

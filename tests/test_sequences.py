@@ -1048,7 +1048,8 @@ def test_block_number_dp_states_pass_the_work_cap_before_the_parts(monkeypatch):
 def test_block_number_dp_passes_the_work_cap_when_the_greedy_falls_short(monkeypatch):
     """20 copies each of 2 + k/13, k = 7..10: the part walk is cheap and the
     class greedy takes 21 parts, short of the bound 26, so the DP runs and
-    its own states pass the cap; the bounded index greedy answers."""
+    its own states pass the cap. The bounded index greedy finds only 16
+    parts, so the class greedy's 21 answer, flagged heuristic."""
     cut = []
     original = sequences._residue_dp
 
@@ -1062,8 +1063,10 @@ def test_block_number_dp_passes_the_work_cap_when_the_greedy_falls_short(monkeyp
     monkeypatch.setattr(sequences, "_residue_dp", watching)
     spectrum = [2 + Fraction(k, 13) for k in range(7, 11) for _ in range(20)]
     result = maximal_block_number(spectrum)
-    assert result.heuristic
-    assert (result.mu, result.permutation) == mu_greedy_oracle(spectrum)
+    assert (result.mu, result.heuristic) == (21, True)
+    assert _integer_prefixes(spectrum, result.permutation) == 21
+    assert sorted(result.permutation) == list(range(80))
+    assert mu_greedy_oracle(spectrum)[0] == 16
     assert len(cut) == 1 and 0 < cut[0] < sequences._MU_WORK_CAP // 100
 
 
@@ -1102,9 +1105,9 @@ def test_class_greedy_and_residue_bound_enclose_the_block_number(spectrum):
     packing, greedy = sequences._zero_sum_packing, sequences._class_greedy
 
     def packing_spy(ints, counts, modulus, room):
-        packed, parts = packing(ints, counts, modulus, room)
+        packed, parts, exact = packing(ints, counts, modulus, room)
         seen.append(("packed", packed, room))
-        return packed, parts
+        return packed, parts, exact
 
     def greedy_spy(parts, counts, room):
         chosen = greedy(parts, counts, room)
