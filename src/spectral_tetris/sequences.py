@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -555,13 +556,11 @@ class BlockCount(NamedTuple):
 # sums of the part enumeration, then DP states times the part candidates
 # tried at each, each unit weighted by the machine words of the residues
 # (_words). The residue-sum bound and the class-count greedy settle most
-# counts before the DP; past the cap the bounded index greedy answers,
-# flagged heuristic, unless the class greedy found more parts.
+# counts before the DP; past the cap the bounded index greedy's order and
+# the packing's order are both counted, and the result is flagged heuristic.
 _MU_WORK_CAP = 1_000_000
-# The greedy fallback tries parts of at most this many eigenvalues and at
-# most _MU_GREEDY_COMBINATIONS candidate parts in all, each weighted by
-# _words as well.
-_MU_GREEDY_PART_SIZE = 8
+# The index greedy tries at most this many candidate parts in all, of any
+# size, each weighted by _words as well.
 _MU_GREEDY_COMBINATIONS = 50_000
 
 
@@ -570,9 +569,10 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
 
     Equivalently the largest number of disjoint sub-multisets with integer
     sums; the returned permutation lists those parts consecutively (any
-    non-integer remainder last). Only the fractional parts matter, so the
-    count runs on integer residues: each eigenvalue in the common unit of
-    integer_units, mod that unit.
+    non-integer remainder last), and mu is read off it: the number of its
+    prefixes that sum to an integer. Only the fractional parts matter, so
+    the count runs on integer residues: each eigenvalue in the common unit
+    of integer_units, mod that unit.
 
     Two eigenvalues a, b whose residues sum to 0 mod the unit (r and
     unit - r, or two of unit/2) can always be one part. Take an optimal
@@ -587,13 +587,13 @@ def maximal_block_number(spectrum: Sequence) -> BlockCount:
     a bound of 0 settles it, and a greedy over the class counts of the
     minimal integer-sum parts that reaches the bound proves it. Otherwise
     it is exact for any M by dynamic programming over how many eigenvalues
-    of each residue remain (see _mu_residue). Only a remainder whose parts
+    of each residue remain (see _block_count). Only a remainder whose parts
     and DP would exceed a fixed work cap, which takes many distinct
     fractional parts, falls back to a greedy extraction of smallest
-    integer-sum parts, bounded in the combinations it tries, or to the class
-    greedy's parts where those are more; that result is flagged heuristic.
-    Greedy is not exact in general: it can merge elements of two genuine
-    parts with a stray element and destroy both.
+    integer-sum parts, bounded in the combinations it tries; whichever of
+    its order and the class greedy's reaches more integer prefixes answers,
+    flagged heuristic. Greedy is not exact in general: it can merge
+    elements of two genuine parts with a stray element and destroy both.
     """
     return _block_count(*integer_units(as_spectrum(spectrum)))
 
@@ -602,13 +602,63 @@ def _block_count(unit: int, scaled: Sequence[int]) -> BlockCount:
     """maximal_block_number of the eigenvalues Fraction(k, unit) for k in
     scaled: positive ints in a common unit, as integer_units gives them.
     The verifier passes its integer row sums here, so they are neither
-    validated nor scaled a second time."""
+    validated nor scaled a second time.
+
+    Each residue-0 (integer) eigenvalue is a part of its own. The others are
+    grouped into classes by residue, and complementary classes are paired
+    off first: r with unit - r as long as both have members, and unit/2
+    with itself. By the exchange argument of maximal_block_number some
+    optimal packing holds every such pair, so this is exact. Afterwards no
+    class has a partner left, and every remaining minimal part has three or
+    more members and a residue sum of at least one unit, so _zero_sum_packing
+    packs at most room = min(residue sum // unit, members // 3) parts; see
+    there for how it meets or finds the count. The order lists the
+    integers, the pairs and the packed parts, then the rest in index order.
+
+    mu is that order's count of integer prefixes. Integers, pairs and
+    minimal parts have no inner integer prefix, a run of k copies of one
+    class's own part has k, and the leftover of an optimal packing has
+    none, since such a prefix would be one more part; so a proven packing
+    counts exactly its parts. An unproven one is counted against the index
+    greedy's order, which answers on a tie.
+    """
     residues = [value % unit for value in scaled]
-    count = _mu_residue(residues, unit)
-    if count is None or count.heuristic:
-        mu, order = _mu_greedy(residues, unit)
-        if count is None or mu >= count.mu:
-            count = BlockCount(mu=mu, permutation=order, heuristic=True)
+    classes: Dict[int, List[int]] = {}
+    for index, residue in enumerate(residues):
+        classes.setdefault(residue, []).append(index)
+    order = classes.pop(0, [])
+    for residue, group in classes.items():
+        partner = classes.get(unit - residue)
+        if partner is not None:  # a class met again as a partner has none left to pair
+            pairs = len(group) // 2 if partner is group else min(len(group), len(partner))
+            for _ in range(pairs):
+                order += (group.pop(), partner.pop())
+    kept = sorted(residue for residue, group in classes.items() if group)
+    members = [classes[residue] for residue in kept]
+    counts = tuple(map(len, members))
+    room = min(sum(map(operator.mul, kept, counts)) // unit, sum(counts) // 3)
+    parts, exact = _zero_sum_packing(kept, counts, unit, room)
+    taken = [0] * len(counts)
+    for part in parts:
+        for k, size in enumerate(part):
+            order.extend(members[k][taken[k]:taken[k] + size])
+            taken[k] += size
+    placed = set(order)
+    order.extend(i for i in range(len(residues)) if i not in placed)
+    prefixes = functools.partial(_integer_prefixes, residues, unit)
+    permutation = tuple(order)
+    if not exact:  # max keeps the first of equals: the index greedy's order
+        permutation = max(_mu_greedy(residues, unit), permutation, key=prefixes)
+    return BlockCount(mu=prefixes(permutation), permutation=permutation, heuristic=not exact)
+
+
+def _integer_prefixes(residues: Sequence[int], unit: int, order: Iterable[int]) -> int:
+    """How many nonempty prefixes of order have residues summing to 0 mod
+    unit: the integer partial sums of that permutation."""
+    total = count = 0
+    for index in order:
+        total += residues[index]
+        count += not total % unit
     return count
 
 
@@ -626,91 +676,49 @@ class _MuWorkExceeded(Exception):
 _Counts = Tuple[int, ...]
 
 
-def _mu_residue(residues: Sequence[int], unit: int) -> Optional[BlockCount]:
-    """The block count from residues mod unit; None once the part walk
-    passes the cap, and flagged heuristic, holding the class greedy's
-    parts, once the DP passes it.
-
-    Each residue-0 (integer) eigenvalue is a part of its own. The others are
-    grouped into classes by residue, and complementary classes are paired
-    off first: r with unit - r as long as both have members, and unit/2
-    with itself. By the exchange argument of maximal_block_number some
-    optimal packing holds every such pair, so this is exact. Afterwards no
-    class has a partner left, and every remaining minimal part has three or
-    more members and a residue sum of at least one unit, so _zero_sum_packing
-    packs at most room = min(residue sum // unit, members // 3) parts; see
-    there for how it meets or finds the count.
-    """
-    classes: Dict[int, List[int]] = {}
-    for index, residue in enumerate(residues):
-        classes.setdefault(residue, []).append(index)
-    order = classes.pop(0, [])
-    mu = len(order)
-    for residue, group in classes.items():
-        partner = classes.get(unit - residue)
-        if partner is not None:  # a class met again as a partner has none left to pair
-            pairs = len(group) // 2 if partner is group else min(len(group), len(partner))
-            for _ in range(pairs):
-                order += (group.pop(), partner.pop())
-            mu += pairs
-    kept = sorted(residue for residue, group in classes.items() if group)
-    members = [classes[residue] for residue in kept]
-    counts = tuple(map(len, members))
-    room = min(sum(map(operator.mul, kept, counts)) // unit, sum(counts) // 3)
-    try:
-        packed, parts, exact = _zero_sum_packing(kept, counts, unit, room)
-    except _MuWorkExceeded:
-        return None
-    taken = [0] * len(counts)
-    for part in parts:
-        for k, size in enumerate(part):
-            order.extend(members[k][taken[k]:taken[k] + size])
-            taken[k] += size
-    placed = set(order)
-    order.extend(i for i in range(len(residues)) if i not in placed)
-    return BlockCount(mu=mu + packed, permutation=tuple(order), heuristic=not exact)
-
-
 def _zero_sum_packing(
     ints: List[int], counts: _Counts, modulus: int, room: int
-) -> Tuple[int, List[_Counts], bool]:
+) -> Tuple[List[_Counts], bool]:
     """The most disjoint zero-sum parts of the classes, given room, an upper
-    bound on their number: (that number, count vectors to take in turn,
-    whether it is proven).
+    bound on their number: (count vectors to take in turn, whether they are
+    proven the most).
 
     Classes are the residues ints[k] mod modulus, ascending and nonzero,
     with counts[k] members. A room of 0 is settled with no part walk.
     Otherwise the minimal zero-sum parts are listed once: those through each
     class but the highest by _minimal_zero_sum_parts (the ones the DP
     reads), and the highest class's own part, q = modulus/gcd(r, modulus)
-    members of residue r. The greedy over class counts, fewest members
-    first, each part as often as it fits, takes them; if it reaches room,
-    or there is one class (whose only minimal part is its own), it is
-    optimal. Otherwise _residue_dp decides, on those parts and the work
-    they cost; should it pass _MU_WORK_CAP, the greedy's parts stand,
-    unproven. Raises _MuWorkExceeded once the part walk passes the cap.
+    members of residue r. Should that walk pass _MU_WORK_CAP, there are no
+    parts, unproven. The greedy over class counts, fewest members first,
+    each part as often as it fits, takes them; if it reaches room, or there
+    is one class (whose only minimal part is its own), it is optimal.
+    Otherwise _residue_dp decides, on those parts and the work they cost;
+    should it pass _MU_WORK_CAP, the greedy's parts stand, unproven.
     """
     if not room:
-        return 0, [], True
+        return [], True
     parts_through: Dict[int, List[_Counts]] = {}
     work = 0
-    for low in range(len(ints) - 1):
-        parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
+    try:
+        for low in range(len(ints) - 1):
+            parts_through[low], work = _minimal_zero_sum_parts(low, ints, counts, modulus, work)
+    except _MuWorkExceeded:
+        return [], False
     top = (0,) * (len(ints) - 1) + (modulus // math.gcd(ints[-1], modulus),)
     chosen = _class_greedy(itertools.chain(*parts_through.values(), [top]), counts, room)
     if len(chosen) == room or len(ints) == 1:
-        return len(chosen), chosen, True
+        return chosen, True
     try:
         best = _residue_dp(ints, counts, modulus, parts_through, work)
     except _MuWorkExceeded:
-        return len(chosen), chosen, False
+        return chosen, False
     chosen = []
     state: Optional[_Counts] = counts
     while state is not None:
         _, part, state = best[state]
         if part is not None:
             chosen.append(part)
-    return best[counts][0], chosen, True
+    return chosen, True
 
 
 def _class_greedy(parts: Iterable[_Counts], counts: _Counts, room: int) -> List[_Counts]:
@@ -844,23 +852,21 @@ def _minimal_zero_sum_parts(
     return found, work
 
 
-def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]]:
-    """Repeatedly extract a smallest integer-sum part; heuristic and bounded.
+def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, ...]:
+    """The order of a repeated extraction of a smallest integer-sum part;
+    heuristic and bounded.
 
-    A part sums to an integer when its residues sum to 0 mod unit. Parts
-    have at most _MU_GREEDY_PART_SIZE members, and once
+    A part sums to an integer when its residues sum to 0 mod unit. Once
     _MU_GREEDY_COMBINATIONS candidate parts, each weighted by the residues'
-    _words, have been tried the rest is left over.
+    _words, have been tried, the rest is left over, in index order.
     """
     remaining = list(range(len(residues)))
     order: List[int] = []
-    mu = 0
-    weight = _words(unit)
-    budget = _MU_GREEDY_COMBINATIONS // weight
+    budget = _MU_GREEDY_COMBINATIONS // _words(unit)
     tries = 0
     while remaining:
         part = None
-        sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
+        sizes = range(1, len(remaining) + 1)
         combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
         for combo in islice(combos, budget - tries):
             tries += 1
@@ -869,11 +875,10 @@ def _mu_greedy(residues: Sequence[int], unit: int) -> Tuple[int, Tuple[int, ...]
                 break
         if part is None:
             break
-        mu += 1
         order.extend(part)
         remaining = [i for i in remaining if i not in part]
     order.extend(remaining)
-    return mu, tuple(order)
+    return tuple(order)
 
 
 def untf_feasible(dimension: int, count: int) -> bool:

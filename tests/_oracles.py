@@ -93,7 +93,6 @@ from spectral_tetris.sequences import (
     STReadyCertificate,
     _Counts,
     _MU_GREEDY_COMBINATIONS,
-    _MU_GREEDY_PART_SIZE,
     _MU_WORK_CAP,
     _MuWorkExceeded,
     _assign_indices,
@@ -219,19 +218,18 @@ def mu_subset_dp_oracle(spectrum):
 def mu_greedy_oracle(spectrum):
     """(mu, permutation) of the bounded greedy fallback, summing Fractions.
 
-    Repeatedly takes the first combination, smallest size first and at most
-    _MU_GREEDY_PART_SIZE members, whose eigenvalues sum to an integer;
-    once _MU_GREEDY_COMBINATIONS combinations have been tried in all, the
-    rest is left over.
+    Repeatedly takes the first combination, smallest size first, whose
+    eigenvalues sum to an integer; once _MU_GREEDY_COMBINATIONS combinations
+    have been tried in all, the rest is left over. mu is the number of the
+    permutation's prefixes that sum to an integer.
     """
     eigs = tuple(Fraction(v) for v in spectrum)
     remaining = list(range(len(eigs)))
     order = []
-    mu = 0
     tries = 0
     while remaining:
         part = None
-        sizes = range(1, min(len(remaining), _MU_GREEDY_PART_SIZE) + 1)
+        sizes = range(1, len(remaining) + 1)
         combos = itertools.chain.from_iterable(itertools.combinations(remaining, n) for n in sizes)
         for combo in itertools.islice(combos, _MU_GREEDY_COMBINATIONS - tries):
             tries += 1
@@ -240,11 +238,11 @@ def mu_greedy_oracle(spectrum):
                 break
         if part is None:
             break
-        mu += 1
         order.extend(part)
         remaining = [i for i in remaining if i not in part]
     order.extend(remaining)
-    return mu, tuple(order)
+    prefixes = itertools.accumulate(eigs[i] for i in order)
+    return sum(total.denominator == 1 for total in prefixes), tuple(order)
 
 
 def distinct_value_orders_oracle(values):

@@ -410,11 +410,11 @@ def test_block_number_greedy_counterexample_is_handled_exactly():
     result = maximal_block_number(ninth)
     assert result.mu == 2 == mu_oracle(ninth)
     assert not result.heuristic
-    assert _greedy(ninth)[0] == 1
+    assert _integer_prefixes(ninth, _greedy(ninth)) == 1
 
 
 def _greedy(spectrum):
-    """The bounded greedy fallback on the spectrum's residues in its unit."""
+    """The bounded greedy fallback's order, on the spectrum's residues in its unit."""
     unit, scaled = integer_units(as_spectrum(spectrum))
     return _mu_greedy([value % unit for value in scaled], unit)
 
@@ -607,13 +607,16 @@ def test_block_number_greedy_budget_is_weighted_by_the_residue_words(monkeypatch
     """2 + k/97 for k = 1..48 and one 2 + 1/(2^127 - 1): a 134-bit unit,
     three machine words. The residue-sum bound (12) is not met before the
     part walk passes the cap, so the bounded greedy answers, and it tries at
-    most a third of its 50,000 parts."""
+    most a third of its 50,000 parts. It finds 3 parts, and what it leaves
+    over holds a fourth integer prefix (every eigenvalue but the last), so
+    mu, read off the permutation, is 4."""
     spectrum = [2 + Fraction(k, 97) for k in range(1, 49)] + [2 + Fraction(1, 2**127 - 1)]
     unit, _scaled = integer_units(as_spectrum(spectrum))
     assert sequences._words(unit) == 3
     tried = _counting_greedy_tries(monkeypatch)
     result = maximal_block_number(spectrum)
-    assert result.heuristic
+    assert (result.mu, result.heuristic) == (4, True)
+    assert _integer_prefixes(spectrum, result.permutation) == result.mu
     assert sorted(result.permutation) == list(range(49))
     assert 0 < len(tried) <= sequences._MU_GREEDY_COMBINATIONS // 3
 
@@ -1048,8 +1051,9 @@ def test_block_number_dp_states_pass_the_work_cap_before_the_parts(monkeypatch):
 def test_block_number_dp_passes_the_work_cap_when_the_greedy_falls_short(monkeypatch):
     """20 copies each of 2 + k/13, k = 7..10: the part walk is cheap and the
     class greedy takes 21 parts, short of the bound 26, so the DP runs and
-    its own states pass the cap. The bounded index greedy finds only 16
-    parts, so the class greedy's 21 answer, flagged heuristic."""
+    its own states pass the cap. The bounded index greedy's order reaches
+    only 19 integer prefixes (16 parts it found and 3 more in what it left
+    over), so the class greedy's 21 answer, flagged heuristic."""
     cut = []
     original = sequences._residue_dp
 
@@ -1066,7 +1070,8 @@ def test_block_number_dp_passes_the_work_cap_when_the_greedy_falls_short(monkeyp
     assert (result.mu, result.heuristic) == (21, True)
     assert _integer_prefixes(spectrum, result.permutation) == 21
     assert sorted(result.permutation) == list(range(80))
-    assert mu_greedy_oracle(spectrum)[0] == 16
+    assert mu_greedy_oracle(spectrum)[0] == 19
+    assert _integer_prefixes(spectrum, _greedy(spectrum)) == 19
     assert len(cut) == 1 and 0 < cut[0] < sequences._MU_WORK_CAP // 100
 
 
@@ -1105,9 +1110,9 @@ def test_class_greedy_and_residue_bound_enclose_the_block_number(spectrum):
     packing, greedy = sequences._zero_sum_packing, sequences._class_greedy
 
     def packing_spy(ints, counts, modulus, room):
-        packed, parts, exact = packing(ints, counts, modulus, room)
-        seen.append(("packed", packed, room))
-        return packed, parts, exact
+        parts, exact = packing(ints, counts, modulus, room)
+        seen.append(("packed", len(parts), room))
+        return parts, exact
 
     def greedy_spy(parts, counts, room):
         chosen = greedy(parts, counts, room)
@@ -1125,3 +1130,18 @@ def test_class_greedy_and_residue_bound_enclose_the_block_number(spectrum):
     assert packed <= room
     for kind, taken, bound in seen[:-1]:
         assert kind == "greedy" and taken <= packed and bound == room
+
+
+@pytest.mark.parametrize("cap", [30, 200, 2_000])
+@given(spectrum=_unpaired_spectra())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_block_number_past_a_small_work_cap_is_its_permutations_count(cap, spectrum):
+    """With the work cap forced low, the part walk or the DP passes it and
+    the heuristic paths answer: mu is still its permutation's count of
+    integer prefixes, and never more than the subset DP oracle's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_MU_WORK_CAP", cap)
+        result = maximal_block_number(spectrum)
+    assert sorted(result.permutation) == list(range(len(spectrum)))
+    assert _integer_prefixes(spectrum, result.permutation) == result.mu
+    assert result.mu <= mu_subset_dp_oracle(spectrum)[0]
